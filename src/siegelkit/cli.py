@@ -241,7 +241,7 @@ def _emit(args, text: str, cfg: ConstantConfig, extra_outputs=None):
     for path in extra_outputs or []:
         outputs[path] = skio.file_sha256(path)
     if args.manifest:
-        man = skio.RunManifest.build(sys.argv[1:], cfg, args.seed or 0, outputs)
+        man = skio.RunManifest.build(args.argv, cfg, args.seed or 0, outputs)
         with open(args.manifest, "w", encoding="utf-8") as fh:
             fh.write(man.to_json() + "\n")
 
@@ -427,7 +427,7 @@ def cmd_scan(args, cfg) -> str:
                                             bisect_tol=args.bisect_tol),
                         estimators=tuple(args.estimators.split(",")))
     rows = scan_r(fam, grid, params, workers=args.workers)
-    digest = skio.invocation_digest(sys.argv[1:], cfg, args.seed or 0)
+    digest = skio.invocation_digest(args.argv, cfg, args.seed or 0)
     extra = []
     if args.plot_data:
         with open(args.plot_data, "w", encoding="utf-8") as fh:
@@ -487,6 +487,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.argv = list(argv)  # what digests and manifests name
         cfg = load_config(args.config)
         text = _HANDLERS[args.cmd](args, cfg)
         _emit(args, text, cfg)

@@ -41,6 +41,7 @@ __all__ = [
     "pole_cancellation_probe",
     "hadamard_radius",
     "escape_radius",
+    "escape_radii",
     "boundary_derivative_norms",
 ]
 
@@ -266,68 +267,122 @@ class EscapeParams:
     cap: float = 0.999999
 
 
-def _orbit_stays(g: Germ, w: np.ndarray, max_iter: int) -> bool:
-    coeffs = g.full_coeffs()
-    if np.max(np.abs(w)) >= 1.0:
-        return False
+def _orbits_stay(rows: np.ndarray, w: np.ndarray, max_iter: int) -> np.ndarray:
+    """Lock-step orbit kernel: which groups stay in the unit disk for
+    ``max_iter`` steps.
+
+    Group i iterates its start points ``w[i]`` under the germ whose full
+    coefficients are ``rows[i]`` (all rows of one length, so that one
+    evaluation formula serves the batch).  A group drops out of the batch at
+    its first point outside the disk, so later steps cost only what is
+    still alive and a group once out stays out.  ``|w| < 1`` is False on
+    NaN and inf, so a non-finite point counts as escaped.
+    """
+    verdict = np.zeros(len(w), dtype=bool)
+    idx = np.arange(len(w))
+    rows = rows[:, None, :]
     for _ in range(max_iter):
-        w = series.polyval_vec(coeffs, w)
-        if np.max(np.abs(w)) >= 1.0:
-            return False
-    return True
+        inside = np.abs(w) < 1.0
+        if not inside.all():
+            keep = inside.all(axis=-1)
+            idx, rows, w = idx[keep], rows[keep], w[keep]
+            if not len(idx):
+                return verdict
+        w = series.polyval_vec(rows, w)
+    verdict[idx[(np.abs(w) < 1.0).all(axis=-1)]] = True
+    return verdict
+
+
+def escape_radii(germs: Sequence[Germ], phis: Sequence[Optional[LinearizationSeries]],
+                 params: EscapeParams = EscapeParams()) -> List[RadiusEstimate]:
+    """:func:`escape_radius` for many parameters, bisected in lock step.
+
+    Every round tests one radius for each parameter whose bracket is still
+    open: the cap first, then the bracket's midpoint.  The chart checks run
+    per parameter; the orbits of all radii that pass them go through one
+    kernel call per germ row length.  Each bracket moves exactly as it would
+    alone, so the estimates do not depend on what else is in the batch.
+    """
+    if len(germs) != len(phis):
+        raise DomainError("need one chart (or None) per germ")
+    S = params.circle_samples
+    ring = np.exp(TWO_PI_I * np.arange(S) / S)
+    rows = [g.full_coeffs() for g in germs]
+    mults = [g.multiplier() for g in germs]
+    charts = [None if phi is None else phi.coeff_array() for phi in phis]
+
+    def start(i: int, r: float) -> Optional[np.ndarray]:
+        """Orbit start points phi(r * ring), or None when the chart leaves the
+        disk or the conjugacy residual is not below tolerance (NaN fails)."""
+        z = r * ring
+        if charts[i] is None:
+            return z
+        w = series.polyval_vec(charts[i], z)
+        if not np.all(np.abs(w) < 1.0):
+            return None
+        fz = series.polyval_vec(charts[i], mults[i] * z)
+        resid = np.max(np.abs(fz - series.polyval_vec(rows[i], w)))
+        return w if resid < params.residual_tol else None
+
+    def valid(todo: List[int], radii: List[float]) -> List[bool]:
+        out = [False] * len(todo)
+        by_len: Dict[int, list] = {}
+        for k, (i, r) in enumerate(zip(todo, radii)):
+            w = start(i, r)
+            if w is not None:
+                by_len.setdefault(len(rows[i]), []).append((k, i, w))
+        for batch in by_len.values():
+            ks, idx, ws = zip(*batch)
+            stays = _orbits_stay(np.array([rows[i] for i in idx]), np.array(ws),
+                                 params.max_iter)
+            for k, ok in zip(ks, stays):
+                out[k] = bool(ok)
+        return out
+
+    n = len(germs)
+    lo, hi = [0.0] * n, [params.cap] * n
+    at_cap = valid(list(range(n)), hi)
+    todo = [i for i in range(n) if not at_cap[i] and hi[i] - lo[i] > params.bisect_tol]
+    while todo:
+        mids = [0.5 * (lo[i] + hi[i]) for i in todo]
+        for i, mid, ok in zip(todo, mids, valid(todo, mids)):
+            if ok:
+                lo[i] = mid
+            else:
+                hi[i] = mid
+        todo = [i for i in todo if hi[i] - lo[i] > params.bisect_tol]
+    out = []
+    for i in range(n):
+        if at_cap[i]:
+            lower, upper, diag = params.cap, 1.0, "valid up to the cap"
+        elif lo[i] == 0.0:
+            lower, upper, diag = lo[i], hi[i], "NoValidRadius: non-linearizable at tolerance"
+        else:
+            lower, upper, diag = lo[i], hi[i], "bracket from bisection"
+        out.append(RadiusEstimate(lower=lower, upper=upper, method="escape",
+                                  params=_escape_params_dict(params), diagnostics=diag))
+    return out
 
 
 def escape_radius(g: Germ, phi: Optional[LinearizationSeries],
                   params: EscapeParams = EscapeParams()) -> RadiusEstimate:
     """Bisection bracket of the largest radius that looks linearizable.
 
-    VALID(rho) requires the truncated conjugacy residual on |z| = rho to stay
-    below ``residual_tol`` and every orbit started from phi(rho * samples) to
-    stay in the unit disk for ``max_iter`` steps.  With ``phi=None`` (the
-    identity chart, e.g. at rationals where no series exists) only the orbit
-    condition applies and the bracket reads as an in-disk escape radius.
+    VALID(rho) requires phi(rho * samples) to lie in the unit disk, the
+    truncated conjugacy residual on |z| = rho to stay below ``residual_tol``
+    and every orbit started from phi(rho * samples) to stay in the unit disk
+    for ``max_iter`` steps.  Each test is "finite and inside", so NaN or inf
+    anywhere rejects the radius.  With ``phi=None`` (the identity chart, e.g.
+    at rationals where no series exists) only the orbit condition applies
+    and the bracket reads as an in-disk escape radius.
     """
-    S = params.circle_samples
-    ring = np.exp(TWO_PI_I * np.arange(S) / S)
-    rho_mult = g.multiplier()
-    phi_arr = None if phi is None else phi.coeff_array()
-
-    def valid(r: float) -> bool:
-        z = r * ring
-        if phi_arr is None:
-            w = z
-        else:
-            w = series.polyval_vec(phi_arr, z)
-            fz = series.polyval_vec(phi_arr, rho_mult * z)
-            if np.max(np.abs(w)) >= 1.0:
-                return False
-            resid = np.max(np.abs(fz - series.polyval_vec(g.full_coeffs(), w)))
-            if resid >= params.residual_tol:
-                return False
-        return _orbit_stays(g, w, params.max_iter)
-
-    hi = params.cap
-    if valid(hi):
-        return RadiusEstimate(lower=hi, upper=1.0, method="escape",
-                              params=_escape_params_dict(params),
-                              diagnostics="valid up to the cap")
-    lo = 0.0
-    while hi - lo > params.bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if valid(mid):
-            lo = mid
-        else:
-            hi = mid
-    diag = "bracket from bisection"
-    if lo == 0.0:
-        diag = "NoValidRadius: non-linearizable at tolerance"
-    return RadiusEstimate(lower=lo, upper=hi, method="escape",
-                          params=_escape_params_dict(params), diagnostics=diag)
+    return escape_radii([g], [phi], params)[0]
 
 
 def _escape_params_dict(p: EscapeParams) -> Dict[str, float]:
     return {"max_iter": p.max_iter, "circle_samples": p.circle_samples,
-            "bisect_tol": p.bisect_tol, "residual_tol": p.residual_tol}
+            "bisect_tol": p.bisect_tol, "residual_tol": p.residual_tol,
+            "cap": p.cap}
 
 
 def boundary_derivative_norms(phi: LinearizationSeries, rho: float, order: int,

@@ -105,7 +105,7 @@ def _heights_admissible(F: LiftMap, h: float, p: HParams) -> bool:
         Z = Z - np.floor(Z.real)
         w = np.exp(TWO_PI_I * Z)
         Z = Z + F.alpha + _s.polyval_vec(full, w)
-        if float(np.min(Z.imag)) <= 0.0:
+        if not np.all(Z.imag > 0.0):  # NaN fails, too
             return False
     return True
 

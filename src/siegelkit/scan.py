@@ -34,7 +34,6 @@ from .cf import (
 )
 from .errors import (
     FamilyUnsuitable,
-    OverflowGuard,
     SiegelError,
     SmallDivisorBlowup,
     StageFailed,
@@ -45,6 +44,7 @@ from .linearize import (
     EscapeParams,
     LinearizationSeries,
     RadiusEstimate,
+    escape_radii,
     escape_radius,
     hadamard_radius,
     linearization_coeffs,
@@ -91,17 +91,13 @@ DEFAULT_SCAN = ScanParams()
 
 
 def _phi_or_none(fam: GermFamily, alpha, p: ScanParams):
-    """Germ plus its full linearization series, or the partial series up to
-    the first pole/overflow (the residual test then rules at that parameter)."""
+    """Germ plus its linearization series: the full one, or the partial series
+    up to the first pole/overflow (the residual test then rules at that
+    parameter), with ``full`` telling which."""
     germ = fam.at(alpha, p.order)
-    try:
-        phi = linearization_coeffs(germ, p.lin_order, allow_rational=True)
-        full = True
-    except (SmallDivisorBlowup, OverflowGuard):
-        phi = linearization_coeffs(germ, p.lin_order, allow_rational=True,
-                                   on_failure="truncate")
-        full = False
-    return germ, phi, full
+    phi = linearization_coeffs(germ, p.lin_order, allow_rational=True,
+                               on_failure="truncate")
+    return germ, phi, phi.order == p.lin_order
 
 
 def estimate_radius(fam: GermFamily, alpha: ExactReal,
@@ -114,44 +110,57 @@ def estimate_radius(fam: GermFamily, alpha: ExactReal,
 def radius_rows(fam: GermFamily, alpha: ExactReal,
                 p: ScanParams = DEFAULT_SCAN) -> List[ScanRow]:
     """All estimator rows for one exact parameter; failures become row tags."""
-    text = format_exact(alpha)
-    afloat = to_float(alpha)
-    t0 = time.monotonic()
-    try:
-        germ, phi, full = _phi_or_none(fam, alpha, p)
-        prep_error = None
-    except SiegelError as exc:
-        prep_error = exc
-    rows: List[ScanRow] = []
-    for method in p.estimators:
-        try:
-            if prep_error is not None:
-                raise prep_error
-            if method == "escape":
-                est = escape_radius(germ, phi, p.escape)
-                iters = p.escape.max_iter
-            elif method == "hadamard":
-                if not full:
-                    raise SmallDivisorBlowup("no full linearization series here")
-                est = hadamard_radius(phi, p.window)
-                iters = p.lin_order
-            else:
-                raise ValueError(f"unknown estimator {method!r}")
-            lower, upper, tag = est.lower, est.upper, method
-        except SiegelError as exc:
-            lower, upper, tag, iters = 0.0, math.inf, f"{method}:error:{type(exc).__name__}", 0
-        ms = int(1000 * (time.monotonic() - t0)) if p.measure_time else 0
-        rows.append(ScanRow(alpha_text=text, alpha_float=afloat, r_lower=lower,
-                            r_upper=upper, method=tag, iterations=iters,
-                            wall_time_ms=ms))
-    return rows
+    return _scan_chunk((fam, [alpha], p))
 
 
 def _scan_chunk(args) -> List[ScanRow]:
+    """Rows of a chunk of parameters, by input index then estimator.
+
+    Every parameter is prepared first; the escape estimator then bisects the
+    whole chunk in one :func:`escape_radii` call.  With ``measure_time`` a
+    row's time runs from its parameter's preparation to the row, so escape
+    rows include the chunk's shared bisection.
+    """
     fam, alphas, p = args
+    starts, preps = [], []
+    for alpha in alphas:
+        starts.append(time.monotonic())
+        try:
+            preps.append(_phi_or_none(fam, alpha, p))
+        except SiegelError as exc:
+            preps.append(exc)
+    escape = {}
+    if "escape" in p.estimators:
+        ready = [k for k, prep in enumerate(preps) if not isinstance(prep, SiegelError)]
+        ests = escape_radii([preps[k][0] for k in ready], [preps[k][1] for k in ready],
+                            p.escape)
+        escape = dict(zip(ready, ests))
     out: List[ScanRow] = []
-    for a in alphas:
-        out.extend(radius_rows(fam, a, p))
+    for k, (alpha, t0, prep) in enumerate(zip(alphas, starts, preps)):
+        text = format_exact(alpha)
+        afloat = to_float(alpha)
+        for method in p.estimators:
+            try:
+                if isinstance(prep, SiegelError):
+                    raise prep
+                if method == "escape":
+                    est = escape[k]
+                    iters = p.escape.max_iter
+                elif method == "hadamard":
+                    _, phi, full = prep
+                    if not full:
+                        raise SmallDivisorBlowup("no full linearization series here")
+                    est = hadamard_radius(phi, p.window)
+                    iters = p.lin_order
+                else:
+                    raise ValueError(f"unknown estimator {method!r}")
+                lower, upper, tag = est.lower, est.upper, method
+            except SiegelError as exc:
+                lower, upper, tag, iters = 0.0, math.inf, f"{method}:error:{type(exc).__name__}", 0
+            ms = int(1000 * (time.monotonic() - t0)) if p.measure_time else 0
+            out.append(ScanRow(alpha_text=text, alpha_float=afloat, r_lower=lower,
+                               r_upper=upper, method=tag, iterations=iters,
+                               wall_time_ms=ms))
     return out
 
 

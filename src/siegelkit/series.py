@@ -119,20 +119,27 @@ def polyval_scalar(coeffs, z: complex) -> complex:
 
 
 def polyval_vec(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Evaluate on a vector of points; deterministic (no BLAS reductions)."""
+    """Evaluate on an array of points; deterministic (no BLAS reductions).
+
+    ``coeffs`` is one coefficient row shared by every point, or a stack of
+    rows (shape ``(..., n)``) whose leading axes broadcast against ``z``, so
+    that each point has its own series.  Each point sees the same IEEE
+    operations as a call with its own row alone: Horner up to length 8, a
+    power table and a sequential ``einsum`` above.
+    """
     z = np.asarray(z, dtype=np.complex128)
     c = np.asarray(coeffs, dtype=np.complex128)
-    n = len(c)
+    n = c.shape[-1]
     if n == 0:
         return np.zeros_like(z)
     if n <= 8:
-        acc = np.full_like(z, c[-1])
+        acc = np.full_like(z, c[..., -1])
         for k in range(n - 2, -1, -1):
             acc *= z
-            acc += c[k]
+            acc += c[..., k]
         return acc
-    pw = np.repeat(z[:, None], n - 1, axis=1)
-    np.multiply.accumulate(pw, axis=1, out=pw)
-    out = np.einsum("ij,j->i", pw, c[1:], optimize=False)
-    out += c[0]
+    pw = np.repeat(z[..., None], n - 1, axis=-1)
+    np.multiply.accumulate(pw, axis=-1, out=pw)
+    out = np.einsum("...j,...j->...", pw, c[..., 1:], optimize=False)
+    out += c[..., 0]
     return out

@@ -1,11 +1,17 @@
 """Independent oracles shared by unit and acceptance tests.
 
 These deliberately avoid the library's computation paths: plain python lists,
-naive convolutions, and fresh power recomputation per order.
+naive convolutions, and fresh power recomputation per order.  The escape
+bisection reference is the exception: it must repeat the library's floating
+point operations bit for bit, so it keeps the one-row evaluation and the
+sequential loops the library used before its lock-step kernel.
 """
 
+import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from siegelkit.cf import CFExpansion
 
@@ -63,3 +69,69 @@ def euclid_expansion(p: int, q: int):
         if r == 0:
             return out
         p, q = q, r
+
+
+def polyval_row(c, z):
+    """Evaluation of one coefficient row on a vector of points, as
+    ``series.polyval_vec`` did before it took a row per point."""
+    n = len(c)
+    if n <= 8:
+        acc = np.full_like(z, c[-1])
+        for k in range(n - 2, -1, -1):
+            acc *= z
+            acc += c[k]
+        return acc
+    pw = np.repeat(z[:, None], n - 1, axis=1)
+    np.multiply.accumulate(pw, axis=1, out=pw)
+    out = np.einsum("ij,j->i", pw, c[1:], optimize=False)
+    out += c[0]
+    return out
+
+
+def sequential_escape_radius(g, phi, params):
+    """(lower, upper, diagnostics) of the escape bisection as one loop per
+    radius and one orbit loop per step, the way escape_radius ran before the
+    lock-step kernel.  Its tests keep the old ``>=`` form, so it is a
+    reference on finite inputs only."""
+    S = params.circle_samples
+    ring = np.exp(2j * math.pi * np.arange(S) / S)
+    rho_mult = g.multiplier()
+    coeffs = g.full_coeffs()
+    phi_arr = None if phi is None else phi.coeff_array()
+
+    def orbit_stays(w):
+        if np.max(np.abs(w)) >= 1.0:
+            return False
+        for _ in range(params.max_iter):
+            w = polyval_row(coeffs, w)
+            if np.max(np.abs(w)) >= 1.0:
+                return False
+        return True
+
+    def valid(r):
+        z = r * ring
+        if phi_arr is None:
+            w = z
+        else:
+            w = polyval_row(phi_arr, z)
+            fz = polyval_row(phi_arr, rho_mult * z)
+            if np.max(np.abs(w)) >= 1.0:
+                return False
+            resid = np.max(np.abs(fz - polyval_row(coeffs, w)))
+            if resid >= params.residual_tol:
+                return False
+        return orbit_stays(w)
+
+    hi = params.cap
+    if valid(hi):
+        return hi, 1.0, "valid up to the cap"
+    lo = 0.0
+    while hi - lo > params.bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if valid(mid):
+            lo = mid
+        else:
+            hi = mid
+    if lo == 0.0:
+        return lo, hi, "NoValidRadius: non-linearizable at tolerance"
+    return lo, hi, "bracket from bisection"

@@ -7,7 +7,7 @@ import sys
 
 from siegelkit.cli import main
 from siegelkit import io as skio
-from siegelkit.bounds import const_Cprime
+from siegelkit.bounds import DEFAULT_CONFIG, const_Cprime
 
 
 def run_cli(args, capsys):
@@ -102,6 +102,22 @@ def test_scan_csv_golden_path(tmp_path, capsys):
     man = json.loads((tmp_path / "man.json").read_text())
     assert str(out_file) in man["outputs"]
     assert len(plot.read_text().splitlines()) == len(rows)
+
+
+def test_scan_digest_names_the_argv_run(tmp_path, capsys):
+    # in-process scans over different grids: each digest hashes its own argv
+    digests = []
+    for grid in ("farey:Q=3", "farey:Q=4"):
+        man = tmp_path / "man.json"
+        argv = ["scan", "--family", "quadratic", "--grid", grid, "--format", "csv",
+                "--max-iter", "50", "--manifest", str(man)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        digest = json.loads(man.read_text())["digest"]
+        assert digest == skio.invocation_digest(argv, DEFAULT_CONFIG, 0)
+        assert f"# manifest: {digest}\n" in out
+        digests.append(digest)
+    assert digests[0] != digests[1]
 
 
 def test_renorm_rotnum_cli_with_trace(tmp_path, capsys):

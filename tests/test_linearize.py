@@ -12,12 +12,15 @@ from siegelkit.linearize import (
     EscapeParams,
     boundary_derivative_norms,
     compose_check,
+    escape_radii,
     escape_radius,
     hadamard_radius,
     linearization_coeffs,
     pole_cancellation_probe,
 )
 from siegelkit.surd import QuadraticIrrational
+
+from .oracles import sequential_escape_radius
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
 QUAD = QuadraticFamily()
@@ -225,6 +228,59 @@ def test_escape_upper_monotone_in_max_iter():
     uppers = [escape_radius(g, part, EscapeParams(max_iter=it)).upper
               for it in (100, 1000, 10000)]
     assert all(uppers[i + 1] <= uppers[i] + 1e-12 for i in range(len(uppers) - 1))
+
+
+def _nan_in_chart():
+    g = QUAD.at(GOLDEN, 8)
+    lin = linearization_coeffs(g, 48)
+    lin.a[5] = complex(math.nan, 0.0)
+    return g, lin
+
+
+def _nan_in_germ():
+    return Germ(GOLDEN, np.array([math.nan + 0j])), None
+
+
+@pytest.mark.parametrize("case", [_nan_in_chart, _nan_in_germ])
+def test_escape_nan_is_never_valid(case):
+    g, phi = case()
+    est = escape_radius(g, phi, EscapeParams(max_iter=50, circle_samples=8))
+    assert est.diagnostics == "NoValidRadius: non-linearizable at tolerance"
+    assert est.lower == 0.0
+
+
+def test_escape_params_record_the_cap():
+    g = RotationFamily().at(GOLDEN, 8)
+    p = EscapeParams(max_iter=20, circle_samples=8, cap=0.9)
+    est = escape_radius(g, linearization_coeffs(g, 16), p)
+    assert (est.lower, est.upper) == (0.9, 1.0)
+    assert est.params == {"max_iter": 20, "circle_samples": 8, "bisect_tol": 1e-3,
+                          "residual_tol": 1e-8, "cap": 0.9}
+
+
+def test_escape_radii_match_sequential_bisection():
+    # one lock-step call over germ rows of three lengths (quadratic 3, flow 25
+    # via the power table, rotation 2), full and partial charts and the
+    # identity chart; every bracket must equal the one-at-a-time loop's
+    flow = FlowFamily([1.0], 0.5)
+    germs = [QUAD.at(a, 8) for a in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
+                                     GOLDEN, QuadraticIrrational(-1, 1, 1, 2))]
+    germs += [flow.at(a, 24) for a in (GOLDEN, Fraction(1, 3))]
+    germs.append(RotationFamily().at(GOLDEN, 8))
+    phis = [linearization_coeffs(g, 48, allow_rational=True, on_failure="truncate")
+            for g in germs]
+    germs.append(QUAD.at(Fraction(2, 5), 8))
+    phis.append(None)
+    p = EscapeParams(max_iter=300, circle_samples=16, bisect_tol=4e-3)
+    got = [(e.lower, e.upper, e.diagnostics) for e in escape_radii(germs, phis, p)]
+    assert got == [sequential_escape_radius(g, phi, p) for g, phi in zip(germs, phis)]
+    assert {d.split(":")[0] for _, _, d in got} == {
+        "NoValidRadius", "bracket from bisection", "valid up to the cap"}
+
+
+def test_escape_radii_needs_one_chart_per_germ():
+    with pytest.raises(DomainError):
+        escape_radii([QUAD.at(GOLDEN, 8)], [], EscapeParams())
 
 
 # -- boundary norms ------------------------------------------------------------

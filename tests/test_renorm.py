@@ -10,6 +10,7 @@ from siegelkit.errors import (
     ConditionsNeverMet,
     DomainError,
     InsufficientDepth,
+    NoAdmissibleHeight,
     UndefinedReturn,
 )
 from siegelkit.germs import LiftMap, QuadraticFamily, lift_of_germ
@@ -68,6 +69,12 @@ def test_parabolic_lift_escapes_low():
 
 def test_h_of_translation_zero():
     assert h_of_lift(translation_lift(GOLDEN)) == 0.0
+
+
+def test_h_of_lift_nan_coefficient_has_no_admissible_height():
+    F = LiftMap(alpha=to_float(GOLDEN), h_coeffs=np.array([0.1, math.nan]))
+    with pytest.raises(NoAdmissibleHeight):
+        h_of_lift(F, HParams(max_iter=50))
 
 
 def test_h_golden_quadratic_stable():

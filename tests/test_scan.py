@@ -5,7 +5,7 @@ import pytest
 from siegelkit.cf import farey_fractions
 from siegelkit.errors import FamilyUnsuitable, TargetAboveRadius
 from siegelkit.germs import FlowFamily, QuadraticFamily, RotationFamily
-from siegelkit.linearize import EscapeParams
+from siegelkit.linearize import EscapeParams, linearization_coeffs
 from siegelkit.scan import (
     ScanParams,
     check_construction_invariants,
@@ -18,6 +18,8 @@ from siegelkit.scan import (
     smooth_disk_driver,
 )
 from siegelkit.surd import QuadraticIrrational, exact_cmp
+
+from .oracles import sequential_escape_radius
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
 S2M1 = QuadraticIrrational(0, 1, 1, 2) - 1
@@ -46,6 +48,21 @@ def test_scan_row_ordering_and_methods():
     assert rows[3].method.startswith("hadamard:error:")  # no full series at 1/2
     assert rows[0].alpha_text == "(-1+1*sqrt(5))/2"
     assert abs(rows[0].alpha_float - float(GOLDEN)) < 1e-15
+
+
+def test_scan_rows_match_sequential_bisection():
+    # the chunk bisects in lock step; each row must equal its parameter's
+    # one-at-a-time bracket (rationals with partial charts, surds with full ones)
+    grid = farey_fractions(7) + [GOLDEN, S2M1]
+    fam = QuadraticFamily()
+    rows = scan_r(fam, grid, CHEAP)
+    assert [r.alpha_float for r in rows] == [float(a) for a in grid]
+    for alpha, row in zip(grid, rows):
+        g = fam.at(alpha, CHEAP.order)
+        phi = linearization_coeffs(g, CHEAP.lin_order, allow_rational=True,
+                                   on_failure="truncate")
+        lower, upper, _ = sequential_escape_radius(g, phi, CHEAP.escape)
+        assert (row.r_lower, row.r_upper, row.method) == (lower, upper, "escape")
 
 
 def test_scan_worker_determinism():

@@ -101,3 +101,14 @@ def test_polyval_deterministic_repeat():
     a = series.polyval_vec(c, z)
     b = series.polyval_vec(c.copy(), z.copy())
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 26])
+def test_polyval_vec_row_per_point_matches_each_row_alone(n):
+    # both evaluation paths (Horner up to 8 coefficients, power table above)
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(5, 1, n)) + 1j * rng.normal(size=(5, 1, n))
+    z = 0.9 * np.exp(2j * np.pi * rng.random((5, 16)))
+    got = series.polyval_vec(rows, z)
+    for i in range(5):
+        assert got[i].tobytes() == series.polyval_vec(rows[i, 0], z[i]).tobytes()
