@@ -39,7 +39,6 @@ from .germs import (
     QuadraticFamily,
     RotationFamily,
     eval_germ,
-    family_at,
     flow_time_map,
     lift_of_germ,
     lipschitz_estimate,

@@ -68,9 +68,11 @@ from .renorm import (
     return_map,
 )
 from .scan import (
+    ESTIMATORS,
     ScanParams,
     condition_bdd_search,
     degenerate_probe,
+    estimate_radius,
     main_lemma_probe,
     scan_r,
     smooth_disk_driver,
@@ -80,6 +82,15 @@ from .surd import QuadraticIrrational, to_float
 
 class UsageError(Exception):
     pass
+
+
+def _parse(parse, text: str):
+    """``parse(text)`` for text from the command line: malformed text is a
+    usage error, not a traceback."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot read {text!r}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,8 +116,8 @@ def parse_grid(spec: str):
         body = spec.split(":", 1)[1]
         if not body.startswith("Q="):
             raise UsageError("farey grid spec is farey:Q=<int>")
-        return [Fraction(f) for f in farey_fractions(int(body[2:]))]
-    return [parse_exact(t) for t in spec.split(",")]
+        return [Fraction(f) for f in farey_fractions(_parse(int, body[2:]))]
+    return [_parse(parse_exact, t) for t in spec.split(",")]
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -256,7 +267,7 @@ def _exact_and_float(x) -> dict:
 
 def _alpha_cf(args):
     """Expansion from --alpha (value text) honoring --variant for rationals."""
-    val = parse_exact(args.alpha)
+    val = _parse(parse_exact, args.alpha)
     if isinstance(val, QuadraticIrrational):
         return cf_of_exact(val)
     return cf_of_rational(Fraction(val), args.variant)
@@ -264,17 +275,17 @@ def _alpha_cf(args):
 
 def cmd_cf(args, cfg) -> str:
     if args.op == "expand":
-        val = parse_exact(args.alpha)
+        val = _parse(parse_exact, args.alpha)
         cf = cf_of_exact(val) if isinstance(val, QuadraticIrrational) \
             else cf_of_rational(Fraction(val), args.variant)
         return json.dumps({**_cfg_header(cfg), "cf": format_cf(cf),
                            **_exact_and_float(val)}, indent=1, sort_keys=True)
     if args.op == "eval":
-        cf = parse_cf(args.cf)
+        cf = _parse(parse_cf, args.cf)
         return json.dumps({**_cfg_header(cfg), "cf": format_cf(cf),
                            **_exact_and_float(cf.value())}, indent=1, sort_keys=True)
     if args.op == "convergents":
-        cf = parse_cf(args.cf if args.cf else args.alpha)
+        cf = _parse(parse_cf, args.cf if args.cf else args.alpha)
         rows = [{"index": c.index, "p": str(c.p), "q": str(c.q)}
                 for c in convergents(cf, args.n)]
         return json.dumps({**_cfg_header(cfg), "convergents": rows},
@@ -300,7 +311,7 @@ def cmd_cf(args, cfg) -> str:
 
 
 def cmd_brjuno(args, cfg) -> str:
-    val = parse_exact(args.alpha)
+    val = _parse(parse_exact, args.alpha)
     cf = cf_of_exact(val) if isinstance(val, QuadraticIrrational) \
         else cf_of_rational(Fraction(val))
     bv = brjuno_sum(cf, args.depth, args.tol)
@@ -319,7 +330,7 @@ def cmd_const(args, cfg) -> str:
 def _germ_for(args, cfg, order=None):
     _family_args_defaults(args)
     fam = make_family(args)
-    alpha = parse_exact(args.alpha)
+    alpha = _parse(parse_exact, args.alpha)
     return fam, fam.at(alpha, order or DEFAULT_ORDER)
 
 
@@ -330,7 +341,7 @@ def cmd_lin(args, cfg) -> str:
         rep = pole_cancellation_probe(fam, args.p, args.q, args.n)
         rep.update(_cfg_header(cfg))
         return json.dumps(rep, indent=1, sort_keys=True)
-    alpha = parse_exact(args.alpha)
+    alpha = _parse(parse_exact, args.alpha)
     germ = fam.at(alpha, max(args.N, 8))
     lin = linearization_coeffs(germ, args.N, allow_rational=True, on_failure="truncate")
     if args.op == "coeffs":
@@ -360,8 +371,8 @@ def cmd_radius(args, cfg) -> str:
                                          circle_samples=args.samples,
                                          bisect_tol=args.bisect_tol,
                                          residual_tol=args.residual_tol))
-    return json.dumps({**_cfg_header(cfg), "alpha": format_exact(parse_exact(args.alpha)),
-                       "alpha_float": to_float(parse_exact(args.alpha)),
+    return json.dumps({**_cfg_header(cfg), "alpha": format_exact(germ.alpha),
+                       "alpha_float": to_float(germ.alpha),
                        "lower": est.lower, "upper": est.upper,
                        "method": est.method, "params": est.params,
                        "diagnostics": est.diagnostics}, indent=1, sort_keys=True)
@@ -420,12 +431,15 @@ def cmd_scan(args, cfg) -> str:
     _family_args_defaults(args)
     fam = make_family(args)
     grid = parse_grid(args.grid)
+    estimators = tuple(args.estimators.split(","))
+    if not set(estimators) <= set(ESTIMATORS):
+        raise UsageError(f"--estimators takes a comma list of {', '.join(ESTIMATORS)}")
     params = ScanParams(order=args.order, lin_order=args.lin_order,
                         window=args.window,
                         escape=EscapeParams(max_iter=args.max_iter,
                                             circle_samples=args.samples,
                                             bisect_tol=args.bisect_tol),
-                        estimators=tuple(args.estimators.split(",")))
+                        estimators=estimators)
     rows = scan_r(fam, grid, params, workers=args.workers)
     digest = skio.invocation_digest(args.argv, cfg, args.seed or 0)
     extra = []
@@ -447,8 +461,7 @@ def cmd_scan(args, cfg) -> str:
 def cmd_construct(args, cfg) -> str:
     _family_args_defaults(args)
     fam = make_family(args)
-    theta0 = parse_exact(args.theta0)
-    from .scan import estimate_radius
+    theta0 = _parse(parse_exact, args.theta0)
     base = estimate_radius(fam, theta0)
     states = smooth_disk_driver(fam, theta0, args.rho_frac * base.lower, args.stages)
     return skio.construction_states_json(states)
@@ -461,13 +474,13 @@ def cmd_probe(args, cfg) -> str:
         args.K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), n_pairs=24,
                                              n_circle=32, seed=args.seed or 0))
     if args.op == "main-lemma":
-        rep = main_lemma_probe(fam, Fraction(args.pq), args.variant, args.N, args.K, cfg=cfg)
+        rep = main_lemma_probe(fam, _parse(Fraction, args.pq), args.variant, args.N, args.K,
+                               cfg=cfg)
     elif args.op == "degenerate":
-        ts = [parse_exact(t) for t in (args.t or "[0;(1)],[0;(2)],[0;(3)]").split(",")]
+        ts = [_parse(parse_exact, t) for t in (args.t or "[0;(1)],[0;(2)],[0;(3)]").split(",")]
         rep = degenerate_probe(fam, ts)
     else:
-        alpha = parse_exact(args.alpha)
-        from .scan import estimate_radius
+        alpha = _parse(parse_exact, args.alpha)
         base = estimate_radius(fam, alpha)
         rep = condition_bdd_search(fam, alpha, args.rho_frac * base.lower,
                                    qmax=args.qmax, K_est=args.K, cfg=cfg)

@@ -65,5 +65,9 @@ class FamilyUnsuitable(StageFailed):
     """Family shows no radius descent; looks degenerate."""
 
 
+class RefinementCap(SiegelError):
+    """Interval refinement reached its precision cap before separating two values."""
+
+
 class SchemaMismatch(SiegelError):
     """Serialized artifact has an unexpected header or schema version."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import series
 from .errors import DomainError, FactorizationError
-from .surd import ExactReal, QuadraticIrrational, floor_exact, to_float
+from .surd import ExactReal, QuadraticIrrational, frac_exact, to_float
 
 __all__ = [
     "AlphaHandle",
@@ -31,16 +31,11 @@ __all__ = [
     "FlowFamily",
     "LiftMap",
     "DEFAULT_ORDER",
-    "alpha_float",
     "alpha_frac_float",
-    "multiplier",
-    "family_at",
     "eval_germ",
-    "eval_germ_bounded",
     "flow_time_map",
     "lipschitz_estimate",
     "lift_of_germ",
-    "compose_germ_coeffs",
 ]
 
 AlphaHandle = Union[int, Fraction, QuadraticIrrational, float]
@@ -50,15 +45,16 @@ DEFAULT_ORDER = 256
 TWO_PI_I = 2j * math.pi
 
 
-def alpha_float(alpha: AlphaHandle) -> float:
-    return to_float(alpha)
-
-
 def alpha_frac_float(alpha: AlphaHandle) -> float:
-    """float of frac(alpha), reducing exactly first when possible."""
+    """float of frac(alpha), reducing exactly first when possible.
+
+    The one place a phase alpha (or n alpha) is reduced mod 1 and turned into
+    a float: the multiplier, the small divisors and the rotation powers all
+    come through here.
+    """
     if isinstance(alpha, float):
         return alpha - math.floor(alpha)
-    return to_float(alpha - floor_exact(alpha))
+    return to_float(frac_exact(alpha))
 
 
 def _multiplier_of(alpha: AlphaHandle) -> complex:
@@ -100,20 +96,11 @@ class Germ:
         return series.polyval_vec(self.full_coeffs(), z)
 
 
-def multiplier(g: Germ) -> complex:
-    return g.multiplier()
-
-
 def eval_germ(g: Germ, z: complex) -> complex:
     """Horner evaluation of the truncation; domain is the open unit disk."""
     if abs(z) >= 1:
         raise DomainError("germ evaluation requires |z| < 1")
     return series.polyval_scalar(g._full_list(), z)
-
-
-def eval_germ_bounded(g: Germ, z: complex) -> Tuple[complex, float]:
-    """Value plus the absolute error bound induced by the stored tail bound."""
-    return eval_germ(g, z), g.tail_bound * abs(z) ** (g.order + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +229,9 @@ def _tail_estimate(coeffs: np.ndarray) -> float:
     return float(mags[n] * ratio / (1.0 - ratio))
 
 
-def family_at(fam: GermFamily, alpha: AlphaHandle, order: int = DEFAULT_ORDER) -> Germ:
-    return fam.at(alpha, order)
-
-
 def flow_time_map(chi: Sequence[complex], t: AlphaHandle, order: int = DEFAULT_ORDER) -> Germ:
     """Time-t map of dz/dt = 2 pi i z + sum_{m>=2} chi[m-2] z^m (no rescaling)."""
     return FlowFamily(chi, restriction_radius=1.0).at(t, order)
-
-
-def compose_germ_coeffs(outer: Germ, inner: Germ, order: int) -> np.ndarray:
-    """Coefficients of outer(inner(z)) truncated at ``order`` (tail ignored)."""
-    return series.compose(outer.full_coeffs(), inner.full_coeffs(), order)
 
 
 # ---------------------------------------------------------------------------
@@ -301,37 +279,27 @@ class LiftMap:
     h_coeffs: np.ndarray              # h_1 .. h_M (w-powers; h(0) = 0)
     alpha_exact: Optional[ExactReal] = None
     source: Optional[Germ] = None
-    _hlist: Optional[list] = field(default=None, repr=False, compare=False)
-    _dlist: Optional[list] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.h_coeffs = np.asarray(self.h_coeffs, dtype=np.complex128)
-
-    def _lists(self):
-        if self._hlist is None:
-            full = np.zeros(len(self.h_coeffs) + 1, dtype=np.complex128)
-            full[1:] = self.h_coeffs
-            self._hlist = full.tolist()
-            self._dlist = series.derivative(full).tolist()
-        return self._hlist, self._dlist
+        self._row = np.zeros(len(self.h_coeffs) + 1, dtype=np.complex128)  # [0, h_1..h_M]
+        self._row[1:] = self.h_coeffs
+        self._hlist = self._row.tolist()
+        self._dlist = series.derivative(self._row).tolist()
 
     def __call__(self, Z: complex) -> complex:
-        hl, _ = self._lists()
         w = cmath.exp(TWO_PI_I * Z)
-        return Z + self.alpha + series.polyval_scalar(hl, w)
+        return Z + self.alpha + series.polyval_scalar(self._hlist, w)
 
     def with_derivative(self, Z: complex) -> Tuple[complex, complex]:
-        hl, dl = self._lists()
         w = cmath.exp(TWO_PI_I * Z)
-        val = Z + self.alpha + series.polyval_scalar(hl, w)
-        der = 1.0 + TWO_PI_I * w * series.polyval_scalar(dl, w)
+        val = Z + self.alpha + series.polyval_scalar(self._hlist, w)
+        der = 1.0 + TWO_PI_I * w * series.polyval_scalar(self._dlist, w)
         return val, der
 
     def eval_vec(self, Z: np.ndarray) -> np.ndarray:
-        full = np.zeros(len(self.h_coeffs) + 1, dtype=np.complex128)
-        full[1:] = self.h_coeffs
         w = np.exp(TWO_PI_I * np.asarray(Z, dtype=np.complex128))
-        return Z + self.alpha + series.polyval_vec(full, w)
+        return Z + self.alpha + series.polyval_vec(self._row, w)
 
 
 def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER,
@@ -353,6 +321,6 @@ def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER,
         raise FactorizationError(
             f"|g - 1| reaches {float(np.max(gm1)):.3f} on |w| = {r_check:.3f}")
     h = series.log1p_series(u, order) / TWO_PI_I
-    return LiftMap(alpha=alpha_float(g.alpha), h_coeffs=h[1:],
+    return LiftMap(alpha=to_float(g.alpha), h_coeffs=h[1:],
                    alpha_exact=g.alpha if not isinstance(g.alpha, float) else None,
                    source=g)

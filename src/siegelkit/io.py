@@ -45,9 +45,8 @@ __all__ = [
     "file_sha256",
 ]
 
-SCAN_SCHEMA = "scanrow/1"
-SCAN_HEADER = ["alpha_text", "alpha_float", "r_lower", "r_upper",
-               "method", "iterations", "wall_time_ms"]
+SCAN_SCHEMA = "scanrow/2"
+SCAN_HEADER = ["alpha_text", "alpha_float", "r_lower", "r_upper", "method", "max_iter"]
 
 
 def _fmt(x: float) -> str:
@@ -64,8 +63,7 @@ def emit_scan_csv(rows: Sequence[ScanRow], fh: TextIO,
     writer.writerow(SCAN_HEADER)
     for r in rows:
         writer.writerow([r.alpha_text, _fmt(r.alpha_float), _fmt(r.r_lower),
-                         _fmt(r.r_upper), r.method, str(r.iterations),
-                         str(r.wall_time_ms)])
+                         _fmt(r.r_upper), r.method, str(r.max_iter)])
 
 
 def load_scan_csv(fh: TextIO) -> List[ScanRow]:
@@ -91,8 +89,7 @@ def load_scan_csv(fh: TextIO) -> List[ScanRow]:
             continue
         rows.append(ScanRow(alpha_text=cells[0], alpha_float=float(cells[1]),
                             r_lower=float(cells[2]), r_upper=float(cells[3]),
-                            method=cells[4], iterations=int(cells[5]),
-                            wall_time_ms=int(cells[6])))
+                            method=cells[4], max_iter=int(cells[5])))
     if not header_seen:
         raise SchemaMismatch("missing header")
     return rows

@@ -29,8 +29,8 @@ from .errors import (
     RadiusTooLarge,
     SmallDivisorBlowup,
 )
-from .germs import Germ, GermFamily, alpha_frac_float
-from .surd import ExactReal, floor_exact, to_float
+from .germs import TWO_PI_I, Germ, GermFamily, alpha_frac_float
+from .surd import ExactReal
 
 __all__ = [
     "LinearizationSeries",
@@ -44,8 +44,6 @@ __all__ = [
     "escape_radii",
     "boundary_derivative_norms",
 ]
-
-TWO_PI_I = 2j * math.pi
 
 DIVISOR_FLOOR = 1e-13     # below this, rho^n - rho is treated as exactly zero
 NUMERATOR_FLOOR = 1e-12   # |P| above this over a zero divisor is a genuine pole
@@ -90,18 +88,12 @@ def _rational_parts(alpha) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _divisor(alpha, n: int) -> complex:
-    """rho^n - rho = rho (e^{2 pi i (n-1) alpha} - 1) with the phase reduced
-    exactly before leaving exact arithmetic (small divisors need the care)."""
-    if isinstance(alpha, float):
-        m = ((n - 1) * alpha) % 1.0
-        rho = cmath.exp(TWO_PI_I * (alpha % 1.0))
-    else:
-        x = (n - 1) * alpha
-        m = to_float(x - floor_exact(x))
-        rho = cmath.exp(TWO_PI_I * alpha_frac_float(alpha))
+def _divisor(alpha, rho: complex, n: int) -> complex:
+    """rho^n - rho = rho (e^{2 pi i (n-1) alpha} - 1) for the multiplier rho,
+    with the phase (n-1) alpha reduced exactly before leaving exact
+    arithmetic (small divisors need the care)."""
     # e^{i theta} - 1 = 2 i sin(theta/2) e^{i theta/2}
-    half = math.pi * m
+    half = math.pi * alpha_frac_float((n - 1) * alpha)
     return rho * (2j * math.sin(half) * cmath.exp(1j * half))
 
 
@@ -128,6 +120,7 @@ def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
     if pq is not None and not allow_rational:
         raise DomainError("rational alpha: pass allow_rational=True to accept poles")
     M = g.order
+    rho = g.multiplier()
     b = np.zeros(M + 1, dtype=np.complex128)
     b[2:] = g.coeffs
     a = np.zeros(N + 1, dtype=np.complex128)
@@ -149,7 +142,7 @@ def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
         Pn = complex(np.einsum("i,i->", b[2:mm + 1], pow_tab[2:mm + 1, n],
                                optimize=False)) if mm >= 2 else 0.0
         numer[n] = abs(Pn)
-        div = _divisor(g.alpha, n)
+        div = _divisor(g.alpha, rho, n)
         exact_zero = (pq is not None and (n - 1) % pq[1] == 0) or abs(div) < divisor_floor
         if exact_zero:
             sdlog[n] = -math.inf
@@ -182,14 +175,8 @@ def compose_check(g: Germ, phi: LinearizationSeries, N: Optional[int] = None) ->
         N = phi.order
     N = min(N, phi.order)
     coeffs = series.trim(phi.coeff_array(), N)
-    rho_pows = np.empty(N + 1, dtype=np.complex128)
-    for n in range(N + 1):
-        if isinstance(g.alpha, float):
-            m = (n * g.alpha) % 1.0
-        else:
-            x = n * g.alpha
-            m = to_float(x - floor_exact(x))
-        rho_pows[n] = cmath.exp(TWO_PI_I * m)
+    rho_pows = np.array([cmath.exp(TWO_PI_I * alpha_frac_float(n * g.alpha))
+                         for n in range(N + 1)], dtype=np.complex128)
     lhs = coeffs * rho_pows
     rhs = series.compose(series.trim(g.full_coeffs(), N), coeffs, N)
     return float(np.max(np.abs(lhs - rhs)))
@@ -385,6 +372,18 @@ def _escape_params_dict(p: EscapeParams) -> Dict[str, float]:
             "cap": p.cap}
 
 
+def _circle_sup_norms(coeffs: np.ndarray, rho: float, order: int,
+                      samples: int) -> List[float]:
+    """sup_{|z| = rho} |p^{(j)}(z)| for j = 0..order of the polynomial with
+    ``coeffs``, by sampling the circle at ``samples`` points."""
+    ring = rho * np.exp(TWO_PI_I * np.arange(samples) / samples)
+    out = []
+    for _ in range(order + 1):
+        out.append(float(np.max(np.abs(series.polyval_vec(coeffs, ring)))))
+        coeffs = series.derivative(coeffs)
+    return out
+
+
 def boundary_derivative_norms(phi: LinearizationSeries, rho: float, order: int,
                               samples: int = 256) -> List[float]:
     """sup_{|z| = rho} |phi^{(j)}(z)| for j = 0..order, by circle sampling.
@@ -397,10 +396,4 @@ def boundary_derivative_norms(phi: LinearizationSeries, rho: float, order: int,
     scale = max(1.0, float(np.max(np.abs(coeffs[: N // 2 + 1])) * rho ** 2))
     if not math.isfinite(top) or top > 1e-8 * scale:
         raise RadiusTooLarge(f"tail term |a_N| rho^N = {top:.3e} too large at rho = {rho}")
-    ring = rho * np.exp(TWO_PI_I * np.arange(samples) / samples)
-    out = []
-    cur = coeffs
-    for _ in range(order + 1):
-        out.append(float(np.max(np.abs(series.polyval_vec(cur, ring)))))
-        cur = series.derivative(cur)
-    return out
+    return _circle_sup_norms(coeffs, rho, order, samples)

@@ -54,7 +54,6 @@ __all__ = [
     "renormalized_rotation_number",
 ]
 
-TWO_PI_I = 2j * math.pi
 TAN_THETA = math.tan(math.asin(0.1))  # cone half-angle of the 1/10-conditions
 
 
@@ -97,14 +96,9 @@ class HParams:
 
 
 def _heights_admissible(F: LiftMap, h: float, p: HParams) -> bool:
-    full = np.zeros(len(F.h_coeffs) + 1, dtype=np.complex128)
-    full[1:] = F.h_coeffs
-    from . import series as _s
     Z = np.arange(p.re_samples) / p.re_samples + 1j * h
     for _ in range(p.max_iter):
-        Z = Z - np.floor(Z.real)
-        w = np.exp(TWO_PI_I * Z)
-        Z = Z + F.alpha + _s.polyval_vec(full, w)
+        Z = F.eval_vec(Z - np.floor(Z.real))
         if not np.all(Z.imag > 0.0):  # NaN fails, too
             return False
     return True

@@ -15,13 +15,10 @@ against their 2^-(n+j) ladder) instead of asserting the limit theorem.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .bounds import ConstantConfig, DEFAULT_CONFIG, const_C, const_Cprime, is_bounded_type
 from .cf import (
@@ -44,16 +41,18 @@ from .linearize import (
     EscapeParams,
     LinearizationSeries,
     RadiusEstimate,
+    _circle_sup_norms,
     escape_radii,
     escape_radius,
     hadamard_radius,
     linearization_coeffs,
 )
-from .surd import ExactReal, exact_cmp, floor_exact, to_float
+from .surd import ExactReal, bracket, exact_cmp, floor_exact, to_float
 
 __all__ = [
     "ScanRow",
     "ScanParams",
+    "ESTIMATORS",
     "ConstructionState",
     "scan_r",
     "radius_rows",
@@ -73,8 +72,7 @@ class ScanRow:
     r_lower: float
     r_upper: float
     method: str
-    iterations: int
-    wall_time_ms: int
+    max_iter: int                   # orbit budget (escape), lin_order (hadamard), 0 (error)
 
 
 @dataclass(frozen=True)
@@ -84,10 +82,10 @@ class ScanParams:
     window: int = 64                # hadamard window
     escape: EscapeParams = EscapeParams()
     estimators: Tuple[str, ...] = ("escape",)
-    measure_time: bool = False      # off by default: scan outputs are byte-stable
 
 
 DEFAULT_SCAN = ScanParams()
+ESTIMATORS = ("escape", "hadamard")
 
 
 def _phi_or_none(fam: GermFamily, alpha, p: ScanParams):
@@ -117,14 +115,11 @@ def _scan_chunk(args) -> List[ScanRow]:
     """Rows of a chunk of parameters, by input index then estimator.
 
     Every parameter is prepared first; the escape estimator then bisects the
-    whole chunk in one :func:`escape_radii` call.  With ``measure_time`` a
-    row's time runs from its parameter's preparation to the row, so escape
-    rows include the chunk's shared bisection.
+    whole chunk in one :func:`escape_radii` call.
     """
     fam, alphas, p = args
-    starts, preps = [], []
+    preps = []
     for alpha in alphas:
-        starts.append(time.monotonic())
         try:
             preps.append(_phi_or_none(fam, alpha, p))
         except SiegelError as exc:
@@ -136,7 +131,7 @@ def _scan_chunk(args) -> List[ScanRow]:
                             p.escape)
         escape = dict(zip(ready, ests))
     out: List[ScanRow] = []
-    for k, (alpha, t0, prep) in enumerate(zip(alphas, starts, preps)):
+    for k, (alpha, prep) in enumerate(zip(alphas, preps)):
         text = format_exact(alpha)
         afloat = to_float(alpha)
         for method in p.estimators:
@@ -157,10 +152,8 @@ def _scan_chunk(args) -> List[ScanRow]:
                 lower, upper, tag = est.lower, est.upper, method
             except SiegelError as exc:
                 lower, upper, tag, iters = 0.0, math.inf, f"{method}:error:{type(exc).__name__}", 0
-            ms = int(1000 * (time.monotonic() - t0)) if p.measure_time else 0
             out.append(ScanRow(alpha_text=text, alpha_float=afloat, r_lower=lower,
-                               r_upper=upper, method=tag, iterations=iters,
-                               wall_time_ms=ms))
+                               r_upper=upper, method=tag, max_iter=iters))
     return out
 
 
@@ -224,8 +217,7 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho: float,
                 "r_alpha_lower": r_alpha.lower, "cut": None, "sequence": []}
     # rational grid points (a close rational stand-in for alpha keeps the cut
     # point rational, so the quantitative band has a denominator to use)
-    from .surd import bracket as _bracket
-    alpha_lo = _bracket(alpha, 96)[0]
+    alpha_lo = bracket(alpha, 96)[0]
     gap = alpha_lo - b
     grid: List[ExactReal] = [b + gap * Fraction(j, grid_points)
                              for j in range(1, grid_points + 1)]
@@ -371,13 +363,11 @@ def _interval_around(theta: ExactReal, stage: int,
 
 
 def _rational_below(x: ExactReal, bits: int = 80) -> Fraction:
-    from .surd import bracket
     lo, _ = bracket(x, bits)
     return lo if exact_cmp(lo, x) < 0 else lo - Fraction(1, 2 ** bits)
 
 
 def _rational_above(x: ExactReal, bits: int = 80) -> Fraction:
-    from .surd import bracket
     _, hi = bracket(x, bits)
     return hi if exact_cmp(hi, x) > 0 else hi + Fraction(1, 2 ** bits)
 
@@ -462,16 +452,9 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
 def _deriv_gaps(phi_new: LinearizationSeries, phi_old: LinearizationSeries,
                 rho: float, stage: int, samples: int = 128) -> List[float]:
     """sup-norms of the j-th derivative differences on |z| = rho, j = 0..stage."""
-    from . import series as _s
     n = min(phi_new.order, phi_old.order)
     diff = phi_new.coeff_array()[: n + 1] - phi_old.coeff_array()[: n + 1]
-    ring = rho * np.exp(2j * math.pi * np.arange(samples) / samples)
-    out = []
-    cur = diff
-    for _ in range(stage + 1):
-        out.append(float(np.max(np.abs(_s.polyval_vec(cur, ring)))))
-        cur = _s.derivative(cur)
-    return out
+    return _circle_sup_norms(diff, rho, stage, samples)
 
 
 def check_construction_invariants(states: Sequence[ConstructionState],

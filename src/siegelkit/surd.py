@@ -16,6 +16,8 @@ import math
 from fractions import Fraction
 from typing import Tuple, Union
 
+from .errors import RefinementCap
+
 __all__ = [
     "QuadraticIrrational",
     "ExactReal",
@@ -58,20 +60,15 @@ def _squarefree_split(d: int) -> Tuple[int, int]:
 
 
 def _unify_radicand(x: "QuadraticIrrational", d_other: int):
-    """Rewrite x over radicand d_other when d_x / d_other (or its inverse) is a
-    perfect square; returns (a, b, c) over d_other or None."""
+    """Rewrite x over radicand d_other when d_x * d_other is a perfect square
+    (exactly when both span the same field); returns (a, b, c) over d_other
+    or None.  With m = isqrt(d_x d_other), sqrt(d_x) = m sqrt(d_other) / d_other."""
     if x.d == d_other:
         return x.a, x.b, x.c
-    if x.d % d_other == 0:
-        q, r = divmod(x.d, d_other)
-        m = math.isqrt(q)
-        if m * m == q:
-            return x.a, x.b * m, x.c
+    m = math.isqrt(x.d * d_other)
+    if m * m == x.d * d_other:
+        return x.a * d_other, x.b * m, x.c * d_other
     return None
-
-
-def _isqrt_floor(n: int) -> int:
-    return math.isqrt(n)
 
 
 class QuadraticIrrational:
@@ -231,9 +228,9 @@ class QuadraticIrrational:
         a, b, c, d = self.a, self.b, self.c, self.d
         t = b * b * d
         if b > 0:
-            f = _isqrt_floor(t)
+            f = math.isqrt(t)
         else:
-            r = _isqrt_floor(t)
+            r = math.isqrt(t)
             f = -r if r * r == t else -r - 1
         n = (a + f) // c
         # correct the candidate exactly (off by at most one step each way)
@@ -245,7 +242,7 @@ class QuadraticIrrational:
 
     def bracket(self, bits: int = 64) -> Tuple[Fraction, Fraction]:
         """Rational lo <= self <= hi with width |b| / (c * 2**bits)."""
-        s = _isqrt_floor(self.d << (2 * bits))
+        s = math.isqrt(self.d << (2 * bits))
         lo_r = Fraction(s, 1 << bits)
         hi_r = Fraction(s + 1, 1 << bits)
         if self.b > 0:
@@ -278,7 +275,7 @@ ExactReal = Union[int, Fraction, QuadraticIrrational]
 
 def sqrt_exact(d: int) -> ExactReal:
     """sqrt(d) as an exact value (int when d is a perfect square)."""
-    r = _isqrt_floor(d)
+    r = math.isqrt(d)
     if r * r == d:
         return r
     return QuadraticIrrational(0, 1, 1, d)
@@ -312,9 +309,10 @@ def _sub_sign(x: QuadraticIrrational, a: int, b: int, c: int) -> int:
 def exact_cmp(x: ExactReal, y: ExactReal) -> int:
     """Exact three-way comparison, including across different fields.
 
-    Radicands differing by a perfect square are unified first; genuinely
-    distinct fields are compared by interval refinement, which terminates
-    because such values cannot coincide (a safety cap guards the loop).
+    Radicands of one field (their product a perfect square) are unified
+    first; genuinely distinct fields are compared by interval refinement,
+    which terminates because such values cannot coincide (a safety cap
+    guards the loop and raises :class:`RefinementCap`).
     """
     if _both_rational(x, y):
         return exact_sign(_as_fraction(x) - _as_fraction(y))
@@ -323,9 +321,6 @@ def exact_cmp(x: ExactReal, y: ExactReal) -> int:
         co = _unify_radicand(y, x.d)
         if co is not None:
             return _sub_sign(x, *co)
-        co = _unify_radicand(x, y.d)
-        if co is not None:
-            return -_sub_sign(y, *co)
         bits = 64
         while bits <= 1 << 20:
             xlo, xhi = x.bracket(bits)
@@ -335,8 +330,7 @@ def exact_cmp(x: ExactReal, y: ExactReal) -> int:
             if yhi < xlo:
                 return 1
             bits *= 2
-        raise ValueError(f"cannot separate {x!r} and {y!r}; "
-                         "radicands share a hidden square factor")
+        raise RefinementCap(f"cannot separate {x!r} and {y!r} within {bits // 2} bits")
     if isinstance(x, QuadraticIrrational):
         co = x._coerce(y)
     else:

@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's computation paths: plain python lists,
 naive convolutions, and fresh power recomputation per order.  The escape
-bisection reference is the exception: it must repeat the library's floating
-point operations bit for bit, so it keeps the one-row evaluation and the
-sequential loops the library used before its lock-step kernel.
+bisection and small-divisor references are the exception: they must repeat
+the library's floating point operations bit for bit, so they keep the
+one-row evaluation, the sequential loops and the per-index phase reductions
+the library used before its lock-step kernel and shared multiplier.
 """
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -14,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from siegelkit.cf import CFExpansion
+from siegelkit.surd import floor_exact, to_float
 
 
 def brute_force_linearization(g, N):
@@ -41,6 +44,20 @@ def brute_force_linearization(g, N):
             total += b[m] * power[n]
         a[n] = total / (rho ** n - rho)
     return a
+
+
+def small_divisor(alpha, n):
+    """rho^n - rho with the multiplier rho rebuilt from alpha at every index,
+    the way linearize._divisor computed it before it took rho as an argument."""
+    if isinstance(alpha, float):
+        m = ((n - 1) * alpha) % 1.0
+        rho = cmath.exp(2j * math.pi * (alpha % 1.0))
+    else:
+        x = (n - 1) * alpha
+        m = to_float(x - floor_exact(x))
+        rho = cmath.exp(2j * math.pi * to_float(alpha - floor_exact(alpha)))
+    half = math.pi * m
+    return rho * (2j * math.sin(half) * cmath.exp(1j * half))
 
 
 def random_bounded_type_value(rng: random.Random):

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from siegelkit.cf import (
+    CFExpansion,
     LONG_FORM,
     SHORT_FORM,
     cf_of_quadratic_irrational,
@@ -270,6 +272,27 @@ def test_convergent_error_identities_surd():
 def test_parse_format_roundtrip():
     for text in ["[0]", "[-1;1]", "[3;7,16]", "[0;2,(2)]", "[1;(1)]", "[0;1,2,(3,4)]"]:
         assert format_cf(parse_cf(text)) == text
+
+
+_QUOTIENTS = st.lists(st.integers(1, 10**6), max_size=6).map(tuple)
+
+
+@given(st.integers(-10**6, 10**6), _QUOTIENTS, _QUOTIENTS)
+def test_parse_cf_inverts_format_cf(a0, partials, period):
+    cf = CFExpansion(a0, partials, period)
+    assert parse_cf(format_cf(cf)) == cf
+
+
+_RATIONALS = st.fractions(max_denominator=10**9)
+_SURDS = st.builds(QuadraticIrrational, st.integers(-10**6, 10**6),
+                   st.integers(1, 10**6) | st.integers(-10**6, -1),
+                   st.integers(1, 10**6) | st.integers(-10**6, -1),
+                   st.integers(2, 10**6))
+
+
+@given(_RATIONALS | _SURDS)
+def test_parse_exact_inverts_format_exact(x):
+    assert parse_exact(format_exact(x)) == x
 
 
 def test_parse_exact_forms():

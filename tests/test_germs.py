@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from siegelkit import series
 from siegelkit.errors import DomainError, FactorizationError
 from siegelkit.germs import (
     FlowFamily,
@@ -12,10 +13,7 @@ from siegelkit.germs import (
     PolynomialFamily,
     QuadraticFamily,
     RotationFamily,
-    compose_germ_coeffs,
     eval_germ,
-    eval_germ_bounded,
-    family_at,
     flow_time_map,
     lift_of_germ,
     lipschitz_estimate,
@@ -57,12 +55,10 @@ def test_eval_random_polynomial_against_power_sum():
         assert abs(eval_germ(g, z) - naive) < 1e-14
 
 
-def test_eval_domain_error_and_tail_bound():
-    g = Germ(alpha=0.1, coeffs=np.array([1.0]), tail_bound=2.0)
+def test_eval_domain_error():
+    g = Germ(alpha=0.1, coeffs=np.array([1.0]))
     with pytest.raises(DomainError):
         eval_germ(g, 1.0 + 0j)
-    val, err = eval_germ_bounded(g, 0.5)
-    assert err == 2.0 * 0.5 ** (g.order + 1)
 
 
 def test_multiplier_exact_for_exact_handles():
@@ -109,7 +105,8 @@ def test_flow_group_law():
     f1 = flow_time_map(chi, 0.21, order=20)
     f2 = flow_time_map(chi, 0.33, order=20)
     f12 = flow_time_map(chi, 0.54, order=20)
-    resid = np.max(np.abs(compose_germ_coeffs(f1, f2, 20) - f12.full_coeffs()))
+    f1f2 = series.compose(f1.full_coeffs(), f2.full_coeffs(), 20)
+    resid = np.max(np.abs(f1f2 - f12.full_coeffs()))
     assert resid < 1e-10
 
 
@@ -210,8 +207,3 @@ def test_lift_factorization_error():
     g = Germ(alpha=0.3, coeffs=np.array([9.0]))  # |g-1| = 9|w| reaches 1
     with pytest.raises(FactorizationError):
         lift_of_germ(g, order=32, check_height=0.05)
-
-
-def test_family_at_helper():
-    g = family_at(QuadraticFamily(), Fraction(1, 3), 16)
-    assert g.order == 2  # order caps the truncation; the germ is degree 2

@@ -26,8 +26,7 @@ def random_rows(n, seed=0):
             r_lower=rng.random(),
             r_upper=rng.random() + 1.0 if rng.random() < 0.9 else math.inf,
             method=rng.choice(["escape", "hadamard", "escape:error:OverflowGuard"]),
-            iterations=rng.randint(0, 10**6),
-            wall_time_ms=rng.randint(0, 10**4)))
+            max_iter=rng.randint(0, 10**6)))
     return out
 
 
@@ -41,7 +40,7 @@ def test_scan_csv_roundtrip_100_random():
 
 def test_scan_csv_header_mandatory():
     with pytest.raises(SchemaMismatch):
-        skio.load_scan_csv(io.StringIO("# schema: scanrow/1\nwrong,header\n1,2\n"))
+        skio.load_scan_csv(io.StringIO("# schema: scanrow/2\nwrong,header\n1,2\n"))
     with pytest.raises(SchemaMismatch):
         skio.load_scan_csv(io.StringIO(""))
 
@@ -50,7 +49,7 @@ def test_scan_csv_version_bump_is_explicit_error():
     rows = random_rows(3, seed=1)
     buf = io.StringIO()
     skio.emit_scan_csv(rows, buf)
-    text = buf.getvalue().replace("scanrow/1", "scanrow/2")
+    text = buf.getvalue().replace("scanrow/2", "scanrow/1")
     with pytest.raises(SchemaMismatch) as exc:
         skio.load_scan_csv(io.StringIO(text))
     assert "migration" in str(exc.value)
@@ -77,7 +76,7 @@ def test_scan_csv_fuzzed_headers_never_parse_silently(BOUND=25):
 def test_scan_json_shape():
     rows = random_rows(5, seed=3)
     data = json.loads(skio.scan_rows_json(rows))
-    assert data["schema"] == "scanrow/1"
+    assert data["schema"] == "scanrow/2"
     assert len(data["rows"]) == 5
 
 

@@ -5,11 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegelkit.cf import CFExpansion, cf_of_quadratic_irrational, special_sequence_main
+from siegelkit.cf import (
+    LONG_FORM,
+    SHORT_FORM,
+    CFExpansion,
+    cf_of_quadratic_irrational,
+    cf_of_rational,
+    special_sequence_main,
+)
 from siegelkit.errors import DomainError, OverflowGuard, RadiusTooLarge, SmallDivisorBlowup
 from siegelkit.germs import FlowFamily, Germ, QuadraticFamily, RotationFamily
 from siegelkit.linearize import (
     EscapeParams,
+    _divisor,
     boundary_derivative_norms,
     compose_check,
     escape_radii,
@@ -20,7 +28,7 @@ from siegelkit.linearize import (
 )
 from siegelkit.surd import QuadraticIrrational
 
-from .oracles import sequential_escape_radius
+from .oracles import sequential_escape_radius, small_divisor
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
 QUAD = QuadraticFamily()
@@ -114,6 +122,19 @@ def test_small_divisor_exact_predicate():
             assert sd[n] == -math.inf
         else:
             assert math.isfinite(sd[n])
+
+
+@pytest.mark.parametrize("alpha", [
+    Fraction(2, 7), GOLDEN,
+    special_sequence_main(cf_of_rational(Fraction(1, 3), SHORT_FORM), 2),
+    special_sequence_main(cf_of_rational(Fraction(5, 8), LONG_FORM), 3),
+    special_sequence_main(cf_of_rational(Fraction(7, 13), SHORT_FORM), 4),
+    -0.6180339887498949,
+], ids=["2/7", "golden", "seq-1/3", "seq-5/8", "seq-7/13", "float"])
+def test_divisor_matches_per_index_reference(alpha):
+    rho = RotationFamily().at(alpha).multiplier()
+    for n in range(2, 301):
+        assert _divisor(alpha, rho, n) == small_divisor(alpha, n)
 
 
 def test_rational_requires_opt_in():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,19 @@ def test_cross_field_comparison():
     assert exact_cmp(golden, 1 + S2) < 0
     assert exact_cmp(S2, Fraction(141421356, 100000000)) > 0
     assert exact_cmp(S2, S2) == 0
+
+
+def test_hidden_square_factors_unify():
+    # both are sqrt(2); the primes 10007 and 10009 lie above the trial-division
+    # bound, so each keeps its square factor in the radicand
+    x = QuadraticIrrational(0, 1, 10007, 2 * 10007 ** 2)
+    y = QuadraticIrrational(0, 1, 10009, 2 * 10009 ** 2)
+    assert x.d != y.d
+    for check in (lambda: x == y, lambda: exact_cmp(x, y) == 0, lambda: x - y == 0,
+                  lambda: exact_cmp(y, S2 + Fraction(1, 10**12)) < 0):
+        start = time.perf_counter()
+        assert check()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_signs():
