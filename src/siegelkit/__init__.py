@@ -63,7 +63,6 @@ from .renorm import (
     find_y0,
     gluing_map_G,
     h_of_lift,
-    iterate_lift,
     renormalized_rotation_number,
     return_map,
     translation_lift,

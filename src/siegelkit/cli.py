@@ -31,7 +31,6 @@ from .cf import (
     LONG_FORM,
     SHORT_FORM,
     cf_of_exact,
-    cf_of_rational,
     convergents,
     farey_fractions,
     format_cf,
@@ -77,16 +76,18 @@ from .scan import (
     scan_r,
     smooth_disk_driver,
 )
-from .surd import QuadraticIrrational, to_float
+from .surd import to_float
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse(parse, text: str):
-    """``parse(text)`` for text from the command line: malformed text is a
-    usage error, not a traceback."""
+def _parse(parse, text: Optional[str]):
+    """``parse(text)`` for text from the command line: missing or malformed
+    text is a usage error, not a traceback."""
+    if text is None:
+        raise UsageError("missing value: this command needs --alpha (or --cf)")
     try:
         return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -100,13 +101,16 @@ class _Parser(argparse.ArgumentParser):
 
 def make_family(args) -> GermFamily:
     kind = args.family
+    restriction = args.restriction
+    if restriction is None:
+        restriction = 0.5 if kind == "flow" else 1.0
     if kind == "rotation":
         return RotationFamily()
     if kind == "quadratic":
-        return QuadraticFamily(restriction_radius=args.restriction)
+        return QuadraticFamily(restriction_radius=restriction)
     if kind == "flow":
         chi = [complex(t) for t in args.chi.split(",")] if args.chi else [1.0]
-        return FlowFamily(chi, restriction_radius=args.restriction)
+        return FlowFamily(chi, restriction_radius=restriction)
     raise UsageError(f"unknown family {kind!r}; valid: rotation, quadratic, flow")
 
 
@@ -123,9 +127,6 @@ def parse_grid(spec: str):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="key-value constants file")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--trace", default=None, help="orbit trace CSV path")
     p.add_argument("--manifest", default=None, help="dump a run manifest JSON")
     p.add_argument("--seed", type=int, default=None)
 
@@ -197,6 +198,7 @@ def build_parser() -> _Parser:
     p.add_argument("--N", type=int, default=128)
     p.add_argument("--height-mult", type=float, default=20.0)
     p.add_argument("--returns", type=int, default=1000)
+    p.add_argument("--trace", default=None, help="orbit trace CSV path")
     _add_family(p)
     _add_common(p)
 
@@ -210,6 +212,8 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=16)
     p.add_argument("--bisect-tol", type=float, default=4e-3)
     p.add_argument("--plot-data", default=None, help="write (alpha_float, r_lower) pairs")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--workers", type=int, default=1)
     _add_family(p)
     _add_common(p)
 
@@ -234,11 +238,6 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     return top
-
-
-def _family_args_defaults(args):
-    if getattr(args, "restriction", None) is None:
-        args.restriction = 0.5 if getattr(args, "family", "") == "flow" else 1.0
 
 
 def _emit(args, text: str, cfg: ConstantConfig, extra_outputs=None):
@@ -267,17 +266,13 @@ def _exact_and_float(x) -> dict:
 
 def _alpha_cf(args):
     """Expansion from --alpha (value text) honoring --variant for rationals."""
-    val = _parse(parse_exact, args.alpha)
-    if isinstance(val, QuadraticIrrational):
-        return cf_of_exact(val)
-    return cf_of_rational(Fraction(val), args.variant)
+    return cf_of_exact(_parse(parse_exact, args.alpha), args.variant)
 
 
 def cmd_cf(args, cfg) -> str:
     if args.op == "expand":
         val = _parse(parse_exact, args.alpha)
-        cf = cf_of_exact(val) if isinstance(val, QuadraticIrrational) \
-            else cf_of_rational(Fraction(val), args.variant)
+        cf = cf_of_exact(val, args.variant)
         return json.dumps({**_cfg_header(cfg), "cf": format_cf(cf),
                            **_exact_and_float(val)}, indent=1, sort_keys=True)
     if args.op == "eval":
@@ -311,9 +306,7 @@ def cmd_cf(args, cfg) -> str:
 
 
 def cmd_brjuno(args, cfg) -> str:
-    val = _parse(parse_exact, args.alpha)
-    cf = cf_of_exact(val) if isinstance(val, QuadraticIrrational) \
-        else cf_of_rational(Fraction(val))
+    cf = cf_of_exact(_parse(parse_exact, args.alpha))
     bv = brjuno_sum(cf, args.depth, args.tol)
     return json.dumps({**_cfg_header(cfg), "value": bv.value,
                        "depth_used": bv.depth_used, "converged": bv.converged},
@@ -327,15 +320,12 @@ def cmd_const(args, cfg) -> str:
                       indent=1, sort_keys=True)
 
 
-def _germ_for(args, cfg, order=None):
-    _family_args_defaults(args)
+def _germ_for(args, order=None):
     fam = make_family(args)
-    alpha = _parse(parse_exact, args.alpha)
-    return fam, fam.at(alpha, order or DEFAULT_ORDER)
+    return fam.at(_parse(parse_exact, args.alpha), order or DEFAULT_ORDER)
 
 
 def cmd_lin(args, cfg) -> str:
-    _family_args_defaults(args)
     fam = make_family(args)
     if args.op == "pole-probe":
         rep = pole_cancellation_probe(fam, args.p, args.q, args.n)
@@ -361,7 +351,7 @@ def cmd_lin(args, cfg) -> str:
 
 
 def cmd_radius(args, cfg) -> str:
-    fam, germ = _germ_for(args, cfg, order=max(64, min(args.N, 256)))
+    germ = _germ_for(args, order=max(64, min(args.N, 256)))
     lin = linearization_coeffs(germ, args.N, allow_rational=True, on_failure="truncate")
     if args.op == "hadamard":
         est = hadamard_radius(lin, args.window)
@@ -379,7 +369,7 @@ def cmd_radius(args, cfg) -> str:
 
 
 def cmd_lift(args, cfg) -> str:
-    fam, germ = _germ_for(args, cfg, order=args.N)
+    germ = _germ_for(args, order=args.N)
     L = lift_of_germ(germ, order=args.N)
     if args.op == "build":
         return skio.lift_json(L)
@@ -390,7 +380,7 @@ def cmd_lift(args, cfg) -> str:
 
 
 def cmd_renorm(args, cfg) -> str:
-    fam, germ = _germ_for(args, cfg, order=args.N)
+    germ = _germ_for(args, order=args.N)
     L = lift_of_germ(germ, order=args.N)
     setup = build_HJ(L, args.k)
     y0 = find_y0(setup)
@@ -428,7 +418,6 @@ def _write_trace(path: str, setup, trace) -> None:
 
 
 def cmd_scan(args, cfg) -> str:
-    _family_args_defaults(args)
     fam = make_family(args)
     grid = parse_grid(args.grid)
     estimators = tuple(args.estimators.split(","))
@@ -459,7 +448,6 @@ def cmd_scan(args, cfg) -> str:
 
 
 def cmd_construct(args, cfg) -> str:
-    _family_args_defaults(args)
     fam = make_family(args)
     theta0 = _parse(parse_exact, args.theta0)
     base = estimate_radius(fam, theta0)
@@ -468,7 +456,6 @@ def cmd_construct(args, cfg) -> str:
 
 
 def cmd_probe(args, cfg) -> str:
-    _family_args_defaults(args)
     fam = make_family(args)
     if args.K is None:
         args.K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), n_pairs=24,

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -254,30 +254,57 @@ class EscapeParams:
     cap: float = 0.999999
 
 
-def _orbits_stay(rows: np.ndarray, w: np.ndarray, max_iter: int) -> np.ndarray:
-    """Lock-step orbit kernel: which groups stay in the unit disk for
+def _in_unit_disk(w: np.ndarray) -> np.ndarray:
+    return np.abs(w) < 1.0
+
+
+def _orbits_stay(step: Callable, w: np.ndarray, max_iter: int,
+                 rows: Optional[np.ndarray] = None,
+                 inside: Callable = _in_unit_disk) -> np.ndarray:
+    """Lock-step orbit kernel: which groups of points stay inside for
     ``max_iter`` steps.
 
-    Group i iterates its start points ``w[i]`` under the germ whose full
-    coefficients are ``rows[i]`` (all rows of one length, so that one
-    evaluation formula serves the batch).  A group drops out of the batch at
-    its first point outside the disk, so later steps cost only what is
-    still alive and a group once out stays out.  ``|w| < 1`` is False on
-    NaN and inf, so a non-finite point counts as escaped.
+    Group i is the row ``w[i]`` of start points; ``step(w, rows)`` maps every
+    live point one step, with ``rows`` (optional) holding one row of data per
+    group, e.g. a germ's coefficients.  A group drops out of the batch at its
+    first point where ``inside`` is False, so later steps cost only what is
+    still alive and a group once out stays out; the points and ``rows`` are
+    sliced only then.  The default test ``|w| < 1`` is False on NaN and inf,
+    so a non-finite point counts as escaped.
     """
     verdict = np.zeros(len(w), dtype=bool)
     idx = np.arange(len(w))
-    rows = rows[:, None, :]
     for _ in range(max_iter):
-        inside = np.abs(w) < 1.0
-        if not inside.all():
-            keep = inside.all(axis=-1)
-            idx, rows, w = idx[keep], rows[keep], w[keep]
+        ok = inside(w)
+        if not ok.all():
+            keep = ok.all(axis=-1)
+            idx, w = idx[keep], w[keep]
+            if rows is not None:
+                rows = rows[keep]
             if not len(idx):
                 return verdict
-        w = series.polyval_vec(rows, w)
-    verdict[idx[(np.abs(w) < 1.0).all(axis=-1)]] = True
+        w = step(w, rows)
+    verdict[idx[inside(w).all(axis=-1)]] = True
     return verdict
+
+
+def _bisect(valid: Callable[[List[int], List[float]], List[bool]],
+            lo: List[float], hi: List[float], tol: float) -> None:
+    """Lock-step bisection of the brackets ``[lo[i], hi[i]]``, in place.
+
+    Every round asks ``valid(todo, mids)`` about the midpoint of each bracket
+    still wider than ``tol``: a valid midpoint raises ``lo``, an invalid one
+    lowers ``hi``.  Each bracket moves exactly as it would alone.
+    """
+    todo = [i for i in range(len(lo)) if hi[i] - lo[i] > tol]
+    while todo:
+        mids = [0.5 * (lo[i] + hi[i]) for i in todo]
+        for i, mid, ok in zip(todo, mids, valid(todo, mids)):
+            if ok:
+                lo[i] = mid
+            else:
+                hi[i] = mid
+        todo = [i for i in todo if hi[i] - lo[i] > tol]
 
 
 def escape_radii(germs: Sequence[Germ], phis: Sequence[Optional[LinearizationSeries]],
@@ -320,24 +347,18 @@ def escape_radii(germs: Sequence[Germ], phis: Sequence[Optional[LinearizationSer
                 by_len.setdefault(len(rows[i]), []).append((k, i, w))
         for batch in by_len.values():
             ks, idx, ws = zip(*batch)
-            stays = _orbits_stay(np.array([rows[i] for i in idx]), np.array(ws),
-                                 params.max_iter)
+            stays = _orbits_stay(lambda w, r: series.polyval_vec(r, w), np.array(ws),
+                                 params.max_iter,
+                                 rows=np.array([rows[i] for i in idx])[:, None, :])
             for k, ok in zip(ks, stays):
                 out[k] = bool(ok)
         return out
 
     n = len(germs)
-    lo, hi = [0.0] * n, [params.cap] * n
+    hi = [params.cap] * n
     at_cap = valid(list(range(n)), hi)
-    todo = [i for i in range(n) if not at_cap[i] and hi[i] - lo[i] > params.bisect_tol]
-    while todo:
-        mids = [0.5 * (lo[i] + hi[i]) for i in todo]
-        for i, mid, ok in zip(todo, mids, valid(todo, mids)):
-            if ok:
-                lo[i] = mid
-            else:
-                hi[i] = mid
-        todo = [i for i in todo if hi[i] - lo[i] > params.bisect_tol]
+    lo = [params.cap if ok else 0.0 for ok in at_cap]  # valid at the cap: closed
+    _bisect(valid, lo, hi, params.bisect_tol)
     out = []
     for i in range(n):
         if at_cap[i]:

@@ -35,6 +35,7 @@ from .errors import (
     UndefinedReturn,
 )
 from .germs import LiftMap
+from .linearize import _bisect, _orbits_stay
 from .surd import ExactReal, exact_sign, to_float
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "ReturnSample",
     "RenormReport",
     "HParams",
-    "iterate_lift",
     "h_of_lift",
     "translation_lift",
     "build_HJ",
@@ -64,27 +64,8 @@ def translation_lift(alpha: ExactReal) -> LiftMap:
 
 
 # ---------------------------------------------------------------------------
-# orbit iteration and h(F)
+# h(F)
 # ---------------------------------------------------------------------------
-
-
-def iterate_lift(F: LiftMap, Z: complex, steps: int,
-                 keep_trace: bool = False) -> Tuple[complex, bool, Optional[List[complex]]]:
-    """Iterate while the orbit stays in the upper half-plane.
-
-    The real part is reduced mod 1 (F commutes with the unit translation),
-    which keeps the exponential evaluation accurate on long orbits.
-    """
-    if Z.imag <= 0:
-        raise DomainError("start in the open upper half-plane")
-    trace = [Z] if keep_trace else None
-    for _ in range(steps):
-        Z = F(complex(Z.real % 1.0, Z.imag))
-        if keep_trace:
-            trace.append(Z)
-        if Z.imag <= 0:
-            return Z, True, trace
-    return Z, False, trace
 
 
 @dataclass(frozen=True)
@@ -96,12 +77,13 @@ class HParams:
 
 
 def _heights_admissible(F: LiftMap, h: float, p: HParams) -> bool:
+    """Every orbit of the Re-grid at height h stays in the upper half-plane
+    for ``max_iter`` steps.  The real part is reduced mod 1 before each step
+    (F commutes with the unit translation), which keeps the exponential
+    evaluation accurate on long orbits; ``Im Z > 0`` is False on NaN."""
     Z = np.arange(p.re_samples) / p.re_samples + 1j * h
-    for _ in range(p.max_iter):
-        Z = F.eval_vec(Z - np.floor(Z.real))
-        if not np.all(Z.imag > 0.0):  # NaN fails, too
-            return False
-    return True
+    return bool(_orbits_stay(lambda Z, _: F.eval_vec(Z - np.floor(Z.real)), Z[None],
+                             p.max_iter, inside=lambda Z: Z.imag > 0.0)[0])
 
 
 def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
@@ -109,7 +91,9 @@ def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
 
     A height is admissible when every orbit started on a Re-grid at that
     height stays in the half-plane for ``max_iter`` steps; escape can only be
-    detected, never undone, so estimates shrink as budgets shrink.
+    detected, never undone, so estimates shrink as budgets shrink.  A doubling
+    search finds an admissible height; the bisection shared with the escape
+    estimator then narrows [0, hi], an inadmissible height raising ``lo``.
     """
     if len(F.h_coeffs) == 0 or not np.any(F.h_coeffs):
         return 0.0  # exact translation: every height is admissible
@@ -118,14 +102,10 @@ def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
         hi *= 2.0
         if hi > params.ceiling:
             raise NoAdmissibleHeight(f"no admissible height below {params.ceiling}")
-    lo = 0.0
-    while hi - lo > params.im_bisect:
-        mid = 0.5 * (lo + hi)
-        if _heights_admissible(F, mid, params):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lo, hi = [0.0], [hi]
+    _bisect(lambda _, mids: [not _heights_admissible(F, mids[0], params)],
+            lo, hi, params.im_bisect)
+    return hi[0]
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ __all__ = [
     "ESTIMATORS",
     "ConstructionState",
     "scan_r",
-    "radius_rows",
     "estimate_radius",
     "condition_bdd_search",
     "main_lemma_probe",
@@ -103,12 +102,6 @@ def estimate_radius(fam: GermFamily, alpha: ExactReal,
     """Escape estimate through the (possibly partial) linearization chart."""
     germ, phi, _ = _phi_or_none(fam, alpha, p)
     return escape_radius(germ, phi, p.escape)
-
-
-def radius_rows(fam: GermFamily, alpha: ExactReal,
-                p: ScanParams = DEFAULT_SCAN) -> List[ScanRow]:
-    """All estimator rows for one exact parameter; failures become row tags."""
-    return _scan_chunk((fam, [alpha], p))
 
 
 def _scan_chunk(args) -> List[ScanRow]:
@@ -394,14 +387,14 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
         p = ScanParams(order=32, lin_order=256,
                        escape=EscapeParams(max_iter=10_000, circle_samples=32,
                                            bisect_tol=5e-4))
-    est0 = estimate_radius(fam, theta0, p)
+    germ0, phi0, full0 = _phi_or_none(fam, theta0, p)
+    est0 = escape_radius(germ0, phi0, p.escape)
     if est0.lower >= p.escape.cap - cap_margin:
         raise FamilyUnsuitable(
             f"r_est(theta0) = {est0.lower} sits at the domain cap; "
             "radius tracking needs a non-degenerate family")
     if rho_target >= est0.lower:
         raise TargetAboveRadius(f"rho = {rho_target} >= r_est(theta0) = {est0.lower}")
-    germ0, phi0, full0 = _phi_or_none(fam, theta0, p)
     if not full0:
         raise StageFailed("no full linearization series at theta0")
     states: List[ConstructionState] = []

@@ -205,7 +205,10 @@ class QuadraticIrrational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        # equal values share a/c and the signed square b|b|d/c^2 of the
+        # irrational part, whatever square factors their radicands keep
+        return hash((Fraction(self.a, self.c),
+                     Fraction(self.b * abs(self.b) * self.d, self.c * self.c)))
 
     def _cmp(self, other) -> int:
         return exact_cmp(self, other)

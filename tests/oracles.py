@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's computation paths: plain python lists,
 naive convolutions, and fresh power recomputation per order.  The escape
-bisection and small-divisor references are the exception: they must repeat
-the library's floating point operations bit for bit, so they keep the
-one-row evaluation, the sequential loops and the per-index phase reductions
-the library used before its lock-step kernel and shared multiplier.
+bisection, height bisection and small-divisor references are the exception:
+they must repeat the library's floating point operations bit for bit, so they
+keep the one-row evaluation, the sequential loops and the per-index phase
+reductions the library used before its lock-step kernel, shared bisection and
+shared multiplier.
 """
 
 import cmath
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from siegelkit.cf import CFExpansion
+from siegelkit.errors import NoAdmissibleHeight
 from siegelkit.surd import floor_exact, to_float
 
 
@@ -152,3 +154,31 @@ def sequential_escape_radius(g, phi, params):
     if lo == 0.0:
         return lo, hi, "NoValidRadius: non-linearizable at tolerance"
     return lo, hi, "bracket from bisection"
+
+
+def sequential_h_of_lift(F, params):
+    """h_of_lift as its own orbit loop per height and its own bisection loop,
+    the way it ran before it shared the escape kernel and bisection."""
+    def admissible(h):
+        Z = np.arange(params.re_samples) / params.re_samples + 1j * h
+        for _ in range(params.max_iter):
+            Z = F.eval_vec(Z - np.floor(Z.real))
+            if not np.all(Z.imag > 0.0):
+                return False
+        return True
+
+    if len(F.h_coeffs) == 0 or not np.any(F.h_coeffs):
+        return 0.0
+    hi = max(4 * params.im_bisect, 0.05)
+    while not admissible(hi):
+        hi *= 2.0
+        if hi > params.ceiling:
+            raise NoAdmissibleHeight(f"no admissible height below {params.ceiling}")
+    lo = 0.0
+    while hi - lo > params.im_bisect:
+        mid = 0.5 * (lo + hi)
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

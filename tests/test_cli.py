@@ -81,12 +81,27 @@ def test_usage_error_exit_1(capsys):
     ["cf", "eval", "--cf", "[0;x]"],
     ["scan", "--grid", "farey:Q=x"],
     ["scan", "--grid", "1/3", "--estimators", "foo"],
+    ["cf", "eval"],
+    ["cf", "convergents"],
+    ["cf", "expand"],
+    ["cf", "special-seq"],
+    ["lin", "coeffs"],
+    ["probe", "cond-bdd", "--K", "2"],
 ])
 def test_malformed_input_is_a_usage_error(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--workers", "4"],
+                                  ["--trace", "orbit.csv"]])
+def test_flags_only_where_read(flag, capsys):
+    # --format and --workers belong to scan, --trace to renorm
+    code, _, err = run_cli(["cf", "expand", "--alpha", "1/3"] + flag, capsys)
+    assert code == 1
+    assert err.startswith("usage error:")
 
 
 def test_numeric_error_exit_2(capsys):

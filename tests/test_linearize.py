@@ -18,6 +18,7 @@ from siegelkit.germs import FlowFamily, Germ, QuadraticFamily, RotationFamily
 from siegelkit.linearize import (
     EscapeParams,
     _divisor,
+    _orbits_stay,
     boundary_derivative_norms,
     compose_check,
     escape_radii,
@@ -249,6 +250,16 @@ def test_escape_upper_monotone_in_max_iter():
     uppers = [escape_radius(g, part, EscapeParams(max_iter=it)).upper
               for it in (100, 1000, 10000)]
     assert all(uppers[i + 1] <= uppers[i] + 1e-12 for i in range(len(uppers) - 1))
+
+
+def test_orbit_kernel_checks_every_step():
+    # w -> r w with r = 2, 2, 1: groups leave at steps 2 and 3, the last stays
+    w = np.array([[0.3 + 0j], [0.2 + 0j], [0.9 + 0j]])
+    rows = np.array([[2.0], [2.0], [1.0]])
+    scale = lambda w, r: r * w
+    assert list(_orbits_stay(scale, w, 1, rows=rows)) == [True, True, True]
+    assert list(_orbits_stay(scale, w, 2, rows=rows)) == [False, True, True]
+    assert list(_orbits_stay(scale, w, 3, rows=rows)) == [False, False, True]
 
 
 def _nan_in_chart():

@@ -13,22 +13,25 @@ from siegelkit.errors import (
     NoAdmissibleHeight,
     UndefinedReturn,
 )
-from siegelkit.germs import LiftMap, QuadraticFamily, lift_of_germ
+from siegelkit.germs import FlowFamily, LiftMap, QuadraticFamily, lift_of_germ
 from siegelkit.renorm import (
     HParams,
+    _heights_admissible,
     build_HJ,
     extended_trace,
     find_y0,
     gluing_map_G,
     h_of_lift,
-    iterate_lift,
     renormalized_rotation_number,
     return_map,
     translation_lift,
     verify_single_pass,
     y0_analytic_prediction,
 )
+from siegelkit.linearize import _orbits_stay
 from siegelkit.surd import QuadraticIrrational, to_float
+
+from .oracles import sequential_h_of_lift
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
 S2M1 = QuadraticIrrational(0, 1, 1, 2) - 1
@@ -38,14 +41,16 @@ def golden_quadratic_lift(order=128):
     return lift_of_germ(QuadraticFamily().at(GOLDEN, 8), order=order)
 
 
-# -- iterate_lift / h_of_lift --------------------------------------------------
+# -- lift orbits / h_of_lift ----------------------------------------------------
 
 
 def test_translation_never_escapes():
+    # every orbit point keeps its height: the kernel's inside test is the level
     F = translation_lift(GOLDEN)
-    Z, escaped, _ = iterate_lift(F, 0.3 + 0.5j, 500)
-    assert not escaped
-    assert abs(Z.imag - 0.5) < 1e-12
+    Z = np.array([[0.3 + 0.5j, 0.9 + 0.5j]])
+    assert _orbits_stay(lambda Z, _: F.eval_vec(Z - np.floor(Z.real)), Z, 500,
+                        inside=lambda Z: np.abs(Z.imag - 0.5) < 1e-12)[0]
+    assert _heights_admissible(F, 0.5, HParams(max_iter=500))
 
 
 def test_displacement_bounded_by_h_norm():
@@ -60,11 +65,7 @@ def test_displacement_bounded_by_h_norm():
 def test_parabolic_lift_escapes_low():
     g = QuadraticFamily().at(Fraction(1, 2), 8)
     F = lift_of_germ(g, order=128)
-    escaped_any = False
-    for re in np.linspace(0, 1, 8, endpoint=False):
-        _, escaped, _ = iterate_lift(F, complex(re, 0.02), 10_000)
-        escaped_any = escaped_any or escaped
-    assert escaped_any
+    assert not _heights_admissible(F, 0.02, HParams(max_iter=10_000, re_samples=8))
 
 
 def test_h_of_translation_zero():
@@ -75,6 +76,26 @@ def test_h_of_lift_nan_coefficient_has_no_admissible_height():
     F = LiftMap(alpha=to_float(GOLDEN), h_coeffs=np.array([0.1, math.nan]))
     with pytest.raises(NoAdmissibleHeight):
         h_of_lift(F, HParams(max_iter=50))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("make_lift", [
+    golden_quadratic_lift,
+    lambda: lift_of_germ(FlowFamily([1.0], 0.5).at(GOLDEN, 24), order=64),
+    lambda: lift_of_germ(QuadraticFamily().at(Fraction(1, 2), 8), order=128),
+    lambda: LiftMap(alpha=to_float(GOLDEN), h_coeffs=np.array([0.1, math.nan])),
+], ids=["golden-quadratic", "golden-flow", "parabolic-1/2", "nan-coefficient"])
+def test_h_of_lift_matches_sequential_bisection(make_lift):
+    F = make_lift()
+    params = HParams(max_iter=200)
+    assert _outcome(lambda: h_of_lift(F, params)) == \
+        _outcome(lambda: sequential_h_of_lift(F, params))
 
 
 def test_h_golden_quadratic_stable():

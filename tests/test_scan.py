@@ -13,7 +13,6 @@ from siegelkit.scan import (
     degenerate_probe,
     estimate_radius,
     main_lemma_probe,
-    radius_rows,
     scan_r,
     smooth_disk_driver,
 )
@@ -109,7 +108,7 @@ def test_monotone_escape_upper_in_max_iter():
         p = ScanParams(order=16, lin_order=48,
                        escape=EscapeParams(max_iter=it, circle_samples=16,
                                            bisect_tol=2e-3))
-        uppers.append(radius_rows(QuadraticFamily(), Fraction(1, 3), p)[0].r_upper)
+        uppers.append(scan_r(QuadraticFamily(), [Fraction(1, 3)], p)[0].r_upper)
     assert uppers[0] >= uppers[1] >= uppers[2] - 1e-12
 
 

@@ -70,6 +70,8 @@ def test_hidden_square_factors_unify():
         start = time.perf_counter()
         assert check()
         assert time.perf_counter() - start < 1.0
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
 
 
 def test_signs():
