@@ -61,7 +61,6 @@ from .renorm import (
     ReturnSample,
     build_HJ,
     find_y0,
-    gluing_map_G,
     h_of_lift,
     renormalized_rotation_number,
     return_map,
@@ -75,7 +74,7 @@ from .scan import (
     check_construction_invariants,
     condition_bdd_search,
     degenerate_probe,
-    estimate_radius,
+    estimate_radii,
     main_lemma_probe,
     scan_r,
     smooth_disk_driver,

@@ -71,7 +71,7 @@ from .scan import (
     ScanParams,
     condition_bdd_search,
     degenerate_probe,
-    estimate_radius,
+    estimate_radii,
     main_lemma_probe,
     scan_r,
     smooth_disk_driver,
@@ -450,7 +450,7 @@ def cmd_scan(args, cfg) -> str:
 def cmd_construct(args, cfg) -> str:
     fam = make_family(args)
     theta0 = _parse(parse_exact, args.theta0)
-    base = estimate_radius(fam, theta0)
+    base = estimate_radii(fam, [theta0])[0]
     states = smooth_disk_driver(fam, theta0, args.rho_frac * base.lower, args.stages)
     return skio.construction_states_json(states)
 
@@ -468,9 +468,8 @@ def cmd_probe(args, cfg) -> str:
         rep = degenerate_probe(fam, ts)
     else:
         alpha = _parse(parse_exact, args.alpha)
-        base = estimate_radius(fam, alpha)
-        rep = condition_bdd_search(fam, alpha, args.rho_frac * base.lower,
-                                   qmax=args.qmax, K_est=args.K, cfg=cfg)
+        rep = condition_bdd_search(fam, alpha, args.rho_frac, qmax=args.qmax,
+                                   K_est=args.K, cfg=cfg)
     rep["config"] = format_config(cfg)
     return json.dumps(rep, indent=1, sort_keys=True)
 

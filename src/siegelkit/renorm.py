@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "translation_lift",
     "build_HJ",
     "find_y0",
-    "gluing_map_G",
     "return_map",
     "verify_single_pass",
     "extended_trace",
@@ -171,18 +170,6 @@ class RenormSetup:
             W = W.conjugate()
         return W / self.beta
 
-    def lam_inv(self, W: complex) -> complex:
-        Z = W * self.beta
-        if self.beta < 0:
-            Z = Z.conjugate()
-        return Z + 1j * self.y0
-
-    def hop_rescaled(self) -> Callable[[complex], complex]:
-        """H in lambda coordinates (rotation number 1)."""
-        def hop(W: complex) -> complex:
-            return self.lam(self.H(self.lam_inv(W)))
-        return hop
-
     def in_fundamental_domain(self, Z: complex) -> bool:
         """Membership in l u U via the lambda strip; left edge in, right edge out."""
         if self.y0 is None:
@@ -282,19 +269,6 @@ def y0_analytic_prediction(setup: RenormSetup, ref_height: float = 0.5,
 
 
 # ---------------------------------------------------------------------------
-# gluing interpolation (diagnostic)
-# ---------------------------------------------------------------------------
-
-
-def gluing_map_G(hop_rescaled: Callable[[complex], complex], W: complex) -> complex:
-    """Linear interpolation G(X + iY) = (1 - X) iY + X hop(iY) on [0,1]x(0,inf)."""
-    X, Y = W.real, W.imag
-    if not (0.0 <= X <= 1.0) or Y <= 0.0:
-        raise DomainError("W must lie in the closed unit-width strip above 0")
-    return (1.0 - X) * (1j * Y) + X * hop_rescaled(1j * Y)
-
-
-# ---------------------------------------------------------------------------
 # return map
 # ---------------------------------------------------------------------------
 
@@ -342,7 +316,13 @@ def extended_trace(setup: RenormSetup, Z: complex, extra_hops: int = 4,
     """Return trace continued ``extra_hops`` past the first landing (while the
     orbit stays above y0); food for the single-pass check."""
     sample, trace = return_map(setup, Z, budget=budget, keep_trace=True)
-    W = sample.RZ
+    return _hop_on(setup, sample.RZ, trace, extra_hops)
+
+
+def _hop_on(setup: RenormSetup, W: complex, trace: List[complex],
+            extra_hops: int) -> List[complex]:
+    """``trace`` extended by up to ``extra_hops`` hops of W, stopping at the
+    first one at or below y0."""
     for _ in range(extra_hops):
         W = setup.H(W)
         if W.imag <= setup.y0:
@@ -441,16 +421,9 @@ def renormalized_rotation_number(setup: RenormSetup, height: float,
             diag = f"aborted: {exc}"
             break
         disp_sum += setup.lam(sample.RZ) - setup.lam(Z) - sample.hops
-        if check_single_pass:
-            ext = list(trace)
-            W = sample.RZ
-            for _ in range(3):
-                W = setup.H(W)
-                if W.imag <= setup.y0:
-                    break
-                ext.append(W)
-            if not verify_single_pass(setup, ext):
-                violations += 1
+        if check_single_pass and not verify_single_pass(
+                setup, _hop_on(setup, sample.RZ, trace, 3)):
+            violations += 1
         Z = sample.RZ
         done += 1
     measured = (disp_sum / done).real if done else math.nan

@@ -55,7 +55,7 @@ __all__ = [
     "ESTIMATORS",
     "ConstructionState",
     "scan_r",
-    "estimate_radius",
+    "estimate_radii",
     "condition_bdd_search",
     "main_lemma_probe",
     "degenerate_probe",
@@ -97,11 +97,34 @@ def _phi_or_none(fam: GermFamily, alpha, p: ScanParams):
     return germ, phi, phi.order == p.lin_order
 
 
-def estimate_radius(fam: GermFamily, alpha: ExactReal,
-                    p: ScanParams = DEFAULT_SCAN) -> RadiusEstimate:
-    """Escape estimate through the (possibly partial) linearization chart."""
-    germ, phi, _ = _phi_or_none(fam, alpha, p)
-    return escape_radius(germ, phi, p.escape)
+def _prepare(fam: GermFamily, alphas: Sequence[ExactReal], p: ScanParams,
+             keep_errors: bool = False) -> list:
+    """:func:`_phi_or_none` of every parameter in input order; the first
+    :class:`SiegelError` raises, or with ``keep_errors`` takes its place."""
+    preps = []
+    for alpha in alphas:
+        try:
+            preps.append(_phi_or_none(fam, alpha, p))
+        except SiegelError as exc:
+            if not keep_errors:
+                raise
+            preps.append(exc)
+    return preps
+
+
+def _escape(preps: list, p: ScanParams) -> List[RadiusEstimate]:
+    """Escape estimates of prepared parameters, bisected in one lock-step
+    :func:`escape_radii` call (each bracket as it would be alone)."""
+    return escape_radii([germ for germ, _, _ in preps], [phi for _, phi, _ in preps],
+                        p.escape)
+
+
+def estimate_radii(fam: GermFamily, alphas: Sequence[ExactReal],
+                   p: ScanParams = DEFAULT_SCAN) -> List[RadiusEstimate]:
+    """Escape estimates through the (possibly partial) linearization charts,
+    one per parameter in input order.  Every parameter is prepared before any
+    is bisected, so the first preparation error raises before any escape run."""
+    return _escape(_prepare(fam, alphas, p), p)
 
 
 def _scan_chunk(args) -> List[ScanRow]:
@@ -111,18 +134,11 @@ def _scan_chunk(args) -> List[ScanRow]:
     whole chunk in one :func:`escape_radii` call.
     """
     fam, alphas, p = args
-    preps = []
-    for alpha in alphas:
-        try:
-            preps.append(_phi_or_none(fam, alpha, p))
-        except SiegelError as exc:
-            preps.append(exc)
+    preps = _prepare(fam, alphas, p, keep_errors=True)
     escape = {}
     if "escape" in p.estimators:
         ready = [k for k, prep in enumerate(preps) if not isinstance(prep, SiegelError)]
-        ests = escape_radii([preps[k][0] for k in ready], [preps[k][1] for k in ready],
-                            p.escape)
-        escape = dict(zip(ready, ests))
+        escape = dict(zip(ready, _escape([preps[k] for k in ready], p)))
     out: List[ScanRow] = []
     for k, (alpha, prep) in enumerate(zip(alphas, preps)):
         text = format_exact(alpha)
@@ -154,17 +170,22 @@ def scan_r(fam: GermFamily, alphas: Sequence[ExactReal],
            p: ScanParams = DEFAULT_SCAN, workers: int = 1) -> List[ScanRow]:
     """One row per (alpha, estimator), ordered by input index then estimator.
 
-    Row values do not depend on the worker count; chunks preserve order.
+    Row values do not depend on the worker count.  Worker w gets the one
+    chunk ``alphas[w::workers]`` (interleaved, so neighbouring parameters of
+    similar cost spread over the workers); the rows merge back in input order.
     """
     alphas = list(alphas)
-    if workers <= 1 or len(alphas) <= 1:
+    workers = min(workers, len(alphas))
+    if workers <= 1:
         return _scan_chunk((fam, alphas, p))
-    chunk = max(1, math.ceil(len(alphas) / (4 * workers)))
-    tasks = [(fam, alphas[i:i + chunk], p) for i in range(0, len(alphas), chunk)]
-    out: List[ScanRow] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for rows in pool.map(_scan_chunk, tasks):
-            out.extend(rows)
+        chunks = list(pool.map(_scan_chunk, [(fam, alphas[w::workers], p)
+                                             for w in range(workers)]))
+    m = len(p.estimators)
+    out: List[ScanRow] = []
+    for i in range(len(alphas)):
+        j = i // workers
+        out.extend(chunks[i % workers][j * m:(j + 1) * m])
     return out
 
 
@@ -186,7 +207,7 @@ def _nearest_fraction_below(alpha: ExactReal, qmax: int) -> Fraction:
     return best
 
 
-def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho: float,
+def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
                          qmax: int = 8, grid_points: int = 16,
                          seq_indices: Sequence[int] = (0, 1, 2, 3),
                          p: ScanParams = DEFAULT_SCAN,
@@ -195,15 +216,17 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho: float,
     """Left cut point c = grid-inf{x in [b, alpha] : r_est(x) >= rho} and the
     bounded-type sequence it emits, with the quantitative band both ways.
 
-    b is the nearest fraction below alpha with denominator <= qmax (the
-    strongest non-linearizability signal at desk scale); the cut is located at
-    grid resolution and every emitted value is exact and bounded type.
+    The target is rho = rho_frac * r_est(alpha).lower.  b is the nearest
+    fraction below alpha with denominator <= qmax (the strongest
+    non-linearizability signal at desk scale); the cut is located at grid
+    resolution and every emitted value is exact and bounded type.
     """
-    r_alpha = estimate_radius(fam, alpha, p)
+    r_alpha = estimate_radii(fam, [alpha], p)[0]
+    rho = rho_frac * r_alpha.lower
     if rho >= r_alpha.lower:
         raise TargetAboveRadius(f"rho = {rho} >= r_est.lower = {r_alpha.lower}")
     b = _nearest_fraction_below(alpha, qmax)
-    r_b = estimate_radius(fam, b, p)
+    r_b = estimate_radii(fam, [b], p)[0]
     if r_b.lower >= rho:
         return {"verdict": "FamilyLooksDegenerate",
                 "b": str(b), "r_b_lower": r_b.lower, "rho": rho,
@@ -218,8 +241,8 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho: float,
     cut = None
     cut_r = None
     left_neighbor_r = r_b.lower
-    for x in grid:
-        est = estimate_radius(fam, x, p)
+    for x in grid:  # one at a time: the loop stops at the first point that passes
+        est = estimate_radii(fam, [x], p)[0]
         if est.lower >= rho:
             cut, cut_r = x, est
             break
@@ -234,11 +257,11 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho: float,
             if exact_cmp(special_sequence_main(cf_try, 0), cut) < 0:
                 cf_c = cf_try
                 break
+    idxs = [2 * n if not cf_c.is_finite else n  # even indices approach from below
+            for n in seq_indices]
+    vals = [special_sequence_main(cf_c, idx) for idx in idxs]
     seq = []
-    for n in seq_indices:
-        idx = 2 * n if not cf_c.is_finite else n  # even indices approach from below
-        val = special_sequence_main(cf_c, idx)
-        est = estimate_radius(fam, val, p)
+    for idx, val, est in zip(idxs, vals, estimate_radii(fam, vals, p)):
         e = cf_of_exact(val)
         bt_bound = max(list(e.partials) + list(e.period))
         seq.append({"n": idx, "alpha_text": format_exact(val),
@@ -276,13 +299,10 @@ def main_lemma_probe(fam: GermFamily, pq: Fraction, variant: str, N: int,
     pq = Fraction(pq)
     cf = cf_of_rational(pq, variant)
     q = pq.denominator
-    values = []
-    for n in range(1, N + 1):
-        a_n = special_sequence_main(cf, n)
-        est = estimate_radius(fam, a_n, p)
-        values.append({"n": n, "alpha_float": to_float(a_n),
-                       "alpha_text": format_exact(a_n),
-                       "r_lower": est.lower, "r_upper": est.upper})
+    members = [special_sequence_main(cf, n) for n in range(1, N + 1)]
+    values = [{"n": n, "alpha_float": to_float(a_n), "alpha_text": format_exact(a_n),
+               "r_lower": est.lower, "r_upper": est.upper}
+              for n, (a_n, est) in enumerate(zip(members, estimate_radii(fam, members, p)), 1)]
     tail = values[-tail_window:]
     tail_min = min(v["r_lower"] for v in tail)
     return {
@@ -300,11 +320,9 @@ def degenerate_probe(fam: GermFamily, t_samples: Sequence[ExactReal],
                      spread_tol: float = 0.05) -> dict:
     """Relative spread of r_est over irrational parameters; small spread flags
     degenerate-type behaviour (the linearization domain ignores t)."""
-    rows = []
-    for t in t_samples:
-        est = estimate_radius(fam, t, p)
-        rows.append({"t": format_exact(t), "t_float": to_float(t),
-                     "r_lower": est.lower, "r_upper": est.upper})
+    rows = [{"t": format_exact(t), "t_float": to_float(t),
+             "r_lower": est.lower, "r_upper": est.upper}
+            for t, est in zip(t_samples, estimate_radii(fam, t_samples, p))]
     lows = [r["r_lower"] for r in rows]
     mean = sum(lows) / len(lows)
     spread = (max(lows) - min(lows)) / mean if mean > 0 else math.inf

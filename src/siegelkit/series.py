@@ -125,7 +125,11 @@ def polyval_vec(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     rows (shape ``(..., n)``) whose leading axes broadcast against ``z``, so
     that each point has its own series.  Each point sees the same IEEE
     operations as a call with its own row alone: Horner up to length 8, a
-    power table and a sequential ``einsum`` above.
+    power table and an ``einsum`` above.  ``einsum`` fixes no summation order
+    (it can depend on dtype and memory layout, and for float64 it is not a
+    sequential loop), so this rests on every call passing the same layout:
+    complex128, the power table built here C-contiguous, and coefficient rows
+    contiguous along their last axis.
     """
     z = np.asarray(z, dtype=np.complex128)
     c = np.asarray(coeffs, dtype=np.complex128)

@@ -101,6 +101,9 @@ class QuadraticIrrational:
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticIrrational is immutable")
 
+    def __reduce__(self):  # pickling (scan workers) rebuilds through __new__
+        return QuadraticIrrational, (self.a, self.b, self.c, self.d)
+
     # -- coercion -----------------------------------------------------------
 
     def _coerce(self, other):

@@ -57,7 +57,7 @@ from siegelkit.scan import (
     ScanParams,
     check_construction_invariants,
     degenerate_probe,
-    estimate_radius,
+    estimate_radii,
     main_lemma_probe,
     smooth_disk_driver,
 )
@@ -441,11 +441,11 @@ def test_criterion_10_constants():
 def test_criterion_11_construction_driver():
     t0 = time.time()
     quad = QuadraticFamily()
-    base = estimate_radius(quad, GOLDEN_FRAC,
-                           ScanParams(order=32, lin_order=256,
-                                      escape=EscapeParams(max_iter=10_000,
-                                                          circle_samples=32,
-                                                          bisect_tol=5e-4)))
+    base = estimate_radii(quad, [GOLDEN_FRAC],
+                          ScanParams(order=32, lin_order=256,
+                                     escape=EscapeParams(max_iter=10_000,
+                                                         circle_samples=32,
+                                                         bisect_tol=5e-4)))[0]
     rho = 0.5 * base.lower
     states = smooth_disk_driver(quad, GOLDEN_FRAC, rho, stages=3)
     check_construction_invariants(states, rho)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siegelkit.cf import (
     LONG_FORM,
@@ -310,6 +311,36 @@ def test_escape_radii_match_sequential_bisection():
         "NoValidRadius", "bracket from bisection", "valid up to the cap"}
 
 
+_POOL_PARAMS = EscapeParams(max_iter=120, circle_samples=8, bisect_tol=1e-2)
+
+
+def _batch_pool():
+    """Mixed (germ, chart) pool: rationals with partial charts, surds with full
+    ones, a flow germ (a longer coefficient row) and the identity chart."""
+    flow = FlowFamily([1.0], 0.5)
+    germs = [QUAD.at(a, 8) for a in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), GOLDEN,
+                                     QuadraticIrrational(0, 1, 1, 2) - 1)]
+    germs.append(flow.at(GOLDEN, 24))
+    pool = [(g, linearization_coeffs(g, 32, allow_rational=True, on_failure="truncate"))
+            for g in germs]
+    pool.append((QUAD.at(Fraction(1, 3), 8), None))
+    return [(g, phi, escape_radius(g, phi, _POOL_PARAMS)) for g, phi in pool]
+
+
+_POOL = _batch_pool()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=8))
+def test_escape_radii_batch_independent(picks):
+    # random subsets, orders and duplicates: a batch's brackets equal each
+    # entry's own run
+    got = escape_radii([_POOL[i][0] for i in picks], [_POOL[i][1] for i in picks],
+                       _POOL_PARAMS)
+    assert [(e.lower, e.upper, e.diagnostics) for e in got] == [
+        (_POOL[i][2].lower, _POOL[i][2].upper, _POOL[i][2].diagnostics) for i in picks]
+
+
 def test_escape_radii_needs_one_chart_per_germ():
     with pytest.raises(DomainError):
         escape_radii([QUAD.at(GOLDEN, 8)], [], EscapeParams())
@@ -361,13 +392,14 @@ def test_boundary_norms_radius_guard():
 def test_upper_semicontinuity_trend():
     # max over nearby grid points of (r_est(x) - r_est(golden)) stays below a
     # grid-scale tolerance that does not grow as the grid refines
-    from siegelkit.scan import estimate_radius, ScanParams
+    from siegelkit.scan import estimate_radii, ScanParams
     p = ScanParams(order=16, lin_order=96,
                    escape=EscapeParams(max_iter=1500, circle_samples=24, bisect_tol=2e-3))
-    base = estimate_radius(QUAD, GOLDEN, p).lower
+    base = estimate_radii(QUAD, [GOLDEN], p)[0].lower
     excesses = []
     for delta_pow in (6, 8, 10):
         delta = Fraction(1, 2 ** delta_pow)
-        vals = [estimate_radius(QUAD, GOLDEN + s * delta, p).lower for s in (-2, -1, 1, 2)]
+        vals = [e.lower for e in estimate_radii(QUAD, [GOLDEN + s * delta
+                                                       for s in (-2, -1, 1, 2)], p)]
         excesses.append(max(v - base for v in vals))
     assert excesses[-1] <= max(excesses[0], 0.0) + 0.02

@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from siegelkit.renorm import (
     build_HJ,
     extended_trace,
     find_y0,
-    gluing_map_G,
     h_of_lift,
     renormalized_rotation_number,
     return_map,
@@ -246,44 +244,6 @@ def test_conditions_never_met():
     s = build_HJ(F, 3)
     with pytest.raises(ConditionsNeverMet):
         find_y0(s, ceiling=1e-4, candidates=[0.0, 1e-5])
-
-
-# -- gluing ---------------------------------------------------------------------
-
-
-def test_gluing_identity_for_unit_translation():
-    hop = lambda W: W + 1
-    for Y in (0.2, 1.0, 3.0):
-        for X in (0.0, 0.4, 1.0):
-            W = complex(X, Y)
-            assert gluing_map_G(hop, W) == W
-
-
-def test_gluing_boundary_compatibility():
-    F = golden_quadratic_lift()
-    s = build_HJ(F, 2)
-    find_y0(s)
-    hop = s.hop_rescaled()
-    for Y in (0.5, 1.5, 4.0):
-        lhs = gluing_map_G(hop, complex(1.0, Y))
-        assert abs(lhs - hop(1j * Y)) < 1e-12
-
-
-def test_gluing_displacement_bound():
-    # hop displacement within delta of the unit translation gives |G(W)-W| <= delta
-    delta = 0.05
-    hop = lambda W: W + 1 + delta * cmath.exp(2j * math.pi * W) / 2
-    for Y in (0.1, 0.7):
-        for X in (0.0, 0.2, 0.9, 1.0):
-            W = complex(X, Y)
-            assert abs(gluing_map_G(hop, W) - W) <= delta + 1e-12
-
-
-def test_gluing_domain_error():
-    with pytest.raises(DomainError):
-        gluing_map_G(lambda W: W + 1, complex(1.5, 1.0))
-    with pytest.raises(DomainError):
-        gluing_map_G(lambda W: W + 1, complex(0.5, -1.0))
 
 
 # -- return map -------------------------------------------------------------------

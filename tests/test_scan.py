@@ -1,8 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from siegelkit.cf import farey_fractions
+from siegelkit.cf import cf_of_rational, farey_fractions, special_sequence_main
 from siegelkit.errors import FamilyUnsuitable, TargetAboveRadius
 from siegelkit.germs import FlowFamily, QuadraticFamily, RotationFamily
 from siegelkit.linearize import EscapeParams, linearization_coeffs
@@ -11,7 +12,7 @@ from siegelkit.scan import (
     check_construction_invariants,
     condition_bdd_search,
     degenerate_probe,
-    estimate_radius,
+    estimate_radii,
     main_lemma_probe,
     scan_r,
     smooth_disk_driver,
@@ -49,6 +50,13 @@ def test_scan_row_ordering_and_methods():
     assert abs(rows[0].alpha_float - float(GOLDEN)) < 1e-15
 
 
+def _sequential_bracket(fam, alpha, p):
+    """(lower, upper) of the one-at-a-time escape bisection of one parameter."""
+    g = fam.at(alpha, p.order)
+    phi = linearization_coeffs(g, p.lin_order, allow_rational=True, on_failure="truncate")
+    return sequential_escape_radius(g, phi, p.escape)[:2]
+
+
 def test_scan_rows_match_sequential_bisection():
     # the chunk bisects in lock step; each row must equal its parameter's
     # one-at-a-time bracket (rationals with partial charts, surds with full ones)
@@ -57,18 +65,20 @@ def test_scan_rows_match_sequential_bisection():
     rows = scan_r(fam, grid, CHEAP)
     assert [r.alpha_float for r in rows] == [float(a) for a in grid]
     for alpha, row in zip(grid, rows):
-        g = fam.at(alpha, CHEAP.order)
-        phi = linearization_coeffs(g, CHEAP.lin_order, allow_rational=True,
-                                   on_failure="truncate")
-        lower, upper, _ = sequential_escape_radius(g, phi, CHEAP.escape)
-        assert (row.r_lower, row.r_upper, row.method) == (lower, upper, "escape")
+        assert (row.r_lower, row.r_upper, row.method) == (
+            *_sequential_bracket(fam, alpha, CHEAP), "escape")
 
 
 def test_scan_worker_determinism():
-    grid = farey_fractions(6)
-    rows1 = scan_r(QuadraticFamily(), grid, CHEAP, workers=1)
-    rows2 = scan_r(QuadraticFamily(), grid, CHEAP, workers=3)
-    assert rows1 == rows2
+    # 7 parameters over 2 and 3 workers: uneven interleaved chunks, two rows
+    # per parameter, merged back in input order
+    grid = [Fraction(1, 2), GOLDEN, Fraction(1, 3), S2M1, Fraction(2, 5), BIGQ,
+            Fraction(3, 4)]
+    p = replace(CHEAP, estimators=("escape", "hadamard"))
+    rows1 = scan_r(QuadraticFamily(), grid, p, workers=1)
+    assert len(rows1) == 14
+    for workers in (2, 3):
+        assert scan_r(QuadraticFamily(), grid, p, workers=workers) == rows1
 
 
 def test_scan_never_aborts_on_row_failure():
@@ -76,12 +86,18 @@ def test_scan_never_aborts_on_row_failure():
         def at(self, alpha, order=64):
             if alpha == Fraction(1, 2):
                 raise TargetAboveRadius("boom")
+            if alpha == Fraction(3, 4):
+                raise FamilyUnsuitable("later boom")
             return super().at(alpha, order)
 
     rows = scan_r(ExplodingFamily(), [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)], CHEAP)
     assert len(rows) == 3
     assert rows[1].method == "escape:error:TargetAboveRadius"
     assert rows[0].r_lower > 0.9 and rows[2].r_lower > 0.9
+    # outside a scan the first failing parameter's error raises
+    with pytest.raises(TargetAboveRadius):
+        estimate_radii(ExplodingFamily(), [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)],
+                       CHEAP)
 
 
 def test_comb_interleaving_windows():
@@ -116,24 +132,24 @@ def test_monotone_escape_upper_in_max_iter():
 
 
 def test_cond_bdd_rotation_degenerate():
-    rep = condition_bdd_search(RotationFamily(), GOLDEN, rho=0.5, p=CHEAP)
+    rep = condition_bdd_search(RotationFamily(), GOLDEN, rho_frac=0.5, p=CHEAP)
     assert rep["verdict"] == "FamilyLooksDegenerate"
 
 
 def test_cond_bdd_quadratic_finds_cut():
-    base = estimate_radius(QuadraticFamily(), GOLDEN, MEDIUM)
-    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho=0.5 * base.lower,
+    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5,
                                qmax=8, grid_points=8, seq_indices=(0, 1), p=MEDIUM)
     assert rep["verdict"] == "ok"
-    assert rep["cut_r_lower"] >= 0.5 * base.lower
-    assert rep["left_neighbor_r_lower"] < 0.5 * base.lower
+    assert rep["rho"] > 0
+    assert rep["cut_r_lower"] >= rep["rho"]
+    assert rep["left_neighbor_r_lower"] < rep["rho"]
     assert all(item["bounded_type"] for item in rep["sequence"])
     assert rep["band_endpoints"][0] <= rep["band_endpoints"][1]
 
 
 def test_cond_bdd_target_above_radius():
     with pytest.raises(TargetAboveRadius):
-        condition_bdd_search(QuadraticFamily(), GOLDEN, rho=2.0, p=CHEAP)
+        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=2.0, p=CHEAP)
 
 
 # -- main lemma probe ------------------------------------------------------------
@@ -154,6 +170,21 @@ def test_main_lemma_quadratic_small_vs_larger_q():
     assert rep5["tail_min"] >= rep2["tail_min"] - 0.05
     assert rep2["bound_C"] < rep5["bound_C"]  # exp(-C(K,q)) grows with q
     assert rep2["weak_h_bound"] > 0
+
+
+def test_probes_match_sequential_bisection():
+    # each probe bisects its members in one lock-step batch; every value must
+    # equal the member's one-at-a-time bracket
+    fam = QuadraticFamily()
+    rep = main_lemma_probe(fam, Fraction(2, 5), "short", 4, K_est=6.3, p=CHEAP,
+                           tail_window=2)
+    cf = cf_of_rational(Fraction(2, 5), "short")
+    assert [(v["r_lower"], v["r_upper"]) for v in rep["values"]] == [
+        _sequential_bracket(fam, special_sequence_main(cf, n), CHEAP) for n in range(1, 5)]
+    ts = [GOLDEN, S2M1, BIGQ, GOLDEN]
+    rows = degenerate_probe(fam, ts, CHEAP)["rows"]
+    assert [(r["r_lower"], r["r_upper"]) for r in rows] == [
+        _sequential_bracket(fam, t, CHEAP) for t in ts]
 
 
 # -- degenerate probe -------------------------------------------------------------
@@ -187,7 +218,7 @@ def test_driver_two_stages_with_certificates():
     p = ScanParams(order=32, lin_order=192,
                    escape=EscapeParams(max_iter=4000, circle_samples=24,
                                        bisect_tol=1e-3))
-    base = estimate_radius(QuadraticFamily(), GOLDEN, p)
+    base = estimate_radii(QuadraticFamily(), [GOLDEN], p)[0]
     rho = 0.5 * base.lower
     states = smooth_disk_driver(QuadraticFamily(), GOLDEN, rho, stages=2, p=p)
     assert len(states) == 2
@@ -215,7 +246,7 @@ def test_invariant_checker_catches_violations():
     p = ScanParams(order=32, lin_order=192,
                    escape=EscapeParams(max_iter=2000, circle_samples=16,
                                        bisect_tol=2e-3))
-    base = estimate_radius(QuadraticFamily(), GOLDEN, p)
+    base = estimate_radii(QuadraticFamily(), [GOLDEN], p)[0]
     rho = 0.5 * base.lower
     states = smooth_disk_driver(QuadraticFamily(), GOLDEN, rho, stages=1, p=p)
     bad = states[0]

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -72,6 +73,14 @@ def test_hidden_square_factors_unify():
         assert time.perf_counter() - start < 1.0
     assert hash(x) == hash(y)
     assert len({x, y}) == 1
+
+
+def test_pickle_round_trip():
+    # scan workers receive their grid pickled
+    for x in (S2, -S5 / 7 + Fraction(3, 4), QuadraticIrrational(0, 1, 10007, 2 * 10007 ** 2)):
+        y = pickle.loads(pickle.dumps(x))
+        assert type(y) is QuadraticIrrational
+        assert (y.a, y.b, y.c, y.d) == (x.a, x.b, x.c, x.d)
 
 
 def test_signs():
