@@ -457,7 +457,7 @@ def cmd_construct(args, cfg) -> str:
 
 def cmd_probe(args, cfg) -> str:
     fam = make_family(args)
-    if args.K is None:
+    if args.K is None and args.op != "degenerate":  # degenerate_probe takes no K
         args.K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), n_pairs=24,
                                              n_circle=32, seed=args.seed or 0))
     if args.op == "main-lemma":

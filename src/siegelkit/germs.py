@@ -32,6 +32,7 @@ __all__ = [
     "LiftMap",
     "DEFAULT_ORDER",
     "alpha_frac_float",
+    "phase_fracs",
     "eval_germ",
     "flow_time_map",
     "lipschitz_estimate",
@@ -44,17 +45,45 @@ DEFAULT_ORDER = 256
 
 TWO_PI_I = 2j * math.pi
 
+_PHASE_BITS = 128  # bracket width of the batched surd phases, in bits
+
 
 def alpha_frac_float(alpha: AlphaHandle) -> float:
     """float of frac(alpha), reducing exactly first when possible.
 
-    The one place a phase alpha (or n alpha) is reduced mod 1 and turned into
-    a float: the multiplier, the small divisors and the rotation powers all
-    come through here.
+    With :func:`phase_fracs` (its batched form) the one place a phase alpha
+    (or n alpha) is reduced mod 1 and turned into a float: the multiplier,
+    the small divisors and the rotation powers all come through here.
     """
     if isinstance(alpha, float):
         return alpha - math.floor(alpha)
     return to_float(frac_exact(alpha))
+
+
+def phase_fracs(alpha: AlphaHandle, K: int) -> list:
+    """[alpha_frac_float(k * alpha) for k in range(K)], bit for bit, in one pass.
+
+    A rational p/q reduces as the integer residue (k p mod q) / q, and int
+    true division rounds correctly.  A surd takes one integer bracket
+    lo/den < alpha < hi/den; where k lo and k hi have the same integer part
+    and their remainders over den round to the same float, correct rounding
+    being monotone makes that float the rounded frac(k alpha).  Any other
+    index (and any float alpha) goes through :func:`alpha_frac_float`.
+    """
+    if isinstance(alpha, (int, Fraction)):
+        p, q = alpha.numerator, alpha.denominator
+        return [(k * p) % q / q for k in range(K)]
+    if not isinstance(alpha, QuadraticIrrational):
+        return [alpha_frac_float(k * alpha) for k in range(K)]
+    lo, hi, den = alpha.int_bracket(_PHASE_BITS)
+    out = []
+    for k in range(K):
+        q_lo, r_lo = divmod(k * lo, den)
+        q_hi, r_hi = divmod(k * hi, den)
+        x = r_lo / den
+        out.append(x if q_lo == q_hi and x == r_hi / den
+                   else alpha_frac_float(k * alpha))
+    return out
 
 
 def _multiplier_of(alpha: AlphaHandle) -> complex:

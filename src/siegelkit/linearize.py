@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     RadiusTooLarge,
     SmallDivisorBlowup,
 )
-from .germs import TWO_PI_I, Germ, GermFamily, alpha_frac_float
+from .germs import TWO_PI_I, Germ, GermFamily, phase_fracs
 from .surd import ExactReal
 
 __all__ = [
@@ -79,21 +79,12 @@ class RadiusEstimate:
     diagnostics: str = ""
 
 
-def _rational_parts(alpha) -> Optional[Tuple[int, int]]:
-    """(p, q) when alpha is exactly rational, else None."""
-    if isinstance(alpha, int):
-        return alpha, 1
-    if isinstance(alpha, Fraction):
-        return alpha.numerator, alpha.denominator
-    return None
-
-
-def _divisor(alpha, rho: complex, n: int) -> complex:
+def _divisor(phase: float, rho: complex) -> complex:
     """rho^n - rho = rho (e^{2 pi i (n-1) alpha} - 1) for the multiplier rho,
-    with the phase (n-1) alpha reduced exactly before leaving exact
+    from the phase frac((n-1) alpha) reduced exactly before leaving exact
     arithmetic (small divisors need the care)."""
     # e^{i theta} - 1 = 2 i sin(theta/2) e^{i theta/2}
-    half = math.pi * alpha_frac_float((n - 1) * alpha)
+    half = math.pi * phase
     return rho * (2j * math.sin(half) * cmath.exp(1j * half))
 
 
@@ -116,8 +107,8 @@ def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
     """
     if on_failure not in ("raise", "truncate"):
         raise DomainError("on_failure must be 'raise' or 'truncate'")
-    pq = None if isinstance(g.alpha, float) else _rational_parts(g.alpha)
-    if pq is not None and not allow_rational:
+    rational = isinstance(g.alpha, (int, Fraction))
+    if rational and not allow_rational:
         raise DomainError("rational alpha: pass allow_rational=True to accept poles")
     M = g.order
     rho = g.multiplier()
@@ -127,6 +118,7 @@ def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
     a[1] = 1.0
     sdlog = np.full(N + 1, np.nan)
     numer = np.zeros(N + 1)
+    phases = phase_fracs(g.alpha, N)   # frac((n-1) alpha) at index n-1
     # pow_tab[m, n] = [z^n] (sum a_i z^i)^m, filled column by column
     mm = min(M, N)
     pow_tab = np.zeros((mm + 1, N + 1), dtype=np.complex128)
@@ -142,8 +134,9 @@ def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
         Pn = complex(np.einsum("i,i->", b[2:mm + 1], pow_tab[2:mm + 1, n],
                                optimize=False)) if mm >= 2 else 0.0
         numer[n] = abs(Pn)
-        div = _divisor(g.alpha, rho, n)
-        exact_zero = (pq is not None and (n - 1) % pq[1] == 0) or abs(div) < divisor_floor
+        div = _divisor(phases[n - 1], rho)
+        # a rational's residue (n-1) p mod q is zero exactly when q | (n-1)
+        exact_zero = (rational and phases[n - 1] == 0.0) or abs(div) < divisor_floor
         if exact_zero:
             sdlog[n] = -math.inf
             if abs(Pn) > NUMERATOR_FLOOR:
@@ -175,8 +168,8 @@ def compose_check(g: Germ, phi: LinearizationSeries, N: Optional[int] = None) ->
         N = phi.order
     N = min(N, phi.order)
     coeffs = series.trim(phi.coeff_array(), N)
-    rho_pows = np.array([cmath.exp(TWO_PI_I * alpha_frac_float(n * g.alpha))
-                         for n in range(N + 1)], dtype=np.complex128)
+    rho_pows = np.array([cmath.exp(TWO_PI_I * x) for x in phase_fracs(g.alpha, N + 1)],
+                        dtype=np.complex128)
     lhs = coeffs * rho_pows
     rhs = series.compose(series.trim(g.full_coeffs(), N), coeffs, N)
     return float(np.max(np.abs(lhs - rhs)))

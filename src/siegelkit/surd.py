@@ -246,18 +246,21 @@ class QuadraticIrrational:
             n -= 1
         return n
 
+    def int_bracket(self, bits: int) -> Tuple[int, int, int]:
+        """Integers (lo, hi, den) with lo/den < self < hi/den, den = c * 2**bits
+        and hi - lo = |b|: sqrt(d) lies between s/2**bits and (s+1)/2**bits
+        for s = isqrt(d * 4**bits)."""
+        s = math.isqrt(self.d << (2 * bits))
+        lo = (self.a << bits) + self.b * s
+        hi = lo + self.b
+        if self.b < 0:
+            lo, hi = hi, lo
+        return lo, hi, self.c << bits
+
     def bracket(self, bits: int = 64) -> Tuple[Fraction, Fraction]:
         """Rational lo <= self <= hi with width |b| / (c * 2**bits)."""
-        s = math.isqrt(self.d << (2 * bits))
-        lo_r = Fraction(s, 1 << bits)
-        hi_r = Fraction(s + 1, 1 << bits)
-        if self.b > 0:
-            lo = Fraction(self.a + self.b * lo_r, self.c)
-            hi = Fraction(self.a + self.b * hi_r, self.c)
-        else:
-            lo = Fraction(self.a + self.b * hi_r, self.c)
-            hi = Fraction(self.a + self.b * lo_r, self.c)
-        return lo, hi
+        lo, hi, den = self.int_bracket(bits)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def __float__(self) -> float:
         bits = 64

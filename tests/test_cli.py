@@ -178,6 +178,17 @@ def test_probe_degenerate_cli(capsys):
     assert data["degenerate_flag"] is True
 
 
+def test_probe_degenerate_needs_no_lipschitz_estimate(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("probe degenerate must not estimate K")
+
+    monkeypatch.setattr("siegelkit.cli.lipschitz_estimate", refuse)
+    code, out, _ = run_cli(["probe", "degenerate", "--family", "flow", "--chi", "1",
+                            "--t", "[0;(1)]"], capsys)
+    assert code == 0
+    assert "degenerate_flag" in json.loads(out)
+
+
 def test_config_file_flows_through(tmp_path, capsys):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("c1 = 4.0\n")

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from siegelkit import series
+from siegelkit import germs, series
 from siegelkit.errors import DomainError, FactorizationError
 from siegelkit.germs import (
     FlowFamily,
@@ -13,10 +14,12 @@ from siegelkit.germs import (
     PolynomialFamily,
     QuadraticFamily,
     RotationFamily,
+    alpha_frac_float,
     eval_germ,
     flow_time_map,
     lift_of_germ,
     lipschitz_estimate,
+    phase_fracs,
 )
 from siegelkit.surd import QuadraticIrrational
 
@@ -207,3 +210,100 @@ def test_lift_factorization_error():
     g = Germ(alpha=0.3, coeffs=np.array([9.0]))  # |g-1| = 9|w| reaches 1
     with pytest.raises(FactorizationError):
         lift_of_germ(g, order=32, check_height=0.05)
+
+
+# ---------------------------------------------------------------------------
+# batched phases
+# ---------------------------------------------------------------------------
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+def _per_index(alpha, K):
+    return [alpha_frac_float(k * alpha) for k in range(K)]
+
+
+def _sqrt2_convergent(min_q: int) -> Fraction:
+    """First convergent P/Q of sqrt(2) with Q >= min_q; |sqrt(2) - P/Q| < 1/Q^2."""
+    p, q = 1, 1
+    while q < min_q:
+        p, q = p + 2 * q, p + q
+    return Fraction(p, q)
+
+
+# sqrt(2) - P/Q lies within 2**-140 of 0, far inside the 2**-128 bracket
+_EPS = QuadraticIrrational(0, 1, 1, 2) - _sqrt2_convergent(2 ** 70)
+
+
+def _counting_fallback(monkeypatch):
+    """Record every index phase_fracs hands to alpha_frac_float."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return alpha_frac_float(x)
+
+    monkeypatch.setattr(germs, "alpha_frac_float", counted)
+    return calls
+
+
+def test_phase_fallback_at_rounding_midpoint(monkeypatch):
+    # frac(alpha) sits within 2**-140 of the midpoint 1/2 + 2**-54 between
+    # the floats 1/2 and 1/2 + 2**-53, so the bracket's two ends round apart
+    alpha = Fraction(2 ** 53 + 1, 2 ** 54) + _EPS
+    lo, hi, den = alpha.int_bracket(germs._PHASE_BITS)
+    (q_lo, r_lo), (q_hi, r_hi) = divmod(lo, den), divmod(hi, den)
+    assert q_lo == q_hi and r_lo / den != r_hi / den
+    calls = _counting_fallback(monkeypatch)
+    phases = phase_fracs(alpha, 3)
+    assert calls == [alpha]                       # only index 1 falls back
+    assert _bits(phases) == _bits(_per_index(alpha, 3))
+    assert phases[1] in (0.5, 0.5 + 2 ** -53)
+
+
+@pytest.mark.parametrize("alpha", [
+    3 + _EPS,                                            # ends straddle 3
+    QuadraticIrrational(0, 1 << germs._PHASE_BITS, 1, 2),  # ends a whole turn apart
+], ids=["straddle", "whole-turn"])
+def test_phase_fallback_when_integer_parts_differ(monkeypatch, alpha):
+    lo, hi, den = alpha.int_bracket(germs._PHASE_BITS)
+    assert lo // den != hi // den
+    calls = _counting_fallback(monkeypatch)
+    phases = phase_fracs(alpha, 4)
+    assert calls == [alpha, 2 * alpha, 3 * alpha]
+    assert _bits(phases) == _bits(_per_index(alpha, 4))
+
+
+def test_phase_fast_path_takes_every_ordinary_index(monkeypatch):
+    surds = (GOLDEN, QuadraticIrrational(1760, -1, 4562, 2))
+    expected = [_bits(_per_index(alpha, 257)) for alpha in surds]
+    calls = _counting_fallback(monkeypatch)
+    assert [_bits(phase_fracs(alpha, 257)) for alpha in surds] == expected
+    assert calls == []
+
+
+_INTS = st.integers(-10 ** 9, 10 ** 9)
+_NONZERO = st.integers(1, 10 ** 9) | st.integers(-10 ** 9, -1)
+_SURDS = st.builds(QuadraticIrrational, _INTS, _NONZERO, _NONZERO, st.integers(2, 10 ** 6))
+# squares of primes above surd._SPLIT_BOUND stay inside the stored radicand
+_BIG_PRIMES = st.sampled_from([10007, 10009, 65537, 999983])
+_HIDDEN_SQUARES = st.builds(
+    lambda a, b, c, p, d0: QuadraticIrrational(a, b, c, p * p * d0),
+    _INTS, _NONZERO, _NONZERO, _BIG_PRIMES, st.integers(2, 1000))
+_RATIONAL_OR_FLOAT = (st.fractions(max_denominator=10 ** 12) | _INTS
+                      | st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SURDS | _RATIONAL_OR_FLOAT, st.integers(0, 130))
+def test_phase_fracs_bit_identical_to_per_index(alpha, K):
+    assert _bits(phase_fracs(alpha, K)) == _bits(_per_index(alpha, K))
+
+
+# fewer, shorter cases: each exact reference step trial-divides the radicand
+@settings(max_examples=10, deadline=None)
+@given(_HIDDEN_SQUARES, st.integers(0, 33))
+def test_phase_fracs_bit_identical_with_hidden_squares(alpha, K):
+    assert _bits(phase_fracs(alpha, K)) == _bits(_per_index(alpha, K))

@@ -15,7 +15,7 @@ from siegelkit.cf import (
     special_sequence_main,
 )
 from siegelkit.errors import DomainError, OverflowGuard, RadiusTooLarge, SmallDivisorBlowup
-from siegelkit.germs import FlowFamily, Germ, QuadraticFamily, RotationFamily
+from siegelkit.germs import FlowFamily, Germ, QuadraticFamily, RotationFamily, phase_fracs
 from siegelkit.linearize import (
     EscapeParams,
     _divisor,
@@ -135,8 +135,9 @@ def test_small_divisor_exact_predicate():
 ], ids=["2/7", "golden", "seq-1/3", "seq-5/8", "seq-7/13", "float"])
 def test_divisor_matches_per_index_reference(alpha):
     rho = RotationFamily().at(alpha).multiplier()
+    phases = phase_fracs(alpha, 300)
     for n in range(2, 301):
-        assert _divisor(alpha, rho, n) == small_divisor(alpha, n)
+        assert _divisor(phases[n - 1], rho) == small_divisor(alpha, n)
 
 
 def test_rational_requires_opt_in():
