@@ -18,9 +18,9 @@ estimate only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,14 +75,17 @@ class HParams:
     ceiling: float = 6.0
 
 
-def _heights_admissible(F: LiftMap, h: float, p: HParams) -> bool:
-    """Every orbit of the Re-grid at height h stays in the upper half-plane
-    for ``max_iter`` steps.  The real part is reduced mod 1 before each step
+def _heights_admissible(F: LiftMap, hs: Sequence[float], p: HParams) -> List[bool]:
+    """For each height h in ``hs``: every orbit of the Re-grid at h stays in
+    the upper half-plane for ``max_iter`` steps.  All heights share one kernel
+    call, one group of ``re_samples`` points each, and each verdict is the one
+    its height gets alone.  The real part is reduced mod 1 before each step
     (F commutes with the unit translation), which keeps the exponential
     evaluation accurate on long orbits; ``Im Z > 0`` is False on NaN."""
-    Z = np.arange(p.re_samples) / p.re_samples + 1j * h
-    return bool(_orbits_stay(lambda Z, _: F.eval_vec(Z - np.floor(Z.real)), Z[None],
-                             p.max_iter, inside=lambda Z: Z.imag > 0.0)[0])
+    re = np.arange(p.re_samples) / p.re_samples
+    Z = np.array([re + 1j * h for h in hs])
+    return _orbits_stay(lambda Z, _: F.eval_vec(Z - np.floor(Z.real)), Z,
+                        p.max_iter, inside=lambda Z: Z.imag > 0.0).tolist()
 
 
 def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
@@ -93,17 +96,36 @@ def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
     detected, never undone, so estimates shrink as budgets shrink.  A doubling
     search finds an admissible height; the bisection shared with the escape
     estimator then narrows [0, hi], an inadmissible height raising ``lo``.
+
+    An admissible height costs a full ``max_iter`` run; an inadmissible one
+    escapes early.  So a height with no verdict yet goes through one kernel
+    call together with the chain below it: the mids the bisection would ask
+    next if each were admissible, down to where the bracket closes.  Verdicts
+    are kept for this call only, so a height the doubling search tested is
+    not tested again.  Each verdict is the one its height gets alone, so the
+    heights asked, their verdicts and the result are those of one height per
+    call; only chain nodes below an inadmissible height go unused.
     """
     if len(F.h_coeffs) == 0 or not np.any(F.h_coeffs):
         return 0.0  # exact translation: every height is admissible
-    hi = max(4 * params.im_bisect, 0.05)
-    while not _heights_admissible(F, hi, params):
-        hi *= 2.0
-        if hi > params.ceiling:
+    tol = params.im_bisect
+    lo, hi = [0.0], [max(4 * tol, 0.05)]
+    verdicts: Dict[float, bool] = {}  # height -> admissible, this call only
+
+    def admissible(h: float) -> bool:
+        if h not in verdicts:
+            chain = [h]
+            while chain[-1] - lo[0] > tol:
+                chain.append(0.5 * (lo[0] + chain[-1]))
+            todo = [x for x in chain if x not in verdicts]
+            verdicts.update(zip(todo, _heights_admissible(F, todo, params)))
+        return verdicts[h]
+
+    while not admissible(hi[0]):
+        hi[0] *= 2.0
+        if hi[0] > params.ceiling:
             raise NoAdmissibleHeight(f"no admissible height below {params.ceiling}")
-    lo, hi = [0.0], [hi]
-    _bisect(lambda _, mids: [not _heights_admissible(F, mids[0], params)],
-            lo, hi, params.im_bisect)
+    _bisect(lambda _, mids: [not admissible(mids[0])], lo, hi, tol)
     return hi[0]
 
 
@@ -128,6 +150,9 @@ class RenormSetup:
     beta_prime: float
     y0: Optional[float] = None
     y0_analytic: Optional[float] = None
+    # Re H(i y) per height y: the strip's right edge, a pure function of y
+    _edge: Dict[float, float] = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     # -- exact facts ---------------------------------------------------------
 
@@ -179,7 +204,10 @@ class RenormSetup:
         x = Z.real / self.beta
         if x < 0.0:
             return False
-        return x < self.H(1j * Z.imag).real / self.beta
+        edge = self._edge.get(Z.imag)
+        if edge is None:
+            edge = self._edge[Z.imag] = self.H(1j * Z.imag).real
+        return x < edge / self.beta
 
     def default_budget(self) -> int:
         # twice the asymptotic hop bound 3 (1 + |beta'/beta|)

@@ -15,7 +15,6 @@ against their 2^-(n+j) ladder) instead of asserting the limit theorem.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -178,6 +177,7 @@ def scan_r(fam: GermFamily, alphas: Sequence[ExactReal],
     workers = min(workers, len(alphas))
     if workers <= 1:
         return _scan_chunk((fam, alphas, p))
+    from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for it
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = list(pool.map(_scan_chunk, [(fam, alphas[w::workers], p)
                                              for w in range(workers)]))

@@ -83,7 +83,15 @@ class QuadraticIrrational:
         s, d0 = _squarefree_split(d)
         b *= s
         if d0 == 1:  # perfect-square d: sqrt contributes the integer b
-            a, b, d0 = a + b, 0, 2
+            return Fraction(a + b, c)
+        return cls._over(a, b, c, d0)
+
+    @classmethod
+    def _over(cls, a: int, b: int, c: int, d: int) -> ExactReal:
+        """(a + b*sqrt(d))/c for integers with c != 0 and d the radicand of a
+        constructed value, which the square-free split leaves as it is: only
+        the sign, the gcd and b == 0 are normalized.  Arithmetic keeps its
+        operand's radicand and builds its results here."""
         if b == 0:
             return Fraction(a, c)
         if c < 0:
@@ -95,7 +103,7 @@ class QuadraticIrrational:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d0)
+        object.__setattr__(self, "d", d)
         return self
 
     def __setattr__(self, name, value):
@@ -121,14 +129,14 @@ class QuadraticIrrational:
     # -- ring operations ----------------------------------------------------
 
     def __neg__(self):
-        return QuadraticIrrational(-self.a, -self.b, self.c, self.d)
+        return QuadraticIrrational._over(-self.a, -self.b, self.c, self.d)
 
     def __add__(self, other):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
         a2, b2, c2 = co
-        return QuadraticIrrational(
+        return QuadraticIrrational._over(
             self.a * c2 + a2 * self.c, self.b * c2 + b2 * self.c, self.c * c2, self.d
         )
 
@@ -147,7 +155,7 @@ class QuadraticIrrational:
         if co is None:
             return NotImplemented
         a2, b2, c2 = co
-        return QuadraticIrrational(
+        return QuadraticIrrational._over(
             self.a * a2 + self.b * b2 * self.d,
             self.a * b2 + self.b * a2,
             self.c * c2,
@@ -157,7 +165,7 @@ class QuadraticIrrational:
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadraticIrrational":
-        return QuadraticIrrational(self.a, -self.b, self.c, self.d)
+        return QuadraticIrrational._over(self.a, -self.b, self.c, self.d)
 
     def __truediv__(self, other):
         co = self._coerce(other)
@@ -170,7 +178,7 @@ class QuadraticIrrational:
             raise ZeroDivisionError("division by zero")
         na = (self.a * a2 - self.b * b2 * self.d) * c2
         nb = (self.b * a2 - self.a * b2) * c2
-        return QuadraticIrrational(na, nb, self.c * norm, self.d)
+        return QuadraticIrrational._over(na, nb, self.c * norm, self.d)
 
     def __rtruediv__(self, other):
         co = self._coerce(other)
@@ -180,7 +188,7 @@ class QuadraticIrrational:
         norm = self.a * self.a - self.b * self.b * self.d
         na = (a2 * self.a - b2 * self.b * self.d) * self.c
         nb = (b2 * self.a - a2 * self.b) * self.c
-        return QuadraticIrrational(na, nb, c2 * norm, self.d)
+        return QuadraticIrrational._over(na, nb, c2 * norm, self.d)
 
     # -- order and equality -------------------------------------------------
 
@@ -307,8 +315,8 @@ def exact_sign(x: ExactReal) -> int:
 
 def _sub_sign(x: QuadraticIrrational, a: int, b: int, c: int) -> int:
     """sign of x - (a + b sqrt(x.d))/c."""
-    diff = QuadraticIrrational(x.a * c - a * x.c, x.b * c - b * x.c,
-                               x.c * c, x.d)
+    diff = QuadraticIrrational._over(x.a * c - a * x.c, x.b * c - b * x.c,
+                                     x.c * c, x.d)
     if isinstance(diff, Fraction):
         v = diff.numerator
         return (v > 0) - (v < 0)

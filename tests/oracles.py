@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from siegelkit.cf import CFExpansion
-from siegelkit.errors import NoAdmissibleHeight
+from siegelkit.errors import DomainError, NoAdmissibleHeight
 from siegelkit.surd import floor_exact, to_float
 
 
@@ -169,6 +169,12 @@ def sequential_h_of_lift(F, params):
 
     if len(F.h_coeffs) == 0 or not np.any(F.h_coeffs):
         return 0.0
+    return sequential_h_bisection(admissible, params)
+
+
+def sequential_h_bisection(admissible, params):
+    """The doubling search and bisection of h_of_lift over the verdicts of
+    ``admissible``, one height at a time."""
     hi = max(4 * params.im_bisect, 0.05)
     while not admissible(hi):
         hi *= 2.0
@@ -182,3 +188,16 @@ def sequential_h_of_lift(F, params):
         else:
             lo = mid
     return hi
+
+
+def in_fundamental_domain_unmemoized(setup, Z):
+    """RenormSetup.in_fundamental_domain with the strip's right edge
+    recomputed by a full hop on every call, as before the edge was kept."""
+    if setup.y0 is None:
+        raise DomainError("y0 not set")
+    if Z.imag <= setup.y0:
+        return False
+    x = Z.real / setup.beta
+    if x < 0.0:
+        return False
+    return x < setup.H(1j * Z.imag).real / setup.beta

@@ -302,8 +302,7 @@ def test_phase_fracs_bit_identical_to_per_index(alpha, K):
     assert _bits(phase_fracs(alpha, K)) == _bits(_per_index(alpha, K))
 
 
-# fewer, shorter cases: each exact reference step trial-divides the radicand
-@settings(max_examples=10, deadline=None)
-@given(_HIDDEN_SQUARES, st.integers(0, 33))
+@settings(max_examples=40, deadline=None)
+@given(_HIDDEN_SQUARES, st.integers(0, 130))
 def test_phase_fracs_bit_identical_with_hidden_squares(alpha, K):
     assert _bits(phase_fracs(alpha, K)) == _bits(_per_index(alpha, K))

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from siegelkit import renorm
 from siegelkit.errors import (
     BudgetExceeded,
     ConditionsNeverMet,
@@ -15,6 +18,7 @@ from siegelkit.errors import (
 from siegelkit.germs import FlowFamily, LiftMap, QuadraticFamily, lift_of_germ
 from siegelkit.renorm import (
     HParams,
+    RenormSetup,
     _heights_admissible,
     build_HJ,
     extended_trace,
@@ -29,7 +33,11 @@ from siegelkit.renorm import (
 from siegelkit.linearize import _orbits_stay
 from siegelkit.surd import QuadraticIrrational, to_float
 
-from .oracles import sequential_h_of_lift
+from .oracles import (
+    in_fundamental_domain_unmemoized,
+    sequential_h_bisection,
+    sequential_h_of_lift,
+)
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
 S2M1 = QuadraticIrrational(0, 1, 1, 2) - 1
@@ -48,7 +56,7 @@ def test_translation_never_escapes():
     Z = np.array([[0.3 + 0.5j, 0.9 + 0.5j]])
     assert _orbits_stay(lambda Z, _: F.eval_vec(Z - np.floor(Z.real)), Z, 500,
                         inside=lambda Z: np.abs(Z.imag - 0.5) < 1e-12)[0]
-    assert _heights_admissible(F, 0.5, HParams(max_iter=500))
+    assert _heights_admissible(F, [0.5], HParams(max_iter=500)) == [True]
 
 
 def test_displacement_bounded_by_h_norm():
@@ -63,7 +71,7 @@ def test_displacement_bounded_by_h_norm():
 def test_parabolic_lift_escapes_low():
     g = QuadraticFamily().at(Fraction(1, 2), 8)
     F = lift_of_germ(g, order=128)
-    assert not _heights_admissible(F, 0.02, HParams(max_iter=10_000, re_samples=8))
+    assert _heights_admissible(F, [0.02], HParams(max_iter=10_000, re_samples=8)) == [False]
 
 
 def test_h_of_translation_zero():
@@ -94,6 +102,69 @@ def test_h_of_lift_matches_sequential_bisection(make_lift):
     params = HParams(max_iter=200)
     assert _outcome(lambda: h_of_lift(F, params)) == \
         _outcome(lambda: sequential_h_of_lift(F, params))
+
+
+_KERNEL_PARAMS = HParams(max_iter=200)
+_KERNEL_HEIGHTS = (0.0125, 0.02, 0.03, 0.06, 0.1, 0.2, 0.22, 0.25, 0.27, 0.3, 0.8)
+
+
+def _kernel_pool():
+    """Golden quadratic, flow and parabolic lifts with each pool height's
+    verdict tested alone."""
+    lifts = [golden_quadratic_lift(),
+             lift_of_germ(FlowFamily([1.0], 0.5).at(GOLDEN, 24), order=64),
+             lift_of_germ(QuadraticFamily().at(Fraction(1, 2), 8), order=128)]
+    return [(F, [_heights_admissible(F, [h], _KERNEL_PARAMS)[0] for h in _KERNEL_HEIGHTS])
+            for F in lifts]
+
+
+_KERNEL_POOL = _kernel_pool()
+
+
+def test_kernel_pool_mixes_verdicts():
+    assert all(set(alone) == {True, False} for _, alone in _KERNEL_POOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(_KERNEL_POOL) - 1),
+       st.lists(st.integers(0, len(_KERNEL_HEIGHTS) - 1), min_size=1, max_size=8))
+def test_heights_admissible_batch_independent(lift, picks):
+    # random subsets, orders and duplicates: each verdict is its height's own
+    F, alone = _KERNEL_POOL[lift]
+    assert _heights_admissible(F, [_KERNEL_HEIGHTS[i] for i in picks], _KERNEL_PARAMS) == \
+        [alone[i] for i in picks]
+
+
+# Verdict tables that are not monotone in height.  Doubling tests 0.05 (with
+# the chain below it), 0.1, 0.2 (all inadmissible) and 0.4; the bisection
+# then asks 0.2 again.
+#  - "island": the chain below 0.3 holds admissible 0.225 and 0.2125 under the
+#    inadmissible 0.25, off the bisection's path;
+#  - "long-chain": 0.3 down to 0.20625 admissible (0.26 to 0.3 is not), one
+#    call for all five.
+_TABLES = {
+    "island": lambda h: h >= 0.3 or 0.21 < h < 0.24,
+    "long-chain": lambda h: h >= 0.3 or 0.205 < h < 0.26,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_h_of_lift_chain_follows_sequential_path(monkeypatch, name):
+    table = _TABLES[name]
+    asked = []
+    sequential = sequential_h_bisection(lambda h: asked.append(h) or table(h), HParams())
+    calls = []
+
+    def kernel(F, hs, p):
+        calls.append(list(hs))
+        return [table(h) for h in hs]
+
+    monkeypatch.setattr(renorm, "_heights_admissible", kernel)
+    assert h_of_lift(golden_quadratic_lift(order=16), HParams()) == sequential
+    assert len(calls) < len(asked)
+    assert len(calls[4]) > 1  # the bisection's first chain is one call
+    tested = [h for hs in calls for h in hs]
+    assert len(set(tested)) == len(tested)  # no height is tested twice
 
 
 def test_h_golden_quadratic_stable():
@@ -446,3 +517,24 @@ def test_rotnum_h0_estimate_small_for_translation():
     find_y0(s)
     rep = renormalized_rotation_number(s, height=1.0, n_returns=50)
     assert rep.H0_estimate <= 0.5
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_strip_edge_memo_matches_unmemoized(monkeypatch, k):
+    F = golden_quadratic_lift()
+
+    def run():
+        s = build_HJ(F, k)
+        y0 = find_y0(s)
+        height = y0 + 20 * abs(s.beta)
+        rep = renormalized_rotation_number(s, height=height, n_returns=200)
+        traces = [extended_trace(s, complex(0.0, height + 0.07 * j)) for j in range(8)]
+        return s, dataclasses.asdict(rep), traces
+
+    memo_setup, memo_rep, memo_traces = run()
+    assert memo_setup._edge  # the memo was filled and used
+    monkeypatch.setattr(RenormSetup, "in_fundamental_domain", in_fundamental_domain_unmemoized)
+    plain_setup, plain_rep, plain_traces = run()
+    assert not plain_setup._edge
+    assert memo_rep == plain_rep
+    assert memo_traces == plain_traces

@@ -5,9 +5,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siegelkit.surd import (
     QuadraticIrrational,
+    _squarefree_split,
     bracket,
     exact_cmp,
     exact_sign,
@@ -139,3 +141,27 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         x.a = 5
     assert hash(1 + S2) == hash((3 + 3 * S2) / 3)
+
+
+_INTS = st.integers(-10 ** 9, 10 ** 9)
+_NONZERO = st.integers(1, 10 ** 9) | st.integers(-10 ** 9, -1)
+# radicands with and without a square factor above the split's trial bound
+_RADICANDS = st.integers(2, 10 ** 6) | st.builds(
+    lambda p, d0: p * p * d0, st.sampled_from([10007, 65537, 999983]), st.integers(2, 1000))
+_SURDS = st.builds(QuadraticIrrational, _INTS, _NONZERO, _NONZERO, _RADICANDS).filter(
+    lambda x: isinstance(x, QuadraticIrrational))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SURDS, _INTS, _NONZERO, _NONZERO, st.fractions(max_denominator=10 ** 6))
+def test_stored_radicand_is_split_fixed_point(x, a, b, c, q):
+    # arithmetic builds its results over the operand's radicand without
+    # splitting it again; that is exact only if the split leaves it as it is
+    y = QuadraticIrrational(a, b, c, x.d)
+    results = [x, y, -x, x.conjugate(), x + y, x - y, x * y, x / y, q / x, x + q, x * q]
+    for r in results:
+        if isinstance(r, QuadraticIrrational):
+            assert r.d == x.d
+            assert _squarefree_split(r.d) == (1, r.d)
+            again = QuadraticIrrational(r.a, r.b, r.c, r.d)
+            assert (again.a, again.b, again.c, again.d) == (r.a, r.b, r.c, r.d)
