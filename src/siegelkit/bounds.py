@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Dict, Optional
 
 from .cf import CFExpansion

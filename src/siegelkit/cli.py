@@ -171,15 +171,16 @@ def build_parser() -> _Parser:
     _add_family(p)
     _add_common(p)
 
+    esc = EscapeParams()
     p = sub.add_parser("radius", help="conformal-radius estimators")
     p.add_argument("op", choices=("hadamard", "escape"))
     p.add_argument("--alpha", required=True)
     p.add_argument("--N", type=int, default=256)
     p.add_argument("--window", type=int, default=128)
-    p.add_argument("--max-iter", type=int, default=10_000)
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--bisect-tol", type=float, default=1e-3)
-    p.add_argument("--residual-tol", type=float, default=1e-8)
+    p.add_argument("--max-iter", type=int, default=esc.max_iter)
+    p.add_argument("--samples", type=int, default=esc.circle_samples)
+    p.add_argument("--bisect-tol", type=float, default=esc.bisect_tol)
+    p.add_argument("--residual-tol", type=float, default=esc.residual_tol)
     _add_family(p)
     _add_common(p)
 
@@ -187,7 +188,7 @@ def build_parser() -> _Parser:
     p.add_argument("op", choices=("h", "build"))
     p.add_argument("--alpha", required=True)
     p.add_argument("--N", type=int, default=128)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--max-iter", type=int, default=HParams().max_iter)
     _add_family(p)
     _add_common(p)
 
@@ -394,7 +395,7 @@ def cmd_renorm(args, cfg) -> str:
                           indent=1, sort_keys=True)
     height = y0 + args.height_mult * abs(setup.beta)
     if args.op == "return":
-        sample, trace = return_map(setup, complex(0, height), keep_trace=True)
+        sample, trace = return_map(setup, complex(0, height))
         if args.trace:
             _write_trace(args.trace, setup, trace)
         return json.dumps({**_cfg_header(cfg), "hops": sample.hops,
@@ -404,7 +405,7 @@ def cmd_renorm(args, cfg) -> str:
                           indent=1, sort_keys=True)
     rep = renormalized_rotation_number(setup, height, args.returns, cfg=cfg)
     if args.trace:
-        _, trace = return_map(setup, complex(0, height), keep_trace=True)
+        _, trace = return_map(setup, complex(0, height))
         _write_trace(args.trace, setup, trace)
     return skio.renorm_report_json(rep, extra={"config": format_config(cfg)})
 

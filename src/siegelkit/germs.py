@@ -140,27 +140,17 @@ def eval_germ(g: Germ, z: complex) -> complex:
 class GermFamily:
     """Family alpha -> germ on a working interval; subclasses stay picklable."""
 
-    kind = "abstract"
-    restriction_radius = 1.0
-
     def at(self, alpha: AlphaHandle, order: int = DEFAULT_ORDER) -> Germ:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "restriction_radius": self.restriction_radius}
-
 
 class RotationFamily(GermFamily):
-    kind = "rotation"
-
     def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
         return Germ(alpha, np.zeros(0, dtype=np.complex128))
 
 
 class QuadraticFamily(GermFamily):
     """e^{2 pi i alpha} z + z^2 conjugated by z -> z/s onto the unit disk."""
-
-    kind = "quadratic"
 
     def __init__(self, restriction_radius: float = 1.0):
         if not 0 < restriction_radius <= 1:
@@ -170,19 +160,12 @@ class QuadraticFamily(GermFamily):
     def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
         return Germ(alpha, np.array([self.restriction_radius], dtype=np.complex128))
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "restriction_radius": self.restriction_radius}
-
 
 class PolynomialFamily(GermFamily):
     """Custom coefficient rule b(alpha); the rule gets (alpha, order)."""
 
-    kind = "polynomial"
-
-    def __init__(self, coeff_rule: Callable[[AlphaHandle, int], Sequence[complex]],
-                 restriction_radius: float = 1.0):
+    def __init__(self, coeff_rule: Callable[[AlphaHandle, int], Sequence[complex]]):
         self.coeff_rule = coeff_rule
-        self.restriction_radius = float(restriction_radius)
 
     def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
         return Germ(alpha, np.asarray(self.coeff_rule(alpha, order), dtype=np.complex128))
@@ -196,8 +179,6 @@ class FlowFamily(GermFamily):
     The restriction radius conjugates by z -> z/s so the germ lives on the
     unit disk even when the flow is incomplete near the boundary.
     """
-
-    kind = "flow"
 
     def __init__(self, chi: Sequence[complex], restriction_radius: float = 0.5):
         self.chi = tuple(complex(c) for c in chi)
@@ -239,10 +220,6 @@ class FlowFamily(GermFamily):
         ft = series.compose(psi_inv, u * psi, order)
         tail = _tail_estimate(ft)
         return Germ(alpha, ft[2:], tail_bound=tail)
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "restriction_radius": self.restriction_radius,
-                "chi": [[c.real, c.imag] for c in self.chi]}
 
 
 def _tail_estimate(coeffs: np.ndarray) -> float:
@@ -307,7 +284,6 @@ class LiftMap:
     alpha: float
     h_coeffs: np.ndarray              # h_1 .. h_M (w-powers; h(0) = 0)
     alpha_exact: Optional[ExactReal] = None
-    source: Optional[Germ] = None
 
     def __post_init__(self):
         self.h_coeffs = np.asarray(self.h_coeffs, dtype=np.complex128)
@@ -332,11 +308,11 @@ class LiftMap:
 
 
 def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER,
-                 check_height: float = 0.2, check_samples: int = 128) -> LiftMap:
+                 check_height: float = 0.2) -> LiftMap:
     """Lift through E(z) = e^{2 pi i z}, normalizing the log branch by 1/(2 pi i).
 
-    Requires f(z) = e^{2 pi i alpha} z g(z) with |g - 1| < 1 on the sample
-    circle |w| = e^{-2 pi check_height}, so the principal log is defined.
+    Requires f(z) = e^{2 pi i alpha} z g(z) with |g - 1| < 1 at 128 samples of
+    the circle |w| = e^{-2 pi check_height}, so the principal log is defined.
     """
     rho = g.multiplier()
     u = np.zeros(order + 1, dtype=np.complex128)
@@ -344,12 +320,11 @@ def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER,
     for m in range(2, m_top + 1):
         u[m - 1] = g.coeffs[m - 2] / rho
     r_check = math.exp(-2 * math.pi * check_height)
-    ws = r_check * np.exp(TWO_PI_I * np.arange(check_samples) / check_samples)
+    ws = r_check * np.exp(TWO_PI_I * np.arange(128) / 128)
     gm1 = np.abs(series.polyval_vec(u, ws))
     if float(np.max(gm1)) >= 1.0:
         raise FactorizationError(
             f"|g - 1| reaches {float(np.max(gm1)):.3f} on |w| = {r_check:.3f}")
     h = series.log1p_series(u, order) / TWO_PI_I
     return LiftMap(alpha=to_float(g.alpha), h_coeffs=h[1:],
-                   alpha_exact=g.alpha if not isinstance(g.alpha, float) else None,
-                   source=g)
+                   alpha_exact=g.alpha if not isinstance(g.alpha, float) else None)

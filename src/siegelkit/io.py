@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import io as _io
 import json
 import time
 from fractions import Fraction

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -89,7 +89,6 @@ def _divisor(phase: float, rho: complex) -> complex:
 
 
 def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
-                         divisor_floor: float = DIVISOR_FLOOR,
                          mag_cap: float = MAG_CAP,
                          on_failure: str = "raise") -> LinearizationSeries:
     """Solve the linearization recursion up to order N.
@@ -136,27 +135,24 @@ def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
         numer[n] = abs(Pn)
         div = _divisor(phases[n - 1], rho)
         # a rational's residue (n-1) p mod q is zero exactly when q | (n-1)
-        exact_zero = (rational and phases[n - 1] == 0.0) or abs(div) < divisor_floor
+        exact_zero = (rational and phases[n - 1] == 0.0) or abs(div) < DIVISOR_FLOOR
+        failure = None
         if exact_zero:
             sdlog[n] = -math.inf
             if abs(Pn) > NUMERATOR_FLOOR:
-                if on_failure == "truncate":
-                    return LinearizationSeries(
-                        alpha=g.alpha, a=a[:n], small_divisor_log=sdlog[:n],
-                        numerators=numer[:n])
-                raise SmallDivisorBlowup(
-                    f"pole at n={n}: divisor 0, |P|={abs(Pn):.3e}")
+                failure = SmallDivisorBlowup(f"pole at n={n}: divisor 0, |P|={abs(Pn):.3e}")
             a[n] = 0.0
         else:
             sdlog[n] = math.log(abs(div))
             a[n] = Pn / div
             if abs(a[n]) > mag_cap:
-                if on_failure == "truncate":
-                    return LinearizationSeries(
-                        alpha=g.alpha, a=a[:n], small_divisor_log=sdlog[:n],
-                        numerators=numer[:n])
-                raise OverflowGuard(f"|a_{n}| = {abs(a[n]):.3e} exceeds cap")
-        if mm >= 1 and n <= N:
+                failure = OverflowGuard(f"|a_{n}| = {abs(a[n]):.3e} exceeds cap")
+        if failure is not None:
+            if on_failure == "raise":
+                raise failure
+            return LinearizationSeries(alpha=g.alpha, a=a[:n], small_divisor_log=sdlog[:n],
+                                       numerators=numer[:n])
+        if mm >= 1:
             pow_tab[1, n] = a[n]
     return LinearizationSeries(alpha=g.alpha, a=a, small_divisor_log=sdlog,
                                numerators=numer)
@@ -175,10 +171,8 @@ def compose_check(g: Germ, phi: LinearizationSeries, N: Optional[int] = None) ->
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def pole_cancellation_probe(fam: GermFamily, p: int, q: int, n: int,
-                            approach_seq: Optional[Sequence[Fraction]] = None,
-                            order: Optional[int] = None) -> dict:
-    """Track |P_{b,n}| along alpha = p/q + eps for shrinking exact eps.
+def pole_cancellation_probe(fam: GermFamily, p: int, q: int, n: int) -> dict:
+    """Track |P_{b,n}| along alpha = p/q + eps for eps = 10^-1, ..., 10^-8.
 
     A vanishing limit certifies cancellation (the family linearizes at p/q at
     this index, degenerate-type behaviour); a nonzero limit is a pole and the
@@ -186,14 +180,12 @@ def pole_cancellation_probe(fam: GermFamily, p: int, q: int, n: int,
     """
     if n < 2 or (n - 1) % q != 0:
         raise DomainError("need n >= 2 with q | (n - 1)")
-    if approach_seq is None:
-        approach_seq = [Fraction(1, 10 ** j) for j in range(1, 9)]
     base = Fraction(p, q)
-    ord_n = order or max(n, 8)
     rows = []
-    for eps in approach_seq:
-        alpha = base + Fraction(eps)
-        germ = fam.at(alpha, ord_n)
+    for j in range(1, 9):
+        eps = Fraction(1, 10 ** j)
+        alpha = base + eps
+        germ = fam.at(alpha, max(n, 8))
         lin = linearization_coeffs(germ, n, allow_rational=True)
         rows.append({
             "eps": float(eps),
@@ -361,7 +353,7 @@ def escape_radii(germs: Sequence[Germ], phis: Sequence[Optional[LinearizationSer
         else:
             lower, upper, diag = lo[i], hi[i], "bracket from bisection"
         out.append(RadiusEstimate(lower=lower, upper=upper, method="escape",
-                                  params=_escape_params_dict(params), diagnostics=diag))
+                                  params=asdict(params), diagnostics=diag))
     return out
 
 
@@ -380,12 +372,6 @@ def escape_radius(g: Germ, phi: Optional[LinearizationSeries],
     return escape_radii([g], [phi], params)[0]
 
 
-def _escape_params_dict(p: EscapeParams) -> Dict[str, float]:
-    return {"max_iter": p.max_iter, "circle_samples": p.circle_samples,
-            "bisect_tol": p.bisect_tol, "residual_tol": p.residual_tol,
-            "cap": p.cap}
-
-
 def _circle_sup_norms(coeffs: np.ndarray, rho: float, order: int,
                       samples: int) -> List[float]:
     """sup_{|z| = rho} |p^{(j)}(z)| for j = 0..order of the polynomial with
@@ -398,9 +384,10 @@ def _circle_sup_norms(coeffs: np.ndarray, rho: float, order: int,
     return out
 
 
-def boundary_derivative_norms(phi: LinearizationSeries, rho: float, order: int,
-                              samples: int = 256) -> List[float]:
-    """sup_{|z| = rho} |phi^{(j)}(z)| for j = 0..order, by circle sampling.
+def boundary_derivative_norms(phi: LinearizationSeries, rho: float,
+                              order: int) -> List[float]:
+    """sup_{|z| = rho} |phi^{(j)}(z)| for j = 0..order, sampled at 256 points
+    of the circle.
 
     Refuses radii where the stored truncation visibly has not converged.
     """
@@ -410,4 +397,4 @@ def boundary_derivative_norms(phi: LinearizationSeries, rho: float, order: int,
     scale = max(1.0, float(np.max(np.abs(coeffs[: N // 2 + 1])) * rho ** 2))
     if not math.isfinite(top) or top > 1e-8 * scale:
         raise RadiusTooLarge(f"tail term |a_N| rho^N = {top:.3e} too large at rho = {rho}")
-    return _circle_sup_norms(coeffs, rho, order, samples)
+    return _circle_sup_norms(coeffs, rho, order, 256)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,13 +88,17 @@ def _heights_admissible(F: LiftMap, hs: Sequence[float], p: HParams) -> List[boo
 
 
 def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
-    """Smallest sampled admissible height (an upper-flavored estimate of h(F)).
+    """An admissible height h with an inadmissible one at most ``im_bisect``
+    below it, or with h <= ``im_bisect`` (an upper-flavored estimate of h(F)).
 
     A height is admissible when every orbit started on a Re-grid at that
     height stays in the half-plane for ``max_iter`` steps; escape can only be
     detected, never undone, so estimates shrink as budgets shrink.  A doubling
     search finds an admissible height; the bisection shared with the escape
     estimator then narrows [0, hi], an inadmissible height raising ``lo``.
+    At a finite budget admissibility need not be monotone in the height, so
+    h need not be the smallest admissible height sampled: an admissible
+    island below an inadmissible mid is never entered.
 
     An admissible height costs a full ``max_iter`` run; an inadmissible one
     escapes early.  So a height with no verdict yet goes through one kernel
@@ -243,8 +246,6 @@ def build_HJ(F: LiftMap, k: int) -> RenormSetup:
 
 
 def find_y0(setup: RenormSetup,
-            re_samples: int = 8,
-            height_offsets: Sequence[float] = (0.01, 0.05, 0.2, 1.0),
             candidates: Optional[Sequence[float]] = None,
             ceiling: float = 6.0) -> float:
     """Smallest sampled height above which the 1/10-closeness conditions hold.
@@ -252,16 +253,17 @@ def find_y0(setup: RenormSetup,
     Grid test of |H - Z - beta| <= |beta|/10, |J - Z - beta'| <= |beta|/10
     (the hop's beta on the right-hand side in both), and both derivatives
     within 1/10 of 1, derivatives taken by the chain rule through the lift.
+    The grid is 8 real parts at the heights y + 0.01, 0.05, 0.2 and 1.0.
     Stores the height on the setup together with the analytic-style
     prediction max(0, href + log(10 M / |beta|)/(2 pi)) and returns it.
     """
     if candidates is None:
         candidates = [0.0] + list(np.geomspace(0.01, ceiling, 48))
     tol = abs(setup.beta) / 10.0
-    res = np.arange(re_samples) / re_samples
+    res = np.arange(8) / 8
 
     def conditions_hold(y: float) -> bool:
-        for dy in height_offsets:
+        for dy in (0.01, 0.05, 0.2, 1.0):
             for x in res:
                 Z = complex(x, y + dy)
                 try:
@@ -283,16 +285,16 @@ def find_y0(setup: RenormSetup,
     raise ConditionsNeverMet(f"1/10-conditions fail below height {ceiling}")
 
 
-def y0_analytic_prediction(setup: RenormSetup, ref_height: float = 0.5,
-                           re_samples: int = 8) -> float:
-    """Paper-style prediction: measure sup|H - Z - beta| at a reference height
-    and solve for the height where the exponential decay meets |beta|/10."""
-    res = np.arange(re_samples) / re_samples
-    m = max(abs(setup.H(complex(x, ref_height)) - complex(x, ref_height) - setup.beta)
-            for x in res)
+def y0_analytic_prediction(setup: RenormSetup) -> float:
+    """Paper-style prediction: measure sup|H - Z - beta| at 8 real parts of
+    the reference height 0.5 and solve for the height where the exponential
+    decay meets |beta|/10."""
+    ref = 0.5
+    m = max(abs(setup.H(complex(x, ref)) - complex(x, ref) - setup.beta)
+            for x in np.arange(8) / 8)
     if m == 0:
         return 0.0
-    y = ref_height + math.log(10.0 * m / abs(setup.beta)) / (2 * math.pi)
+    y = ref + math.log(10.0 * m / abs(setup.beta)) / (2 * math.pi)
     return max(0.0, y)
 
 
@@ -310,9 +312,9 @@ class ReturnSample:
 
 
 def return_map(setup: RenormSetup, Z: complex,
-               budget: Optional[int] = None,
-               keep_trace: bool = False) -> Tuple[ReturnSample, Optional[List[complex]]]:
-    """One jump then hops until the first landing back in the strip.
+               budget: Optional[int] = None) -> Tuple[ReturnSample, List[complex]]:
+    """One jump then hops until the first landing back in the strip, and the
+    trace: the start, the jump's image and every hop.
 
     Intermediate points must stay above y0 (otherwise the return is undefined,
     mirroring the partial domain of the first-return map); exceeding the hop
@@ -323,7 +325,7 @@ def return_map(setup: RenormSetup, Z: complex,
     if not setup.in_fundamental_domain(Z):
         raise DomainError("start must lie in the fundamental strip")
     W = setup.J(Z)
-    trace = [Z, W] if keep_trace else None
+    trace = [Z, W]
     path_min = W.imag
     m = 0
     while not setup.in_fundamental_domain(W):
@@ -334,17 +336,15 @@ def return_map(setup: RenormSetup, Z: complex,
         W = setup.H(W)
         m += 1
         path_min = min(path_min, W.imag)
-        if keep_trace:
-            trace.append(W)
+        trace.append(W)
     return ReturnSample(Z=Z, hops=m, RZ=W, path_min_im=path_min), trace
 
 
-def extended_trace(setup: RenormSetup, Z: complex, extra_hops: int = 4,
-                   budget: Optional[int] = None) -> List[complex]:
-    """Return trace continued ``extra_hops`` past the first landing (while the
-    orbit stays above y0); food for the single-pass check."""
-    sample, trace = return_map(setup, Z, budget=budget, keep_trace=True)
-    return _hop_on(setup, sample.RZ, trace, extra_hops)
+def extended_trace(setup: RenormSetup, Z: complex) -> List[complex]:
+    """Return trace continued 4 hops past the first landing (while the orbit
+    stays above y0); food for the single-pass check."""
+    sample, trace = return_map(setup, Z)
+    return _hop_on(setup, sample.RZ, trace, 4)
 
 
 def _hop_on(setup: RenormSetup, W: complex, trace: List[complex],
@@ -387,14 +387,14 @@ class RenormReport:
     diagnostics: str = ""
 
 
-def _estimate_H0(setup: RenormSetup, top_height: float, re_points: int = 4,
-                 levels: int = 8) -> float:
-    """Lowest sampled height with the return defined across a Re-grid,
-    reported in lambda units above y0 (additive-constant estimate only)."""
+def _estimate_H0(setup: RenormSetup, top_height: float) -> float:
+    """Lowest of 8 sampled heights with the return defined across a Re-grid
+    of 4 points, reported in lambda units above y0 (additive-constant
+    estimate only)."""
     lowest_ok = top_height
-    for h in np.linspace(top_height, setup.y0 + 0.15 * abs(setup.beta), levels):
+    for h in np.linspace(top_height, setup.y0 + 0.15 * abs(setup.beta), 8):
         ok = True
-        for x in np.linspace(0.0, 0.9, re_points):
+        for x in np.linspace(0.0, 0.9, 4):
             Z = complex(x * setup.beta, h)
             if not setup.in_fundamental_domain(Z):
                 continue
@@ -412,9 +412,7 @@ def _estimate_H0(setup: RenormSetup, top_height: float, re_points: int = 4,
 
 def renormalized_rotation_number(setup: RenormSetup, height: float,
                                  n_returns: int,
-                                 budget: Optional[int] = None,
-                                 cfg: ConstantConfig = DEFAULT_CONFIG,
-                                 check_single_pass: bool = True) -> RenormReport:
+                                 cfg: ConstantConfig = DEFAULT_CONFIG) -> RenormReport:
     """Iterate the return map and average the lambda-displacement per return.
 
     Each return contributes lam(R(Z)) - lam(Z) - m (the hop count m plays the
@@ -438,8 +436,7 @@ def renormalized_rotation_number(setup: RenormSetup, height: float,
     diag = ""
     for _ in range(n_returns):
         try:
-            sample, trace = return_map(setup, Z, budget=budget,
-                                       keep_trace=check_single_pass)
+            sample, trace = return_map(setup, Z)
         except UndefinedReturn as exc:
             undefined += 1
             diag = f"aborted: {exc}"
@@ -449,8 +446,7 @@ def renormalized_rotation_number(setup: RenormSetup, height: float,
             diag = f"aborted: {exc}"
             break
         disp_sum += setup.lam(sample.RZ) - setup.lam(Z) - sample.hops
-        if check_single_pass and not verify_single_pass(
-                setup, _hop_on(setup, sample.RZ, trace, 3)):
+        if not verify_single_pass(setup, _hop_on(setup, sample.RZ, trace, 3)):
             violations += 1
         Z = sample.RZ
         done += 1

@@ -316,10 +316,9 @@ def main_lemma_probe(fam: GermFamily, pq: Fraction, variant: str, N: int,
 
 
 def degenerate_probe(fam: GermFamily, t_samples: Sequence[ExactReal],
-                     p: ScanParams = DEFAULT_SCAN,
-                     spread_tol: float = 0.05) -> dict:
-    """Relative spread of r_est over irrational parameters; small spread flags
-    degenerate-type behaviour (the linearization domain ignores t)."""
+                     p: ScanParams = DEFAULT_SCAN) -> dict:
+    """Relative spread of r_est over irrational parameters; a spread below
+    0.05 flags degenerate-type behaviour (the linearization domain ignores t)."""
     rows = [{"t": format_exact(t), "t_float": to_float(t),
              "r_lower": est.lower, "r_upper": est.upper}
             for t, est in zip(t_samples, estimate_radii(fam, t_samples, p))]
@@ -327,7 +326,7 @@ def degenerate_probe(fam: GermFamily, t_samples: Sequence[ExactReal],
     mean = sum(lows) / len(lows)
     spread = (max(lows) - min(lows)) / mean if mean > 0 else math.inf
     return {"rows": rows, "spread": spread,
-            "degenerate_flag": bool(spread < spread_tol), "spread_tol": spread_tol}
+            "degenerate_flag": bool(spread < 0.05), "spread_tol": 0.05}
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +383,20 @@ def _rational_above(x: ExactReal, bits: int = 80) -> Fraction:
 
 
 def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
-                       stages: int, p: Optional[ScanParams] = None,
-                       k_range: Sequence[int] = tuple(range(2, 13)),
-                       cap_margin: float = 1e-3) -> List[ConstructionState]:
+                       stages: int, p: Optional[ScanParams] = None) -> List[ConstructionState]:
     """Inductive stand-in for the smooth-boundary construction.
 
     Stage n schedules a strictly decreasing target rho_n, picks theta_n from
-    theta_{n-1}'s special sequence subject to the 2^-(n+j) derivative ladder
-    on the closed target disk and to parent-interval membership, then pins
-    theta_n inside an exact interval certificate.  The measured radius of
-    theta_n stands in for rho_n (recorded, tolerance-stamped: the true dips
-    along the special sequences shrink below any fixed estimator resolution,
-    so nearness to the schedule is reported rather than gated).
+    the members k = 2..12 of theta_{n-1}'s special sequence subject to the
+    2^-(n+j) derivative ladder on the closed target disk and to
+    parent-interval membership, then pins theta_n inside an exact interval
+    certificate.  The measured radius of theta_n stands in for rho_n
+    (recorded, tolerance-stamped: the true dips along the special sequences
+    shrink below any fixed estimator resolution, so nearness to the schedule
+    is reported rather than gated).
 
-    Raises :class:`FamilyUnsuitable` when the start radius already sits at
-    the estimator's domain cap (rho tracking meaningless, the rotation-like
+    Raises :class:`FamilyUnsuitable` when the start radius sits within 1e-3
+    of the estimator's domain cap (rho tracking meaningless, the rotation-like
     degenerate case) and :class:`StageFailed` when no candidate passes.
     """
     if p is None:
@@ -407,7 +405,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
                                            bisect_tol=5e-4))
     germ0, phi0, full0 = _phi_or_none(fam, theta0, p)
     est0 = escape_radius(germ0, phi0, p.escape)
-    if est0.lower >= p.escape.cap - cap_margin:
+    if est0.lower >= p.escape.cap - 1e-3:
         raise FamilyUnsuitable(
             f"r_est(theta0) = {est0.lower} sits at the domain cap; "
             "radius tracking needs a non-degenerate family")
@@ -416,7 +414,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
     if not full0:
         raise StageFailed("no full linearization series at theta0")
     states: List[ConstructionState] = []
-    theta_prev, phi_prev, rho_prev = theta0, phi0, est0.lower
+    theta_prev, phi_prev = theta0, phi0
     interval_prev: Optional[Tuple[Fraction, Fraction]] = None
     for stage in range(1, stages + 1):
         rho_sched = rho_target + (est0.lower - rho_target) * 2.0 ** -stage
@@ -424,7 +422,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
         thresholds = [2.0 ** -(stage + j) for j in range(stage + 1)]
         chosen = None
         diag_parts = []
-        for k in k_range:
+        for k in range(2, 13):
             cand = special_sequence_main(cf_prev, k)
             if interval_prev is not None and not (
                     exact_cmp(interval_prev[0], cand) < 0
@@ -456,16 +454,17 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
             diagnostics=(f"k={k}; |r_est - rho_sched| = "
                          f"{abs(est_n.lower - rho_sched):.4f}; "
                          f"tried: {'; '.join(diag_parts) or 'none'}")))
-        theta_prev, phi_prev, rho_prev, interval_prev = theta_n, phi_n, est_n.lower, interval_n
+        theta_prev, phi_prev, interval_prev = theta_n, phi_n, interval_n
     return states
 
 
 def _deriv_gaps(phi_new: LinearizationSeries, phi_old: LinearizationSeries,
-                rho: float, stage: int, samples: int = 128) -> List[float]:
-    """sup-norms of the j-th derivative differences on |z| = rho, j = 0..stage."""
+                rho: float, stage: int) -> List[float]:
+    """sup-norms of the j-th derivative differences on |z| = rho, j = 0..stage,
+    sampled at 128 points of the circle."""
     n = min(phi_new.order, phi_old.order)
     diff = phi_new.coeff_array()[: n + 1] - phi_old.coeff_array()[: n + 1]
-    return _circle_sup_norms(diff, rho, stage, samples)
+    return _circle_sup_norms(diff, rho, stage, 128)
 
 
 def check_construction_invariants(states: Sequence[ConstructionState],

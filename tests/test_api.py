@@ -1,5 +1,5 @@
 """Every exported name resolves, so a deleted function cannot leave its
-export behind."""
+export behind, and every imported name is used or re-exported."""
 
 import ast
 import importlib
@@ -29,3 +29,26 @@ def test_package_imports_resolve():
             missing += [a.name for a in node.names if not hasattr(src, a.name)]
             missing += [a.name for a in node.names if not hasattr(siegelkit, a.name)]
     assert missing == []
+
+
+def _unused_imports(path):
+    """Names ``path`` imports but neither references nor lists in __all__."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_are_used(name):
+    path = Path(siegelkit.__path__[0]) / f"{name}.py"
+    assert _unused_imports(path) == []

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
-from siegelkit.cli import main
+from siegelkit.cli import build_parser, main
 from siegelkit import io as skio
 from siegelkit.bounds import DEFAULT_CONFIG, const_Cprime
+from siegelkit.linearize import EscapeParams
+from siegelkit.renorm import HParams
 
 
 def run_cli(args, capsys):
@@ -65,6 +67,15 @@ def test_radius_escape(capsys):
                             "--max-iter", "1000", "--bisect-tol", "4e-3"], capsys)
     data = json.loads(out)
     assert 0.2 < data["lower"] <= data["upper"] < 0.45
+
+
+def test_cli_defaults_are_the_dataclass_defaults():
+    radius = build_parser().parse_args(["radius", "escape", "--alpha", "1/3"])
+    esc = EscapeParams()
+    assert (radius.max_iter, radius.samples, radius.bisect_tol, radius.residual_tol) == \
+        (esc.max_iter, esc.circle_samples, esc.bisect_tol, esc.residual_tol)
+    lift = build_parser().parse_args(["lift", "h", "--alpha", "1/3"])
+    assert lift.max_iter == HParams().max_iter
 
 
 def test_usage_error_exit_1(capsys):

@@ -139,7 +139,8 @@ def test_heights_admissible_batch_independent(lift, picks):
 # the chain below it), 0.1, 0.2 (all inadmissible) and 0.4; the bisection
 # then asks 0.2 again.
 #  - "island": the chain below 0.3 holds admissible 0.225 and 0.2125 under the
-#    inadmissible 0.25, off the bisection's path;
+#    inadmissible 0.25, off the bisection's path, so h = 0.3 is not the
+#    smallest admissible height tested;
 #  - "long-chain": 0.3 down to 0.20625 admissible (0.26 to 0.3 is not), one
 #    call for all five.
 _TABLES = {
@@ -160,11 +161,17 @@ def test_h_of_lift_chain_follows_sequential_path(monkeypatch, name):
         return [table(h) for h in hs]
 
     monkeypatch.setattr(renorm, "_heights_admissible", kernel)
-    assert h_of_lift(golden_quadratic_lift(order=16), HParams()) == sequential
+    h = h_of_lift(golden_quadratic_lift(order=16), HParams())
+    assert h == sequential
     assert len(calls) < len(asked)
     assert len(calls[4]) > 1  # the bisection's first chain is one call
-    tested = [h for hs in calls for h in hs]
+    tested = [x for hs in calls for x in hs]
     assert len(set(tested)) == len(tested)  # no height is tested twice
+    # the contract: h is admissible, and a height at most im_bisect below it
+    # was found inadmissible, or h <= im_bisect
+    tol = HParams().im_bisect
+    assert table(h)
+    assert h <= tol or any(not table(x) for x in asked if 0 < h - x <= tol)
 
 
 def test_h_golden_quadratic_stable():
@@ -431,7 +438,7 @@ def test_cone_property_on_hops():
     s = build_HJ(F, 2)
     y0 = find_y0(s)
     Z = complex(0.0, y0 + 10 * abs(s.beta))
-    _, trace = return_map(s, Z, keep_trace=True)
+    _, trace = return_map(s, Z)
     hops = trace[1:]
     for A, B in zip(hops, hops[1:]):
         d = B - A

@@ -1,4 +1,5 @@
 import math
+import operator
 import pickle
 import random
 import time
@@ -165,3 +166,22 @@ def test_stored_radicand_is_split_fixed_point(x, a, b, c, q):
             assert _squarefree_split(r.d) == (1, r.d)
             again = QuadraticIrrational(r.a, r.b, r.c, r.d)
             assert (again.a, again.b, again.c, again.d) == (r.a, r.b, r.c, r.d)
+
+
+# each operation is monotone in each argument on a box that keeps the divisor
+# off 0, so its interval hull is spanned by the four corners
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SURDS, _INTS, _NONZERO, _NONZERO, st.sampled_from(sorted(_OPS)))
+def test_field_arithmetic_meets_fraction_brackets(x, a, b, c, op):
+    # the exact result's bracket meets the Fraction interval arithmetic of
+    # the operands' brackets
+    y = QuadraticIrrational(a, b, c, x.d)
+    xbr, ybr = bracket(x, 64), bracket(y, 64)
+    if op == "/" and ybr[0] <= 0 <= ybr[1]:
+        return
+    corners = [_OPS[op](u, v) for u in xbr for v in ybr]
+    lo, hi = bracket(_OPS[op](x, y), 64)
+    assert lo <= max(corners) and min(corners) <= hi
