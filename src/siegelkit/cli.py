@@ -2,17 +2,23 @@
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (the module error tag
 is printed on stderr).  Every command echoes the active constant configuration
-into its output header, prints parameters both as exact text and derived
-float, and can dump a run manifest for reproducibility.
+into its output header (a ``config`` key in every JSON report, a comment line
+in the scan CSV) and prints parameters both as exact text and derived float.
+``--manifest`` dumps a run manifest that hashes ``--out`` and every side file
+the command wrote (``--trace``, ``--plot-data``).
+
+A handler returns a dict (a JSON report, laid out by ``io.report_json``) or
+finished text, and writes side files only through ``_write_side_file``;
+``_emit`` alone writes the output and the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
+from io import StringIO
 from typing import List, Optional
 
 import numpy as np
@@ -42,7 +48,6 @@ from .cf import (
 )
 from .errors import SiegelError
 from .germs import (
-    DEFAULT_ORDER,
     FlowFamily,
     GermFamily,
     QuadraticFamily,
@@ -101,16 +106,15 @@ class _Parser(argparse.ArgumentParser):
 
 def make_family(args) -> GermFamily:
     kind = args.family
-    restriction = args.restriction
-    if restriction is None:
-        restriction = 0.5 if kind == "flow" else 1.0
+    # without --restriction each family keeps its own default radius
+    radius = {} if args.restriction is None else {"restriction_radius": args.restriction}
     if kind == "rotation":
         return RotationFamily()
     if kind == "quadratic":
-        return QuadraticFamily(restriction_radius=restriction)
+        return QuadraticFamily(**radius)
     if kind == "flow":
         chi = [complex(t) for t in args.chi.split(",")] if args.chi else [1.0]
-        return FlowFamily(chi, restriction_radius=restriction)
+        return FlowFamily(chi, **radius)
     raise UsageError(f"unknown family {kind!r}; valid: rotation, quadratic, flow")
 
 
@@ -241,15 +245,19 @@ def build_parser() -> _Parser:
     return top
 
 
-def _emit(args, text: str, cfg: ConstantConfig, extra_outputs=None):
+def _emit(args, output, cfg: ConstantConfig):
+    """Write a handler's output (a dict is a JSON report) to --out or stdout,
+    then the manifest, which hashes --out and every side file."""
+    text = output if isinstance(output, str) else skio.report_json(output, cfg)
+    text = text if text.endswith("\n") else text + "\n"
     outputs = {}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
         outputs[args.out] = skio.file_sha256(args.out)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    for path in extra_outputs or []:
+        sys.stdout.write(text)
+    for path in args.side_files:
         outputs[path] = skio.file_sha256(path)
     if args.manifest:
         man = skio.RunManifest.build(args.argv, cfg, args.seed or 0, outputs)
@@ -257,8 +265,12 @@ def _emit(args, text: str, cfg: ConstantConfig, extra_outputs=None):
             fh.write(man.to_json() + "\n")
 
 
-def _cfg_header(cfg: ConstantConfig) -> dict:
-    return {"config": format_config(cfg)}
+def _write_side_file(args, path: str, lines) -> None:
+    """Write a file besides --out (a trace, plot data) and list it for the
+    manifest."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    args.side_files.append(path)
 
 
 def _exact_and_float(x) -> dict:
@@ -270,22 +282,18 @@ def _alpha_cf(args):
     return cf_of_exact(_parse(parse_exact, args.alpha), args.variant)
 
 
-def cmd_cf(args, cfg) -> str:
+def cmd_cf(args, cfg):
     if args.op == "expand":
         val = _parse(parse_exact, args.alpha)
         cf = cf_of_exact(val, args.variant)
-        return json.dumps({**_cfg_header(cfg), "cf": format_cf(cf),
-                           **_exact_and_float(val)}, indent=1, sort_keys=True)
+        return {"cf": format_cf(cf), **_exact_and_float(val)}
     if args.op == "eval":
         cf = _parse(parse_cf, args.cf)
-        return json.dumps({**_cfg_header(cfg), "cf": format_cf(cf),
-                           **_exact_and_float(cf.value())}, indent=1, sort_keys=True)
+        return {"cf": format_cf(cf), **_exact_and_float(cf.value())}
     if args.op == "convergents":
         cf = _parse(parse_cf, args.cf if args.cf else args.alpha)
-        rows = [{"index": c.index, "p": str(c.p), "q": str(c.q)}
-                for c in convergents(cf, args.n)]
-        return json.dumps({**_cfg_header(cfg), "convergents": rows},
-                          indent=1, sort_keys=True)
+        return {"convergents": [{"index": c.index, "p": str(c.p), "q": str(c.q)}
+                                for c in convergents(cf, args.n)]}
     if args.op == "special-seq":
         cf = _alpha_cf(args)
         val = special_sequence_main(cf, args.n)
@@ -295,64 +303,50 @@ def cmd_cf(args, cfg) -> str:
             construction = f"[{head}{sep}{args.n}+1+sqrt(2)]"
         else:
             construction = f"[...;1+a_{args.n + 1},1+sqrt(2)]"
-        return json.dumps({**_cfg_header(cfg), "n": args.n,
-                           "construction": construction,
-                           **_exact_and_float(val)}, indent=1, sort_keys=True)
+        return {"n": args.n, "construction": construction, **_exact_and_float(val)}
     if args.op == "theta-seq":
         cf = _alpha_cf(args)
-        val = theta_sequence(cf, args.n)
-        return json.dumps({**_cfg_header(cfg), "n": args.n,
-                           **_exact_and_float(val)}, indent=1, sort_keys=True)
+        return {"n": args.n, **_exact_and_float(theta_sequence(cf, args.n))}
     raise UsageError(f"unknown cf op {args.op}")
 
 
-def cmd_brjuno(args, cfg) -> str:
+def cmd_brjuno(args, cfg):
     cf = cf_of_exact(_parse(parse_exact, args.alpha))
     bv = brjuno_sum(cf, args.depth, args.tol)
-    return json.dumps({**_cfg_header(cfg), "value": bv.value,
-                       "depth_used": bv.depth_used, "converged": bv.converged},
-                      indent=1, sort_keys=True)
+    return {"value": bv.value, "depth_used": bv.depth_used, "converged": bv.converged}
 
 
-def cmd_const(args, cfg) -> str:
+def cmd_const(args, cfg):
     fn = {"C": const_C, "Cprime": const_Cprime, "Cdoubleprime": const_Cdoubleprime}[args.which]
-    return json.dumps({**_cfg_header(cfg), "which": args.which, "K": args.K,
-                       "q": args.q, "value": fn(args.K, args.q, cfg)},
-                      indent=1, sort_keys=True)
+    return {"which": args.which, "K": args.K, "q": args.q,
+            "value": fn(args.K, args.q, cfg)}
 
 
-def _germ_for(args, order=None):
-    fam = make_family(args)
-    return fam.at(_parse(parse_exact, args.alpha), order or DEFAULT_ORDER)
+def _germ_for(args, order: int):
+    return make_family(args).at(_parse(parse_exact, args.alpha), order)
 
 
-def cmd_lin(args, cfg) -> str:
+def cmd_lin(args, cfg):
     fam = make_family(args)
     if args.op == "pole-probe":
-        rep = pole_cancellation_probe(fam, args.p, args.q, args.n)
-        rep.update(_cfg_header(cfg))
-        return json.dumps(rep, indent=1, sort_keys=True)
+        return pole_cancellation_probe(fam, args.p, args.q, args.n)
     alpha = _parse(parse_exact, args.alpha)
     germ = fam.at(alpha, max(args.N, 8))
     lin = linearization_coeffs(germ, args.N, allow_rational=True, on_failure="truncate")
     if args.op == "coeffs":
-        return json.dumps({**_cfg_header(cfg), "alpha": format_exact(alpha),
-                           "order": lin.order,
-                           "a": [[c.real, c.imag] for c in lin.a[1:]],
-                           "small_divisor_log": [None if math.isnan(v) else v
-                                                 for v in lin.small_divisor_log[1:]]},
-                          indent=1, sort_keys=True)
+        return {"alpha": format_exact(alpha), "order": lin.order,
+                "a": [[c.real, c.imag] for c in lin.a[1:]],
+                "small_divisor_log": [None if math.isnan(v) else v
+                                      for v in lin.small_divisor_log[1:]]}
     if args.op == "compose-check":
         res = compose_check(germ, lin)
         scale = max(1.0, float(np.max(np.abs(lin.a))))
-        return json.dumps({**_cfg_header(cfg), "residual": res, "scale": scale,
-                           "passes": bool(res <= 1e-10 * scale)},
-                          indent=1, sort_keys=True)
+        return {"residual": res, "scale": scale, "passes": bool(res <= 1e-10 * scale)}
     raise UsageError(f"unknown lin op {args.op}")
 
 
-def cmd_radius(args, cfg) -> str:
-    germ = _germ_for(args, order=max(64, min(args.N, 256)))
+def cmd_radius(args, cfg):
+    germ = _germ_for(args, max(64, min(args.N, 256)))
     lin = linearization_coeffs(germ, args.N, allow_rational=True, on_failure="truncate")
     if args.op == "hadamard":
         est = hadamard_radius(lin, args.window)
@@ -362,63 +356,45 @@ def cmd_radius(args, cfg) -> str:
                                          circle_samples=args.samples,
                                          bisect_tol=args.bisect_tol,
                                          residual_tol=args.residual_tol))
-    return json.dumps({**_cfg_header(cfg), "alpha": format_exact(germ.alpha),
-                       "alpha_float": to_float(germ.alpha),
-                       "lower": est.lower, "upper": est.upper,
-                       "method": est.method, "params": est.params,
-                       "diagnostics": est.diagnostics}, indent=1, sort_keys=True)
+    return {"alpha": format_exact(germ.alpha), "alpha_float": to_float(germ.alpha),
+            "lower": est.lower, "upper": est.upper, "method": est.method,
+            "params": est.params, "diagnostics": est.diagnostics}
 
 
-def cmd_lift(args, cfg) -> str:
-    germ = _germ_for(args, order=args.N)
-    L = lift_of_germ(germ, order=args.N)
+def cmd_lift(args, cfg):
+    L = lift_of_germ(_germ_for(args, args.N), order=args.N)
     if args.op == "build":
-        return skio.lift_json(L)
+        return skio.lift_json(L, cfg)
     h = h_of_lift(L, HParams(max_iter=args.max_iter))
-    return json.dumps({**_cfg_header(cfg), "h_estimate": h,
-                       "r_floor": math.exp(-2 * math.pi * h)},
-                      indent=1, sort_keys=True)
+    return {"h_estimate": h, "r_floor": math.exp(-2 * math.pi * h)}
 
 
-def cmd_renorm(args, cfg) -> str:
-    germ = _germ_for(args, order=args.N)
-    L = lift_of_germ(germ, order=args.N)
+def cmd_renorm(args, cfg):
+    L = lift_of_germ(_germ_for(args, args.N), order=args.N)
     setup = build_HJ(L, args.k)
     y0 = find_y0(setup)
     if args.op == "setup":
-        return json.dumps({**_cfg_header(cfg), "k": setup.k,
-                           "p_prev": setup.p_prev, "q_prev": setup.q_prev,
-                           "p_k": setup.p_k, "q_k": setup.q_k,
-                           "beta": setup.beta, "beta_prime": setup.beta_prime,
-                           "y0": y0, "y0_analytic": setup.y0_analytic,
-                           "expected_alpha_prime": setup.expected_alpha_prime()},
-                          indent=1, sort_keys=True)
+        return {"k": setup.k, "p_prev": setup.p_prev, "q_prev": setup.q_prev,
+                "p_k": setup.p_k, "q_k": setup.q_k,
+                "beta": setup.beta, "beta_prime": setup.beta_prime,
+                "y0": y0, "y0_analytic": setup.y0_analytic,
+                "expected_alpha_prime": setup.expected_alpha_prime()}
     height = y0 + args.height_mult * abs(setup.beta)
-    if args.op == "return":
+    if args.op == "return" or args.trace:
         sample, trace = return_map(setup, complex(0, height))
         if args.trace:
-            _write_trace(args.trace, setup, trace)
-        return json.dumps({**_cfg_header(cfg), "hops": sample.hops,
-                           "Z": [sample.Z.real, sample.Z.imag],
-                           "RZ": [sample.RZ.real, sample.RZ.imag],
-                           "path_min_im": sample.path_min_im},
-                          indent=1, sort_keys=True)
+            _write_side_file(args, args.trace, ["step,re,im,in_U\n"] + [
+                f"{i},{W.real!r},{W.imag!r},{int(setup.in_fundamental_domain(W))}\n"
+                for i, W in enumerate(trace)])
+    if args.op == "return":
+        return {"hops": sample.hops, "Z": [sample.Z.real, sample.Z.imag],
+                "RZ": [sample.RZ.real, sample.RZ.imag],
+                "path_min_im": sample.path_min_im}
     rep = renormalized_rotation_number(setup, height, args.returns, cfg=cfg)
-    if args.trace:
-        _, trace = return_map(setup, complex(0, height))
-        _write_trace(args.trace, setup, trace)
-    return skio.renorm_report_json(rep, extra={"config": format_config(cfg)})
+    return skio.renorm_report_json(rep, cfg)
 
 
-def _write_trace(path: str, setup, trace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,re,im,in_U\n")
-        for i, W in enumerate(trace):
-            fh.write(f"{i},{W.real!r},{W.imag!r},"
-                     f"{int(setup.in_fundamental_domain(W))}\n")
-
-
-def cmd_scan(args, cfg) -> str:
+def cmd_scan(args, cfg):
     fam = make_family(args)
     grid = parse_grid(args.grid)
     estimators = tuple(args.estimators.split(","))
@@ -431,48 +407,40 @@ def cmd_scan(args, cfg) -> str:
                                             bisect_tol=args.bisect_tol),
                         estimators=estimators)
     rows = scan_r(fam, grid, params, workers=args.workers)
-    digest = skio.invocation_digest(args.argv, cfg, args.seed or 0)
-    extra = []
     if args.plot_data:
-        with open(args.plot_data, "w", encoding="utf-8") as fh:
-            for r in rows:
-                if r.method == "escape":
-                    fh.write(f"{r.alpha_float!r} {r.r_lower!r}\n")
-        extra.append(args.plot_data)
-    if args.format == "csv":
-        import io as _pyio
-        s = _pyio.StringIO()
-        skio.emit_scan_csv(rows, s, comments={"manifest": digest,
-                                              "config": format_config(cfg)})
-        return s.getvalue()
-    return skio.scan_rows_json(rows)
+        _write_side_file(args, args.plot_data, [f"{r.alpha_float!r} {r.r_lower!r}\n"
+                                                for r in rows if r.method == "escape"])
+    if args.format == "json":
+        return skio.scan_rows_json(rows, cfg)
+    digest = skio.invocation_digest(args.argv, cfg, args.seed or 0)
+    buf = StringIO()
+    skio.emit_scan_csv(rows, buf, comments={"manifest": digest,
+                                            "config": format_config(cfg)})
+    return buf.getvalue()
 
 
-def cmd_construct(args, cfg) -> str:
+def cmd_construct(args, cfg):
     fam = make_family(args)
     theta0 = _parse(parse_exact, args.theta0)
     base = estimate_radii(fam, [theta0])[0]
     states = smooth_disk_driver(fam, theta0, args.rho_frac * base.lower, args.stages)
-    return skio.construction_states_json(states)
+    return skio.construction_states_json(states, cfg)
 
 
-def cmd_probe(args, cfg) -> str:
+def cmd_probe(args, cfg):
     fam = make_family(args)
     if args.K is None and args.op != "degenerate":  # degenerate_probe takes no K
         args.K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), n_pairs=24,
                                              n_circle=32, seed=args.seed or 0))
     if args.op == "main-lemma":
-        rep = main_lemma_probe(fam, _parse(Fraction, args.pq), args.variant, args.N, args.K,
-                               cfg=cfg)
-    elif args.op == "degenerate":
+        return main_lemma_probe(fam, _parse(Fraction, args.pq), args.variant, args.N,
+                                args.K, cfg=cfg)
+    if args.op == "degenerate":
         ts = [_parse(parse_exact, t) for t in (args.t or "[0;(1)],[0;(2)],[0;(3)]").split(",")]
-        rep = degenerate_probe(fam, ts)
-    else:
-        alpha = _parse(parse_exact, args.alpha)
-        rep = condition_bdd_search(fam, alpha, args.rho_frac, qmax=args.qmax,
-                                   K_est=args.K, cfg=cfg)
-    rep["config"] = format_config(cfg)
-    return json.dumps(rep, indent=1, sort_keys=True)
+        return degenerate_probe(fam, ts)
+    alpha = _parse(parse_exact, args.alpha)
+    return condition_bdd_search(fam, alpha, args.rho_frac, qmax=args.qmax,
+                                K_est=args.K, cfg=cfg)
 
 
 _HANDLERS = {
@@ -488,9 +456,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         args.argv = list(argv)  # what digests and manifests name
+        args.side_files = []     # paths besides --out, for the manifest
         cfg = load_config(args.config)
-        text = _HANDLERS[args.cmd](args, cfg)
-        _emit(args, text, cfg)
+        _emit(args, _HANDLERS[args.cmd](args, cfg), cfg)
         return 0
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

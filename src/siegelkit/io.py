@@ -1,9 +1,10 @@
 """Serialization, schema versioning, and the reproducibility manifest.
 
-Artifacts carry a schema tag ("name/version"); loaders refuse anything else
-with :class:`SchemaMismatch` rather than guessing a migration.  Exact values
-are serialized as text ("p/q", "(a+b*sqrt(d))/c"); floats are emitted with
-``repr`` so round-trips are bit-exact.
+Every JSON report goes through :func:`report_json`, which echoes the active
+configuration.  Artifacts carry a schema tag ("name/version"); loaders refuse
+anything else with :class:`SchemaMismatch` rather than guessing a migration.
+Exact values are serialized as text ("p/q", "(a+b*sqrt(d))/c"); floats are
+emitted with ``repr`` so round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -14,19 +15,20 @@ import hashlib
 import json
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, TextIO, Union
+from typing import Dict, List, Optional, Sequence, TextIO
 
 import numpy as np
 
 from .bounds import ConstantConfig, format_config
 from .cf import format_exact, parse_exact
 from .errors import SchemaMismatch
-from .germs import Germ, LiftMap
+from .germs import LiftMap
 from .renorm import RenormReport
 from .scan import ConstructionState, ScanRow
 from .surd import to_float
 
 __all__ = [
+    "report_json",
     "SCAN_SCHEMA",
     "emit_scan_csv",
     "load_scan_csv",
@@ -35,14 +37,18 @@ __all__ = [
     "load_renorm_report",
     "construction_states_json",
     "load_construction_states",
-    "germ_json",
-    "load_germ",
     "lift_json",
     "load_lift",
     "RunManifest",
     "invocation_digest",
     "file_sha256",
 ]
+
+def report_json(data: dict, cfg: ConstantConfig) -> str:
+    """The one JSON report layout: ``data`` plus the active configuration
+    echo under ``config``, keys sorted, one-space indent."""
+    return json.dumps({**data, "config": format_config(cfg)}, indent=1, sort_keys=True)
+
 
 SCAN_SCHEMA = "scanrow/2"
 SCAN_HEADER = ["alpha_text", "alpha_float", "r_lower", "r_upper", "method", "max_iter"]
@@ -94,10 +100,9 @@ def load_scan_csv(fh: TextIO) -> List[ScanRow]:
     return rows
 
 
-def scan_rows_json(rows: Sequence[ScanRow]) -> str:
-    return json.dumps({"schema": SCAN_SCHEMA,
-                       "rows": [dataclasses.asdict(r) for r in rows]},
-                      indent=1, sort_keys=True)
+def scan_rows_json(rows: Sequence[ScanRow], cfg: ConstantConfig) -> str:
+    return report_json({"schema": SCAN_SCHEMA,
+                        "rows": [dataclasses.asdict(r) for r in rows]}, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +112,8 @@ def scan_rows_json(rows: Sequence[ScanRow]) -> str:
 RENORM_SCHEMA = "renorm-report/1"
 
 
-def renorm_report_json(rep: RenormReport, extra: Optional[dict] = None) -> str:
-    data = dataclasses.asdict(rep)
-    data["schema"] = RENORM_SCHEMA
-    if extra:
-        data.update(extra)
-    return json.dumps(data, indent=1, sort_keys=True)
+def renorm_report_json(rep: RenormReport, cfg: ConstantConfig) -> str:
+    return report_json({**dataclasses.asdict(rep), "schema": RENORM_SCHEMA}, cfg)
 
 
 def load_renorm_report(text: str) -> RenormReport:
@@ -126,7 +127,8 @@ def load_renorm_report(text: str) -> RenormReport:
 CONSTRUCTION_SCHEMA = "construction/1"
 
 
-def construction_states_json(states: Sequence[ConstructionState]) -> str:
+def construction_states_json(states: Sequence[ConstructionState],
+                             cfg: ConstantConfig) -> str:
     items = []
     for st in states:
         items.append({
@@ -143,8 +145,7 @@ def construction_states_json(states: Sequence[ConstructionState]) -> str:
             "k_chosen": st.k_chosen,
             "diagnostics": st.diagnostics,
         })
-    return json.dumps({"schema": CONSTRUCTION_SCHEMA, "states": items},
-                      indent=1, sort_keys=True)
+    return report_json({"schema": CONSTRUCTION_SCHEMA, "states": items}, cfg)
 
 
 def load_construction_states(text: str) -> List[ConstructionState]:
@@ -166,49 +167,19 @@ def load_construction_states(text: str) -> List[ConstructionState]:
 
 
 # ---------------------------------------------------------------------------
-# germs and lifts
+# lifts
 # ---------------------------------------------------------------------------
-
-GERM_SCHEMA = "germ/1"
-
-
-def _alpha_text(alpha) -> Union[str, float]:
-    if isinstance(alpha, float):
-        return alpha
-    return format_exact(alpha)
-
-
-def germ_json(g: Germ) -> str:
-    return json.dumps({
-        "schema": GERM_SCHEMA,
-        "alpha": _alpha_text(g.alpha),
-        "coeffs": [[c.real, c.imag] for c in g.coeffs],
-        "tail_bound": g.tail_bound,
-    }, indent=1, sort_keys=True)
-
-
-def load_germ(text: str) -> Germ:
-    data = json.loads(text)
-    if data.get("schema") != GERM_SCHEMA:
-        raise SchemaMismatch("not a germ artifact")
-    alpha = data["alpha"]
-    if isinstance(alpha, str):
-        alpha = parse_exact(alpha)
-    coeffs = np.array([complex(re, im) for re, im in data["coeffs"]],
-                      dtype=np.complex128)
-    return Germ(alpha=alpha, coeffs=coeffs, tail_bound=float(data["tail_bound"]))
-
 
 LIFT_SCHEMA = "lift/1"
 
 
-def lift_json(L: LiftMap) -> str:
-    return json.dumps({
+def lift_json(L: LiftMap, cfg: ConstantConfig) -> str:
+    return report_json({
         "schema": LIFT_SCHEMA,
         "alpha": L.alpha,
         "alpha_exact": None if L.alpha_exact is None else format_exact(L.alpha_exact),
         "h_coeffs": [[c.real, c.imag] for c in L.h_coeffs],
-    }, indent=1, sort_keys=True)
+    }, cfg)
 
 
 def load_lift(text: str) -> LiftMap:

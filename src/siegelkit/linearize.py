@@ -121,8 +121,7 @@ def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
     # pow_tab[m, n] = [z^n] (sum a_i z^i)^m, filled column by column
     mm = min(M, N)
     pow_tab = np.zeros((mm + 1, N + 1), dtype=np.complex128)
-    if mm >= 1:
-        pow_tab[1, 1] = 1.0
+    pow_tab[1, 1] = 1.0
     for n in range(2, N + 1):
         if mm >= 2:
             top = min(mm, n)
@@ -152,18 +151,16 @@ def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
                 raise failure
             return LinearizationSeries(alpha=g.alpha, a=a[:n], small_divisor_log=sdlog[:n],
                                        numerators=numer[:n])
-        if mm >= 1:
-            pow_tab[1, n] = a[n]
+        pow_tab[1, n] = a[n]
     return LinearizationSeries(alpha=g.alpha, a=a, small_divisor_log=sdlog,
                                numerators=numer)
 
 
-def compose_check(g: Germ, phi: LinearizationSeries, N: Optional[int] = None) -> float:
-    """max_n |[z^n](phi o R_alpha - f o phi)| via truncated composition."""
-    if N is None:
-        N = phi.order
-    N = min(N, phi.order)
-    coeffs = series.trim(phi.coeff_array(), N)
+def compose_check(g: Germ, phi: LinearizationSeries) -> float:
+    """max_n |[z^n](phi o R_alpha - f o phi)| via truncated composition to
+    the series' own order."""
+    N = phi.order
+    coeffs = phi.coeff_array()
     rho_pows = np.array([cmath.exp(TWO_PI_I * x) for x in phase_fracs(g.alpha, N + 1)],
                         dtype=np.complex128)
     lhs = coeffs * rho_pows

@@ -372,14 +372,17 @@ def _interval_around(theta: ExactReal, stage: int,
     raise StageFailed("could not fit an interval certificate")
 
 
-def _rational_below(x: ExactReal, bits: int = 80) -> Fraction:
-    lo, _ = bracket(x, bits)
-    return lo if exact_cmp(lo, x) < 0 else lo - Fraction(1, 2 ** bits)
+_ENDPOINT_BITS = 80   # dyadic resolution of interval-certificate endpoints
 
 
-def _rational_above(x: ExactReal, bits: int = 80) -> Fraction:
-    _, hi = bracket(x, bits)
-    return hi if exact_cmp(hi, x) > 0 else hi + Fraction(1, 2 ** bits)
+def _rational_below(x: ExactReal) -> Fraction:
+    lo, _ = bracket(x, _ENDPOINT_BITS)
+    return lo if exact_cmp(lo, x) < 0 else lo - Fraction(1, 2 ** _ENDPOINT_BITS)
+
+
+def _rational_above(x: ExactReal) -> Fraction:
+    _, hi = bracket(x, _ENDPOINT_BITS)
+    return hi if exact_cmp(hi, x) > 0 else hi + Fraction(1, 2 ** _ENDPOINT_BITS)
 
 
 def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,

@@ -12,7 +12,6 @@ shared multiplier.
 import cmath
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 

@@ -29,7 +29,6 @@ from siegelkit.cf import (
     side_and_gap,
     special_sequence_main,
 )
-from siegelkit.errors import SmallDivisorBlowup
 from siegelkit.germs import (
     FlowFamily,
     QuadraticFamily,

@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deleted function cannot leave its
-export behind, and every imported name is used or re-exported."""
+export behind, and every imported name, in the package and in its tests, is
+used or re-exported."""
 
 import ast
 import importlib
@@ -52,3 +53,11 @@ def _unused_imports(path):
 def test_module_imports_are_used(name):
     path = Path(siegelkit.__path__[0]) / f"{name}.py"
     assert _unused_imports(path) == []
+
+
+TEST_FILES = sorted(p.name for p in Path(__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("name", TEST_FILES)
+def test_test_imports_are_used(name):
+    assert _unused_imports(Path(__file__).parent / name) == []

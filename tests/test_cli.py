@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import subprocess
@@ -8,7 +7,7 @@ import pytest
 
 from siegelkit.cli import build_parser, main
 from siegelkit import io as skio
-from siegelkit.bounds import DEFAULT_CONFIG, const_Cprime
+from siegelkit.bounds import DEFAULT_CONFIG, const_Cprime, format_config
 from siegelkit.linearize import EscapeParams
 from siegelkit.renorm import HParams
 
@@ -140,7 +139,8 @@ def test_scan_csv_golden_path(tmp_path, capsys):
     assert len(rows) == grid_size
     assert all(r.max_iter == 150 for r in rows if r.method == "escape")
     man = json.loads((tmp_path / "man.json").read_text())
-    assert str(out_file) in man["outputs"]
+    assert man["outputs"] == {str(out_file): skio.file_sha256(str(out_file)),
+                              str(plot): skio.file_sha256(str(plot))}
     assert len(plot.read_text().splitlines()) == len(rows)
 
 
@@ -162,15 +162,49 @@ def test_scan_digest_names_the_argv_run(tmp_path, capsys):
 
 def test_renorm_rotnum_cli_with_trace(tmp_path, capsys):
     trace = tmp_path / "orbit.csv"
+    man = tmp_path / "man.json"
     code, out, _ = run_cli(["renorm", "rotnum", "--family", "quadratic",
                             "--alpha", "[0;(1)]", "--k", "1", "--returns", "50",
-                            "--trace", str(trace)], capsys)
+                            "--trace", str(trace), "--manifest", str(man)], capsys)
     assert code == 0
     data = json.loads(out)
     assert data["error"] < 1e-6
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,re,im,in_U"
     assert len(lines) > 2
+    assert json.loads(man.read_text())["outputs"] == {
+        str(trace): skio.file_sha256(str(trace))}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "expand", "--alpha", "1/3"],
+    ["cf", "eval", "--cf", "[0;(2)]"],
+    ["cf", "convergents", "--cf", "[0;(1)]"],
+    ["cf", "special-seq", "--alpha", "1/2"],
+    ["cf", "theta-seq", "--alpha", "[0;(1)]"],
+    ["brjuno", "--alpha", "[0;(1)]"],
+    ["const", "C", "--K", "1", "--q", "1"],
+    ["lin", "coeffs", "--alpha", "1/3", "--N", "8"],
+    ["lin", "compose-check", "--alpha", "[0;(1)]", "--N", "8"],
+    ["lin", "pole-probe", "--p", "0", "--q", "1", "--n", "2"],
+    ["radius", "hadamard", "--alpha", "[0;(1)]", "--N", "64", "--window", "16"],
+    ["radius", "escape", "--alpha", "[0;(1)]", "--N", "16", "--max-iter", "50"],
+    ["lift", "build", "--alpha", "[0;(1)]", "--N", "8"],
+    ["lift", "h", "--family", "rotation", "--alpha", "[0;(1)]", "--N", "8"],
+    ["renorm", "setup", "--family", "rotation", "--alpha", "[0;(1)]", "--N", "8"],
+    ["renorm", "return", "--family", "rotation", "--alpha", "[0;(1)]", "--N", "8"],
+    ["renorm", "rotnum", "--family", "rotation", "--alpha", "[0;(1)]", "--N", "8",
+     "--returns", "5"],
+    ["scan", "--grid", "1/3", "--max-iter", "20"],
+    ["construct", "--theta0", "[0;(1)]", "--stages", "1"],
+    ["probe", "main-lemma", "--pq", "1/2", "--N", "2", "--K", "2"],
+    ["probe", "degenerate", "--family", "rotation", "--t", "[0;(1)]"],
+    ["probe", "cond-bdd", "--family", "rotation", "--alpha", "[0;(1)]", "--K", "2"],
+])
+def test_every_json_report_echoes_config(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert json.loads(out)["config"] == format_config(DEFAULT_CONFIG)
 
 
 def test_lift_h_cli(capsys):

@@ -10,7 +10,7 @@ import pytest
 from siegelkit import io as skio
 from siegelkit.bounds import DEFAULT_CONFIG
 from siegelkit.errors import SchemaMismatch
-from siegelkit.germs import Germ, LiftMap
+from siegelkit.germs import LiftMap
 from siegelkit.renorm import RenormReport
 from siegelkit.scan import ConstructionState, ScanRow
 from siegelkit.surd import QuadraticIrrational
@@ -75,7 +75,7 @@ def test_scan_csv_fuzzed_headers_never_parse_silently(BOUND=25):
 
 def test_scan_json_shape():
     rows = random_rows(5, seed=3)
-    data = json.loads(skio.scan_rows_json(rows))
+    data = json.loads(skio.scan_rows_json(rows, DEFAULT_CONFIG))
     assert data["schema"] == "scanrow/2"
     assert len(data["rows"]) == 5
 
@@ -86,7 +86,7 @@ def test_renorm_report_roundtrip():
                        single_pass_violations=0, budget_violations=0,
                        undefined_returns=0, n_returns=1000, im_drift=0.0,
                        diagnostics="")
-    text = skio.renorm_report_json(rep)
+    text = skio.renorm_report_json(rep, DEFAULT_CONFIG)
     assert skio.load_renorm_report(text) == rep
     with pytest.raises(SchemaMismatch):
         skio.load_renorm_report(text.replace("renorm-report/1", "other/9"))
@@ -99,7 +99,7 @@ def test_construction_roundtrip():
         interval=(Fraction(3, 8), Fraction(7, 8)),
         deriv_gaps=[0.01, 0.002], thresholds=[0.5, 0.25], k_chosen=2,
         diagnostics="k=2")
-    text = skio.construction_states_json([st])
+    text = skio.construction_states_json([st], DEFAULT_CONFIG)
     back = skio.load_construction_states(text)[0]
     assert back.theta == st.theta
     assert back.interval == st.interval
@@ -107,21 +107,10 @@ def test_construction_roundtrip():
     assert back.rho_sched == st.rho_sched
 
 
-def test_germ_roundtrip_exact_and_float_alpha():
-    g1 = Germ(alpha=QuadraticIrrational(-1, 1, 2, 5),
-              coeffs=np.array([1.0 + 0.5j, -0.25j]), tail_bound=0.125)
-    back = skio.load_germ(skio.germ_json(g1))
-    assert back.alpha == g1.alpha
-    assert np.array_equal(back.coeffs, g1.coeffs)
-    assert back.tail_bound == 0.125
-    g2 = Germ(alpha=0.37, coeffs=np.zeros(0))
-    assert skio.load_germ(skio.germ_json(g2)).alpha == 0.37
-
-
 def test_lift_roundtrip():
     L = LiftMap(alpha=0.618, h_coeffs=np.array([0.1 + 0.2j, 0.05j]),
                 alpha_exact=Fraction(2, 5))
-    back = skio.load_lift(skio.lift_json(L))
+    back = skio.load_lift(skio.lift_json(L, DEFAULT_CONFIG))
     assert back.alpha == L.alpha
     assert np.array_equal(back.h_coeffs, L.h_coeffs)
     assert back.alpha_exact == Fraction(2, 5)

@@ -491,7 +491,7 @@ def test_rotnum_translation_exact():
             assert rep.single_pass_violations == 0
             assert rep.budget_violations == 0
             # expected equals -[a_{k+1}; a_{k+2}, ...] by the tail identity
-            from siegelkit.cf import cf_of_exact, eval_cf
+            from siegelkit.cf import cf_of_exact
             cf = cf_of_exact(alpha)
             tail = -(cf.convergent(k - 1).q * alpha - cf.convergent(k - 1).p) / \
                 (cf.convergent(k).q * alpha - cf.convergent(k).p)
