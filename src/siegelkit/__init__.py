@@ -35,11 +35,8 @@ from .germs import (
     Germ,
     GermFamily,
     LiftMap,
-    PolynomialFamily,
     QuadraticFamily,
     RotationFamily,
-    eval_germ,
-    flow_time_map,
     lift_of_germ,
     lipschitz_estimate,
 )
@@ -47,7 +44,6 @@ from .linearize import (
     EscapeParams,
     LinearizationSeries,
     RadiusEstimate,
-    boundary_derivative_norms,
     compose_check,
     escape_radius,
     hadamard_radius,
@@ -64,7 +60,6 @@ from .renorm import (
     h_of_lift,
     renormalized_rotation_number,
     return_map,
-    translation_lift,
     verify_single_pass,
 )
 from .scan import (

@@ -23,14 +23,11 @@ from .errors import DomainError
 __all__ = [
     "BrjunoValue",
     "ConstantConfig",
-    "DomainError",
     "brjuno_sum",
     "is_bounded_type",
     "const_C",
     "const_Cprime",
-    "const_Cprime_numeric",
     "const_Cdoubleprime",
-    "cdoubleprime_relation_gap",
     "load_config",
     "config_from_mapping",
     "format_config",
@@ -63,13 +60,14 @@ class ConstantConfig:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "C0", "C_sqrt2", "C1_glue", "B_slope"):
-            if getattr(self, name) <= 0:
+            x = getattr(self, name)
+            if not (math.isfinite(x) and x > 0):
                 raise DomainError(f"{name} must be positive")
-        if self.D <= 1 or self.A <= 1:
+        if not all(math.isfinite(x) and x > 1 for x in (self.D, self.A)):
             raise DomainError("D and A must exceed 1")
 
     def B_of_M(self, M: float) -> float:
-        if M < 0:
+        if not M >= 0:
             raise DomainError("M >= 0 required")
         return self.B_slope * (1.0 + M)
 
@@ -168,7 +166,7 @@ def is_bounded_type(alpha: CFExpansion, bound: int) -> bool:
 
 
 def _check_Kq(K: float, q: int) -> None:
-    if K < 1:
+    if not (math.isfinite(K) and K >= 1):
         raise DomainError("K >= 1 required")
     if q < 1:
         raise DomainError("q >= 1 required")
@@ -195,36 +193,7 @@ def const_Cprime(K: float, q: int, cfg: ConstantConfig = DEFAULT_CONFIG) -> floa
     return _cprime_objective(eps, K, q, cfg)
 
 
-def const_Cprime_numeric(K: float, q: int, cfg: ConstantConfig = DEFAULT_CONFIG,
-                         tol: float = 1e-12) -> float:
-    """Golden-section minimization of the same objective, for cross-checks."""
-    _check_Kq(K, q)
-    inv_phi = (math.sqrt(5) - 1) / 2
-    a, b = 1e-12, 1.0 - 1e-12
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = _cprime_objective(c, K, q, cfg)
-    fd = _cprime_objective(d, K, q, cfg)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _cprime_objective(c, K, q, cfg)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = _cprime_objective(d, K, q, cfg)
-    return min(fc, fd)
-
-
 def const_Cdoubleprime(K: float, q: int, cfg: ConstantConfig = DEFAULT_CONFIG) -> float:
     """log(Kq) / (2 pi q) + c3 / q."""
     _check_Kq(K, q)
     return math.log(K * q) / (2 * math.pi * q) + cfg.c3 / q
-
-
-def cdoubleprime_relation_gap(K: float, q: int, cfg: ConstantConfig = DEFAULT_CONFIG) -> float:
-    """2*pi*C''(2K+1, q) - (log(Kq) + c1)/q; <= 0 when the configured c1 absorbs
-    the lift-vs-germ constant transfer (needs c1 >= log(2 + 1/K) + 2*pi*c3)."""
-    _check_Kq(K, q)
-    return 2 * math.pi * const_Cdoubleprime(2 * K + 1, q, cfg) - (math.log(K * q) + cfg.c1) / q

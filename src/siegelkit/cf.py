@@ -30,8 +30,6 @@ from .surd import (
 __all__ = [
     "CFExpansion",
     "Convergent",
-    "DepthExceeded",
-    "RationalInput",
     "SHORT_FORM",
     "LONG_FORM",
     "DEFAULT_TAIL",

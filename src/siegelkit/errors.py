@@ -25,10 +25,6 @@ class OverflowGuard(SiegelError):
     """Series coefficient exceeded the configured magnitude cap."""
 
 
-class RadiusTooLarge(SiegelError):
-    """Circle radius at or beyond the series' trusted radius."""
-
-
 class FactorizationError(SiegelError):
     """Germ factor g with |g - 1| reaching 1 on the sample circle."""
 

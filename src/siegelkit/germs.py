@@ -1,19 +1,19 @@
 """Analytic germ families on the unit disk and their half-plane lifts.
 
-A germ is f(z) = e^{2 pi i alpha} z + sum_{m>=2} b_m z^m truncated at order N,
-with a bound on the discarded tail.  The parameter handle stays exact
-(Fraction / QuadraticIrrational) whenever the caller has one; floats are
-derived output.  Lifting moves a germ to F(Z) = Z + alpha + h(e^{2 pi i Z})
-on the upper half-plane via the exponential cover.
+A germ is f(z) = e^{2 pi i alpha} z + sum_{m>=2} b_m z^m truncated at order N.
+The parameter handle stays exact (Fraction / QuadraticIrrational) whenever
+the caller has one; floats are derived output.  Lifting moves a germ to
+F(Z) = Z + alpha + h(e^{2 pi i Z}) on the upper half-plane via the
+exponential cover.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,14 +27,11 @@ __all__ = [
     "GermFamily",
     "RotationFamily",
     "QuadraticFamily",
-    "PolynomialFamily",
     "FlowFamily",
     "LiftMap",
     "DEFAULT_ORDER",
     "alpha_frac_float",
     "phase_fracs",
-    "eval_germ",
-    "flow_time_map",
     "lipschitz_estimate",
     "lift_of_germ",
 ]
@@ -96,8 +93,6 @@ class Germ:
 
     alpha: AlphaHandle
     coeffs: np.ndarray
-    tail_bound: float = 0.0
-    _full: Optional[list] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -116,20 +111,8 @@ class Germ:
         out[2:] = self.coeffs
         return out
 
-    def _full_list(self) -> list:
-        if self._full is None:
-            self._full = self.full_coeffs().tolist()
-        return self._full
-
     def eval_vec(self, z: np.ndarray) -> np.ndarray:
         return series.polyval_vec(self.full_coeffs(), z)
-
-
-def eval_germ(g: Germ, z: complex) -> complex:
-    """Horner evaluation of the truncation; domain is the open unit disk."""
-    if abs(z) >= 1:
-        raise DomainError("germ evaluation requires |z| < 1")
-    return series.polyval_scalar(g._full_list(), z)
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +142,6 @@ class QuadraticFamily(GermFamily):
 
     def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
         return Germ(alpha, np.array([self.restriction_radius], dtype=np.complex128))
-
-
-class PolynomialFamily(GermFamily):
-    """Custom coefficient rule b(alpha); the rule gets (alpha, order)."""
-
-    def __init__(self, coeff_rule: Callable[[AlphaHandle, int], Sequence[complex]]):
-        self.coeff_rule = coeff_rule
-
-    def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
-        return Germ(alpha, np.asarray(self.coeff_rule(alpha, order), dtype=np.complex128))
 
 
 class FlowFamily(GermFamily):
@@ -218,26 +191,7 @@ class FlowFamily(GermFamily):
         psi, psi_inv = self._linearizer(order)
         u = _multiplier_of(alpha)
         ft = series.compose(psi_inv, u * psi, order)
-        tail = _tail_estimate(ft)
-        return Germ(alpha, ft[2:], tail_bound=tail)
-
-
-def _tail_estimate(coeffs: np.ndarray) -> float:
-    """Crude geometric extrapolation of the dropped tail at radius 1."""
-    mags = np.abs(coeffs)
-    n = len(mags) - 1
-    if n < 8 or mags[n] == 0:
-        return 0.0
-    half = mags[n // 2] if mags[n // 2] > 0 else mags[n]
-    ratio = (mags[n] / half) ** (2.0 / n) if half > 0 else 1.0
-    if ratio >= 1.0:
-        return math.inf
-    return float(mags[n] * ratio / (1.0 - ratio))
-
-
-def flow_time_map(chi: Sequence[complex], t: AlphaHandle, order: int = DEFAULT_ORDER) -> Germ:
-    """Time-t map of dz/dt = 2 pi i z + sum_{m>=2} chi[m-2] z^m (no rescaling)."""
-    return FlowFamily(chi, restriction_radius=1.0).at(t, order)
+        return Germ(alpha, ft[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +275,9 @@ def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER,
         u[m - 1] = g.coeffs[m - 2] / rho
     r_check = math.exp(-2 * math.pi * check_height)
     ws = r_check * np.exp(TWO_PI_I * np.arange(128) / 128)
-    gm1 = np.abs(series.polyval_vec(u, ws))
-    if float(np.max(gm1)) >= 1.0:
-        raise FactorizationError(
-            f"|g - 1| reaches {float(np.max(gm1)):.3f} on |w| = {r_check:.3f}")
+    gm1 = float(np.max(np.abs(series.polyval_vec(u, ws))))
+    if not gm1 < 1.0:
+        raise FactorizationError(f"|g - 1| reaches {gm1:.3f} on |w| = {r_check:.3f}")
     h = series.log1p_series(u, order) / TWO_PI_I
     return LiftMap(alpha=to_float(g.alpha), h_coeffs=h[1:],
                    alpha_exact=g.alpha if not isinstance(g.alpha, float) else None)

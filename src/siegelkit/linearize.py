@@ -26,7 +26,6 @@ from . import series
 from .errors import (
     DomainError,
     OverflowGuard,
-    RadiusTooLarge,
     SmallDivisorBlowup,
 )
 from .germs import TWO_PI_I, Germ, GermFamily, phase_fracs
@@ -42,7 +41,6 @@ __all__ = [
     "hadamard_radius",
     "escape_radius",
     "escape_radii",
-    "boundary_derivative_norms",
 ]
 
 DIVISOR_FLOOR = 1e-13     # below this, rho^n - rho is treated as exactly zero
@@ -379,19 +377,3 @@ def _circle_sup_norms(coeffs: np.ndarray, rho: float, order: int,
         out.append(float(np.max(np.abs(series.polyval_vec(coeffs, ring)))))
         coeffs = series.derivative(coeffs)
     return out
-
-
-def boundary_derivative_norms(phi: LinearizationSeries, rho: float,
-                              order: int) -> List[float]:
-    """sup_{|z| = rho} |phi^{(j)}(z)| for j = 0..order, sampled at 256 points
-    of the circle.
-
-    Refuses radii where the stored truncation visibly has not converged.
-    """
-    coeffs = phi.coeff_array()
-    N = phi.order
-    top = abs(coeffs[N]) * rho ** N
-    scale = max(1.0, float(np.max(np.abs(coeffs[: N // 2 + 1])) * rho ** 2))
-    if not math.isfinite(top) or top > 1e-8 * scale:
-        raise RadiusTooLarge(f"tail term |a_N| rho^N = {top:.3e} too large at rho = {rho}")
-    return _circle_sup_norms(coeffs, rho, order, 256)

@@ -43,22 +43,14 @@ __all__ = [
     "RenormReport",
     "HParams",
     "h_of_lift",
-    "translation_lift",
     "build_HJ",
     "find_y0",
     "return_map",
     "verify_single_pass",
-    "extended_trace",
     "renormalized_rotation_number",
 ]
 
 TAN_THETA = math.tan(math.asin(0.1))  # cone half-angle of the 1/10-conditions
-
-
-def translation_lift(alpha: ExactReal) -> LiftMap:
-    """The exact translation T_alpha as a lift (h = 0)."""
-    return LiftMap(alpha=to_float(alpha), h_coeffs=np.zeros(0),
-                   alpha_exact=None if isinstance(alpha, float) else alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +263,9 @@ def find_y0(setup: RenormSetup,
                     jz, jd = setup.J_with_deriv(Z)
                 except (OverflowError, ValueError):
                     return False
-                if abs(hz - Z - setup.beta) > tol or abs(hd - 1.0) > 0.1:
+                if not (abs(hz - Z - setup.beta) <= tol and abs(hd - 1.0) <= 0.1):
                     return False
-                if abs(jz - Z - setup.beta_prime) > tol or abs(jd - 1.0) > 0.1:
+                if not (abs(jz - Z - setup.beta_prime) <= tol and abs(jd - 1.0) <= 0.1):
                     return False
         return True
 
@@ -338,13 +330,6 @@ def return_map(setup: RenormSetup, Z: complex,
         path_min = min(path_min, W.imag)
         trace.append(W)
     return ReturnSample(Z=Z, hops=m, RZ=W, path_min_im=path_min), trace
-
-
-def extended_trace(setup: RenormSetup, Z: complex) -> List[complex]:
-    """Return trace continued 4 hops past the first landing (while the orbit
-    stays above y0); food for the single-pass check."""
-    sample, trace = return_map(setup, Z)
-    return _hop_on(setup, sample.RZ, trace, 4)
 
 
 def _hop_on(setup: RenormSetup, W: complex, trace: List[complex],

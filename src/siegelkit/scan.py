@@ -223,7 +223,7 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
     """
     r_alpha = estimate_radii(fam, [alpha], p)[0]
     rho = rho_frac * r_alpha.lower
-    if rho >= r_alpha.lower:
+    if not rho < r_alpha.lower:
         raise TargetAboveRadius(f"rho = {rho} >= r_est.lower = {r_alpha.lower}")
     b = _nearest_fraction_below(alpha, qmax)
     r_b = estimate_radii(fam, [b], p)[0]
@@ -412,7 +412,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
         raise FamilyUnsuitable(
             f"r_est(theta0) = {est0.lower} sits at the domain cap; "
             "radius tracking needs a non-degenerate family")
-    if rho_target >= est0.lower:
+    if not rho_target < est0.lower:
         raise TargetAboveRadius(f"rho = {rho_target} >= r_est(theta0) = {est0.lower}")
     if not full0:
         raise StageFailed("no full linearization series at theta0")
@@ -437,7 +437,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
                 diag_parts.append(f"k={k}: no full series")
                 continue
             gaps = _deriv_gaps(phi_c, phi_prev, rho_target, stage)
-            if any(g > t for g, t in zip(gaps, thresholds)):
+            if not all(g <= t for g, t in zip(gaps, thresholds)):
                 diag_parts.append(f"k={k}: ladder failed {gaps}")
                 continue
             est = escape_radius(germ_c, phi_c, p.escape)
@@ -490,7 +490,7 @@ def check_construction_invariants(states: Sequence[ConstructionState],
         if mlo != mhi or Fraction(mlo, st.stage) == lo or Fraction(mhi + 1, st.stage) == hi:
             raise AssertionError(f"stage {st.stage}: closure meets (1/n)Z")
         for j, (g, t) in enumerate(zip(st.deriv_gaps, st.thresholds)):
-            if g > t:
+            if not g <= t:
                 raise AssertionError(f"stage {st.stage}: gap j={j} {g} > {t}")
         if not st.rho > rho_target:
             raise AssertionError(f"stage {st.stage}: measured rho at or below target")

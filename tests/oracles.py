@@ -7,6 +7,11 @@ they must repeat the library's floating point operations bit for bit, so they
 keep the one-row evaluation, the sequential loops and the per-index phase
 reductions the library used before its lock-step kernel, shared bisection and
 shared multiplier.
+
+Three helpers moved here from the library because only tests use them: the
+golden-section cross-check ``const_Cprime_numeric`` of the closed-form C',
+the C''-vs-C relation gap ``cdoubleprime_relation_gap``, and
+``translation_lift``, the pure translation as a lift.
 """
 
 import cmath
@@ -15,9 +20,17 @@ import random
 
 import numpy as np
 
+from siegelkit.bounds import (
+    DEFAULT_CONFIG,
+    ConstantConfig,
+    _check_Kq,
+    _cprime_objective,
+    const_Cdoubleprime,
+)
 from siegelkit.cf import CFExpansion
 from siegelkit.errors import DomainError, NoAdmissibleHeight
-from siegelkit.surd import floor_exact, to_float
+from siegelkit.germs import LiftMap
+from siegelkit.surd import ExactReal, floor_exact, to_float
 
 
 def brute_force_linearization(g, N):
@@ -200,3 +213,38 @@ def in_fundamental_domain_unmemoized(setup, Z):
     if x < 0.0:
         return False
     return x < setup.H(1j * Z.imag).real / setup.beta
+
+
+def translation_lift(alpha: ExactReal) -> LiftMap:
+    """The exact translation T_alpha as a lift (h = 0)."""
+    return LiftMap(alpha=to_float(alpha), h_coeffs=np.zeros(0),
+                   alpha_exact=None if isinstance(alpha, float) else alpha)
+
+
+def const_Cprime_numeric(K: float, q: int, cfg: ConstantConfig = DEFAULT_CONFIG,
+                         tol: float = 1e-12) -> float:
+    """Golden-section minimization of the same objective, for cross-checks."""
+    _check_Kq(K, q)
+    inv_phi = (math.sqrt(5) - 1) / 2
+    a, b = 1e-12, 1.0 - 1e-12
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc = _cprime_objective(c, K, q, cfg)
+    fd = _cprime_objective(d, K, q, cfg)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = _cprime_objective(c, K, q, cfg)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = _cprime_objective(d, K, q, cfg)
+    return min(fc, fd)
+
+
+def cdoubleprime_relation_gap(K: float, q: int, cfg: ConstantConfig = DEFAULT_CONFIG) -> float:
+    """2*pi*C''(2K+1, q) - (log(Kq) + c1)/q; <= 0 when the configured c1 absorbs
+    the lift-vs-germ constant transfer (needs c1 >= log(2 + 1/K) + 2*pi*c3)."""
+    _check_Kq(K, q)
+    return 2 * math.pi * const_Cdoubleprime(2 * K + 1, q, cfg) - (math.log(K * q) + cfg.c1) / q

@@ -19,7 +19,6 @@ from siegelkit.bounds import (
     const_C,
     const_Cdoubleprime,
     const_Cprime,
-    const_Cprime_numeric,
     is_bounded_type,
 )
 from siegelkit.cf import (
@@ -50,7 +49,6 @@ from siegelkit.renorm import (
     find_y0,
     h_of_lift,
     renormalized_rotation_number,
-    translation_lift,
 )
 from siegelkit.scan import (
     ScanParams,
@@ -64,8 +62,10 @@ from siegelkit.surd import QuadraticIrrational, exact_cmp
 
 from .oracles import (
     brute_force_linearization,
+    const_Cprime_numeric,
     random_bounded_type_value,
     special_sequence_bound,
+    translation_lift,
 )
 
 GOLDEN = QuadraticIrrational(1, 1, 2, 5)        # (1+sqrt5)/2

@@ -8,12 +8,10 @@ from siegelkit.bounds import (
     ConstantConfig,
     DEFAULT_CONFIG,
     brjuno_sum,
-    cdoubleprime_relation_gap,
     config_from_mapping,
     const_C,
     const_Cdoubleprime,
     const_Cprime,
-    const_Cprime_numeric,
     format_config,
     is_bounded_type,
     load_config,
@@ -22,7 +20,7 @@ from siegelkit.cf import CFExpansion, cf_of_rational, cf_of_quadratic_irrational
 from siegelkit.errors import DomainError
 from siegelkit.surd import QuadraticIrrational
 
-from .oracles import special_sequence_bound
+from .oracles import cdoubleprime_relation_gap, const_Cprime_numeric, special_sequence_bound
 
 
 GOLDEN_CF = parse_cf("[1;(1)]")
@@ -163,6 +161,16 @@ def test_domain_errors():
         ConstantConfig(c1=-1.0)
     with pytest.raises(DomainError):
         ConstantConfig(D=1.0)
+    # NaN and inf fail every comparison-based check; they must still reject
+    for bad in (math.nan, math.inf):
+        for fn in (const_C, const_Cprime, const_Cdoubleprime):
+            with pytest.raises(DomainError):
+                fn(bad, 3)
+        for key in ("c1", "c3", "B_slope", "D", "A"):
+            with pytest.raises(DomainError):
+                ConstantConfig(**{key: bad})
+        with pytest.raises(DomainError):
+            config_from_mapping({"c1": str(bad)})
 
 
 # -- config I/O ---------------------------------------------------------------
@@ -192,3 +200,5 @@ def test_B_of_M():
     assert DEFAULT_CONFIG.B_of_M(3.0) == 8.0
     with pytest.raises(DomainError):
         DEFAULT_CONFIG.B_of_M(-1.0)
+    with pytest.raises(DomainError):
+        DEFAULT_CONFIG.B_of_M(math.nan)

@@ -122,6 +122,20 @@ def test_numeric_error_exit_2(capsys):
     assert "InsufficientDepth" in err
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["const", "C", "--K", "nan", "--q", "3"], {}),
+    (["const", "Cprime", "--K", "inf", "--q", "3"], {}),
+    (["const", "C", "--K", "2", "--q", "3"], {"SIEGEL_c1": "nan"}),
+])
+def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch):
+    # a NaN must not reach the report: json.dumps would print the non-JSON NaN
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("DomainError:")
+
+
 def test_scan_csv_golden_path(tmp_path, capsys):
     out_file = tmp_path / "comb.csv"
     plot = tmp_path / "plot.dat"

@@ -14,13 +14,13 @@ from siegelkit.cf import (
     cf_of_rational,
     special_sequence_main,
 )
-from siegelkit.errors import DomainError, OverflowGuard, RadiusTooLarge, SmallDivisorBlowup
+from siegelkit.errors import DomainError, OverflowGuard, SmallDivisorBlowup
 from siegelkit.germs import FlowFamily, Germ, QuadraticFamily, RotationFamily, phase_fracs
 from siegelkit.linearize import (
     EscapeParams,
+    _circle_sup_norms,
     _divisor,
     _orbits_stay,
-    boundary_derivative_norms,
     compose_check,
     escape_radii,
     escape_radius,
@@ -352,7 +352,7 @@ def test_escape_radii_needs_one_chart_per_germ():
 
 def test_boundary_norms_rotation():
     lin = linearization_coeffs(RotationFamily().at(GOLDEN, 8), 64)
-    norms = boundary_derivative_norms(lin, 0.5, 3)
+    norms = _circle_sup_norms(lin.coeff_array(), 0.5, 3, 256)
     assert abs(norms[0] - 0.5) < 1e-12
     assert abs(norms[1] - 1.0) < 1e-12
     assert norms[2] == 0.0 and norms[3] == 0.0
@@ -362,7 +362,7 @@ def test_boundary_norms_match_dense_sampling():
     g = QUAD.at(GOLDEN, 8)
     lin = linearization_coeffs(g, 256)
     rho = 0.15
-    norms = boundary_derivative_norms(lin, rho, 0)
+    norms = _circle_sup_norms(lin.coeff_array(), rho, 0, 256)
     zs = rho * np.exp(2j * np.pi * np.arange(4096) / 4096)
     coeffs = lin.coeff_array()
     from siegelkit.series import polyval_vec
@@ -382,12 +382,6 @@ def test_boundary_norms_nearby_alpha_difference_decreases():
         from siegelkit.series import polyval_vec
         gaps.append(float(np.max(np.abs(polyval_vec(diff, zs)))))
     assert gaps[0] > gaps[1] > gaps[2]
-
-
-def test_boundary_norms_radius_guard():
-    lin = linearization_coeffs(QUAD.at(GOLDEN, 8), 128)
-    with pytest.raises(RadiusTooLarge):
-        boundary_derivative_norms(lin, 0.9, 1)
 
 
 def test_upper_semicontinuity_trend():

@@ -20,13 +20,12 @@ from siegelkit.renorm import (
     HParams,
     RenormSetup,
     _heights_admissible,
+    _hop_on,
     build_HJ,
-    extended_trace,
     find_y0,
     h_of_lift,
     renormalized_rotation_number,
     return_map,
-    translation_lift,
     verify_single_pass,
     y0_analytic_prediction,
 )
@@ -37,6 +36,7 @@ from .oracles import (
     in_fundamental_domain_unmemoized,
     sequential_h_bisection,
     sequential_h_of_lift,
+    translation_lift,
 )
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
@@ -45,6 +45,12 @@ S2M1 = QuadraticIrrational(0, 1, 1, 2) - 1
 
 def golden_quadratic_lift(order=128):
     return lift_of_germ(QuadraticFamily().at(GOLDEN, 8), order=order)
+
+
+def trace_past_landing(s, Z):
+    """The return trace of Z continued 4 hops past the first landing."""
+    sample, trace = return_map(s, Z)
+    return _hop_on(s, sample.RZ, trace, 4)
 
 
 # -- lift orbits / h_of_lift ----------------------------------------------------
@@ -274,6 +280,13 @@ def test_find_y0_translation_zero():
     assert find_y0(s) == 0.0
 
 
+def test_find_y0_rejects_nan_lift():
+    # abs(nan) > tol is False, so only "not <= tol" refuses a NaN lift
+    F = LiftMap(alpha=to_float(GOLDEN), h_coeffs=[math.nan], alpha_exact=GOLDEN)
+    with pytest.raises(ConditionsNeverMet):
+        find_y0(build_HJ(F, 2))
+
+
 def test_find_y0_golden_quadratic_and_recheck():
     F = golden_quadratic_lift()
     s = build_HJ(F, 3)
@@ -402,7 +415,7 @@ def test_single_pass_translations():
     s = build_HJ(F, 2)
     find_y0(s)
     for j in range(10):
-        trace = extended_trace(s, complex(0.0, 1.0 + 0.3 * j))
+        trace = trace_past_landing(s, complex(0.0, 1.0 + 0.3 * j))
         assert verify_single_pass(s, trace)
 
 
@@ -414,7 +427,7 @@ def test_single_pass_many_quadratic_starts():
     for j in range(200):
         Z = complex(0.0, y0 + 2 * abs(s.beta) + 0.013 * j)
         try:
-            trace = extended_trace(s, Z)
+            trace = trace_past_landing(s, Z)
         except (UndefinedReturn, BudgetExceeded):
             continue
         if not verify_single_pass(s, trace):
@@ -535,7 +548,7 @@ def test_strip_edge_memo_matches_unmemoized(monkeypatch, k):
         y0 = find_y0(s)
         height = y0 + 20 * abs(s.beta)
         rep = renormalized_rotation_number(s, height=height, n_returns=200)
-        traces = [extended_trace(s, complex(0.0, height + 0.07 * j)) for j in range(8)]
+        traces = [trace_past_landing(s, complex(0.0, height + 0.07 * j)) for j in range(8)]
         return s, dataclasses.asdict(rep), traces
 
     memo_setup, memo_rep, memo_traces = run()

@@ -1,10 +1,12 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from siegelkit.cf import cf_of_rational, farey_fractions, special_sequence_main
-from siegelkit.errors import FamilyUnsuitable, TargetAboveRadius
+from siegelkit import scan
+from siegelkit.errors import FamilyUnsuitable, StageFailed, TargetAboveRadius
 from siegelkit.germs import FlowFamily, QuadraticFamily, RotationFamily
 from siegelkit.linearize import EscapeParams, linearization_coeffs
 from siegelkit.scan import (
@@ -150,6 +152,8 @@ def test_cond_bdd_quadratic_finds_cut():
 def test_cond_bdd_target_above_radius():
     with pytest.raises(TargetAboveRadius):
         condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=2.0, p=CHEAP)
+    with pytest.raises(TargetAboveRadius):
+        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=math.nan, p=CHEAP)
 
 
 # -- main lemma probe ------------------------------------------------------------
@@ -240,6 +244,14 @@ def test_driver_rotation_unsuitable():
 def test_driver_target_above_radius():
     with pytest.raises(TargetAboveRadius):
         smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.99, stages=1, p=MEDIUM)
+    with pytest.raises(TargetAboveRadius):
+        smooth_disk_driver(QuadraticFamily(), GOLDEN, math.nan, stages=1, p=CHEAP)
+
+
+def test_driver_ladder_rejects_nan_gaps(monkeypatch):
+    monkeypatch.setattr(scan, "_deriv_gaps", lambda *args: [math.nan, math.nan])
+    with pytest.raises(StageFailed, match="ladder failed"):
+        smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.1, stages=1, p=CHEAP)
 
 
 def test_invariant_checker_catches_violations():
@@ -251,5 +263,8 @@ def test_invariant_checker_catches_violations():
     states = smooth_disk_driver(QuadraticFamily(), GOLDEN, rho, stages=1, p=p)
     bad = states[0]
     bad.deriv_gaps = [g + 1.0 for g in bad.deriv_gaps]
+    with pytest.raises(AssertionError):
+        check_construction_invariants([bad], rho)
+    bad.deriv_gaps = [math.nan] * len(bad.deriv_gaps)
     with pytest.raises(AssertionError):
         check_construction_invariants([bad], rho)
