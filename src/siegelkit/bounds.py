@@ -66,11 +66,6 @@ class ConstantConfig:
         if not all(math.isfinite(x) and x > 1 for x in (self.D, self.A)):
             raise DomainError("D and A must exceed 1")
 
-    def B_of_M(self, M: float) -> float:
-        if not M >= 0:
-            raise DomainError("M >= 0 required")
-        return self.B_slope * (1.0 + M)
-
 
 DEFAULT_CONFIG = ConstantConfig()
 

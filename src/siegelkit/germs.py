@@ -154,6 +154,8 @@ class FlowFamily(GermFamily):
     """
 
     def __init__(self, chi: Sequence[complex], restriction_radius: float = 0.5):
+        if not 0 < restriction_radius < math.inf:  # False on NaN
+            raise DomainError("restriction_radius must be finite and positive")
         self.chi = tuple(complex(c) for c in chi)
         self.restriction_radius = float(restriction_radius)
         self._cache: dict = {}

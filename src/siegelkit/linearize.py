@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -233,6 +233,15 @@ class EscapeParams:
     residual_tol: float = 1e-8
     cap: float = 0.999999
 
+    def __post_init__(self):
+        for name in ("bisect_tol", "residual_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:  # False on NaN
+                raise DomainError(f"{name} must be finite and positive")
+        if not (self.circle_samples >= 1 and self.max_iter >= 0):
+            raise DomainError("need circle_samples >= 1 and max_iter >= 0")
+        if not 0.0 < self.cap < 1.0:
+            raise DomainError("cap in (0, 1) required")
+
 
 def _in_unit_disk(w: np.ndarray) -> np.ndarray:
     return np.abs(w) < 1.0
@@ -268,34 +277,75 @@ def _orbits_stay(step: Callable, w: np.ndarray, max_iter: int,
     return verdict
 
 
-def _bisect(valid: Callable[[List[int], List[float]], List[bool]],
-            lo: List[float], hi: List[float], tol: float) -> None:
-    """Lock-step bisection of the brackets ``[lo[i], hi[i]]``, in place.
+def _bisect(start: Callable[[int, float], object],
+            stays: Callable[[List[Tuple[int, object]]], Sequence[bool]],
+            lo: List[float], hi: List[float], tol: float, stay_above: bool) -> None:
+    """Chained bisection of the brackets ``[lo[i], hi[i]]``, in place.
 
-    Every round asks ``valid(todo, mids)`` about the midpoint of each bracket
-    still wider than ``tol``: a valid midpoint raises ``lo``, an invalid one
-    lowers ``hi``.  Each bracket moves exactly as it would alone.
+    A point x of bracket i is tested by its orbits: ``start(i, x)`` gives
+    their start points, or None when x fails a screen that needs no orbit,
+    and ``stays(points)`` runs the orbits of a list of ``(i, start)`` in one
+    kernel call, True where every orbit stays.  Staying points lie above the
+    boundary when ``stay_above`` (heights) and below it otherwise (radii); a
+    tested point becomes the end of the bracket on its own side.  Each
+    bracket tests its top ``hi[i]`` first, so a top on the wrong side closes
+    it at ``lo[i] == hi[i]``; then its midpoint ``0.5 * (lo + hi)`` while the
+    bracket is wider than ``tol`` and the midpoint lies strictly inside.
+
+    A staying point costs a full ``max_iter`` run; an escaping one usually
+    stops early.  So every round walks each open bracket down the path it
+    takes if every untested point stays, following the verdicts already
+    known (kept for this call, per bracket and point, screen failures
+    included), and sends every untested point on all those paths through one
+    ``stays`` call.  The brackets then advance through the known verdicts up
+    to the first wrong guess.  Each verdict is the one its point gets alone,
+    so the points read, their verdicts and every bracket are those of one
+    point per call; only points past a wrong guess are tested and not read.
     """
-    todo = [i for i in range(len(lo)) if hi[i] - lo[i] > tol]
-    while todo:
-        mids = [0.5 * (lo[i] + hi[i]) for i in todo]
-        for i, mid, ok in zip(todo, mids, valid(todo, mids)):
-            if ok:
-                lo[i] = mid
+    known: Dict[Tuple[int, float], bool] = {}  # (bracket, point) -> orbits stay
+    top = [True] * len(lo)
+
+    def walk(i: int) -> list:
+        """Advance bracket i through known verdicts and return the untested
+        points on its likely path, with their start points."""
+        l, h, t = lo[i], hi[i], top[i]
+        path = []
+        while True:
+            x = h if t else 0.5 * (l + h)
+            if not (t or (h - l > tol and l < x < h)):
+                return path
+            if (i, x) not in known:
+                w = start(i, x)
+                if w is None:
+                    known[i, x] = False
+                else:
+                    path.append((i, x, w))
+            if known.get((i, x), True) == stay_above:  # untested: it stays
+                h = x
             else:
-                hi[i] = mid
-        todo = [i for i in todo if hi[i] - lo[i] > tol]
+                l = x
+            t = False
+            if not path:
+                lo[i], hi[i], top[i] = l, h, t
+
+    while True:
+        batch = [p for i in range(len(lo)) for p in walk(i)]
+        if not batch:
+            return
+        verdicts = stays([(i, w) for i, _, w in batch])
+        known.update(((i, x), bool(ok)) for (i, x, _), ok in zip(batch, verdicts))
 
 
 def escape_radii(germs: Sequence[Germ], phis: Sequence[Optional[LinearizationSeries]],
                  params: EscapeParams = EscapeParams()) -> List[RadiusEstimate]:
-    """:func:`escape_radius` for many parameters, bisected in lock step.
+    """:func:`escape_radius` for many parameters, in one chained bisection.
 
-    Every round tests one radius for each parameter whose bracket is still
-    open: the cap first, then the bracket's midpoint.  The chart checks run
-    per parameter; the orbits of all radii that pass them go through one
-    kernel call per germ row length.  Each bracket moves exactly as it would
-    alone, so the estimates do not depend on what else is in the batch.
+    Every bracket starts as [0, cap] and tests the cap first.  The chart
+    checks run per radius, once, and screen a radius out without an orbit;
+    each round the orbits of all radii on every bracket's likely path (each
+    radius valid) go through one kernel call per germ row length.  Each
+    bracket moves exactly as it would alone, so the estimates do not depend
+    on what else is in the batch.
     """
     if len(germs) != len(phis):
         raise DomainError("need one chart (or None) per germ")
@@ -318,30 +368,25 @@ def escape_radii(germs: Sequence[Germ], phis: Sequence[Optional[LinearizationSer
         resid = np.max(np.abs(fz - series.polyval_vec(rows[i], w)))
         return w if resid < params.residual_tol else None
 
-    def valid(todo: List[int], radii: List[float]) -> List[bool]:
-        out = [False] * len(todo)
-        by_len: Dict[int, list] = {}
-        for k, (i, r) in enumerate(zip(todo, radii)):
-            w = start(i, r)
-            if w is not None:
-                by_len.setdefault(len(rows[i]), []).append((k, i, w))
-        for batch in by_len.values():
-            ks, idx, ws = zip(*batch)
-            stays = _orbits_stay(lambda w, r: series.polyval_vec(r, w), np.array(ws),
-                                 params.max_iter,
-                                 rows=np.array([rows[i] for i in idx])[:, None, :])
-            for k, ok in zip(ks, stays):
-                out[k] = bool(ok)
+    def stays(points: List[Tuple[int, np.ndarray]]) -> List[bool]:
+        out = [False] * len(points)
+        by_len: Dict[int, List[int]] = {}
+        for k, (i, _) in enumerate(points):
+            by_len.setdefault(len(rows[i]), []).append(k)
+        for ks in by_len.values():
+            ok = _orbits_stay(lambda w, r: series.polyval_vec(r, w),
+                              np.array([points[k][1] for k in ks]), params.max_iter,
+                              rows=np.array([rows[points[k][0]] for k in ks])[:, None, :])
+            for k, v in zip(ks, ok):
+                out[k] = bool(v)
         return out
 
     n = len(germs)
-    hi = [params.cap] * n
-    at_cap = valid(list(range(n)), hi)
-    lo = [params.cap if ok else 0.0 for ok in at_cap]  # valid at the cap: closed
-    _bisect(valid, lo, hi, params.bisect_tol)
+    lo, hi = [0.0] * n, [params.cap] * n
+    _bisect(start, stays, lo, hi, params.bisect_tol, stay_above=False)
     out = []
     for i in range(n):
-        if at_cap[i]:
+        if lo[i] == params.cap:  # valid at the cap: every mid lies below it
             lower, upper, diag = params.cap, 1.0, "valid up to the cap"
         elif lo[i] == 0.0:
             lower, upper, diag = lo[i], hi[i], "NoValidRadius: non-linearizable at tolerance"

@@ -65,6 +65,11 @@ class HParams:
     im_bisect: float = 0.01
     ceiling: float = 6.0
 
+    def __post_init__(self):
+        for name in ("max_iter", "re_samples", "im_bisect", "ceiling"):
+            if not 0 < getattr(self, name) < math.inf:  # False on NaN
+                raise DomainError(f"{name} must be finite and positive")
+
 
 def _heights_admissible(F: LiftMap, hs: Sequence[float], p: HParams) -> List[bool]:
     """For each height h in ``hs``: every orbit of the Re-grid at h stays in
@@ -86,42 +91,28 @@ def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
     A height is admissible when every orbit started on a Re-grid at that
     height stays in the half-plane for ``max_iter`` steps; escape can only be
     detected, never undone, so estimates shrink as budgets shrink.  A doubling
-    search finds an admissible height; the bisection shared with the escape
-    estimator then narrows [0, hi], an inadmissible height raising ``lo``.
+    search finds an admissible height H; bisection then narrows [0, H], an
+    inadmissible height raising ``lo``.  Its first midpoint H/2 is the
+    inadmissible height before H, so each doubling step is one call of the
+    chained bisection shared with the escape estimator, on [H/2, H] (on
+    [0, H] for the first H): it tests H together with the descent below it,
+    and an inadmissible H closes the bracket, which sends the search on to 2H.
     At a finite budget admissibility need not be monotone in the height, so
     h need not be the smallest admissible height sampled: an admissible
     island below an inadmissible mid is never entered.
-
-    An admissible height costs a full ``max_iter`` run; an inadmissible one
-    escapes early.  So a height with no verdict yet goes through one kernel
-    call together with the chain below it: the mids the bisection would ask
-    next if each were admissible, down to where the bracket closes.  Verdicts
-    are kept for this call only, so a height the doubling search tested is
-    not tested again.  Each verdict is the one its height gets alone, so the
-    heights asked, their verdicts and the result are those of one height per
-    call; only chain nodes below an inadmissible height go unused.
     """
     if len(F.h_coeffs) == 0 or not np.any(F.h_coeffs):
         return 0.0  # exact translation: every height is admissible
-    tol = params.im_bisect
-    lo, hi = [0.0], [max(4 * tol, 0.05)]
-    verdicts: Dict[float, bool] = {}  # height -> admissible, this call only
-
-    def admissible(h: float) -> bool:
-        if h not in verdicts:
-            chain = [h]
-            while chain[-1] - lo[0] > tol:
-                chain.append(0.5 * (lo[0] + chain[-1]))
-            todo = [x for x in chain if x not in verdicts]
-            verdicts.update(zip(todo, _heights_admissible(F, todo, params)))
-        return verdicts[h]
-
-    while not admissible(hi[0]):
-        hi[0] *= 2.0
+    lo, hi = [0.0], [max(4 * params.im_bisect, 0.05)]
+    while True:
+        _bisect(lambda _, h: h,
+                lambda points: _heights_admissible(F, [h for _, h in points], params),
+                lo, hi, params.im_bisect, stay_above=True)
+        if lo[0] < hi[0]:
+            return hi[0]
+        hi[0] *= 2.0  # lo stays at the inadmissible height
         if hi[0] > params.ceiling:
             raise NoAdmissibleHeight(f"no admissible height below {params.ceiling}")
-    _bisect(lambda _, mids: [not admissible(mids[0])], lo, hi, tol)
-    return hi[0]
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,12 @@ def sequential_escape_radius(g, phi, params):
                 return False
         return orbit_stays(w)
 
+    return sequential_escape_bisection(valid, params)
+
+
+def sequential_escape_bisection(valid, params):
+    """(lower, upper, diagnostics) of the cap test and bisection of
+    escape_radius over the verdicts of ``valid``, one radius at a time."""
     hi = params.cap
     if valid(hi):
         return hi, 1.0, "valid up to the cap"

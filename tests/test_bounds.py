@@ -193,12 +193,3 @@ def test_config_rejects_unknown_keys():
 def test_format_config_echo():
     text = format_config(DEFAULT_CONFIG)
     assert "c1=1.0" in text and "B_slope=2.0" in text
-
-
-def test_B_of_M():
-    assert DEFAULT_CONFIG.B_of_M(0.0) == 2.0
-    assert DEFAULT_CONFIG.B_of_M(3.0) == 8.0
-    with pytest.raises(DomainError):
-        DEFAULT_CONFIG.B_of_M(-1.0)
-    with pytest.raises(DomainError):
-        DEFAULT_CONFIG.B_of_M(math.nan)

@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 import subprocess
 import sys
 
@@ -122,16 +123,39 @@ def test_numeric_error_exit_2(capsys):
     assert "InsufficientDepth" in err
 
 
+_ESCAPE = ["radius", "escape", "--alpha", "[0;(1)]"]
+_FLOW = _ESCAPE + ["--family", "flow", "--chi", "1", "--N", "32"]
+
+
+def _no_return(signum, frame):
+    raise TimeoutError("the command did not return")
+
+
 @pytest.mark.parametrize("argv,env", [
     (["const", "C", "--K", "nan", "--q", "3"], {}),
     (["const", "Cprime", "--K", "inf", "--q", "3"], {}),
     (["const", "C", "--K", "2", "--q", "3"], {"SIEGEL_c1": "nan"}),
+    (_ESCAPE + ["--bisect-tol", "0"], {}),
+    (_ESCAPE + ["--bisect-tol", "-1"], {}),
+    (_ESCAPE + ["--bisect-tol", "nan"], {}),
+    (_ESCAPE + ["--residual-tol", "nan"], {}),
+    (_ESCAPE + ["--samples", "0"], {}),
+    (["scan", "--grid", "1/3,2/5", "--bisect-tol", "0"], {}),
+    (_FLOW + ["--restriction", "nan"], {}),
+    (_FLOW + ["--restriction", "-1"], {}),
 ])
 def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch):
-    # a NaN must not reach the report: json.dumps would print the non-JSON NaN
+    # a NaN must not reach the report: json.dumps would print the non-JSON
+    # NaN; nor a tolerance at or below zero, which no bracket ever gets under
     for key, val in env.items():
         monkeypatch.setenv(key, val)
-    code, out, err = run_cli(argv, capsys)
+    previous = signal.signal(signal.SIGALRM, _no_return)
+    signal.alarm(60)
+    try:
+        code, out, err = run_cli(argv, capsys)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code == 2 and out == ""
     assert err.startswith("DomainError:")
 

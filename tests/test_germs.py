@@ -145,6 +145,12 @@ def test_lipschitz_flow_matches_field_sup():
     assert 0.9 * sup_chi <= K <= 1.35 * sup_chi
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_flow_rejects_bad_restriction_radius(radius):
+    with pytest.raises(DomainError):
+        FlowFamily([1.0], restriction_radius=radius)
+
+
 def test_lipschitz_rejects_bad_budget():
     with pytest.raises(DomainError):
         lipschitz_estimate(RotationFamily(), (0, 1), n_pairs=0)

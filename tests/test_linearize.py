@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from siegelkit import linearize
 from siegelkit.cf import (
     LONG_FORM,
     SHORT_FORM,
@@ -15,9 +17,18 @@ from siegelkit.cf import (
     special_sequence_main,
 )
 from siegelkit.errors import DomainError, OverflowGuard, SmallDivisorBlowup
-from siegelkit.germs import FlowFamily, Germ, QuadraticFamily, RotationFamily, phase_fracs
+from siegelkit.germs import (
+    TWO_PI_I,
+    FlowFamily,
+    Germ,
+    QuadraticFamily,
+    RotationFamily,
+    phase_fracs,
+)
 from siegelkit.linearize import (
     EscapeParams,
+    LinearizationSeries,
+    _bisect,
     _circle_sup_norms,
     _divisor,
     _orbits_stay,
@@ -28,9 +39,10 @@ from siegelkit.linearize import (
     linearization_coeffs,
     pole_cancellation_probe,
 )
+from siegelkit.series import polyval_vec
 from siegelkit.surd import QuadraticIrrational
 
-from .oracles import sequential_escape_radius, small_divisor
+from .oracles import sequential_escape_bisection, sequential_escape_radius, small_divisor
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
 QUAD = QuadraticFamily()
@@ -312,6 +324,66 @@ def test_escape_radii_match_sequential_bisection():
         "NoValidRadius", "bracket from bisection", "valid up to the cap"}
 
 
+# Orbit verdicts by radius, not monotone, for rotation germs (one with a zero
+# z^2 term, a longer coefficient row) under the chart phi(z) = c z: c = 2
+# leaves the disk from r = 1/2 on, None is the identity chart.
+_ESCAPE_TABLES = [
+    (1, lambda r: r < 0.3 or 0.5 < r < 0.7),          # island above a gap
+    (2, lambda r: not 0.2 < r < 0.25),                # chart failures above 1/2
+    (None, lambda r: r > 0.9),                        # valid at the cap
+    (1, lambda r: False),                             # no valid radius
+    (None, lambda r: r < 0.45 or 0.8 < r < 0.85),     # longer row
+    (2, lambda r: 0.1 < r < 0.15 or 0.3 < r),         # chart and orbit gaps
+]
+
+
+def test_escape_radii_chain_follows_sequential_path(monkeypatch):
+    p = EscapeParams(max_iter=1, circle_samples=8, bisect_tol=1e-2)
+    alphas = [Fraction(1, k) for k in range(3, 3 + len(_ESCAPE_TABLES))]
+    germs = [Germ(a, np.zeros(int(k == 4), dtype=complex)) for k, a in enumerate(alphas)]
+    phis = [None if c is None else
+            LinearizationSeries(a, np.array([0, c], dtype=complex), np.zeros(2), np.zeros(2))
+            for a, (c, _) in zip(alphas, _ESCAPE_TABLES)]
+    which = {g.multiplier(): k for k, g in enumerate(germs)}
+    ring = np.exp(TWO_PI_I * np.arange(p.circle_samples) / p.circle_samples)
+    calls = []
+
+    def kernel(step, w, max_iter, rows=None, inside=None):
+        tested = []
+        for start, row in zip(w, rows):
+            k = which[row[0, 1]]
+            # the start point phi(r) = c r is exact, so is the radius read back
+            tested.append((k, abs(start[0]) / (_ESCAPE_TABLES[k][0] or 1)))
+        calls.append(tested)
+        return np.array([_ESCAPE_TABLES[k][1](r) for k, r in tested], dtype=bool)
+
+    def valid(k, r):
+        c, table = _ESCAPE_TABLES[k]
+        chart_ok = c is None or np.all(np.abs(polyval_vec(phis[k].coeff_array(), r * ring)) < 1)
+        return bool(chart_ok) and table(r)
+
+    asked = []
+    sequential = [sequential_escape_bisection(lambda r: asked.append(r) or valid(k, r), p)
+                  for k in range(len(germs))]
+    monkeypatch.setattr(linearize, "_orbits_stay", kernel)
+    got = [(e.lower, e.upper, e.diagnostics) for e in escape_radii(germs, phis, p)]
+    assert got == sequential
+    assert {d.split(":")[0] for _, _, d in got} == {
+        "NoValidRadius", "bracket from bisection", "valid up to the cap"}
+    assert len(calls) < len(asked)
+    tested = [x for batch in calls for x in batch]
+    assert len(set(tested)) == len(tested)  # no radius is tested twice
+
+
+def test_bisect_closes_at_adjacent_floats():
+    # below the float spacing no midpoint lies strictly inside, which closes
+    # the bracket whatever the tolerance
+    lo, hi = [0.0], [1.0]
+    _bisect(lambda i, r: r, lambda points: [r < 0.3 for _, r in points], lo, hi,
+            5e-324, stay_above=False)
+    assert lo[0] < 0.3 <= hi[0] == math.nextafter(lo[0], 1.0)
+
+
 _POOL_PARAMS = EscapeParams(max_iter=120, circle_samples=8, bisect_tol=1e-2)
 
 
@@ -340,6 +412,31 @@ def test_escape_radii_batch_independent(picks):
                        _POOL_PARAMS)
     assert [(e.lower, e.upper, e.diagnostics) for e in got] == [
         (_POOL[i][2].lower, _POOL[i][2].upper, _POOL[i][2].diagnostics) for i in picks]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 300))
+def test_escape_upper_monotone_in_budget_pairs(a, b):
+    # a radius valid at the larger budget is valid at the smaller one, so
+    # where the two bisections first part the larger budget lowers hi to a
+    # radius at or below the smaller budget's final upper.  The pool's germs
+    # also run under the identity chart, where the orbits set the bracket.
+    germs = [g for g, _, _ in _POOL] * 2
+    phis = [phi for _, phi, _ in _POOL] + [None] * len(_POOL)
+    small, big = (escape_radii(germs, phis, dataclasses.replace(_POOL_PARAMS, max_iter=it))
+                  for it in sorted((a, b)))
+    assert all(e_big.upper <= e_small.upper for e_small, e_big in zip(small, big))
+
+
+@pytest.mark.parametrize("bad", [
+    {"bisect_tol": 0.0}, {"bisect_tol": -1.0}, {"bisect_tol": math.nan},
+    {"bisect_tol": math.inf}, {"residual_tol": 0.0}, {"residual_tol": math.nan},
+    {"circle_samples": 0}, {"max_iter": -1}, {"cap": 0.0}, {"cap": 1.0},
+    {"cap": math.nan},
+])
+def test_escape_params_reject_bad_values(bad):
+    with pytest.raises(DomainError):
+        EscapeParams(**bad)
 
 
 def test_escape_radii_needs_one_chart_per_germ():

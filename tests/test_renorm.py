@@ -84,6 +84,16 @@ def test_h_of_translation_zero():
     assert h_of_lift(translation_lift(GOLDEN)) == 0.0
 
 
+@pytest.mark.parametrize("bad", [
+    {"im_bisect": 0.0}, {"im_bisect": -0.01}, {"im_bisect": math.nan},
+    {"re_samples": 0}, {"max_iter": 0}, {"max_iter": -5},
+    {"ceiling": 0.0}, {"ceiling": math.inf}, {"ceiling": math.nan},
+])
+def test_hparams_reject_bad_values(bad):
+    with pytest.raises(DomainError):
+        HParams(**bad)
+
+
 def test_h_of_lift_nan_coefficient_has_no_admissible_height():
     F = LiftMap(alpha=to_float(GOLDEN), h_coeffs=np.array([0.1, math.nan]))
     with pytest.raises(NoAdmissibleHeight):
@@ -141,14 +151,27 @@ def test_heights_admissible_batch_independent(lift, picks):
         [alone[i] for i in picks]
 
 
-# Verdict tables that are not monotone in height.  Doubling tests 0.05 (with
-# the chain below it), 0.1, 0.2 (all inadmissible) and 0.4; the bisection
-# then asks 0.2 again.
-#  - "island": the chain below 0.3 holds admissible 0.225 and 0.2125 under the
-#    inadmissible 0.25, off the bisection's path, so h = 0.3 is not the
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, len(_KERNEL_POOL) - 1), st.integers(1, 300), st.integers(1, 300))
+def test_h_monotone_in_budget_pairs(lift, a, b):
+    # a height admissible at the larger budget is admissible at the smaller
+    # one, so the larger budget's h is at least the smaller's (no admissible
+    # height at all reads as inf)
+    F = _KERNEL_POOL[lift][0]
+    h_small, h_big = (_outcome(lambda: h_of_lift(F, HParams(max_iter=it)))
+                      for it in sorted((a, b)))
+    assert (math.inf if isinstance(h_small, tuple) else h_small) <= \
+        (math.inf if isinstance(h_big, tuple) else h_big)
+
+
+# Verdict tables that are not monotone in height.  Doubling tests 0.05, 0.1,
+# 0.2 (all inadmissible, each with the descent below it) and 0.4; the
+# sequential bisection then asks 0.2 again.
+#  - "island": the descent below 0.3 holds admissible 0.225 and 0.2125 under
+#    the inadmissible 0.25, off the bisection's path, so h = 0.3 is not the
 #    smallest admissible height tested;
-#  - "long-chain": 0.3 down to 0.20625 admissible (0.26 to 0.3 is not), one
-#    call for all five.
+#  - "long-chain": 0.3 down to 0.20625 admissible (0.26 to 0.3 is not), so
+#    0.4 and its whole descent share one call.
 _TABLES = {
     "island": lambda h: h >= 0.3 or 0.21 < h < 0.24,
     "long-chain": lambda h: h >= 0.3 or 0.205 < h < 0.26,
@@ -170,7 +193,9 @@ def test_h_of_lift_chain_follows_sequential_path(monkeypatch, name):
     h = h_of_lift(golden_quadratic_lift(order=16), HParams())
     assert h == sequential
     assert len(calls) < len(asked)
-    assert len(calls[4]) > 1  # the bisection's first chain is one call
+    if name == "long-chain":
+        # the last call: 0.4 and every later height asked but the known 0.2
+        assert calls[3:] == [[x for x in asked[3:] if x != asked[2]]]
     tested = [x for hs in calls for x in hs]
     assert len(set(tested)) == len(tested)  # no height is tested twice
     # the contract: h is admissible, and a height at most im_bisect below it
