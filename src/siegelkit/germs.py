@@ -190,6 +190,8 @@ class FlowFamily(GermFamily):
         return self._cache[key]
 
     def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
+        if not order >= 1:
+            raise DomainError("germ order >= 1 required")
         psi, psi_inv = self._linearizer(order)
         u = _multiplier_of(alpha)
         ft = series.compose(psi_inv, u * psi, order)
@@ -270,6 +272,8 @@ def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER,
     Requires f(z) = e^{2 pi i alpha} z g(z) with |g - 1| < 1 at 128 samples of
     the circle |w| = e^{-2 pi check_height}, so the principal log is defined.
     """
+    if not order >= 1:
+        raise DomainError("lift order >= 1 required")
     rho = g.multiplier()
     u = np.zeros(order + 1, dtype=np.complex128)
     m_top = min(g.order, order + 1)

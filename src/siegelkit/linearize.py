@@ -50,7 +50,7 @@ MAG_CAP = 1e250
 
 @dataclass
 class LinearizationSeries:
-    """Coefficients a_1..a_N (a[0] unused, a_1 = 1) plus divisor diagnostics."""
+    """Series array ``a`` = [0, 1, a_2, ..., a_N] plus divisor diagnostics."""
 
     alpha: Union[ExactReal, float]
     a: np.ndarray
@@ -60,12 +60,6 @@ class LinearizationSeries:
     @property
     def order(self) -> int:
         return len(self.a) - 1
-
-    def coeff_array(self) -> np.ndarray:
-        """Series array [0, 1, a_2, ..., a_N] suitable for evaluation."""
-        out = self.a.copy()
-        out[0] = 0.0
-        return out
 
 
 @dataclass
@@ -104,6 +98,8 @@ def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
     """
     if on_failure not in ("raise", "truncate"):
         raise DomainError("on_failure must be 'raise' or 'truncate'")
+    if not N >= 1:
+        raise DomainError("linearization order N >= 1 required")
     rational = isinstance(g.alpha, (int, Fraction))
     if rational and not allow_rational:
         raise DomainError("rational alpha: pass allow_rational=True to accept poles")
@@ -158,11 +154,10 @@ def compose_check(g: Germ, phi: LinearizationSeries) -> float:
     """max_n |[z^n](phi o R_alpha - f o phi)| via truncated composition to
     the series' own order."""
     N = phi.order
-    coeffs = phi.coeff_array()
     rho_pows = np.array([cmath.exp(TWO_PI_I * x) for x in phase_fracs(g.alpha, N + 1)],
                         dtype=np.complex128)
-    lhs = coeffs * rho_pows
-    rhs = series.compose(series.trim(g.full_coeffs(), N), coeffs, N)
+    lhs = phi.a * rho_pows
+    rhs = series.compose(series.trim(g.full_coeffs(), N), phi.a, N)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -353,7 +348,7 @@ def escape_radii(germs: Sequence[Germ], phis: Sequence[Optional[LinearizationSer
     ring = np.exp(TWO_PI_I * np.arange(S) / S)
     rows = [g.full_coeffs() for g in germs]
     mults = [g.multiplier() for g in germs]
-    charts = [None if phi is None else phi.coeff_array() for phi in phis]
+    charts = [None if phi is None else phi.a for phi in phis]
 
     def start(i: int, r: float) -> Optional[np.ndarray]:
         """Orbit start points phi(r * ring), or None when the chart leaves the

@@ -29,13 +29,14 @@ from .cf import (
     special_sequence_main,
 )
 from .errors import (
+    DomainError,
     FamilyUnsuitable,
     SiegelError,
     SmallDivisorBlowup,
     StageFailed,
     TargetAboveRadius,
 )
-from .germs import GermFamily
+from .germs import Germ, GermFamily
 from .linearize import (
     EscapeParams,
     LinearizationSeries,
@@ -81,77 +82,67 @@ class ScanParams:
     escape: EscapeParams = EscapeParams()
     estimators: Tuple[str, ...] = ("escape",)
 
+    def __post_init__(self):
+        if not (self.order >= 1 and self.lin_order >= 1 and self.window >= 16):
+            raise DomainError("need order >= 1, lin_order >= 1 and window >= 16")
+
 
 DEFAULT_SCAN = ScanParams()
 ESTIMATORS = ("escape", "hadamard")
 
 
-def _phi_or_none(fam: GermFamily, alpha, p: ScanParams):
-    """Germ plus its linearization series: the full one, or the partial series
-    up to the first pole/overflow (the residual test then rules at that
-    parameter), with ``full`` telling which."""
+def _chart(fam: GermFamily, alpha, p: ScanParams) -> Tuple[Germ, LinearizationSeries]:
+    """Germ at alpha and its linearization series: the full one, or the
+    partial series up to the first pole/overflow (``phi.order < p.lin_order``;
+    the residual test then rules at that parameter)."""
     germ = fam.at(alpha, p.order)
-    phi = linearization_coeffs(germ, p.lin_order, allow_rational=True,
-                               on_failure="truncate")
-    return germ, phi, phi.order == p.lin_order
-
-
-def _prepare(fam: GermFamily, alphas: Sequence[ExactReal], p: ScanParams,
-             keep_errors: bool = False) -> list:
-    """:func:`_phi_or_none` of every parameter in input order; the first
-    :class:`SiegelError` raises, or with ``keep_errors`` takes its place."""
-    preps = []
-    for alpha in alphas:
-        try:
-            preps.append(_phi_or_none(fam, alpha, p))
-        except SiegelError as exc:
-            if not keep_errors:
-                raise
-            preps.append(exc)
-    return preps
-
-
-def _escape(preps: list, p: ScanParams) -> List[RadiusEstimate]:
-    """Escape estimates of prepared parameters, bisected in one lock-step
-    :func:`escape_radii` call (each bracket as it would be alone)."""
-    return escape_radii([germ for germ, _, _ in preps], [phi for _, phi, _ in preps],
-                        p.escape)
+    return germ, linearization_coeffs(germ, p.lin_order, allow_rational=True,
+                                      on_failure="truncate")
 
 
 def estimate_radii(fam: GermFamily, alphas: Sequence[ExactReal],
                    p: ScanParams = DEFAULT_SCAN) -> List[RadiusEstimate]:
     """Escape estimates through the (possibly partial) linearization charts,
-    one per parameter in input order.  Every parameter is prepared before any
-    is bisected, so the first preparation error raises before any escape run."""
-    return _escape(_prepare(fam, alphas, p), p)
+    one per parameter in input order, bisected in one :func:`escape_radii`
+    call.  Every parameter is charted before any is bisected, so the first
+    chart error raises before any escape run."""
+    charts = [_chart(fam, alpha, p) for alpha in alphas]
+    return escape_radii([g for g, _ in charts], [phi for _, phi in charts], p.escape)
 
 
 def _scan_chunk(args) -> List[ScanRow]:
     """Rows of a chunk of parameters, by input index then estimator.
 
-    Every parameter is prepared first; the escape estimator then bisects the
-    whole chunk in one :func:`escape_radii` call.
+    Every parameter is charted first (a chart error becomes that
+    parameter's error rows); the escape estimator then bisects the whole
+    chunk in one :func:`escape_radii` call.
     """
     fam, alphas, p = args
-    preps = _prepare(fam, alphas, p, keep_errors=True)
+    charts = []
+    for alpha in alphas:
+        try:
+            charts.append(_chart(fam, alpha, p))
+        except SiegelError as exc:
+            charts.append(exc)
     escape = {}
     if "escape" in p.estimators:
-        ready = [k for k, prep in enumerate(preps) if not isinstance(prep, SiegelError)]
-        escape = dict(zip(ready, _escape([preps[k] for k in ready], p)))
+        ready = [k for k, c in enumerate(charts) if not isinstance(c, SiegelError)]
+        escape = dict(zip(ready, escape_radii([charts[k][0] for k in ready],
+                                              [charts[k][1] for k in ready], p.escape)))
     out: List[ScanRow] = []
-    for k, (alpha, prep) in enumerate(zip(alphas, preps)):
+    for k, (alpha, chart) in enumerate(zip(alphas, charts)):
         text = format_exact(alpha)
         afloat = to_float(alpha)
         for method in p.estimators:
             try:
-                if isinstance(prep, SiegelError):
-                    raise prep
+                if isinstance(chart, SiegelError):
+                    raise chart
                 if method == "escape":
                     est = escape[k]
                     iters = p.escape.max_iter
                 elif method == "hadamard":
-                    _, phi, full = prep
-                    if not full:
+                    phi = chart[1]
+                    if phi.order != p.lin_order:
                         raise SmallDivisorBlowup("no full linearization series here")
                     est = hadamard_radius(phi, p.window)
                     iters = p.lin_order
@@ -173,6 +164,8 @@ def scan_r(fam: GermFamily, alphas: Sequence[ExactReal],
     chunk ``alphas[w::workers]`` (interleaved, so neighbouring parameters of
     similar cost spread over the workers); the rows merge back in input order.
     """
+    if not workers >= 1:
+        raise DomainError("workers >= 1 required")
     alphas = list(alphas)
     workers = min(workers, len(alphas))
     if workers <= 1:
@@ -235,11 +228,7 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
     # point rational, so the quantitative band has a denominator to use)
     alpha_lo = bracket(alpha, 96)[0]
     gap = alpha_lo - b
-    grid: List[ExactReal] = [b + gap * Fraction(j, grid_points)
-                             for j in range(1, grid_points + 1)]
-    grid.append(alpha)
-    cut = None
-    cut_r = None
+    grid = [b + gap * Fraction(j, grid_points) for j in range(1, grid_points + 1)]
     left_neighbor_r = r_b.lower
     for x in grid:  # one at a time: the loop stops at the first point that passes
         est = estimate_radii(fam, [x], p)[0]
@@ -247,7 +236,8 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
             cut, cut_r = x, est
             break
         left_neighbor_r = est.lower
-    assert cut is not None  # alpha itself passes
+    else:  # no grid point passes; alpha does, since rho < r_alpha.lower
+        cut, cut_r = alpha, r_alpha
     cf_c = cf_of_exact(cut)
     q_c = Fraction(cut).denominator if isinstance(cut, (int, Fraction)) else None
     if cf_c.is_finite:
@@ -296,6 +286,8 @@ def main_lemma_probe(fam: GermFamily, pq: Fraction, variant: str, N: int,
     Reports the tail minimum against exp(-C(K, q)) and exp(-C'(K, q)) for the
     configured constants; a trend report, not a certified bound.
     """
+    if not (N >= 1 and tail_window >= 1):
+        raise DomainError("need N >= 1 members and tail_window >= 1")
     pq = Fraction(pq)
     cf = cf_of_rational(pq, variant)
     q = pq.denominator
@@ -406,7 +398,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
         p = ScanParams(order=32, lin_order=256,
                        escape=EscapeParams(max_iter=10_000, circle_samples=32,
                                            bisect_tol=5e-4))
-    germ0, phi0, full0 = _phi_or_none(fam, theta0, p)
+    germ0, phi0 = _chart(fam, theta0, p)
     est0 = escape_radius(germ0, phi0, p.escape)
     if est0.lower >= p.escape.cap - 1e-3:
         raise FamilyUnsuitable(
@@ -414,7 +406,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
             "radius tracking needs a non-degenerate family")
     if not rho_target < est0.lower:
         raise TargetAboveRadius(f"rho = {rho_target} >= r_est(theta0) = {est0.lower}")
-    if not full0:
+    if phi0.order != p.lin_order:
         raise StageFailed("no full linearization series at theta0")
     states: List[ConstructionState] = []
     theta_prev, phi_prev = theta0, phi0
@@ -432,8 +424,8 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
                     and exact_cmp(cand, interval_prev[1]) < 0):
                 diag_parts.append(f"k={k}: outside parent interval")
                 continue
-            germ_c, phi_c, full_c = _phi_or_none(fam, cand, p)
-            if not full_c:
+            germ_c, phi_c = _chart(fam, cand, p)
+            if phi_c.order != p.lin_order:
                 diag_parts.append(f"k={k}: no full series")
                 continue
             gaps = _deriv_gaps(phi_c, phi_prev, rho_target, stage)
@@ -466,7 +458,7 @@ def _deriv_gaps(phi_new: LinearizationSeries, phi_old: LinearizationSeries,
     """sup-norms of the j-th derivative differences on |z| = rho, j = 0..stage,
     sampled at 128 points of the circle."""
     n = min(phi_new.order, phi_old.order)
-    diff = phi_new.coeff_array()[: n + 1] - phi_old.coeff_array()[: n + 1]
+    diff = phi_new.a[: n + 1] - phi_old.a[: n + 1]
     return _circle_sup_norms(diff, rho, stage, 128)
 
 

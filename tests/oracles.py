@@ -128,7 +128,7 @@ def sequential_escape_radius(g, phi, params):
     ring = np.exp(2j * math.pi * np.arange(S) / S)
     rho_mult = g.multiplier()
     coeffs = g.full_coeffs()
-    phi_arr = None if phi is None else phi.coeff_array()
+    phi_arr = None if phi is None else phi.a
 
     def orbit_stays(w):
         if np.max(np.abs(w)) >= 1.0:

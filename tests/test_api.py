@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deleted function cannot leave its
-export behind; every exported name is defined in its module and used by the
-program or its benchmark, not only by its own tests; and every imported name,
-in the package and in its tests, is used or re-exported."""
+export behind; the package root imports nothing; every exported name is
+defined in its module and used by the program or its benchmark, not only by
+its own tests; every imported name, in the package and in its tests, is used
+or re-exported; and the number of settable values does not grow unnoticed."""
 
 import ast
 import importlib
@@ -21,16 +22,11 @@ def test_module_all_resolves(name):
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
-def test_package_imports_resolve():
+def test_package_root_has_no_imports():
+    # the root re-exports nothing, so callers name each function by its module
     tree = ast.parse(Path(siegelkit.__file__).read_text())
-    missing = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            src = importlib.import_module(f"siegelkit.{node.module}" if node.module
-                                          else "siegelkit")
-            missing += [a.name for a in node.names if not hasattr(src, a.name)]
-            missing += [a.name for a in node.names if not hasattr(siegelkit, a.name)]
-    assert missing == []
+    assert [type(n).__name__ for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom))] == []
 
 
 # Exports the program itself never calls, kept for readers outside it: the
@@ -104,3 +100,42 @@ TEST_FILES = sorted(p.name for p in Path(__file__).parent.glob("*.py"))
 @pytest.mark.parametrize("name", TEST_FILES)
 def test_test_imports_are_used(name):
     assert _unused_imports(Path(__file__).parent / name) == []
+
+
+def _is_dataclass(cls):
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``."""
+    tails = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(getattr(d, "attr", getattr(d, "id", None)) == "dataclass" for d in tails)
+
+
+def _init_false(field):
+    return isinstance(field.value, ast.Call) and any(
+        k.arg == "init" and getattr(k.value, "value", True) is False
+        for k in field.value.keywords)
+
+
+def settable_values():
+    """Parameters with a default, dataclass fields a caller can set, and CLI
+    arguments, in ``src/siegelkit``.  A parameter counts once per (module,
+    function name), so the overrides of one method are one setting."""
+    keys, arguments = set(), 0
+    for path in Path(siegelkit.__path__[0]).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults):] + [
+                    x for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                keys |= {(path.stem, node.name, x.arg) for x in named}
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                keys |= {(path.stem, node.name, s.target.id) for s in node.body
+                         if isinstance(s, ast.AnnAssign) and not _init_false(s)}
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                arguments += 1
+    return len(keys) + arguments
+
+
+def test_settable_value_count_is_pinned():
+    # a change that adds or removes a setting updates this number (and the
+    # count quoted in ROADMAP.md) on purpose
+    assert settable_values() == 212

@@ -160,6 +160,26 @@ def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch):
     assert err.startswith("DomainError:")
 
 
+@pytest.mark.parametrize("argv", [
+    _ESCAPE + ["--N", "0"],
+    ["lin", "coeffs", "--alpha", "1/3", "--N", "0"],
+    ["lift", "h", "--alpha", "[0;(1)]", "--N", "0"],
+    ["lift", "h", "--alpha", "[0;(1)]", "--family", "flow", "--chi", "1", "--N", "0"],
+    ["scan", "--grid", "1/3", "--lin-order", "0"],
+    ["scan", "--grid", "1/3", "--family", "flow", "--order", "0"],
+    ["scan", "--grid", "1/3", "--window", "0"],
+    ["scan", "--grid", "1/3", "--workers", "0"],
+    ["scan", "--grid", "1/3", "--workers", "-3"],
+    ["probe", "main-lemma", "--pq", "2/5", "--N", "0", "--K", "2"],
+])
+def test_size_below_its_least_value_is_a_numeric_error(argv, capsys):
+    # an order, window, worker count or member count below its least value
+    # is refused before any work, with a tag
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("DomainError:")
+
+
 def test_scan_csv_golden_path(tmp_path, capsys):
     out_file = tmp_path / "comb.csv"
     plot = tmp_path / "plot.dat"

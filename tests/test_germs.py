@@ -151,6 +151,16 @@ def test_flow_rejects_bad_restriction_radius(radius):
         FlowFamily([1.0], restriction_radius=radius)
 
 
+def test_orders_below_one_are_rejected():
+    # an order-0 lift has an empty h, which h_of_lift would read as an exact
+    # translation ("every height is admissible")
+    with pytest.raises(DomainError):
+        FlowFamily([1.0]).at(GOLDEN, 0)
+    with pytest.raises(DomainError):
+        lift_of_germ(QuadraticFamily().at(GOLDEN, 8), order=0)
+    assert len(lift_of_germ(QuadraticFamily().at(GOLDEN, 8), order=1).h_coeffs) == 1
+
+
 def test_lipschitz_rejects_bad_budget():
     with pytest.raises(DomainError):
         lipschitz_estimate(RotationFamily(), (0, 1), n_pairs=0)

@@ -157,6 +157,12 @@ def test_rational_requires_opt_in():
         linearization_coeffs(QUAD.at(Fraction(1, 2), 8), 8)
 
 
+def test_order_below_one_is_rejected():
+    with pytest.raises(DomainError):
+        linearization_coeffs(QUAD.at(GOLDEN, 8), 0)
+    assert linearization_coeffs(QUAD.at(GOLDEN, 8), 1).order == 1
+
+
 def test_blowup_and_truncate_modes():
     g = QUAD.at(Fraction(1, 2), 8)
     with pytest.raises(SmallDivisorBlowup):
@@ -359,7 +365,7 @@ def test_escape_radii_chain_follows_sequential_path(monkeypatch):
 
     def valid(k, r):
         c, table = _ESCAPE_TABLES[k]
-        chart_ok = c is None or np.all(np.abs(polyval_vec(phis[k].coeff_array(), r * ring)) < 1)
+        chart_ok = c is None or np.all(np.abs(polyval_vec(phis[k].a, r * ring)) < 1)
         return bool(chart_ok) and table(r)
 
     asked = []
@@ -449,7 +455,7 @@ def test_escape_radii_needs_one_chart_per_germ():
 
 def test_boundary_norms_rotation():
     lin = linearization_coeffs(RotationFamily().at(GOLDEN, 8), 64)
-    norms = _circle_sup_norms(lin.coeff_array(), 0.5, 3, 256)
+    norms = _circle_sup_norms(lin.a, 0.5, 3, 256)
     assert abs(norms[0] - 0.5) < 1e-12
     assert abs(norms[1] - 1.0) < 1e-12
     assert norms[2] == 0.0 and norms[3] == 0.0
@@ -459,9 +465,9 @@ def test_boundary_norms_match_dense_sampling():
     g = QUAD.at(GOLDEN, 8)
     lin = linearization_coeffs(g, 256)
     rho = 0.15
-    norms = _circle_sup_norms(lin.coeff_array(), rho, 0, 256)
+    norms = _circle_sup_norms(lin.a, rho, 0, 256)
     zs = rho * np.exp(2j * np.pi * np.arange(4096) / 4096)
-    coeffs = lin.coeff_array()
+    coeffs = lin.a
     from siegelkit.series import polyval_vec
     dense = float(np.max(np.abs(polyval_vec(coeffs, zs))))
     assert abs(norms[0] - dense) / dense < 0.01
@@ -474,7 +480,7 @@ def test_boundary_norms_nearby_alpha_difference_decreases():
     gaps = []
     for n in (2, 5, 8):
         other = linearization_coeffs(QUAD.at(special_sequence_main(cf, n), 8), 128)
-        diff = base.coeff_array() - other.coeff_array()
+        diff = base.a - other.a
         zs = rho * np.exp(2j * np.pi * np.arange(256) / 256)
         from siegelkit.series import polyval_vec
         gaps.append(float(np.max(np.abs(polyval_vec(diff, zs)))))

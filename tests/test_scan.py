@@ -1,12 +1,13 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from siegelkit.cf import cf_of_rational, farey_fractions, special_sequence_main
+from siegelkit.cf import cf_of_rational, farey_fractions, format_exact, special_sequence_main
 from siegelkit import scan
-from siegelkit.errors import FamilyUnsuitable, StageFailed, TargetAboveRadius
+from siegelkit.errors import DomainError, FamilyUnsuitable, StageFailed, TargetAboveRadius
 from siegelkit.germs import FlowFamily, QuadraticFamily, RotationFamily
 from siegelkit.linearize import EscapeParams, linearization_coeffs
 from siegelkit.scan import (
@@ -57,6 +58,20 @@ def _sequential_bracket(fam, alpha, p):
     g = fam.at(alpha, p.order)
     phi = linearization_coeffs(g, p.lin_order, allow_rational=True, on_failure="truncate")
     return sequential_escape_radius(g, phi, p.escape)[:2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ScanParams(order=0),
+    lambda: ScanParams(lin_order=0),
+    lambda: ScanParams(window=15),
+    lambda: scan_r(RotationFamily(), [GOLDEN], CHEAP, workers=0),
+    lambda: main_lemma_probe(RotationFamily(), Fraction(1, 2), "short", 0, 6.3, p=CHEAP),
+    lambda: main_lemma_probe(RotationFamily(), Fraction(1, 2), "short", 4, 6.3, p=CHEAP,
+                             tail_window=0),
+])
+def test_sizes_below_their_least_value_are_rejected(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_scan_rows_match_sequential_bisection():
@@ -147,6 +162,35 @@ def test_cond_bdd_quadratic_finds_cut():
     assert rep["left_neighbor_r_lower"] < rep["rho"]
     assert all(item["bounded_type"] for item in rep["sequence"])
     assert rep["band_endpoints"][0] <= rep["band_endpoints"][1]
+
+
+class _RationalsAtOneHalf(QuadraticFamily):
+    """Every rational parameter gets the germ at 1/2 (a pole at n = 3), so no
+    rational grid point reaches rho and the cut search ends at alpha."""
+
+    def at(self, alpha, order=64):
+        return super().at(Fraction(1, 2) if isinstance(alpha, Fraction) else alpha, order)
+
+
+def test_cond_bdd_linearizes_each_parameter_once(monkeypatch):
+    # in test_cond_bdd_quadratic_finds_cut's setting the cut is a rational
+    # grid point; with every rational at 1/2 the search reaches alpha itself
+    calls = []
+    real = scan.linearization_coeffs
+
+    def counted(g, *args, **kwargs):
+        calls.append(g.alpha)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(scan, "linearization_coeffs", counted)
+    for fam, cut_at_alpha in ((QuadraticFamily(), False), (_RationalsAtOneHalf(), True)):
+        calls.clear()
+        rep = condition_bdd_search(fam, GOLDEN, rho_frac=0.5, qmax=8, grid_points=8,
+                                   seq_indices=(0, 1), p=MEDIUM)
+        assert (rep["cut"] == format_exact(GOLDEN)) == cut_at_alpha
+        # the second family's rationals all linearize at 1/2: count the rest
+        counts = Counter(a for a in calls if not (cut_at_alpha and isinstance(a, Fraction)))
+        assert GOLDEN in counts and set(counts.values()) == {1}
 
 
 def test_cond_bdd_target_above_radius():
