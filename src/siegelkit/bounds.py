@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .cf import CFExpansion
@@ -72,14 +72,13 @@ DEFAULT_CONFIG = ConstantConfig()
 _CONFIG_KEYS = ("c1", "c2", "c3", "C0", "D", "C_sqrt2", "A", "C1_glue", "B_slope", "seed")
 
 
-def config_from_mapping(data: Dict[str, str], base: Optional[ConstantConfig] = None) -> ConstantConfig:
-    cfg = base or DEFAULT_CONFIG
+def config_from_mapping(data: Dict[str, str]) -> ConstantConfig:
     kwargs = {}
     for key, raw in data.items():
         if key not in _CONFIG_KEYS:
             raise DomainError(f"unknown config key {key!r}")
         kwargs[key] = int(raw) if key == "seed" else float(raw)
-    return replace(cfg, **kwargs)
+    return ConstantConfig(**kwargs)
 
 
 def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None) -> ConstantConfig:
@@ -120,6 +119,8 @@ def brjuno_sum(alpha: CFExpansion, depth: int = 60, tol: float = 1e-12) -> Brjun
     +inf.  A finite expansion cut off by ``depth`` is treated as a prefix of an
     unknown number: the partial value is returned unconverged.
     """
+    if not depth >= 0:
+        raise DomainError("depth >= 0 required")
     if alpha.is_finite and depth >= len(alpha.partials):
         return BrjunoValue(math.inf, len(alpha.partials), True)
     total = 0.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple, Union
 
-from .errors import DepthExceeded, RationalInput
+from .errors import DepthExceeded, DomainError, RationalInput
 from .surd import (
     ExactReal,
     QuadraticIrrational,
@@ -103,7 +103,7 @@ class CFExpansion:
     def convergent(self, n: int) -> Convergent:
         """p_n/q_n with the convention p_-1/q_-1 = 1/0."""
         if n < -1:
-            raise ValueError("index >= -1 required")
+            raise DomainError("index >= -1 required")
         if n == -1:
             return Convergent(-1, 1, 0)
         memo = self._conv
@@ -277,7 +277,7 @@ def special_sequence_main(alpha: CFExpansion, n: int,
     [a0; ..., a_k, n + tail], i.e. n+1+sqrt(2) for the default tail.
     """
     if n < 0:
-        raise ValueError("n >= 0 required")
+        raise DomainError("n >= 0 required")
     if alpha.is_finite:
         k = len(alpha.partials)
         return eval_cf(alpha, k, n + tail)

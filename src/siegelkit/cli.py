@@ -76,7 +76,6 @@ from .scan import (
     ScanParams,
     condition_bdd_search,
     degenerate_probe,
-    estimate_radii,
     main_lemma_probe,
     scan_r,
     smooth_disk_driver,
@@ -421,9 +420,8 @@ def cmd_scan(args, cfg):
 
 def cmd_construct(args, cfg):
     fam = make_family(args)
-    theta0 = _parse(parse_exact, args.theta0)
-    base = estimate_radii(fam, [theta0])[0]
-    states = smooth_disk_driver(fam, theta0, args.rho_frac * base.lower, args.stages)
+    states = smooth_disk_driver(fam, _parse(parse_exact, args.theta0), args.rho_frac,
+                                args.stages)
     return skio.construction_states_json(states, cfg)
 
 

@@ -280,8 +280,7 @@ def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER,
     for m in range(2, m_top + 1):
         u[m - 1] = g.coeffs[m - 2] / rho
     r_check = math.exp(-2 * math.pi * check_height)
-    ws = r_check * np.exp(TWO_PI_I * np.arange(128) / 128)
-    gm1 = float(np.max(np.abs(series.polyval_vec(u, ws))))
+    gm1 = series.circle_sup_norms(u, r_check, 0, 128)[0]
     if not gm1 < 1.0:
         raise FactorizationError(f"|g - 1| reaches {gm1:.3f} on |w| = {r_check:.3f}")
     h = series.log1p_series(u, order) / TWO_PI_I

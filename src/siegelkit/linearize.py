@@ -168,8 +168,8 @@ def pole_cancellation_probe(fam: GermFamily, p: int, q: int, n: int) -> dict:
     this index, degenerate-type behaviour); a nonzero limit is a pole and the
     matching a_n blows up like 1/|rho^n - rho|.
     """
-    if n < 2 or (n - 1) % q != 0:
-        raise DomainError("need n >= 2 with q | (n - 1)")
+    if q < 1 or n < 2 or (n - 1) % q != 0:
+        raise DomainError("need q >= 1 and n >= 2 with q | (n - 1)")
     base = Fraction(p, q)
     rows = []
     for j in range(1, 9):
@@ -331,7 +331,7 @@ def _bisect(start: Callable[[int, float], object],
         known.update(((i, x), bool(ok)) for (i, x, _), ok in zip(batch, verdicts))
 
 
-def escape_radii(germs: Sequence[Germ], phis: Sequence[Optional[LinearizationSeries]],
+def escape_radii(germs: Sequence[Germ], phis: Sequence[LinearizationSeries],
                  params: EscapeParams = EscapeParams()) -> List[RadiusEstimate]:
     """:func:`escape_radius` for many parameters, in one chained bisection.
 
@@ -343,23 +343,20 @@ def escape_radii(germs: Sequence[Germ], phis: Sequence[Optional[LinearizationSer
     on what else is in the batch.
     """
     if len(germs) != len(phis):
-        raise DomainError("need one chart (or None) per germ")
+        raise DomainError("need one chart per germ")
     S = params.circle_samples
     ring = np.exp(TWO_PI_I * np.arange(S) / S)
     rows = [g.full_coeffs() for g in germs]
     mults = [g.multiplier() for g in germs]
-    charts = [None if phi is None else phi.a for phi in phis]
 
     def start(i: int, r: float) -> Optional[np.ndarray]:
         """Orbit start points phi(r * ring), or None when the chart leaves the
         disk or the conjugacy residual is not below tolerance (NaN fails)."""
         z = r * ring
-        if charts[i] is None:
-            return z
-        w = series.polyval_vec(charts[i], z)
+        w = series.polyval_vec(phis[i].a, z)
         if not np.all(np.abs(w) < 1.0):
             return None
-        fz = series.polyval_vec(charts[i], mults[i] * z)
+        fz = series.polyval_vec(phis[i].a, mults[i] * z)
         resid = np.max(np.abs(fz - series.polyval_vec(rows[i], w)))
         return w if resid < params.residual_tol else None
 
@@ -392,7 +389,7 @@ def escape_radii(germs: Sequence[Germ], phis: Sequence[Optional[LinearizationSer
     return out
 
 
-def escape_radius(g: Germ, phi: Optional[LinearizationSeries],
+def escape_radius(g: Germ, phi: LinearizationSeries,
                   params: EscapeParams = EscapeParams()) -> RadiusEstimate:
     """Bisection bracket of the largest radius that looks linearizable.
 
@@ -400,20 +397,7 @@ def escape_radius(g: Germ, phi: Optional[LinearizationSeries],
     truncated conjugacy residual on |z| = rho to stay below ``residual_tol``
     and every orbit started from phi(rho * samples) to stay in the unit disk
     for ``max_iter`` steps.  Each test is "finite and inside", so NaN or inf
-    anywhere rejects the radius.  With ``phi=None`` (the identity chart, e.g.
-    at rationals where no series exists) only the orbit condition applies
-    and the bracket reads as an in-disk escape radius.
+    anywhere rejects the radius.
     """
     return escape_radii([g], [phi], params)[0]
 
-
-def _circle_sup_norms(coeffs: np.ndarray, rho: float, order: int,
-                      samples: int) -> List[float]:
-    """sup_{|z| = rho} |p^{(j)}(z)| for j = 0..order of the polynomial with
-    ``coeffs``, by sampling the circle at ``samples`` points."""
-    ring = rho * np.exp(TWO_PI_I * np.arange(samples) / samples)
-    out = []
-    for _ in range(order + 1):
-        out.append(float(np.max(np.abs(series.polyval_vec(coeffs, ring)))))
-        coeffs = series.derivative(coeffs)
-    return out

@@ -393,10 +393,13 @@ def renormalized_rotation_number(setup: RenormSetup, height: float,
 
     Each return contributes lam(R(Z)) - lam(Z) - m (the hop count m plays the
     role of the deck bookkeeping); the mean tends to beta'/beta as the height
-    grows.  Undefined returns or budget hits abort with a partial report.
+    grows.  An undefined return or a budget hit aborts with a partial report,
+    or raises when no return has completed.
     """
     if setup.y0 is None:
         raise DomainError("run find_y0 first")
+    if not n_returns >= 1:
+        raise DomainError("n_returns >= 1 required")
     absb = abs(setup.beta)
     y1 = setup.y0 + 0.3 * absb + (abs(setup.beta_prime) + 0.1 * absb) * TAN_THETA
     y2 = y1 + (cfg.A * max(cfg.C_sqrt2, cfg.C1_glue) + cfg.C1_glue + 0.1) * absb
@@ -413,12 +416,11 @@ def renormalized_rotation_number(setup: RenormSetup, height: float,
     for _ in range(n_returns):
         try:
             sample, trace = return_map(setup, Z)
-        except UndefinedReturn as exc:
-            undefined += 1
-            diag = f"aborted: {exc}"
-            break
-        except BudgetExceeded as exc:
-            budget_viol += 1
+        except (UndefinedReturn, BudgetExceeded) as exc:
+            if not done:
+                raise
+            undefined += isinstance(exc, UndefinedReturn)
+            budget_viol += isinstance(exc, BudgetExceeded)
             diag = f"aborted: {exc}"
             break
         disp_sum += setup.lam(sample.RZ) - setup.lam(Z) - sample.hops
@@ -426,13 +428,13 @@ def renormalized_rotation_number(setup: RenormSetup, height: float,
             violations += 1
         Z = sample.RZ
         done += 1
-    measured = (disp_sum / done).real if done else math.nan
-    drift = (disp_sum / done).imag if done else math.nan
+    measured = (disp_sum / done).real
+    drift = (disp_sum / done).imag
     h0 = _estimate_H0(setup, height)
     return RenormReport(
         measured_alpha_prime=measured,
         expected_alpha_prime=expected,
-        error=abs(measured - expected) if done else math.inf,
+        error=abs(measured - expected),
         y0=setup.y0, y1=y1, y2=y2,
         H0_estimate=h0,
         single_pass_violations=violations,

@@ -41,12 +41,12 @@ from .linearize import (
     EscapeParams,
     LinearizationSeries,
     RadiusEstimate,
-    _circle_sup_norms,
     escape_radii,
     escape_radius,
     hadamard_radius,
     linearization_coeffs,
 )
+from .series import circle_sup_norms
 from .surd import ExactReal, bracket, exact_cmp, floor_exact, to_float
 
 __all__ = [
@@ -188,16 +188,17 @@ def scan_r(fam: GermFamily, alphas: Sequence[ExactReal],
 
 
 def _nearest_fraction_below(alpha: ExactReal, qmax: int) -> Fraction:
-    """Largest p/q < alpha with q <= qmax (exact arithmetic)."""
-    best: Optional[Fraction] = None
-    for q in range(1, qmax + 1):
-        p = floor_exact(q * alpha)
-        cand = Fraction(p, q)
-        if exact_cmp(cand, alpha) >= 0:
-            cand = Fraction(p - 1, q)
-        if best is None or cand > best:
-            best = cand
-    return best
+    """Largest p/q < alpha with q <= qmax, exactly: p = ceil(q alpha) - 1."""
+    return max(Fraction(-floor_exact(-q * alpha) - 1, q) for q in range(1, qmax + 1))
+
+
+def _target(rho_frac: float, r_est: RadiusEstimate) -> float:
+    """The target radius rho = rho_frac * r_est.lower, strictly below the estimate."""
+    if not 0.0 < rho_frac < 1.0:  # False on NaN
+        raise DomainError("rho_frac in (0, 1) required")
+    if not r_est.lower > 0.0:
+        raise TargetAboveRadius(f"r_est.lower = {r_est.lower} leaves no target below it")
+    return rho_frac * r_est.lower
 
 
 def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
@@ -209,15 +210,15 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
     """Left cut point c = grid-inf{x in [b, alpha] : r_est(x) >= rho} and the
     bounded-type sequence it emits, with the quantitative band both ways.
 
-    The target is rho = rho_frac * r_est(alpha).lower.  b is the nearest
-    fraction below alpha with denominator <= qmax (the strongest
-    non-linearizability signal at desk scale); the cut is located at grid
-    resolution and every emitted value is exact and bounded type.
+    The target is rho = rho_frac * r_est(alpha).lower (:func:`_target`).
+    b is the nearest fraction below alpha with denominator <= qmax (the
+    strongest non-linearizability signal at desk scale); the cut is located
+    at grid resolution and every emitted value is exact and bounded type.
     """
+    if not qmax >= 1:
+        raise DomainError("qmax >= 1 required")
     r_alpha = estimate_radii(fam, [alpha], p)[0]
-    rho = rho_frac * r_alpha.lower
-    if not rho < r_alpha.lower:
-        raise TargetAboveRadius(f"rho = {rho} >= r_est.lower = {r_alpha.lower}")
+    rho = _target(rho_frac, r_alpha)
     b = _nearest_fraction_below(alpha, qmax)
     r_b = estimate_radii(fam, [b], p)[0]
     if r_b.lower >= rho:
@@ -377,22 +378,24 @@ def _rational_above(x: ExactReal) -> Fraction:
     return hi if exact_cmp(hi, x) > 0 else hi + Fraction(1, 2 ** _ENDPOINT_BITS)
 
 
-def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
+def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
                        stages: int, p: Optional[ScanParams] = None) -> List[ConstructionState]:
     """Inductive stand-in for the smooth-boundary construction.
 
-    Stage n schedules a strictly decreasing target rho_n, picks theta_n from
-    the members k = 2..12 of theta_{n-1}'s special sequence subject to the
-    2^-(n+j) derivative ladder on the closed target disk and to
-    parent-interval membership, then pins theta_n inside an exact interval
-    certificate.  The measured radius of theta_n stands in for rho_n
-    (recorded, tolerance-stamped: the true dips along the special sequences
-    shrink below any fixed estimator resolution, so nearness to the schedule
-    is reported rather than gated).
+    The global target is rho = rho_frac * r_est(theta0).lower (:func:`_target`),
+    from the one estimate of theta0 at ``p``.  Stage n schedules a strictly
+    decreasing target rho_n, picks theta_n from the members k = 2..12 of
+    theta_{n-1}'s special sequence subject to the 2^-(n+j) derivative ladder
+    on the closed target disk and to parent-interval membership, then pins
+    theta_n inside an exact interval certificate.  The measured radius of
+    theta_n stands in for rho_n (recorded, tolerance-stamped: the true dips
+    along the special sequences shrink below any fixed estimator resolution,
+    so nearness to the schedule is reported rather than gated).
 
-    Raises :class:`FamilyUnsuitable` when the start radius sits within 1e-3
-    of the estimator's domain cap (rho tracking meaningless, the rotation-like
-    degenerate case) and :class:`StageFailed` when no candidate passes.
+    Raises what :func:`_target` raises, :class:`FamilyUnsuitable` when the
+    start radius sits within 1e-3 of the estimator's domain cap (rho tracking
+    meaningless, the rotation-like degenerate case) and :class:`StageFailed`
+    when no candidate passes.
     """
     if p is None:
         p = ScanParams(order=32, lin_order=256,
@@ -400,12 +403,11 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_target: float,
                                            bisect_tol=5e-4))
     germ0, phi0 = _chart(fam, theta0, p)
     est0 = escape_radius(germ0, phi0, p.escape)
+    rho_target = _target(rho_frac, est0)
     if est0.lower >= p.escape.cap - 1e-3:
         raise FamilyUnsuitable(
             f"r_est(theta0) = {est0.lower} sits at the domain cap; "
             "radius tracking needs a non-degenerate family")
-    if not rho_target < est0.lower:
-        raise TargetAboveRadius(f"rho = {rho_target} >= r_est(theta0) = {est0.lower}")
     if phi0.order != p.lin_order:
         raise StageFailed("no full linearization series at theta0")
     states: List[ConstructionState] = []
@@ -459,7 +461,7 @@ def _deriv_gaps(phi_new: LinearizationSeries, phi_old: LinearizationSeries,
     sampled at 128 points of the circle."""
     n = min(phi_new.order, phi_old.order)
     diff = phi_new.a[: n + 1] - phi_old.a[: n + 1]
-    return _circle_sup_norms(diff, rho, stage, 128)
+    return circle_sup_norms(diff, rho, stage, 128)
 
 
 def check_construction_invariants(states: Sequence[ConstructionState],

@@ -21,6 +21,7 @@ __all__ = [
     "log1p_series",
     "polyval_scalar",
     "polyval_vec",
+    "circle_sup_norms",
 ]
 
 
@@ -146,4 +147,15 @@ def polyval_vec(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     np.multiply.accumulate(pw, axis=-1, out=pw)
     out = np.einsum("...j,...j->...", pw, c[..., 1:], optimize=False)
     out += c[..., 0]
+    return out
+
+
+def circle_sup_norms(coeffs: np.ndarray, rho: float, order: int, samples: int) -> list:
+    """sup_{|z| = rho} |p^{(j)}(z)| for j = 0..order of the polynomial with
+    ``coeffs``, by sampling the circle at ``samples`` points."""
+    ring = rho * np.exp(2j * np.pi * np.arange(samples) / samples)
+    out = []
+    for _ in range(order + 1):
+        out.append(float(np.max(np.abs(polyval_vec(coeffs, ring)))))
+        coeffs = derivative(coeffs)
     return out

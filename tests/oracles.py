@@ -128,7 +128,7 @@ def sequential_escape_radius(g, phi, params):
     ring = np.exp(2j * math.pi * np.arange(S) / S)
     rho_mult = g.multiplier()
     coeffs = g.full_coeffs()
-    phi_arr = None if phi is None else phi.a
+    phi_arr = phi.a
 
     def orbit_stays(w):
         if np.max(np.abs(w)) >= 1.0:
@@ -141,16 +141,13 @@ def sequential_escape_radius(g, phi, params):
 
     def valid(r):
         z = r * ring
-        if phi_arr is None:
-            w = z
-        else:
-            w = polyval_row(phi_arr, z)
-            fz = polyval_row(phi_arr, rho_mult * z)
-            if np.max(np.abs(w)) >= 1.0:
-                return False
-            resid = np.max(np.abs(fz - polyval_row(coeffs, w)))
-            if resid >= params.residual_tol:
-                return False
+        w = polyval_row(phi_arr, z)
+        fz = polyval_row(phi_arr, rho_mult * z)
+        if np.max(np.abs(w)) >= 1.0:
+            return False
+        resid = np.max(np.abs(fz - polyval_row(coeffs, w)))
+        if resid >= params.residual_tol:
+            return False
         return orbit_stays(w)
 
     return sequential_escape_bisection(valid, params)

@@ -54,7 +54,6 @@ from siegelkit.scan import (
     ScanParams,
     check_construction_invariants,
     degenerate_probe,
-    estimate_radii,
     main_lemma_probe,
     smooth_disk_driver,
 )
@@ -440,13 +439,8 @@ def test_criterion_10_constants():
 def test_criterion_11_construction_driver():
     t0 = time.time()
     quad = QuadraticFamily()
-    base = estimate_radii(quad, [GOLDEN_FRAC],
-                          ScanParams(order=32, lin_order=256,
-                                     escape=EscapeParams(max_iter=10_000,
-                                                         circle_samples=32,
-                                                         bisect_tol=5e-4)))[0]
-    rho = 0.5 * base.lower
-    states = smooth_disk_driver(quad, GOLDEN_FRAC, rho, stages=3)
+    states = smooth_disk_driver(quad, GOLDEN_FRAC, 0.5, stages=3)
+    rho = states[0].rho_target
     check_construction_invariants(states, rho)
     ladders = all(all(g <= t for g, t in zip(st.deriv_gaps, st.thresholds))
                   for st in states)

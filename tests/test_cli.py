@@ -1,6 +1,7 @@
 import json
 import math
 import signal
+from collections import Counter
 import subprocess
 import sys
 
@@ -8,9 +9,11 @@ import pytest
 
 from siegelkit.cli import build_parser, main
 from siegelkit import io as skio
+from siegelkit import scan
 from siegelkit.bounds import DEFAULT_CONFIG, const_Cprime, format_config
 from siegelkit.linearize import EscapeParams
 from siegelkit.renorm import HParams
+from siegelkit.surd import QuadraticIrrational
 
 
 def run_cli(args, capsys):
@@ -171,13 +174,47 @@ def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch):
     ["scan", "--grid", "1/3", "--workers", "0"],
     ["scan", "--grid", "1/3", "--workers", "-3"],
     ["probe", "main-lemma", "--pq", "2/5", "--N", "0", "--K", "2"],
+    ["lin", "pole-probe", "--q", "0", "--n", "2"],
+    ["probe", "cond-bdd", "--alpha", "[0;(1)]", "--K", "2", "--qmax", "0"],
+    ["cf", "special-seq", "--alpha", "1/3", "--n", "-1"],
+    ["cf", "theta-seq", "--alpha", "[0;(1)]", "--n", "-1"],
+    ["renorm", "setup", "--alpha", "[0;(1)]", "--k", "-1"],
+    ["brjuno", "--alpha", "[0;(1)]", "--depth", "-1"],
+    ["renorm", "rotnum", "--alpha", "[0;(1)]", "--returns", "0"],
 ])
 def test_size_below_its_least_value_is_a_numeric_error(argv, capsys):
-    # an order, window, worker count or member count below its least value
-    # is refused before any work, with a tag
+    # an order, window, depth, index, denominator bound or count below its
+    # least value is refused with a tag, not a traceback
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("DomainError:")
+
+
+@pytest.mark.parametrize("rho_frac", ["0", "-1", "1", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["construct", "--theta0", "[0;(1)]", "--stages", "1"],
+    ["probe", "cond-bdd", "--alpha", "[0;(1)]", "--K", "2"],
+])
+def test_rho_frac_outside_the_unit_interval_is_a_numeric_error(argv, rho_frac, capsys):
+    code, out, err = run_cli(argv + ["--rho-frac", rho_frac], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("DomainError:")
+
+
+def test_construct_linearizes_each_parameter_once(monkeypatch, capsys):
+    # the driver's one estimate of theta0 also sets the target
+    calls = []
+    real = scan.linearization_coeffs
+
+    def counted(g, *args, **kwargs):
+        calls.append(g.alpha)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(scan, "linearization_coeffs", counted)
+    code, out, err = run_cli(["construct", "--theta0", "[0;(1)]", "--stages", "1"], capsys)
+    assert code == 0, err
+    counts = Counter(calls)
+    assert counts[QuadraticIrrational(-1, 1, 2, 5)] == 1 and set(counts.values()) == {1}
 
 
 def test_scan_csv_golden_path(tmp_path, capsys):

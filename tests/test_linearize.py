@@ -29,7 +29,6 @@ from siegelkit.linearize import (
     EscapeParams,
     LinearizationSeries,
     _bisect,
-    _circle_sup_norms,
     _divisor,
     _orbits_stay,
     compose_check,
@@ -39,7 +38,7 @@ from siegelkit.linearize import (
     linearization_coeffs,
     pole_cancellation_probe,
 )
-from siegelkit.series import polyval_vec
+from siegelkit.series import circle_sup_norms, polyval_vec
 from siegelkit.surd import QuadraticIrrational
 
 from .oracles import sequential_escape_bisection, sequential_escape_radius, small_divisor
@@ -273,13 +272,14 @@ def test_escape_upper_monotone_in_max_iter():
 
 
 def test_orbit_kernel_checks_every_step():
-    # w -> r w with r = 2, 2, 1: groups leave at steps 2 and 3, the last stays
-    w = np.array([[0.3 + 0j], [0.2 + 0j], [0.9 + 0j]])
-    rows = np.array([[2.0], [2.0], [1.0]])
+    # w -> r w with r = 2, 2, 1, nan: groups leave at steps 2 and 3, the
+    # third stays and the NaN orbit counts as escaped after its first step
+    w = np.array([[0.3 + 0j], [0.2 + 0j], [0.9 + 0j], [0.1 + 0j]])
+    rows = np.array([[2.0], [2.0], [1.0], [math.nan]])
     scale = lambda w, r: r * w
-    assert list(_orbits_stay(scale, w, 1, rows=rows)) == [True, True, True]
-    assert list(_orbits_stay(scale, w, 2, rows=rows)) == [False, True, True]
-    assert list(_orbits_stay(scale, w, 3, rows=rows)) == [False, False, True]
+    assert list(_orbits_stay(scale, w, 1, rows=rows)) == [True, True, True, False]
+    assert list(_orbits_stay(scale, w, 2, rows=rows)) == [False, True, True, False]
+    assert list(_orbits_stay(scale, w, 3, rows=rows)) == [False, False, True, False]
 
 
 def _nan_in_chart():
@@ -290,7 +290,9 @@ def _nan_in_chart():
 
 
 def _nan_in_germ():
-    return Germ(GOLDEN, np.array([math.nan + 0j])), None
+    chart = LinearizationSeries(GOLDEN, np.array([0, 1], dtype=complex), np.zeros(2),
+                                np.zeros(2))
+    return Germ(GOLDEN, np.array([math.nan + 0j])), chart
 
 
 @pytest.mark.parametrize("case", [_nan_in_chart, _nan_in_germ])
@@ -312,8 +314,8 @@ def test_escape_params_record_the_cap():
 
 def test_escape_radii_match_sequential_bisection():
     # one lock-step call over germ rows of three lengths (quadratic 3, flow 25
-    # via the power table, rotation 2), full and partial charts and the
-    # identity chart; every bracket must equal the one-at-a-time loop's
+    # via the power table, rotation 2), full and partial charts; every
+    # bracket must equal the one-at-a-time loop's
     flow = FlowFamily([1.0], 0.5)
     germs = [QUAD.at(a, 8) for a in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
                                      GOLDEN, QuadraticIrrational(-1, 1, 1, 2))]
@@ -321,8 +323,6 @@ def test_escape_radii_match_sequential_bisection():
     germs.append(RotationFamily().at(GOLDEN, 8))
     phis = [linearization_coeffs(g, 48, allow_rational=True, on_failure="truncate")
             for g in germs]
-    germs.append(QUAD.at(Fraction(2, 5), 8))
-    phis.append(None)
     p = EscapeParams(max_iter=300, circle_samples=16, bisect_tol=4e-3)
     got = [(e.lower, e.upper, e.diagnostics) for e in escape_radii(germs, phis, p)]
     assert got == [sequential_escape_radius(g, phi, p) for g, phi in zip(germs, phis)]
@@ -332,13 +332,14 @@ def test_escape_radii_match_sequential_bisection():
 
 # Orbit verdicts by radius, not monotone, for rotation germs (one with a zero
 # z^2 term, a longer coefficient row) under the chart phi(z) = c z: c = 2
-# leaves the disk from r = 1/2 on, None is the identity chart.
+# leaves the disk from r = 1/2 on, and c = 1 passes the chart and residual
+# screens exactly.
 _ESCAPE_TABLES = [
     (1, lambda r: r < 0.3 or 0.5 < r < 0.7),          # island above a gap
     (2, lambda r: not 0.2 < r < 0.25),                # chart failures above 1/2
-    (None, lambda r: r > 0.9),                        # valid at the cap
+    (1, lambda r: r > 0.9),                           # valid at the cap
     (1, lambda r: False),                             # no valid radius
-    (None, lambda r: r < 0.45 or 0.8 < r < 0.85),     # longer row
+    (1, lambda r: r < 0.45 or 0.8 < r < 0.85),        # longer row
     (2, lambda r: 0.1 < r < 0.15 or 0.3 < r),         # chart and orbit gaps
 ]
 
@@ -347,8 +348,7 @@ def test_escape_radii_chain_follows_sequential_path(monkeypatch):
     p = EscapeParams(max_iter=1, circle_samples=8, bisect_tol=1e-2)
     alphas = [Fraction(1, k) for k in range(3, 3 + len(_ESCAPE_TABLES))]
     germs = [Germ(a, np.zeros(int(k == 4), dtype=complex)) for k, a in enumerate(alphas)]
-    phis = [None if c is None else
-            LinearizationSeries(a, np.array([0, c], dtype=complex), np.zeros(2), np.zeros(2))
+    phis = [LinearizationSeries(a, np.array([0, c], dtype=complex), np.zeros(2), np.zeros(2))
             for a, (c, _) in zip(alphas, _ESCAPE_TABLES)]
     which = {g.multiplier(): k for k, g in enumerate(germs)}
     ring = np.exp(TWO_PI_I * np.arange(p.circle_samples) / p.circle_samples)
@@ -359,13 +359,13 @@ def test_escape_radii_chain_follows_sequential_path(monkeypatch):
         for start, row in zip(w, rows):
             k = which[row[0, 1]]
             # the start point phi(r) = c r is exact, so is the radius read back
-            tested.append((k, abs(start[0]) / (_ESCAPE_TABLES[k][0] or 1)))
+            tested.append((k, abs(start[0]) / _ESCAPE_TABLES[k][0]))
         calls.append(tested)
         return np.array([_ESCAPE_TABLES[k][1](r) for k, r in tested], dtype=bool)
 
     def valid(k, r):
         c, table = _ESCAPE_TABLES[k]
-        chart_ok = c is None or np.all(np.abs(polyval_vec(phis[k].a, r * ring)) < 1)
+        chart_ok = np.all(np.abs(polyval_vec(phis[k].a, r * ring)) < 1)
         return bool(chart_ok) and table(r)
 
     asked = []
@@ -395,14 +395,13 @@ _POOL_PARAMS = EscapeParams(max_iter=120, circle_samples=8, bisect_tol=1e-2)
 
 def _batch_pool():
     """Mixed (germ, chart) pool: rationals with partial charts, surds with full
-    ones, a flow germ (a longer coefficient row) and the identity chart."""
+    ones and a flow germ (a longer coefficient row)."""
     flow = FlowFamily([1.0], 0.5)
     germs = [QUAD.at(a, 8) for a in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), GOLDEN,
                                      QuadraticIrrational(0, 1, 1, 2) - 1)]
     germs.append(flow.at(GOLDEN, 24))
     pool = [(g, linearization_coeffs(g, 32, allow_rational=True, on_failure="truncate"))
             for g in germs]
-    pool.append((QUAD.at(Fraction(1, 3), 8), None))
     return [(g, phi, escape_radius(g, phi, _POOL_PARAMS)) for g, phi in pool]
 
 
@@ -425,10 +424,9 @@ def test_escape_radii_batch_independent(picks):
 def test_escape_upper_monotone_in_budget_pairs(a, b):
     # a radius valid at the larger budget is valid at the smaller one, so
     # where the two bisections first part the larger budget lowers hi to a
-    # radius at or below the smaller budget's final upper.  The pool's germs
-    # also run under the identity chart, where the orbits set the bracket.
-    germs = [g for g, _, _ in _POOL] * 2
-    phis = [phi for _, phi, _ in _POOL] + [None] * len(_POOL)
+    # radius at or below the smaller budget's final upper.
+    germs = [g for g, _, _ in _POOL]
+    phis = [phi for _, phi, _ in _POOL]
     small, big = (escape_radii(germs, phis, dataclasses.replace(_POOL_PARAMS, max_iter=it))
                   for it in sorted((a, b)))
     assert all(e_big.upper <= e_small.upper for e_small, e_big in zip(small, big))
@@ -455,7 +453,7 @@ def test_escape_radii_needs_one_chart_per_germ():
 
 def test_boundary_norms_rotation():
     lin = linearization_coeffs(RotationFamily().at(GOLDEN, 8), 64)
-    norms = _circle_sup_norms(lin.a, 0.5, 3, 256)
+    norms = circle_sup_norms(lin.a, 0.5, 3, 256)
     assert abs(norms[0] - 0.5) < 1e-12
     assert abs(norms[1] - 1.0) < 1e-12
     assert norms[2] == 0.0 and norms[3] == 0.0
@@ -465,7 +463,7 @@ def test_boundary_norms_match_dense_sampling():
     g = QUAD.at(GOLDEN, 8)
     lin = linearization_coeffs(g, 256)
     rho = 0.15
-    norms = _circle_sup_norms(lin.a, rho, 0, 256)
+    norms = circle_sup_norms(lin.a, rho, 0, 256)
     zs = rho * np.exp(2j * np.pi * np.arange(4096) / 4096)
     coeffs = lin.a
     from siegelkit.series import polyval_vec

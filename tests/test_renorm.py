@@ -564,6 +564,37 @@ def test_rotnum_h0_estimate_small_for_translation():
     assert rep.H0_estimate <= 0.5
 
 
+def test_rotnum_needs_one_return():
+    s = build_HJ(translation_lift(GOLDEN), 1)
+    find_y0(s)
+    with pytest.raises(DomainError):
+        renormalized_rotation_number(s, height=1.0, n_returns=0)
+
+
+@pytest.mark.parametrize("error", [UndefinedReturn, BudgetExceeded])
+def test_rotnum_without_a_completed_return_raises(monkeypatch, error):
+    # a report would have no measurement (NaN), so the stopping error goes up;
+    # after one completed return the abort gives a partial report
+    s = build_HJ(translation_lift(GOLDEN), 1)
+    find_y0(s)
+    real = renorm.return_map
+    allowed = []
+
+    def stops(setup, Z):
+        if not allowed:
+            raise error("stopped")
+        allowed.pop()
+        return real(setup, Z)
+
+    monkeypatch.setattr(renorm, "return_map", stops)
+    with pytest.raises(error):
+        renormalized_rotation_number(s, height=1.0, n_returns=5)
+    allowed.append(True)
+    rep = renormalized_rotation_number(s, height=1.0, n_returns=5)
+    assert rep.n_returns == 1 and rep.error < 1e-12
+    assert rep.undefined_returns + rep.budget_violations == 1
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_strip_edge_memo_matches_unmemoized(monkeypatch, k):
     F = golden_quadratic_lift()

@@ -195,9 +195,7 @@ def test_cond_bdd_linearizes_each_parameter_once(monkeypatch):
 
 def test_cond_bdd_target_above_radius():
     with pytest.raises(TargetAboveRadius):
-        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=2.0, p=CHEAP)
-    with pytest.raises(TargetAboveRadius):
-        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=math.nan, p=CHEAP)
+        condition_bdd_search(QuadraticFamily(), Fraction(1, 2), rho_frac=0.5, p=CHEAP)
 
 
 # -- main lemma probe ------------------------------------------------------------
@@ -266,10 +264,9 @@ def test_driver_two_stages_with_certificates():
     p = ScanParams(order=32, lin_order=192,
                    escape=EscapeParams(max_iter=4000, circle_samples=24,
                                        bisect_tol=1e-3))
-    base = estimate_radii(QuadraticFamily(), [GOLDEN], p)[0]
-    rho = 0.5 * base.lower
-    states = smooth_disk_driver(QuadraticFamily(), GOLDEN, rho, stages=2, p=p)
+    states = smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=2, p=p)
     assert len(states) == 2
+    rho = states[0].rho_target
     check_construction_invariants(states, rho)
     # exact certificates, re-derived here
     s1, s2 = states
@@ -286,10 +283,18 @@ def test_driver_rotation_unsuitable():
 
 
 def test_driver_target_above_radius():
+    # at 1/2 the quadratic germ has a pole, so no radius is valid and no
+    # target lies below the estimate
     with pytest.raises(TargetAboveRadius):
-        smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.99, stages=1, p=MEDIUM)
-    with pytest.raises(TargetAboveRadius):
-        smooth_disk_driver(QuadraticFamily(), GOLDEN, math.nan, stages=1, p=CHEAP)
+        smooth_disk_driver(QuadraticFamily(), Fraction(1, 2), 0.5, stages=1, p=CHEAP)
+
+
+@pytest.mark.parametrize("rho_frac", [0.0, -0.5, 1.0, 2.0, math.nan])
+def test_rho_frac_outside_the_unit_interval_is_a_domain_error(rho_frac):
+    with pytest.raises(DomainError):
+        smooth_disk_driver(QuadraticFamily(), GOLDEN, rho_frac, stages=1, p=CHEAP)
+    with pytest.raises(DomainError):
+        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac, p=CHEAP)
 
 
 def test_driver_ladder_rejects_nan_gaps(monkeypatch):
@@ -302,10 +307,9 @@ def test_invariant_checker_catches_violations():
     p = ScanParams(order=32, lin_order=192,
                    escape=EscapeParams(max_iter=2000, circle_samples=16,
                                        bisect_tol=2e-3))
-    base = estimate_radii(QuadraticFamily(), [GOLDEN], p)[0]
-    rho = 0.5 * base.lower
-    states = smooth_disk_driver(QuadraticFamily(), GOLDEN, rho, stages=1, p=p)
+    states = smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=1, p=p)
     bad = states[0]
+    rho = bad.rho_target
     bad.deriv_gaps = [g + 1.0 for g in bad.deriv_gaps]
     with pytest.raises(AssertionError):
         check_construction_invariants([bad], rho)
