@@ -74,6 +74,7 @@ from .renorm import (
 from .scan import (
     ESTIMATORS,
     ScanParams,
+    _check_cond_bdd,
     condition_bdd_search,
     degenerate_probe,
     main_lemma_probe,
@@ -427,6 +428,9 @@ def cmd_construct(args, cfg):
 
 def cmd_probe(args, cfg):
     fam = make_family(args)
+    if args.op == "cond-bdd":  # refuse bad input before the Lipschitz estimate
+        alpha = _parse(parse_exact, args.alpha)
+        _check_cond_bdd(args.rho_frac, args.qmax)
     if args.K is None and args.op != "degenerate":  # degenerate_probe takes no K
         args.K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), n_pairs=24,
                                              n_circle=32, seed=args.seed or 0))
@@ -436,7 +440,6 @@ def cmd_probe(args, cfg):
     if args.op == "degenerate":
         ts = [_parse(parse_exact, t) for t in (args.t or "[0;(1)],[0;(2)],[0;(3)]").split(",")]
         return degenerate_probe(fam, ts)
-    alpha = _parse(parse_exact, args.alpha)
     return condition_bdd_search(fam, alpha, args.rho_frac, qmax=args.qmax,
                                 K_est=args.K, cfg=cfg)
 

@@ -26,6 +26,7 @@ from . import series
 from .errors import (
     DomainError,
     OverflowGuard,
+    SiegelError,
     SmallDivisorBlowup,
 )
 from .germs import TWO_PI_I, Germ, GermFamily, phase_fracs
@@ -35,6 +36,7 @@ __all__ = [
     "LinearizationSeries",
     "RadiusEstimate",
     "EscapeParams",
+    "linearizations",
     "linearization_coeffs",
     "compose_check",
     "pole_cancellation_probe",
@@ -46,6 +48,7 @@ __all__ = [
 DIVISOR_FLOOR = 1e-13     # below this, rho^n - rho is treated as exactly zero
 NUMERATOR_FLOOR = 1e-12   # |P| above this over a zero divisor is a genuine pole
 MAG_CAP = 1e250
+TABLE_BYTES = 1 << 20     # budget for the power tables of one lock-step block
 
 
 @dataclass
@@ -80,10 +83,19 @@ def _divisor(phase: float, rho: complex) -> complex:
     return rho * (2j * math.sin(half) * cmath.exp(1j * half))
 
 
-def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
-                         mag_cap: float = MAG_CAP,
-                         on_failure: str = "raise") -> LinearizationSeries:
-    """Solve the linearization recursion up to order N.
+def _abs(z: complex) -> float:
+    """|z| as numpy's complex abs gives it (both take hypot): inf where
+    Python's abs raises OverflowError."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def linearizations(germs: Sequence[Germ], N: int, allow_rational: bool = False,
+                   mag_cap: float = MAG_CAP,
+                   on_failure: str = "raise") -> List[LinearizationSeries]:
+    """Solve the linearization recursion up to order N for every germ.
 
     For exactly rational alpha = p/q the divisor vanishes exactly at every
     n > 1 with q | (n-1); those indices either cancel (numerator below floor,
@@ -94,60 +106,131 @@ def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
     ``on_failure="truncate"`` returns the partial series up to (not including)
     the first pole or overflow index instead of raising; the escape estimator
     feeds on such partial series at non-linearizable parameters, where the
-    conjugacy residual then enforces the order-(q+1) mismatch.
+    conjugacy residual then enforces the order-(q+1) mismatch.  In raise mode
+    the first germ in input order that fails raises, as if the germs ran one
+    after another.
+
+    Germs with the same ``min(order, N)`` run in lock-step, one pass over n
+    for all of them (:func:`_recursion`), in blocks whose power tables fit in
+    :data:`TABLE_BYTES`.  Every series is the one its germ gets alone, bit
+    for bit.
     """
     if on_failure not in ("raise", "truncate"):
         raise DomainError("on_failure must be 'raise' or 'truncate'")
     if not N >= 1:
         raise DomainError("linearization order N >= 1 required")
-    rational = isinstance(g.alpha, (int, Fraction))
-    if rational and not allow_rational:
-        raise DomainError("rational alpha: pass allow_rational=True to accept poles")
-    M = g.order
-    rho = g.multiplier()
-    b = np.zeros(M + 1, dtype=np.complex128)
-    b[2:] = g.coeffs
-    a = np.zeros(N + 1, dtype=np.complex128)
-    a[1] = 1.0
-    sdlog = np.full(N + 1, np.nan)
-    numer = np.zeros(N + 1)
-    phases = phase_fracs(g.alpha, N)   # frac((n-1) alpha) at index n-1
-    # pow_tab[m, n] = [z^n] (sum a_i z^i)^m, filled column by column
-    mm = min(M, N)
-    pow_tab = np.zeros((mm + 1, N + 1), dtype=np.complex128)
-    pow_tab[1, 1] = 1.0
+    # germs from ``stop`` on need not run: the failure of germ ``stop`` raises
+    stop, error = len(germs), None
+    for i, g in enumerate(germs):
+        if isinstance(g.alpha, (int, Fraction)) and not allow_rational:
+            stop, error = i, DomainError(
+                "rational alpha: pass allow_rational=True to accept poles")
+            break
+    by_order: Dict[int, List[int]] = {}
+    for i in range(stop):
+        by_order.setdefault(min(germs[i].order, N), []).append(i)
+    out: List[Optional[LinearizationSeries]] = [None] * len(germs)
+    for mm, idx in by_order.items():
+        size = max(1, TABLE_BYTES // (16 * (mm + 1) * (N + 1)))  # complex128 tables
+        for s in range(0, len(idx), size):
+            block = [i for i in idx[s:s + size] if i < stop]
+            if not block:
+                break
+            done, failed = _recursion([germs[i] for i in block], N, mm, mag_cap,
+                                      on_failure == "raise")
+            for i, phi in zip(block, done):
+                out[i] = phi
+            if failed is not None:  # every germ of the block is before ``stop``
+                stop, error = block[failed[0]], failed[1]
+    if error is not None:
+        raise error
+    return out
+
+
+def _recursion(germs: Sequence[Germ], N: int, mm: int, mag_cap: float, first_only: bool
+               ) -> Tuple[List[Optional[LinearizationSeries]], Optional[Tuple[int, SiegelError]]]:
+    """The recursion in lock-step over germs with ``min(order, N) == mm``:
+    their series, and the first failure as ``(position, error)`` or None.
+
+    The power table is ``(K, mm+1, N+1)`` and each index n costs two einsums
+    for the whole batch; every germ keeps its own scalar tail (divisor, exact
+    zero test, Python-complex division, cap).  A germ that fails stops
+    feeding the table there and gets its partial series.  With
+    ``first_only`` (raise mode) the germs after the first failing one are
+    dropped unfinished (None), and a failure of an earlier germ at a later
+    index replaces it.
+    """
+    K = len(germs)
+    rational = [isinstance(g.alpha, (int, Fraction)) for g in germs]
+    rho = [g.multiplier() for g in germs]
+    phases = [phase_fracs(g.alpha, N) for g in germs]   # frac((n-1) alpha) at n-1
+    b = np.array([g.coeffs[:mm - 1] for g in germs], dtype=np.complex128)  # b_2..b_mm
+    # pow_tab[k, m, n] = [z^n] (sum a_i z^i)^m of germ k, filled column by column;
+    # row m = 1 holds the series a itself
+    pow_tab = np.zeros((K, mm + 1, N + 1), dtype=np.complex128)
+    pow_tab[:, 1, 1] = 1.0
+    logs = [[math.nan, math.nan] for _ in germs]    # log |rho^n - rho| by index
+    nums = [[0.0, 0.0] for _ in germs]              # |P_n| by index
+    out: List[Optional[LinearizationSeries]] = [None] * K
+    first = None
+    live = list(range(K))     # row r of the table belongs to germ live[r]
+
+    def finish(r: int, n: int) -> None:
+        k = live[r]
+        out[k] = LinearizationSeries(alpha=germs[k].alpha, a=pow_tab[r, 1, :n].copy(),
+                                     small_divisor_log=np.array(logs[k][:n]),
+                                     numerators=np.array(nums[k][:n]))
+
     for n in range(2, N + 1):
         if mm >= 2:
             top = min(mm, n)
             # [z^n] phi^m = sum_j a_j [z^{n-j}] phi^{m-1}
-            block = pow_tab[1:top, n - 1:0:-1]
-            pow_tab[2:top + 1, n] = np.einsum(
-                "ij,j->i", block, a[1:n], optimize=False)
-        Pn = complex(np.einsum("i,i->", b[2:mm + 1], pow_tab[2:mm + 1, n],
-                               optimize=False)) if mm >= 2 else 0.0
-        numer[n] = abs(Pn)
-        div = _divisor(phases[n - 1], rho)
-        # a rational's residue (n-1) p mod q is zero exactly when q | (n-1)
-        exact_zero = (rational and phases[n - 1] == 0.0) or abs(div) < DIVISOR_FLOOR
-        failure = None
-        if exact_zero:
-            sdlog[n] = -math.inf
-            if abs(Pn) > NUMERATOR_FLOOR:
-                failure = SmallDivisorBlowup(f"pole at n={n}: divisor 0, |P|={abs(Pn):.3e}")
-            a[n] = 0.0
+            pow_tab[:, 2:top + 1, n] = np.einsum("kij,kj->ki", pow_tab[:, 1:top, n - 1:0:-1],
+                                                 pow_tab[:, 1, 1:n], optimize=False)
+            Ps = np.einsum("ki,ki->k", b, pow_tab[:, 2:mm + 1, n], optimize=False).tolist()
         else:
-            sdlog[n] = math.log(abs(div))
-            a[n] = Pn / div
-            if abs(a[n]) > mag_cap:
-                failure = OverflowGuard(f"|a_{n}| = {abs(a[n]):.3e} exceeds cap")
-        if failure is not None:
-            if on_failure == "raise":
-                raise failure
-            return LinearizationSeries(alpha=g.alpha, a=a[:n], small_divisor_log=sdlog[:n],
-                                       numerators=numer[:n])
-        pow_tab[1, n] = a[n]
-    return LinearizationSeries(alpha=g.alpha, a=a, small_divisor_log=sdlog,
-                               numerators=numer)
+            Ps = [0j] * len(live)
+        col = []                # a_n by row
+        keep = []
+        for r, k in enumerate(live):
+            Pn = Ps[r]
+            nums[k].append(abs(Pn))
+            phase = phases[k][n - 1]
+            div = _divisor(phase, rho[k])
+            failure = None
+            # a rational's residue (n-1) p mod q is zero exactly when q | (n-1)
+            if (rational[k] and phase == 0.0) or abs(div) < DIVISOR_FLOOR:
+                logs[k].append(-math.inf)
+                col.append(0j)
+                if abs(Pn) > NUMERATOR_FLOOR:
+                    failure = SmallDivisorBlowup(
+                        f"pole at n={n}: divisor 0, |P|={abs(Pn):.3e}")
+            else:
+                logs[k].append(math.log(abs(div)))
+                col.append(Pn / div)
+                if _abs(col[-1]) > mag_cap:
+                    failure = OverflowGuard(f"|a_{n}| = {_abs(col[-1]):.3e} exceeds cap")
+            if failure is None:
+                keep.append(r)
+            elif first_only:
+                first = (k, failure)
+                break           # the later rows are later germs
+            else:
+                finish(r, n)
+        pow_tab[:len(col), 1, n] = col
+        if len(keep) < len(live):
+            if not keep:
+                return out, first
+            live = [live[r] for r in keep]
+            pow_tab, b = pow_tab[keep], b[keep]
+    for r in range(len(live)):
+        finish(r, N + 1)
+    return out, first
+
+
+def linearization_coeffs(g: Germ, N: int, **options) -> LinearizationSeries:
+    """The series of the one germ ``g``: :func:`linearizations` of ``[g]``."""
+    return linearizations([g], N, **options)[0]
 
 
 def compose_check(g: Germ, phi: LinearizationSeries) -> float:
@@ -171,20 +254,17 @@ def pole_cancellation_probe(fam: GermFamily, p: int, q: int, n: int) -> dict:
     if q < 1 or n < 2 or (n - 1) % q != 0:
         raise DomainError("need q >= 1 and n >= 2 with q | (n - 1)")
     base = Fraction(p, q)
-    rows = []
-    for j in range(1, 9):
-        eps = Fraction(1, 10 ** j)
-        alpha = base + eps
-        germ = fam.at(alpha, max(n, 8))
-        lin = linearization_coeffs(germ, n, allow_rational=True)
-        rows.append({
-            "eps": float(eps),
-            "alpha": str(alpha),
-            "P_abs": float(lin.numerators[n]),
-            "a_abs": float(abs(lin.a[n])),
-            "divisor_abs": float(math.exp(lin.small_divisor_log[n]))
-            if math.isfinite(lin.small_divisor_log[n]) else 0.0,
-        })
+    epss = [Fraction(1, 10 ** j) for j in range(1, 9)]
+    lins = linearizations([fam.at(base + eps, max(n, 8)) for eps in epss], n,
+                          allow_rational=True)
+    rows = [{
+        "eps": float(eps),
+        "alpha": str(base + eps),
+        "P_abs": float(lin.numerators[n]),
+        "a_abs": float(abs(lin.a[n])),
+        "divisor_abs": float(math.exp(lin.small_divisor_log[n]))
+        if math.isfinite(lin.small_divisor_log[n]) else 0.0,
+    } for eps, lin in zip(epss, lins)]
     first, last = rows[0]["P_abs"], rows[-1]["P_abs"]
     scale = max(first, 1e-30)
     verdict = "cancellation" if last < 1e-3 * scale or last < 1e-12 else "pole"

@@ -44,7 +44,7 @@ from .linearize import (
     escape_radii,
     escape_radius,
     hadamard_radius,
-    linearization_coeffs,
+    linearizations,
 )
 from .series import circle_sup_norms
 from .surd import ExactReal, bracket, exact_cmp, floor_exact, to_float
@@ -91,57 +91,58 @@ DEFAULT_SCAN = ScanParams()
 ESTIMATORS = ("escape", "hadamard")
 
 
-def _chart(fam: GermFamily, alpha, p: ScanParams) -> Tuple[Germ, LinearizationSeries]:
-    """Germ at alpha and its linearization series: the full one, or the
-    partial series up to the first pole/overflow (``phi.order < p.lin_order``;
-    the residual test then rules at that parameter)."""
-    germ = fam.at(alpha, p.order)
-    return germ, linearization_coeffs(germ, p.lin_order, allow_rational=True,
-                                      on_failure="truncate")
+def _linearize(germs: Sequence[Germ], p: ScanParams) -> List[LinearizationSeries]:
+    """Linearization series of the germs in one lock-step pass: the full
+    one, or the partial series up to the first pole/overflow
+    (``phi.order < p.lin_order``; the residual test then rules at that
+    parameter)."""
+    return linearizations(germs, p.lin_order, allow_rational=True, on_failure="truncate")
 
 
 def estimate_radii(fam: GermFamily, alphas: Sequence[ExactReal],
                    p: ScanParams = DEFAULT_SCAN) -> List[RadiusEstimate]:
     """Escape estimates through the (possibly partial) linearization charts,
     one per parameter in input order, bisected in one :func:`escape_radii`
-    call.  Every parameter is charted before any is bisected, so the first
-    chart error raises before any escape run."""
-    charts = [_chart(fam, alpha, p) for alpha in alphas]
-    return escape_radii([g for g, _ in charts], [phi for _, phi in charts], p.escape)
+    call.  Every germ is built before the one :func:`_linearize` pass over
+    them, so the first germ error raises before any linearization."""
+    germs = [fam.at(alpha, p.order) for alpha in alphas]
+    return escape_radii(germs, _linearize(germs, p), p.escape)
 
 
 def _scan_chunk(args) -> List[ScanRow]:
     """Rows of a chunk of parameters, by input index then estimator.
 
-    Every parameter is charted first (a chart error becomes that
-    parameter's error rows); the escape estimator then bisects the whole
-    chunk in one :func:`escape_radii` call.
+    Every parameter's germ is built first (an error becomes that
+    parameter's error rows); the germs are then linearized in one
+    :func:`_linearize` pass and, for the escape estimator, bisected in one
+    :func:`escape_radii` call.
     """
     fam, alphas, p = args
-    charts = []
+    germs: list = []
     for alpha in alphas:
         try:
-            charts.append(_chart(fam, alpha, p))
+            germs.append(fam.at(alpha, p.order))
         except SiegelError as exc:
-            charts.append(exc)
+            germs.append(exc)
+    ready = [k for k, g in enumerate(germs) if not isinstance(g, SiegelError)]
+    phis = dict(zip(ready, _linearize([germs[k] for k in ready], p)))
     escape = {}
     if "escape" in p.estimators:
-        ready = [k for k, c in enumerate(charts) if not isinstance(c, SiegelError)]
-        escape = dict(zip(ready, escape_radii([charts[k][0] for k in ready],
-                                              [charts[k][1] for k in ready], p.escape)))
+        escape = dict(zip(ready, escape_radii([germs[k] for k in ready],
+                                              [phis[k] for k in ready], p.escape)))
     out: List[ScanRow] = []
-    for k, (alpha, chart) in enumerate(zip(alphas, charts)):
+    for k, (alpha, germ) in enumerate(zip(alphas, germs)):
         text = format_exact(alpha)
         afloat = to_float(alpha)
         for method in p.estimators:
             try:
-                if isinstance(chart, SiegelError):
-                    raise chart
+                if isinstance(germ, SiegelError):
+                    raise germ
                 if method == "escape":
                     est = escape[k]
                     iters = p.escape.max_iter
                 elif method == "hadamard":
-                    phi = chart[1]
+                    phi = phis[k]
                     if phi.order != p.lin_order:
                         raise SmallDivisorBlowup("no full linearization series here")
                     est = hadamard_radius(phi, p.window)
@@ -192,10 +193,21 @@ def _nearest_fraction_below(alpha: ExactReal, qmax: int) -> Fraction:
     return max(Fraction(-floor_exact(-q * alpha) - 1, q) for q in range(1, qmax + 1))
 
 
-def _target(rho_frac: float, r_est: RadiusEstimate) -> float:
-    """The target radius rho = rho_frac * r_est.lower, strictly below the estimate."""
+def _check_rho_frac(rho_frac: float) -> None:
     if not 0.0 < rho_frac < 1.0:  # False on NaN
         raise DomainError("rho_frac in (0, 1) required")
+
+
+def _check_cond_bdd(rho_frac: float, qmax: int) -> None:
+    """The inputs :func:`condition_bdd_search` refuses, checked before any work."""
+    if not qmax >= 1:
+        raise DomainError("qmax >= 1 required")
+    _check_rho_frac(rho_frac)
+
+
+def _target(rho_frac: float, r_est: RadiusEstimate) -> float:
+    """The target radius rho = rho_frac * r_est.lower, strictly below the
+    estimate; ``rho_frac`` has passed :func:`_check_rho_frac`."""
     if not r_est.lower > 0.0:
         raise TargetAboveRadius(f"r_est.lower = {r_est.lower} leaves no target below it")
     return rho_frac * r_est.lower
@@ -215,12 +227,10 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
     strongest non-linearizability signal at desk scale); the cut is located
     at grid resolution and every emitted value is exact and bounded type.
     """
-    if not qmax >= 1:
-        raise DomainError("qmax >= 1 required")
-    r_alpha = estimate_radii(fam, [alpha], p)[0]
-    rho = _target(rho_frac, r_alpha)
+    _check_cond_bdd(rho_frac, qmax)
     b = _nearest_fraction_below(alpha, qmax)
-    r_b = estimate_radii(fam, [b], p)[0]
+    r_alpha, r_b = estimate_radii(fam, [alpha, b], p)
+    rho = _target(rho_frac, r_alpha)
     if r_b.lower >= rho:
         return {"verdict": "FamilyLooksDegenerate",
                 "b": str(b), "r_b_lower": r_b.lower, "rho": rho,
@@ -392,16 +402,21 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
     along the special sequences shrink below any fixed estimator resolution,
     so nearness to the schedule is reported rather than gated).
 
-    Raises what :func:`_target` raises, :class:`FamilyUnsuitable` when the
-    start radius sits within 1e-3 of the estimator's domain cap (rho tracking
-    meaningless, the rotation-like degenerate case) and :class:`StageFailed`
-    when no candidate passes.
+    Raises :class:`DomainError` for ``stages < 1`` or ``rho_frac`` outside
+    (0, 1) before any work, what :func:`_target` raises,
+    :class:`FamilyUnsuitable` when the start radius sits within 1e-3 of the
+    estimator's domain cap (rho tracking meaningless, the rotation-like
+    degenerate case) and :class:`StageFailed` when no candidate passes.
     """
+    if not stages >= 1:
+        raise DomainError("stages >= 1 required")
+    _check_rho_frac(rho_frac)
     if p is None:
         p = ScanParams(order=32, lin_order=256,
                        escape=EscapeParams(max_iter=10_000, circle_samples=32,
                                            bisect_tol=5e-4))
-    germ0, phi0 = _chart(fam, theta0, p)
+    germ0 = fam.at(theta0, p.order)
+    phi0, = _linearize([germ0], p)
     est0 = escape_radius(germ0, phi0, p.escape)
     rho_target = _target(rho_frac, est0)
     if est0.lower >= p.escape.cap - 1e-3:
@@ -426,7 +441,8 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
                     and exact_cmp(cand, interval_prev[1]) < 0):
                 diag_parts.append(f"k={k}: outside parent interval")
                 continue
-            germ_c, phi_c = _chart(fam, cand, p)
+            germ_c = fam.at(cand, p.order)
+            phi_c, = _linearize([germ_c], p)
             if phi_c.order != p.lin_order:
                 diag_parts.append(f"k={k}: no full series")
                 continue

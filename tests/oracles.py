@@ -2,11 +2,11 @@
 
 These deliberately avoid the library's computation paths: plain python lists,
 naive convolutions, and fresh power recomputation per order.  The escape
-bisection, height bisection and small-divisor references are the exception:
-they must repeat the library's floating point operations bit for bit, so they
-keep the one-row evaluation, the sequential loops and the per-index phase
-reductions the library used before its lock-step kernel, shared bisection and
-shared multiplier.
+bisection, height bisection, linearization and small-divisor references are
+the exception: they must repeat the library's floating point operations bit
+for bit, so they keep the one-row evaluation, the sequential loops and the
+per-index phase reductions the library used before its lock-step kernels,
+shared bisection and shared multiplier.
 
 Three helpers moved here from the library because only tests use them: the
 golden-section cross-check ``const_Cprime_numeric`` of the closed-form C',
@@ -17,6 +17,7 @@ the C''-vs-C relation gap ``cdoubleprime_relation_gap``, and
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,8 +29,15 @@ from siegelkit.bounds import (
     const_Cdoubleprime,
 )
 from siegelkit.cf import CFExpansion
-from siegelkit.errors import DomainError, NoAdmissibleHeight
-from siegelkit.germs import LiftMap
+from siegelkit.errors import DomainError, NoAdmissibleHeight, OverflowGuard, SmallDivisorBlowup
+from siegelkit.germs import LiftMap, phase_fracs
+from siegelkit.linearize import (
+    DIVISOR_FLOOR,
+    MAG_CAP,
+    NUMERATOR_FLOOR,
+    LinearizationSeries,
+    _divisor,
+)
 from siegelkit.surd import ExactReal, floor_exact, to_float
 
 
@@ -169,6 +177,61 @@ def sequential_escape_bisection(valid, params):
     if lo == 0.0:
         return lo, hi, "NoValidRadius: non-linearizable at tolerance"
     return lo, hi, "bracket from bisection"
+
+
+def sequential_linearization_coeffs(g, N, allow_rational=False, mag_cap=MAG_CAP,
+                                    on_failure="raise"):
+    """linearization_coeffs as one germ's own loop over n with a 2-D power
+    table, the way it ran before the germs of a batch shared one pass."""
+    if on_failure not in ("raise", "truncate"):
+        raise DomainError("on_failure must be 'raise' or 'truncate'")
+    if not N >= 1:
+        raise DomainError("linearization order N >= 1 required")
+    rational = isinstance(g.alpha, (int, Fraction))
+    if rational and not allow_rational:
+        raise DomainError("rational alpha: pass allow_rational=True to accept poles")
+    M = g.order
+    rho = g.multiplier()
+    b = np.zeros(M + 1, dtype=np.complex128)
+    b[2:] = g.coeffs
+    a = np.zeros(N + 1, dtype=np.complex128)
+    a[1] = 1.0
+    sdlog = np.full(N + 1, np.nan)
+    numer = np.zeros(N + 1)
+    phases = phase_fracs(g.alpha, N)
+    mm = min(M, N)
+    pow_tab = np.zeros((mm + 1, N + 1), dtype=np.complex128)
+    pow_tab[1, 1] = 1.0
+    for n in range(2, N + 1):
+        if mm >= 2:
+            top = min(mm, n)
+            block = pow_tab[1:top, n - 1:0:-1]
+            pow_tab[2:top + 1, n] = np.einsum(
+                "ij,j->i", block, a[1:n], optimize=False)
+        Pn = complex(np.einsum("i,i->", b[2:mm + 1], pow_tab[2:mm + 1, n],
+                               optimize=False)) if mm >= 2 else 0.0
+        numer[n] = abs(Pn)
+        div = _divisor(phases[n - 1], rho)
+        exact_zero = (rational and phases[n - 1] == 0.0) or abs(div) < DIVISOR_FLOOR
+        failure = None
+        if exact_zero:
+            sdlog[n] = -math.inf
+            if abs(Pn) > NUMERATOR_FLOOR:
+                failure = SmallDivisorBlowup(f"pole at n={n}: divisor 0, |P|={abs(Pn):.3e}")
+            a[n] = 0.0
+        else:
+            sdlog[n] = math.log(abs(div))
+            a[n] = Pn / div
+            if abs(a[n]) > mag_cap:
+                failure = OverflowGuard(f"|a_{n}| = {abs(a[n]):.3e} exceeds cap")
+        if failure is not None:
+            if on_failure == "raise":
+                raise failure
+            return LinearizationSeries(alpha=g.alpha, a=a[:n], small_divisor_log=sdlog[:n],
+                                       numerators=numer[:n])
+        pow_tab[1, n] = a[n]
+    return LinearizationSeries(alpha=g.alpha, a=a, small_divisor_log=sdlog,
+                               numerators=numer)
 
 
 def sequential_h_of_lift(F, params):

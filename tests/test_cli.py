@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import signal
@@ -7,11 +8,13 @@ import sys
 
 import pytest
 
+from siegelkit import cli, scan
+from siegelkit.cf import farey_fractions
 from siegelkit.cli import build_parser, main
 from siegelkit import io as skio
-from siegelkit import scan
 from siegelkit.bounds import DEFAULT_CONFIG, const_Cprime, format_config
-from siegelkit.linearize import EscapeParams
+from siegelkit.germs import FlowFamily
+from siegelkit.linearize import EscapeParams, linearizations
 from siegelkit.renorm import HParams
 from siegelkit.surd import QuadraticIrrational
 
@@ -201,16 +204,55 @@ def test_rho_frac_outside_the_unit_interval_is_a_numeric_error(argv, rho_frac, c
     assert err.startswith("DomainError:")
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work done before the input check")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--theta0", "[0;(1)]", "--stages", "0"],
+    ["construct", "--theta0", "[0;(1)]", "--stages", "-2"],
+    ["construct", "--theta0", "[0;(1)]", "--stages", "1", "--rho-frac", "0"],
+    ["probe", "cond-bdd", "--alpha", "[0;(1)]", "--rho-frac", "1"],
+    ["probe", "cond-bdd", "--alpha", "[0;(1)]", "--qmax", "0"],
+])
+def test_bad_construct_and_cond_bdd_input_fails_before_any_work(argv, monkeypatch, capsys):
+    # neither a linearization nor the Lipschitz estimate runs first
+    monkeypatch.setattr(scan, "linearizations", _refuse)
+    monkeypatch.setattr(cli, "lipschitz_estimate", _refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("DomainError:")
+
+
+# With c_2 = 3 the flow germs have numerical poles at rationals: 23 of the
+# 47 series of this grid stop before lin_order 48, so the lock-step batches
+# of a scan chunk mix full and truncated series.  The digest is that of the
+# CSV the per-germ recursion wrote.
+_FLOW_SCAN = ["scan", "--family", "flow", "--chi", "3", "--grid", "farey:Q=12",
+              "--format", "csv"]
+_FLOW_SCAN_SHA256 = "4b0bebb90a62dcae79aa3c252dd4c1d012e47101235a07ba38b3730660d1d487"
+
+
+def test_flow_scan_csv_is_worker_independent_and_pinned(capsys):
+    runs = [run_cli(_FLOW_SCAN + ["--workers", w], capsys) for w in ("1", "2")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert hashlib.sha256(runs[0][1].encode()).hexdigest() == _FLOW_SCAN_SHA256
+    grid = farey_fractions(12)
+    phis = linearizations([FlowFamily([3.0]).at(a, 32) for a in grid], 48,
+                          allow_rational=True, on_failure="truncate")
+    assert (len(grid), sum(phi.order < 48 for phi in phis)) == (47, 23)
+
+
 def test_construct_linearizes_each_parameter_once(monkeypatch, capsys):
     # the driver's one estimate of theta0 also sets the target
     calls = []
-    real = scan.linearization_coeffs
+    real = scan.linearizations
 
-    def counted(g, *args, **kwargs):
-        calls.append(g.alpha)
-        return real(g, *args, **kwargs)
+    def counted(germs, *args, **kwargs):
+        calls.extend(g.alpha for g in germs)
+        return real(germs, *args, **kwargs)
 
-    monkeypatch.setattr(scan, "linearization_coeffs", counted)
+    monkeypatch.setattr(scan, "linearizations", counted)
     code, out, err = run_cli(["construct", "--theta0", "[0;(1)]", "--stages", "1"], capsys)
     assert code == 0, err
     counts = Counter(calls)

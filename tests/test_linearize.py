@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from siegelkit import linearize
 from siegelkit.cf import (
@@ -36,12 +36,18 @@ from siegelkit.linearize import (
     escape_radius,
     hadamard_radius,
     linearization_coeffs,
+    linearizations,
     pole_cancellation_probe,
 )
 from siegelkit.series import circle_sup_norms, polyval_vec
 from siegelkit.surd import QuadraticIrrational
 
-from .oracles import sequential_escape_bisection, sequential_escape_radius, small_divisor
+from .oracles import (
+    sequential_escape_bisection,
+    sequential_escape_radius,
+    sequential_linearization_coeffs,
+    small_divisor,
+)
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
 QUAD = QuadraticFamily()
@@ -201,6 +207,134 @@ def test_flow_pole_probe_cancellation():
 def test_pole_probe_validates_indices():
     with pytest.raises(DomainError):
         pole_cancellation_probe(QUAD, 1, 3, 5)  # 3 does not divide 4
+
+
+# -- lock-step batches ---------------------------------------------------------
+
+# One order N = 40 for the pool: quadratic germs (order 2), flow germs of
+# order 24 (c_2 = 3 gives numerical poles at rationals), a rotation (order 1,
+# no power table) and a cubic with a float alpha whose phase (n-1) alpha
+# rounds to 0 at n = 11.  Rationals, surds and floats; at the default cap a
+# pole ends 8 of the 16 series, at cap 1e3 five overflow (5/13 before its pole).
+_LIN_N = 40
+_LIN_POOL = (
+    [QUAD.at(a, 8) for a in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
+                             GOLDEN, QuadraticIrrational(0, 1, 1, 2) - 1,
+                             0.3183098861837907, 0.25 + 1e-9, Fraction(5, 13))]
+    + [FlowFamily([1.0], 0.5).at(a, 24) for a in (GOLDEN, Fraction(1, 3))]
+    + [FlowFamily([3.0], 0.5).at(a, 24) for a in (Fraction(2, 7), Fraction(1, 3), GOLDEN)]
+    + [RotationFamily().at(GOLDEN, 8), Germ(0.1, np.array([0.3 - 0.2j, 0.5j]))])
+_LIN_CAPS = (linearize.MAG_CAP, 1e3)
+
+
+def _same_series(x, y):
+    return (x.alpha == y.alpha and x.order == y.order
+            and x.a.tobytes() == y.a.tobytes()
+            and x.small_divisor_log.tobytes() == y.small_divisor_log.tobytes()
+            and x.numerators.tobytes() == y.numerators.tobytes())
+
+
+def _oracle(i, **options):
+    """The pool germ's sequential series, or its (type, message) failure."""
+    try:
+        return sequential_linearization_coeffs(_LIN_POOL[i], _LIN_N, **options)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _table_bytes(germs_per_block):
+    """A budget that fits this many quadratic germs' tables at order
+    _LIN_N (a flow germ's table is larger: one germ a block)."""
+    return germs_per_block * 16 * 3 * (_LIN_N + 1)
+
+
+def test_lin_pool_spans_poles_and_overflow():
+    for cap, failures in zip(_LIN_CAPS, ({SmallDivisorBlowup: 8}, {SmallDivisorBlowup: 7,
+                                                                    OverflowGuard: 5})):
+        out = [_oracle(i, allow_rational=True, mag_cap=cap) for i in range(len(_LIN_POOL))]
+        kinds = [o[0] for o in out if isinstance(o, tuple)]
+        assert {k: kinds.count(k) for k in set(kinds)} == failures
+
+
+_picks = st.lists(st.integers(0, len(_LIN_POOL) - 1), min_size=1, max_size=10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_picks, st.sampled_from(_LIN_CAPS), st.sampled_from([None, 1, 2, 3]))
+def test_linearizations_match_sequential_oracle(picks, cap, per_block):
+    # mixed batches, truncating at poles and overflow, in one block or in
+    # blocks of 1-3 germs: bit for bit the per-germ loop's series
+    with pytest.MonkeyPatch.context() as mp:
+        if per_block is not None:
+            mp.setattr(linearize, "TABLE_BYTES", _table_bytes(per_block))
+        got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N, allow_rational=True,
+                             mag_cap=cap, on_failure="truncate")
+    for i, phi in zip(picks, got):
+        assert _same_series(phi, _oracle(i, allow_rational=True, mag_cap=cap,
+                                         on_failure="truncate")), i
+
+
+@settings(max_examples=30, deadline=None)
+@given(_picks)
+def test_linearizations_batch_independent(picks):
+    # random subsets, orders and duplicates: each series is the germ's own
+    got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N, allow_rational=True,
+                         on_failure="truncate")
+    for i, phi in zip(picks, got):
+        alone = linearization_coeffs(_LIN_POOL[i], _LIN_N, allow_rational=True,
+                                     on_failure="truncate")
+        assert _same_series(phi, alone)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_picks, st.sampled_from(_LIN_CAPS), st.booleans(), st.sampled_from([None, 1, 2]))
+@example([0, 2], _LIN_CAPS[0], True, None)    # the earlier germ fails first
+@example([2, 0], _LIN_CAPS[0], True, None)    # the later germ fails first
+@example([4, 8], _LIN_CAPS[1], True, None)    # both overflow at n = 12
+@example([7, 1], _LIN_CAPS[1], False, None)   # overflow before a refused rational
+@example([1, 7], _LIN_CAPS[1], False, None)
+def test_linearizations_raise_like_the_sequential_loop(picks, cap, allow_rational,
+                                                       per_block):
+    # the first germ in input order that fails raises its own error, whatever
+    # later germs do and at whatever index; without allow_rational a
+    # rational fails before its recursion starts
+    options = dict(allow_rational=allow_rational, mag_cap=cap)
+    expected = [_oracle(i, **options) for i in picks]
+    failures = [e for e in expected if isinstance(e, tuple)]
+    with pytest.MonkeyPatch.context() as mp:
+        if per_block is not None:
+            mp.setattr(linearize, "TABLE_BYTES", _table_bytes(per_block))
+        if failures:
+            with pytest.raises(failures[0][0]) as info:
+                linearizations([_LIN_POOL[i] for i in picks], _LIN_N, **options)
+            assert str(info.value) == failures[0][1]
+        else:
+            got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N, **options)
+            assert all(_same_series(x, y) for x, y in zip(got, expected))
+
+
+def test_linearizations_split_into_blocks(monkeypatch):
+    # five quadratic germs in blocks of two; the flow germs, whose tables are
+    # larger, and the rotation one a block each
+    calls = []
+    real = linearize._recursion
+
+    def counted(germs, *args):
+        calls.append([g.alpha for g in germs])
+        return real(germs, *args)
+
+    monkeypatch.setattr(linearize, "_recursion", counted)
+    monkeypatch.setattr(linearize, "TABLE_BYTES", _table_bytes(2))
+    picks = [4, 9, 5, 0, 10, 6, 1, 14]
+    got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N, allow_rational=True,
+                         on_failure="truncate")
+    assert sorted(map(len, calls)) == [1, 1, 1, 1, 2, 2]
+    for i, phi in zip(picks, got):
+        assert _same_series(phi, _oracle(i, allow_rational=True, on_failure="truncate"))
+
+
+def test_linearizations_of_no_germs():
+    assert linearizations([], 8) == []
 
 
 # -- hadamard ----------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from siegelkit.cf import cf_of_rational, farey_fractions, format_exact, special_sequence_main
-from siegelkit import scan
+from siegelkit import linearize, scan
 from siegelkit.errors import DomainError, FamilyUnsuitable, StageFailed, TargetAboveRadius
 from siegelkit.germs import FlowFamily, QuadraticFamily, RotationFamily
 from siegelkit.linearize import EscapeParams, linearization_coeffs
@@ -176,13 +176,13 @@ def test_cond_bdd_linearizes_each_parameter_once(monkeypatch):
     # in test_cond_bdd_quadratic_finds_cut's setting the cut is a rational
     # grid point; with every rational at 1/2 the search reaches alpha itself
     calls = []
-    real = scan.linearization_coeffs
+    real = scan.linearizations
 
-    def counted(g, *args, **kwargs):
-        calls.append(g.alpha)
-        return real(g, *args, **kwargs)
+    def counted(germs, *args, **kwargs):
+        calls.extend(g.alpha for g in germs)
+        return real(germs, *args, **kwargs)
 
-    monkeypatch.setattr(scan, "linearization_coeffs", counted)
+    monkeypatch.setattr(scan, "linearizations", counted)
     for fam, cut_at_alpha in ((QuadraticFamily(), False), (_RationalsAtOneHalf(), True)):
         calls.clear()
         rep = condition_bdd_search(fam, GOLDEN, rho_frac=0.5, qmax=8, grid_points=8,
@@ -191,6 +191,39 @@ def test_cond_bdd_linearizes_each_parameter_once(monkeypatch):
         # the second family's rationals all linearize at 1/2: count the rest
         counts = Counter(a for a in calls if not (cut_at_alpha and isinstance(a, Fraction)))
         assert GOLDEN in counts and set(counts.values()) == {1}
+
+
+def test_cond_bdd_estimates_alpha_and_b_in_one_call(monkeypatch):
+    calls = []
+    real = scan.estimate_radii
+
+    def counted(fam, alphas, p):
+        calls.append(list(alphas))
+        return real(fam, alphas, p)
+
+    monkeypatch.setattr(scan, "estimate_radii", counted)
+    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=8, grid_points=8,
+                               seq_indices=(0, 1), p=CHEAP)
+    assert rep["b"] == "3/5" and calls[0] == [GOLDEN, Fraction(3, 5)]
+
+
+def _no_linearization(*args, **kwargs):
+    raise AssertionError("linearized before the input check")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=0, p=CHEAP),
+    lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=-2),
+    lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.0, stages=1),
+    lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, math.nan, stages=1, p=CHEAP),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0, p=CHEAP),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, qmax=0, p=CHEAP),
+], ids=["stages-0", "stages-neg", "driver-rho-0", "driver-rho-nan", "search-rho-1",
+        "search-qmax-0"])
+def test_bad_input_is_refused_before_any_linearization(call, monkeypatch):
+    monkeypatch.setattr(scan, "linearizations", _no_linearization)
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_cond_bdd_target_above_radius():
@@ -216,6 +249,20 @@ def test_main_lemma_quadratic_small_vs_larger_q():
     assert rep5["tail_min"] >= rep2["tail_min"] - 0.05
     assert rep2["bound_C"] < rep5["bound_C"]  # exp(-C(K,q)) grows with q
     assert rep2["weak_h_bound"] > 0
+
+
+def test_main_lemma_probe_linearizes_in_one_pass(monkeypatch):
+    # the 4 members share one pass of the recursion
+    passes = []
+    real = linearize._recursion
+
+    def counted(germs, *args):
+        passes.append(len(germs))
+        return real(germs, *args)
+
+    monkeypatch.setattr(linearize, "_recursion", counted)
+    main_lemma_probe(QuadraticFamily(), Fraction(2, 5), "short", 4, K_est=6.3, p=CHEAP)
+    assert passes == [4]
 
 
 def test_probes_match_sequential_bisection():
