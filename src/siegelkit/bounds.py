@@ -121,6 +121,8 @@ def brjuno_sum(alpha: CFExpansion, depth: int = 60, tol: float = 1e-12) -> Brjun
     """
     if not depth >= 0:
         raise DomainError("depth >= 0 required")
+    if not 0.0 < tol < math.inf:  # False on NaN
+        raise DomainError("tol must be finite and positive")
     if alpha.is_finite and depth >= len(alpha.partials):
         return BrjunoValue(math.inf, len(alpha.partials), True)
     total = 0.0

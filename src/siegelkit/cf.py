@@ -287,13 +287,11 @@ def special_sequence_main(alpha: CFExpansion, n: int,
 
 
 def theta_sequence(alpha: CFExpansion, n: int) -> ExactReal:
-    """Noble-tail sequence [a0; a1, ..., a_n, 1 + a_{n+1}, 1, 1, 1, ...]."""
+    """Noble-tail sequence [a0; a1, ..., a_n, 1 + a_{n+1}, 1, 1, 1, ...]: the
+    special sequence with the golden tail [1; 1, 1, ...]."""
     if alpha.is_finite:
         raise RationalInput("theta sequence needs an irrational expansion")
-    golden = QuadraticIrrational(1, 1, 2, 5)  # [1; 1, 1, ...]
-    bumped = 1 + alpha.quotient(n + 1)
-    x = bumped + (golden - 1)  # [b; 1, 1, ...] = b + 1/golden = b + golden - 1
-    return eval_cf(alpha, n, x)
+    return special_sequence_main(alpha, n, tail=QuadraticIrrational(1, 1, 2, 5))
 
 
 # ---------------------------------------------------------------------------

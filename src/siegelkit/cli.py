@@ -113,7 +113,7 @@ def make_family(args) -> GermFamily:
     if kind == "quadratic":
         return QuadraticFamily(**radius)
     if kind == "flow":
-        chi = [complex(t) for t in args.chi.split(",")] if args.chi else [1.0]
+        chi = [_parse(complex, t) for t in args.chi.split(",")] if args.chi else [1.0]
         return FlowFamily(chi, **radius)
     raise UsageError(f"unknown family {kind!r}; valid: rotation, quadratic, flow")
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import series
-from .errors import DomainError, FactorizationError
+from .errors import DomainError, FactorizationError, OverflowGuard
 from .surd import ExactReal, QuadraticIrrational, frac_exact, to_float
 
 __all__ = [
@@ -43,6 +43,8 @@ DEFAULT_ORDER = 256
 TWO_PI_I = 2j * math.pi
 
 _PHASE_BITS = 128  # bracket width of the batched surd phases, in bits
+LIPSCHITZ_ORDER = 64  # germ order lipschitz_estimate compares at
+CHECK_HEIGHT = 0.2    # lift_of_germ checks |g - 1| < 1 on |w| = e^{-2 pi CHECK_HEIGHT}
 
 
 def alpha_frac_float(alpha: AlphaHandle) -> float:
@@ -157,6 +159,8 @@ class FlowFamily(GermFamily):
         if not 0 < restriction_radius < math.inf:  # False on NaN
             raise DomainError("restriction_radius must be finite and positive")
         self.chi = tuple(complex(c) for c in chi)
+        if not all(cmath.isfinite(c) for c in self.chi):
+            raise DomainError("chi must be finite")
         self.restriction_radius = float(restriction_radius)
         self._cache: dict = {}
 
@@ -169,7 +173,8 @@ class FlowFamily(GermFamily):
         self._cache = {}
 
     def _linearizer(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
-        """psi with psi' * chi = 2 pi i psi, psi = z + O(z^2), and its inverse."""
+        """psi with psi' * chi = 2 pi i psi, psi = z + O(z^2), and its inverse;
+        :class:`OverflowGuard` when either is not finite at this order."""
         key = order
         if key not in self._cache:
             s = self.restriction_radius
@@ -180,13 +185,18 @@ class FlowFamily(GermFamily):
                     c[j] = cj * s ** (j - 1)  # conjugated field chi(sz)/s
             psi = np.zeros(order + 1, dtype=np.complex128)
             psi[1] = 1.0
-            for n in range(2, order + 1):
-                acc = 0j
-                for j in range(2, n + 1):
-                    if c[j] != 0:
-                        acc += (n + 1 - j) * psi[n + 1 - j] * c[j]
-                psi[n] = -acc / (TWO_PI_I * (n - 1))
-            self._cache[key] = (psi, series.reversion(psi, order))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                for n in range(2, order + 1):
+                    acc = 0j
+                    for j in range(2, n + 1):
+                        if c[j] != 0:
+                            acc += (n + 1 - j) * psi[n + 1 - j] * c[j]
+                    psi[n] = -acc / (TWO_PI_I * (n - 1))
+                # the reversion of a non-finite psi would fail inside compose
+                psi_inv = series.reversion(psi, order) if np.isfinite(psi).all() else psi
+            if not np.isfinite(psi_inv).all():
+                raise OverflowGuard(f"flow linearizer is not finite at order {order}")
+            self._cache[key] = (psi, psi_inv)
         return self._cache[key]
 
     def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
@@ -205,14 +215,17 @@ class FlowFamily(GermFamily):
 
 def lipschitz_estimate(fam: GermFamily, interval: Tuple[float, float],
                        n_pairs: int = 64, n_circle: int = 64,
-                       seed: int = 0, order: int = 64) -> float:
-    """Empirical sup of |f_a(z) - f_a'(z)| / |a - a'| over samples, |z| <= 0.999.
+                       seed: int = 0) -> float:
+    """Empirical sup of |f_a(z) - f_a'(z)| / |a - a'| over samples, |z| <= 0.999,
+    between germs of order :data:`LIPSCHITZ_ORDER`.
 
     A lower estimate of the true constant; includes near-diagonal pairs so the
     small-gap slope is represented.
     """
     if n_pairs <= 0 or n_circle <= 0:
         raise DomainError("positive sampling budgets required")
+    if seed < 0:
+        raise DomainError("seed >= 0 required")
     rng = np.random.default_rng(seed)
     lo, hi = float(interval[0]), float(interval[1])
     zs = 0.999 * np.exp(TWO_PI_I * np.arange(n_circle) / n_circle)
@@ -223,8 +236,8 @@ def lipschitz_estimate(fam: GermFamily, interval: Tuple[float, float],
         b = rng.uniform(lo, hi) if mode == 0 else a + rng.uniform(1e-7, 1e-5)
         if b == a:
             continue
-        fa = fam.at(float(a), order)
-        fb = fam.at(float(b), order)
+        fa = fam.at(float(a), LIPSCHITZ_ORDER)
+        fb = fam.at(float(b), LIPSCHITZ_ORDER)
         gap = np.max(np.abs(fa.eval_vec(zs) - fb.eval_vec(zs)))
         best = max(best, float(gap) / abs(b - a))
     return best
@@ -265,12 +278,11 @@ class LiftMap:
         return Z + self.alpha + series.polyval_vec(self._row, w)
 
 
-def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER,
-                 check_height: float = 0.2) -> LiftMap:
+def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER) -> LiftMap:
     """Lift through E(z) = e^{2 pi i z}, normalizing the log branch by 1/(2 pi i).
 
     Requires f(z) = e^{2 pi i alpha} z g(z) with |g - 1| < 1 at 128 samples of
-    the circle |w| = e^{-2 pi check_height}, so the principal log is defined.
+    the circle |w| = e^{-2 pi CHECK_HEIGHT}, so the principal log is defined.
     """
     if not order >= 1:
         raise DomainError("lift order >= 1 required")
@@ -279,7 +291,7 @@ def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER,
     m_top = min(g.order, order + 1)
     for m in range(2, m_top + 1):
         u[m - 1] = g.coeffs[m - 2] / rho
-    r_check = math.exp(-2 * math.pi * check_height)
+    r_check = math.exp(-2 * math.pi * CHECK_HEIGHT)
     gm1 = series.circle_sup_norms(u, r_check, 0, 128)[0]
     if not gm1 < 1.0:
         raise FactorizationError(f"|g - 1| reaches {gm1:.3f} on |w| = {r_check:.3f}")

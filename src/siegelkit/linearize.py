@@ -93,22 +93,23 @@ def _abs(z: complex) -> float:
 
 
 def linearizations(germs: Sequence[Germ], N: int, allow_rational: bool = False,
-                   mag_cap: float = MAG_CAP,
                    on_failure: str = "raise") -> List[LinearizationSeries]:
     """Solve the linearization recursion up to order N for every germ.
 
     For exactly rational alpha = p/q the divisor vanishes exactly at every
     n > 1 with q | (n-1); those indices either cancel (numerator below floor,
-    coefficient set to 0, any value solves the equation) or raise
-    :class:`SmallDivisorBlowup`.  Rational handles must opt in via
+    coefficient set to 0, any value solves the equation) or are a pole,
+    :class:`SmallDivisorBlowup`; a coefficient above :data:`MAG_CAP` is an
+    :class:`OverflowGuard`.  Rational handles must opt in via
     ``allow_rational`` since blowup is then expected.
 
+    Every germ before the first refused rational runs to its own stop.
     ``on_failure="truncate"`` returns the partial series up to (not including)
-    the first pole or overflow index instead of raising; the escape estimator
-    feeds on such partial series at non-linearizable parameters, where the
-    conjugacy residual then enforces the order-(q+1) mismatch.  In raise mode
-    the first germ in input order that fails raises, as if the germs ran one
-    after another.
+    the first pole or overflow index; the escape estimator feeds on such
+    partial series at non-linearizable parameters, where the conjugacy
+    residual then enforces the order-(q+1) mismatch.  In raise mode the first
+    germ in input order that fails raises, as if the germs ran one after
+    another; a refused rational raises :class:`DomainError` after that.
 
     Germs with the same ``min(order, N)`` run in lock-step, one pass over n
     for all of them (:func:`_recursion`), in blocks whose power tables fit in
@@ -119,46 +120,37 @@ def linearizations(germs: Sequence[Germ], N: int, allow_rational: bool = False,
         raise DomainError("on_failure must be 'raise' or 'truncate'")
     if not N >= 1:
         raise DomainError("linearization order N >= 1 required")
-    # germs from ``stop`` on need not run: the failure of germ ``stop`` raises
-    stop, error = len(germs), None
-    for i, g in enumerate(germs):
-        if isinstance(g.alpha, (int, Fraction)) and not allow_rational:
-            stop, error = i, DomainError(
-                "rational alpha: pass allow_rational=True to accept poles")
-            break
+    stop = next((i for i, g in enumerate(germs)
+                 if isinstance(g.alpha, (int, Fraction)) and not allow_rational), len(germs))
     by_order: Dict[int, List[int]] = {}
     for i in range(stop):
         by_order.setdefault(min(germs[i].order, N), []).append(i)
-    out: List[Optional[LinearizationSeries]] = [None] * len(germs)
+    out: List[Optional[LinearizationSeries]] = [None] * stop
+    errors: List[Optional[SiegelError]] = [None] * stop
     for mm, idx in by_order.items():
         size = max(1, TABLE_BYTES // (16 * (mm + 1) * (N + 1)))  # complex128 tables
         for s in range(0, len(idx), size):
-            block = [i for i in idx[s:s + size] if i < stop]
-            if not block:
-                break
-            done, failed = _recursion([germs[i] for i in block], N, mm, mag_cap,
-                                      on_failure == "raise")
-            for i, phi in zip(block, done):
-                out[i] = phi
-            if failed is not None:  # every germ of the block is before ``stop``
-                stop, error = block[failed[0]], failed[1]
-    if error is not None:
-        raise error
+            block = idx[s:s + size]
+            done, failed = _recursion([germs[i] for i in block], N, mm)
+            for i, phi, err in zip(block, done, failed):
+                out[i], errors[i] = phi, err
+    failures = [e for e in errors if e is not None] if on_failure == "raise" else []
+    if stop < len(germs):
+        failures.append(DomainError("rational alpha: pass allow_rational=True to accept poles"))
+    if failures:
+        raise failures[0]
     return out
 
 
-def _recursion(germs: Sequence[Germ], N: int, mm: int, mag_cap: float, first_only: bool
-               ) -> Tuple[List[Optional[LinearizationSeries]], Optional[Tuple[int, SiegelError]]]:
+def _recursion(germs: Sequence[Germ], N: int, mm: int
+               ) -> Tuple[List[LinearizationSeries], List[Optional[SiegelError]]]:
     """The recursion in lock-step over germs with ``min(order, N) == mm``:
-    their series, and the first failure as ``(position, error)`` or None.
+    their series, and each germ's failure or None.
 
     The power table is ``(K, mm+1, N+1)`` and each index n costs two einsums
     for the whole batch; every germ keeps its own scalar tail (divisor, exact
     zero test, Python-complex division, cap).  A germ that fails stops
-    feeding the table there and gets its partial series.  With
-    ``first_only`` (raise mode) the germs after the first failing one are
-    dropped unfinished (None), and a failure of an earlier germ at a later
-    index replaces it.
+    feeding the table there and gets its partial series; the others run on.
     """
     K = len(germs)
     rational = [isinstance(g.alpha, (int, Fraction)) for g in germs]
@@ -172,7 +164,7 @@ def _recursion(germs: Sequence[Germ], N: int, mm: int, mag_cap: float, first_onl
     logs = [[math.nan, math.nan] for _ in germs]    # log |rho^n - rho| by index
     nums = [[0.0, 0.0] for _ in germs]              # |P_n| by index
     out: List[Optional[LinearizationSeries]] = [None] * K
-    first = None
+    errors: List[Optional[SiegelError]] = [None] * K
     live = list(range(K))     # row r of the table belongs to germ live[r]
 
     def finish(r: int, n: int) -> None:
@@ -197,35 +189,31 @@ def _recursion(germs: Sequence[Germ], N: int, mm: int, mag_cap: float, first_onl
             nums[k].append(abs(Pn))
             phase = phases[k][n - 1]
             div = _divisor(phase, rho[k])
-            failure = None
             # a rational's residue (n-1) p mod q is zero exactly when q | (n-1)
             if (rational[k] and phase == 0.0) or abs(div) < DIVISOR_FLOOR:
                 logs[k].append(-math.inf)
                 col.append(0j)
                 if abs(Pn) > NUMERATOR_FLOOR:
-                    failure = SmallDivisorBlowup(
+                    errors[k] = SmallDivisorBlowup(
                         f"pole at n={n}: divisor 0, |P|={abs(Pn):.3e}")
             else:
                 logs[k].append(math.log(abs(div)))
                 col.append(Pn / div)
-                if _abs(col[-1]) > mag_cap:
-                    failure = OverflowGuard(f"|a_{n}| = {_abs(col[-1]):.3e} exceeds cap")
-            if failure is None:
+                if _abs(col[-1]) > MAG_CAP:
+                    errors[k] = OverflowGuard(f"|a_{n}| = {_abs(col[-1]):.3e} exceeds cap")
+            if errors[k] is None:
                 keep.append(r)
-            elif first_only:
-                first = (k, failure)
-                break           # the later rows are later germs
             else:
                 finish(r, n)
-        pow_tab[:len(col), 1, n] = col
+        pow_tab[:, 1, n] = col
         if len(keep) < len(live):
             if not keep:
-                return out, first
+                return out, errors
             live = [live[r] for r in keep]
             pow_tab, b = pow_tab[keep], b[keep]
     for r in range(len(live)):
         finish(r, N + 1)
-    return out, first
+    return out, errors
 
 
 def linearization_coeffs(g: Germ, N: int, **options) -> LinearizationSeries:

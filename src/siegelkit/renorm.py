@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 TAN_THETA = math.tan(math.asin(0.1))  # cone half-angle of the 1/10-conditions
+RE_SAMPLES = 16        # real parts of the grid h_of_lift tests at each height
+IM_BISECT = 0.01       # width of the height bracket h_of_lift bisects down to
+HEIGHT_CEILING = 6.0   # no height above this is tried by h_of_lift or find_y0
 
 
 # ---------------------------------------------------------------------------
@@ -61,32 +64,28 @@ TAN_THETA = math.tan(math.asin(0.1))  # cone half-angle of the 1/10-conditions
 @dataclass(frozen=True)
 class HParams:
     max_iter: int = 10_000
-    re_samples: int = 16
-    im_bisect: float = 0.01
-    ceiling: float = 6.0
 
     def __post_init__(self):
-        for name in ("max_iter", "re_samples", "im_bisect", "ceiling"):
-            if not 0 < getattr(self, name) < math.inf:  # False on NaN
-                raise DomainError(f"{name} must be finite and positive")
+        if not 0 < self.max_iter < math.inf:  # False on NaN
+            raise DomainError("max_iter must be finite and positive")
 
 
 def _heights_admissible(F: LiftMap, hs: Sequence[float], p: HParams) -> List[bool]:
     """For each height h in ``hs``: every orbit of the Re-grid at h stays in
     the upper half-plane for ``max_iter`` steps.  All heights share one kernel
-    call, one group of ``re_samples`` points each, and each verdict is the one
+    call, one group of :data:`RE_SAMPLES` points each, and each verdict is the one
     its height gets alone.  The real part is reduced mod 1 before each step
     (F commutes with the unit translation), which keeps the exponential
     evaluation accurate on long orbits; ``Im Z > 0`` is False on NaN."""
-    re = np.arange(p.re_samples) / p.re_samples
+    re = np.arange(RE_SAMPLES) / RE_SAMPLES
     Z = np.array([re + 1j * h for h in hs])
     return _orbits_stay(lambda Z, _: F.eval_vec(Z - np.floor(Z.real)), Z,
                         p.max_iter, inside=lambda Z: Z.imag > 0.0).tolist()
 
 
 def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
-    """An admissible height h with an inadmissible one at most ``im_bisect``
-    below it, or with h <= ``im_bisect`` (an upper-flavored estimate of h(F)).
+    """An admissible height h with an inadmissible one at most :data:`IM_BISECT`
+    below it, or with h <= :data:`IM_BISECT` (an upper-flavored estimate of h(F)).
 
     A height is admissible when every orbit started on a Re-grid at that
     height stays in the half-plane for ``max_iter`` steps; escape can only be
@@ -103,16 +102,16 @@ def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
     """
     if len(F.h_coeffs) == 0 or not np.any(F.h_coeffs):
         return 0.0  # exact translation: every height is admissible
-    lo, hi = [0.0], [max(4 * params.im_bisect, 0.05)]
+    lo, hi = [0.0], [max(4 * IM_BISECT, 0.05)]
     while True:
         _bisect(lambda _, h: h,
                 lambda points: _heights_admissible(F, [h for _, h in points], params),
-                lo, hi, params.im_bisect, stay_above=True)
+                lo, hi, IM_BISECT, stay_above=True)
         if lo[0] < hi[0]:
             return hi[0]
         hi[0] *= 2.0  # lo stays at the inadmissible height
-        if hi[0] > params.ceiling:
-            raise NoAdmissibleHeight(f"no admissible height below {params.ceiling}")
+        if hi[0] > HEIGHT_CEILING:
+            raise NoAdmissibleHeight(f"no admissible height below {HEIGHT_CEILING}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +227,17 @@ def build_HJ(F: LiftMap, k: int) -> RenormSetup:
 # ---------------------------------------------------------------------------
 
 
-def find_y0(setup: RenormSetup,
-            candidates: Optional[Sequence[float]] = None,
-            ceiling: float = 6.0) -> float:
+def find_y0(setup: RenormSetup) -> float:
     """Smallest sampled height above which the 1/10-closeness conditions hold.
 
     Grid test of |H - Z - beta| <= |beta|/10, |J - Z - beta'| <= |beta|/10
     (the hop's beta on the right-hand side in both), and both derivatives
     within 1/10 of 1, derivatives taken by the chain rule through the lift.
-    The grid is 8 real parts at the heights y + 0.01, 0.05, 0.2 and 1.0.
+    The grid is 8 real parts at the heights y + 0.01, 0.05, 0.2 and 1.0, for
+    y = 0 and 48 heights geometric from 0.01 to :data:`HEIGHT_CEILING`.
     Stores the height on the setup together with the analytic-style
     prediction max(0, href + log(10 M / |beta|)/(2 pi)) and returns it.
     """
-    if candidates is None:
-        candidates = [0.0] + list(np.geomspace(0.01, ceiling, 48))
     tol = abs(setup.beta) / 10.0
     res = np.arange(8) / 8
 
@@ -260,12 +256,12 @@ def find_y0(setup: RenormSetup,
                     return False
         return True
 
-    for y in candidates:
+    for y in [0.0] + list(np.geomspace(0.01, HEIGHT_CEILING, 48)):
         if conditions_hold(float(y)):
             setup.y0 = float(y)
             setup.y0_analytic = y0_analytic_prediction(setup)
             return setup.y0
-    raise ConditionsNeverMet(f"1/10-conditions fail below height {ceiling}")
+    raise ConditionsNeverMet(f"1/10-conditions fail below height {HEIGHT_CEILING}")
 
 
 def y0_analytic_prediction(setup: RenormSetup) -> float:
@@ -294,17 +290,16 @@ class ReturnSample:
     path_min_im: float
 
 
-def return_map(setup: RenormSetup, Z: complex,
-               budget: Optional[int] = None) -> Tuple[ReturnSample, List[complex]]:
+def return_map(setup: RenormSetup, Z: complex) -> Tuple[ReturnSample, List[complex]]:
     """One jump then hops until the first landing back in the strip, and the
     trace: the start, the jump's image and every hop.
 
     Intermediate points must stay above y0 (otherwise the return is undefined,
     mirroring the partial domain of the first-return map); exceeding the hop
-    budget is an accepted-run failure and raises.
+    budget :meth:`RenormSetup.default_budget` is an accepted-run failure and
+    raises.
     """
-    if budget is None:
-        budget = setup.default_budget()
+    budget = setup.default_budget()
     if not setup.in_fundamental_domain(Z):
         raise DomainError("start must lie in the fundamental strip")
     W = setup.J(Z)

@@ -89,6 +89,7 @@ class ScanParams:
 
 DEFAULT_SCAN = ScanParams()
 ESTIMATORS = ("escape", "hadamard")
+TAIL_WINDOW = 4   # trailing members whose least radius main_lemma_probe reports
 
 
 def _linearize(germs: Sequence[Germ], p: ScanParams) -> List[LinearizationSeries]:
@@ -290,15 +291,15 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
 
 def main_lemma_probe(fam: GermFamily, pq: Fraction, variant: str, N: int,
                      K_est: float, p: ScanParams = DEFAULT_SCAN,
-                     cfg: ConstantConfig = DEFAULT_CONFIG,
-                     tail_window: int = 4) -> dict:
+                     cfg: ConstantConfig = DEFAULT_CONFIG) -> dict:
     """Radius estimates along the special sequence at a rational parameter.
 
-    Reports the tail minimum against exp(-C(K, q)) and exp(-C'(K, q)) for the
-    configured constants; a trend report, not a certified bound.
+    Reports the minimum over the last :data:`TAIL_WINDOW` members against
+    exp(-C(K, q)) and exp(-C'(K, q)) for the configured constants; a trend
+    report, not a certified bound.
     """
-    if not (N >= 1 and tail_window >= 1):
-        raise DomainError("need N >= 1 members and tail_window >= 1")
+    if not N >= 1:
+        raise DomainError("need N >= 1 members")
     pq = Fraction(pq)
     cf = cf_of_rational(pq, variant)
     q = pq.denominator
@@ -306,7 +307,7 @@ def main_lemma_probe(fam: GermFamily, pq: Fraction, variant: str, N: int,
     values = [{"n": n, "alpha_float": to_float(a_n), "alpha_text": format_exact(a_n),
                "r_lower": est.lower, "r_upper": est.upper}
               for n, (a_n, est) in enumerate(zip(members, estimate_radii(fam, members, p)), 1)]
-    tail = values[-tail_window:]
+    tail = values[-TAIL_WINDOW:]
     tail_min = min(v["r_lower"] for v in tail)
     return {
         "pq": str(pq), "q": q, "variant": variant,

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from siegelkit import renorm
 from siegelkit.bounds import (
     DEFAULT_CONFIG,
     ConstantConfig,
@@ -238,7 +239,7 @@ def sequential_h_of_lift(F, params):
     """h_of_lift as its own orbit loop per height and its own bisection loop,
     the way it ran before it shared the escape kernel and bisection."""
     def admissible(h):
-        Z = np.arange(params.re_samples) / params.re_samples + 1j * h
+        Z = np.arange(renorm.RE_SAMPLES) / renorm.RE_SAMPLES + 1j * h
         for _ in range(params.max_iter):
             Z = F.eval_vec(Z - np.floor(Z.real))
             if not np.all(Z.imag > 0.0):
@@ -247,19 +248,19 @@ def sequential_h_of_lift(F, params):
 
     if len(F.h_coeffs) == 0 or not np.any(F.h_coeffs):
         return 0.0
-    return sequential_h_bisection(admissible, params)
+    return sequential_h_bisection(admissible)
 
 
-def sequential_h_bisection(admissible, params):
+def sequential_h_bisection(admissible):
     """The doubling search and bisection of h_of_lift over the verdicts of
     ``admissible``, one height at a time."""
-    hi = max(4 * params.im_bisect, 0.05)
+    hi = max(4 * renorm.IM_BISECT, 0.05)
     while not admissible(hi):
         hi *= 2.0
-        if hi > params.ceiling:
-            raise NoAdmissibleHeight(f"no admissible height below {params.ceiling}")
+        if hi > renorm.HEIGHT_CEILING:
+            raise NoAdmissibleHeight(f"no admissible height below {renorm.HEIGHT_CEILING}")
     lo = 0.0
-    while hi - lo > params.im_bisect:
+    while hi - lo > renorm.IM_BISECT:
         mid = 0.5 * (lo + hi)
         if admissible(mid):
             hi = mid

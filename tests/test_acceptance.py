@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from siegelkit import scan
 from siegelkit.bounds import (
     DEFAULT_CONFIG,
     const_C,
@@ -385,7 +386,8 @@ def test_criterion_08_main_lemma_trend():
 # -- 9: degenerate-family sharpness ----------------------------------------------------
 
 
-def test_criterion_09_degenerate_sharpness():
+def test_criterion_09_degenerate_sharpness(monkeypatch):
+    monkeypatch.setattr(scan, "TAIL_WINDOW", 3)
     t0 = time.time()
     fam = FlowFamily([1.0], restriction_radius=0.5)
     p = ScanParams(order=96, lin_order=128,
@@ -395,8 +397,8 @@ def test_criterion_09_degenerate_sharpness():
     spread_ok = rep["spread"] < 0.05
     r_flow = max(r["r_lower"] for r in rep["rows"])
     delta = (1.0 - r_flow) / 2
-    K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), n_pairs=16, n_circle=16, order=64))
-    ml = main_lemma_probe(fam, Fraction(1, 2), "short", 8, K, p=p, tail_window=3)
+    K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), n_pairs=16, n_circle=16))
+    ml = main_lemma_probe(fam, Fraction(1, 2), "short", 8, K, p=p)
     sharp_ok = ml["tail_min"] <= 1.0 - delta
     dt = time.time() - t0
     verdict(9, spread_ok and sharp_ok and delta > 0 and dt < 300,

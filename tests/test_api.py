@@ -2,7 +2,8 @@
 export behind; the package root imports nothing; every exported name is
 defined in its module and used by the program or its benchmark, not only by
 its own tests; every imported name, in the package and in its tests, is used
-or re-exported; and the number of settable values does not grow unnoticed."""
+or re-exported; every setting is set by the program or its benchmark, not
+only by tests; and the number of settable values does not grow unnoticed."""
 
 import ast
 import importlib
@@ -114,6 +115,81 @@ def _init_false(field):
         for k in field.value.keywords)
 
 
+def _settings(tree, module):
+    """``("module.callee.name", position)`` for every parameter with a default
+    and every dataclass field a caller can set.  The callee is the class for
+    its fields and its ``__init__``; position is the index of the positional
+    argument that sets the value at a call, None for keyword-only."""
+    out = []
+    for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        if _is_dataclass(cls):
+            fields = [s.target.id for s in cls.body
+                      if isinstance(s, ast.AnnAssign) and not _init_false(s)]
+            out += [(f"{module}.{cls.name}.{f}", i) for i, f in enumerate(fields)]
+        for fn in cls.body:
+            fn.owner = cls.name  # a method's self or cls is no call argument
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            owner = getattr(fn, "owner", None)
+            callee = owner if fn.name == "__init__" else fn.name
+            shift = 0 if owner is None else 1
+            out += [(f"{module}.{callee}.{x.arg}", i - shift) for i, x in enumerate(positional)
+                    if i >= len(positional) - len(a.defaults)]
+            out += [(f"{module}.{callee}.{x.arg}", None)
+                    for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+# Settings that no call in the program or its benchmark sets, each with the
+# reason it stays; a key without a parameter covers every field of a class.
+UNSET_SETTINGS = {
+    "scan.condition_bdd_search.p": "cost: tests run the search on small budgets",
+    "scan.condition_bdd_search.grid_points": "cost: tests locate the cut on a coarse grid",
+    "scan.condition_bdd_search.seq_indices": "cost: tests emit fewer members",
+    "scan.degenerate_probe.p": "cost: tests run the probe on small budgets",
+    "scan.smooth_disk_driver.p": "cost: tests run the driver on small budgets",
+    "cf.side_and_gap.width": "criteria 2 and 3 pin the width of their brackets",
+    "bounds.load_config.env": "tests pass an environment in place of os.environ",
+    "cli.main.argv": "tests run the command line in-process",
+    "linearize.EscapeParams.cap": "radius escape echoes it in its params",
+    "germs.QuadraticFamily.restriction_radius": "make_family passes it as **radius",
+    "bounds.const_Cdoubleprime.cfg": "cmd_const calls it through its fn dispatch",
+    "bounds.ConstantConfig": "config_from_mapping passes the fields as **kwargs",
+    "io.RunManifest": "RunManifest.build constructs it through cls",
+    "renorm.RenormSetup.y0": "find_y0 assigns it on the setup",
+    "renorm.RenormSetup.y0_analytic": "find_y0 assigns it on the setup",
+    "cf.CFExpansion._conv": "the memo of convergents, which the expansion fills",
+}
+
+
+def test_every_setting_is_set_outside_tests():
+    # a setting only tests set is one value in use: a module constant, which
+    # a test reaches with monkeypatch
+    src = Path(siegelkit.__path__[0])
+    bench = Path(__file__).parent.parent / "perfbench"
+    calls = []  # (callee name, positional count, keywords)
+    for path in [*src.glob("*.py"), *bench.rglob("*.py")]:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call):
+                name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                calls.append((name, sum(not isinstance(x, ast.Starred) for x in n.args),
+                              {k.arg for k in n.keywords}))
+    unset = set()
+    for path in src.glob("*.py"):
+        for key, pos in _settings(ast.parse(path.read_text()), path.stem):
+            callee, name = key.split(".")[1:]
+            if not any(c == callee and (name in kw or pos is not None and npos > pos)
+                       for c, npos, kw in calls):
+                unset.add(key)
+    unexplained = sorted(k for k in unset
+                         if k not in UNSET_SETTINGS and k.rsplit(".", 1)[0] not in UNSET_SETTINGS)
+    stale = sorted(k for k in UNSET_SETTINGS
+                   if not any(u == k or u.startswith(k + ".") for u in unset))
+    assert (unexplained, stale) == ([], [])
+
+
 def settable_values():
     """Parameters with a default, dataclass fields a caller can set, and CLI
     arguments, in ``src/siegelkit``.  A parameter counts once per (module,
@@ -138,4 +214,4 @@ def settable_values():
 def test_settable_value_count_is_pinned():
     # a change that adds or removes a setting updates this number (and the
     # count quoted in ROADMAP.md) on purpose
-    assert settable_values() == 211
+    assert settable_values() == 201

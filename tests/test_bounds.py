@@ -54,6 +54,13 @@ def test_brjuno_fast_growth_prefix_no_convergence():
     assert b4.value > b3.value > 0.5  # partial value keeps growing
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_brjuno_rejects_bad_tolerance(tol):
+    # a tolerance no tail can get under (or that any tail does) certifies nothing
+    with pytest.raises(DomainError):
+        brjuno_sum(GOLDEN_CF, depth=10, tol=tol)
+
+
 def test_brjuno_monotone_in_depth():
     vals = [brjuno_sum(GOLDEN_CF, depth=d).value for d in (5, 10, 20, 40)]
     assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))

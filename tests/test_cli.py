@@ -104,6 +104,7 @@ def test_usage_error_exit_1(capsys):
     ["cf", "special-seq"],
     ["lin", "coeffs"],
     ["probe", "cond-bdd", "--K", "2"],
+    ["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "flow", "--chi", "x"],
 ])
 def test_malformed_input_is_a_usage_error(argv, capsys):
     code, _, err = run_cli(argv, capsys)
@@ -149,6 +150,10 @@ def _no_return(signum, frame):
     (["scan", "--grid", "1/3,2/5", "--bisect-tol", "0"], {}),
     (_FLOW + ["--restriction", "nan"], {}),
     (_FLOW + ["--restriction", "-1"], {}),
+    (["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "flow", "--chi", "nan"], {}),
+    (["brjuno", "--alpha", "[0;(1)]", "--tol", "-1"], {}),
+    (["brjuno", "--alpha", "[0;(1)]", "--tol", "nan"], {}),
+    (["probe", "main-lemma", "--pq", "1/2", "--N", "1", "--seed", "-1"], {}),
 ])
 def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch):
     # a NaN must not reach the report: json.dumps would print the non-JSON
@@ -164,6 +169,14 @@ def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert code == 2 and out == ""
     assert err.startswith("DomainError:")
+
+
+def test_flow_linearizer_overflow_is_a_numeric_error(capsys):
+    # a finite but huge field overflows the flow's linearizer
+    code, out, err = run_cli(["lin", "coeffs", "--alpha", "1/3", "--N", "4",
+                              "--family", "flow", "--chi", "1e300"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("OverflowGuard:")
 
 
 @pytest.mark.parametrize("argv", [

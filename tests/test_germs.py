@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegelkit import germs, series
-from siegelkit.errors import DomainError, FactorizationError
+from siegelkit.errors import DomainError, FactorizationError, OverflowGuard
 from siegelkit.germs import (
     FlowFamily,
     Germ,
@@ -129,7 +129,7 @@ def test_lipschitz_quadratic_same_as_rotation():
     assert 0.94 * TWO_PI <= K <= TWO_PI + 1e-6
 
 
-def test_lipschitz_flow_matches_field_sup():
+def test_lipschitz_flow_matches_field_sup(monkeypatch):
     fam = FlowFamily([1.0], restriction_radius=0.5)
     zs = np.exp(2j * np.pi * np.arange(4096) / 4096)
     sup_chi = float(np.max(np.abs(2j * np.pi * 0.5 * zs + (0.5 * zs) ** 2))) / 0.5
@@ -141,7 +141,8 @@ def test_lipschitz_flow_matches_field_sup():
     assert abs(slope - sup_chi) < 0.03 * sup_chi
     # the empirical family constant sits between the field sup and its value
     # on the flow-reachable bulge (orbits wander slightly beyond the disk)
-    K = lipschitz_estimate(fam, (0.1, 0.9), n_pairs=64, n_circle=64, order=96)
+    monkeypatch.setattr(germs, "LIPSCHITZ_ORDER", 96)
+    K = lipschitz_estimate(fam, (0.1, 0.9), n_pairs=64, n_circle=64)
     assert 0.9 * sup_chi <= K <= 1.35 * sup_chi
 
 
@@ -149,6 +150,20 @@ def test_lipschitz_flow_matches_field_sup():
 def test_flow_rejects_bad_restriction_radius(radius):
     with pytest.raises(DomainError):
         FlowFamily([1.0], restriction_radius=radius)
+
+
+@pytest.mark.parametrize("chi", [[math.nan], [1.0, complex(0, math.inf)]])
+def test_flow_rejects_non_finite_field(chi):
+    with pytest.raises(DomainError):
+        FlowFamily(chi)
+
+
+@pytest.mark.parametrize("c, order", [(1e300, 8), (100.0, 256)])
+def test_flow_linearizer_overflow_is_tagged(c, order):
+    # psi itself overflows at c = 1e300; at c = 100 psi is finite and its
+    # reversion is not
+    with pytest.raises(OverflowGuard):
+        FlowFamily([c]).at(GOLDEN, order)
 
 
 def test_orders_below_one_are_rejected():
@@ -164,6 +179,8 @@ def test_orders_below_one_are_rejected():
 def test_lipschitz_rejects_bad_budget():
     with pytest.raises(DomainError):
         lipschitz_estimate(RotationFamily(), (0, 1), n_pairs=0)
+    with pytest.raises(DomainError):
+        lipschitz_estimate(RotationFamily(), (0, 1), seed=-1)
 
 
 # -- lifts --------------------------------------------------------------------
@@ -212,10 +229,11 @@ def test_lift_lipschitz_transfer():
             assert abs(F(Z) - Z - alpha) <= 2 * K * eps
 
 
-def test_lift_factorization_error():
+def test_lift_factorization_error(monkeypatch):
+    monkeypatch.setattr(germs, "CHECK_HEIGHT", 0.05)
     g = Germ(alpha=0.3, coeffs=np.array([9.0]))  # |g-1| = 9|w| reaches 1
     with pytest.raises(FactorizationError):
-        lift_of_germ(g, order=32, check_height=0.05)
+        lift_of_germ(g, order=32)
     # NaN fails every comparison, so a plain ">= 1" test would let it through
     with pytest.raises(FactorizationError):
         lift_of_germ(Germ(alpha=0.3, coeffs=np.array([math.nan])), order=32)

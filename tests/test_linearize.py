@@ -176,10 +176,11 @@ def test_blowup_and_truncate_modes():
     assert part.order == 2  # pole at n = 3 for q = 2
 
 
-def test_overflow_guard():
+def test_overflow_guard(monkeypatch):
+    monkeypatch.setattr(linearize, "MAG_CAP", 1.0)
     g = QUAD.at(GOLDEN, 8)
     with pytest.raises(OverflowGuard):
-        linearization_coeffs(g, 64, mag_cap=1.0)
+        linearization_coeffs(g, 64)
 
 
 def test_rotation_pole_probe_trivial():
@@ -265,10 +266,11 @@ def test_linearizations_match_sequential_oracle(picks, cap, per_block):
     # mixed batches, truncating at poles and overflow, in one block or in
     # blocks of 1-3 germs: bit for bit the per-germ loop's series
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linearize, "MAG_CAP", cap)
         if per_block is not None:
             mp.setattr(linearize, "TABLE_BYTES", _table_bytes(per_block))
         got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N, allow_rational=True,
-                             mag_cap=cap, on_failure="truncate")
+                             on_failure="truncate")
     for i, phi in zip(picks, got):
         assert _same_series(phi, _oracle(i, allow_rational=True, mag_cap=cap,
                                          on_failure="truncate")), i
@@ -298,18 +300,20 @@ def test_linearizations_raise_like_the_sequential_loop(picks, cap, allow_rationa
     # the first germ in input order that fails raises its own error, whatever
     # later germs do and at whatever index; without allow_rational a
     # rational fails before its recursion starts
-    options = dict(allow_rational=allow_rational, mag_cap=cap)
-    expected = [_oracle(i, **options) for i in picks]
+    expected = [_oracle(i, allow_rational=allow_rational, mag_cap=cap) for i in picks]
     failures = [e for e in expected if isinstance(e, tuple)]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linearize, "MAG_CAP", cap)
         if per_block is not None:
             mp.setattr(linearize, "TABLE_BYTES", _table_bytes(per_block))
         if failures:
             with pytest.raises(failures[0][0]) as info:
-                linearizations([_LIN_POOL[i] for i in picks], _LIN_N, **options)
+                linearizations([_LIN_POOL[i] for i in picks], _LIN_N,
+                               allow_rational=allow_rational)
             assert str(info.value) == failures[0][1]
         else:
-            got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N, **options)
+            got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N,
+                                 allow_rational=allow_rational)
             assert all(_same_series(x, y) for x, y in zip(got, expected))
 
 

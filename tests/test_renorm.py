@@ -74,10 +74,11 @@ def test_displacement_bounded_by_h_norm():
         assert abs(F(Z) - Z - F.alpha) <= bound * 1.0001
 
 
-def test_parabolic_lift_escapes_low():
+def test_parabolic_lift_escapes_low(monkeypatch):
+    monkeypatch.setattr(renorm, "RE_SAMPLES", 8)
     g = QuadraticFamily().at(Fraction(1, 2), 8)
     F = lift_of_germ(g, order=128)
-    assert _heights_admissible(F, [0.02], HParams(max_iter=10_000, re_samples=8)) == [False]
+    assert _heights_admissible(F, [0.02], HParams(max_iter=10_000)) == [False]
 
 
 def test_h_of_translation_zero():
@@ -85,9 +86,7 @@ def test_h_of_translation_zero():
 
 
 @pytest.mark.parametrize("bad", [
-    {"im_bisect": 0.0}, {"im_bisect": -0.01}, {"im_bisect": math.nan},
-    {"re_samples": 0}, {"max_iter": 0}, {"max_iter": -5},
-    {"ceiling": 0.0}, {"ceiling": math.inf}, {"ceiling": math.nan},
+    {"max_iter": 0}, {"max_iter": -5}, {"max_iter": math.nan}, {"max_iter": math.inf},
 ])
 def test_hparams_reject_bad_values(bad):
     with pytest.raises(DomainError):
@@ -182,7 +181,7 @@ _TABLES = {
 def test_h_of_lift_chain_follows_sequential_path(monkeypatch, name):
     table = _TABLES[name]
     asked = []
-    sequential = sequential_h_bisection(lambda h: asked.append(h) or table(h), HParams())
+    sequential = sequential_h_bisection(lambda h: asked.append(h) or table(h))
     calls = []
 
     def kernel(F, hs, p):
@@ -198,9 +197,9 @@ def test_h_of_lift_chain_follows_sequential_path(monkeypatch, name):
         assert calls[3:] == [[x for x in asked[3:] if x != asked[2]]]
     tested = [x for hs in calls for x in hs]
     assert len(set(tested)) == len(tested)  # no height is tested twice
-    # the contract: h is admissible, and a height at most im_bisect below it
-    # was found inadmissible, or h <= im_bisect
-    tol = HParams().im_bisect
+    # the contract: h is admissible, and a height at most IM_BISECT below it
+    # was found inadmissible, or h <= IM_BISECT
+    tol = renorm.IM_BISECT
     assert table(h)
     assert h <= tol or any(not table(x) for x in asked if 0 < h - x <= tol)
 
@@ -353,13 +352,14 @@ def test_y0_analytic_prediction_reported():
     assert s.y0_analytic is not None and s.y0_analytic >= 0.0
 
 
-def test_conditions_never_met():
+def test_conditions_never_met(monkeypatch):
     # a germ so rough that no sampled height below the tiny ceiling works
+    monkeypatch.setattr(renorm, "HEIGHT_CEILING", 0.01)
     g = QuadraticFamily().at(GOLDEN, 8)
     F = lift_of_germ(g, order=64)
     s = build_HJ(F, 3)
     with pytest.raises(ConditionsNeverMet):
-        find_y0(s, ceiling=1e-4, candidates=[0.0, 1e-5])
+        find_y0(s)
 
 
 # -- return map -------------------------------------------------------------------
@@ -424,12 +424,13 @@ def test_return_map_undefined_near_floor():
     assert sample.hops >= 0
 
 
-def test_budget_exceeded_raises():
+def test_budget_exceeded_raises(monkeypatch):
     F = translation_lift(GOLDEN)
     s = build_HJ(F, 2)
     find_y0(s)
+    monkeypatch.setattr(s, "default_budget", lambda: 0)
     with pytest.raises(BudgetExceeded):
-        return_map(s, complex(0.0, 2.0), budget=0)
+        return_map(s, complex(0.0, 2.0))
 
 
 # -- single pass -------------------------------------------------------------------

@@ -66,8 +66,6 @@ def _sequential_bracket(fam, alpha, p):
     lambda: ScanParams(window=15),
     lambda: scan_r(RotationFamily(), [GOLDEN], CHEAP, workers=0),
     lambda: main_lemma_probe(RotationFamily(), Fraction(1, 2), "short", 0, 6.3, p=CHEAP),
-    lambda: main_lemma_probe(RotationFamily(), Fraction(1, 2), "short", 4, 6.3, p=CHEAP,
-                             tail_window=0),
 ])
 def test_sizes_below_their_least_value_are_rejected(call):
     with pytest.raises(DomainError):
@@ -234,17 +232,16 @@ def test_cond_bdd_target_above_radius():
 # -- main lemma probe ------------------------------------------------------------
 
 
-def test_main_lemma_rotation_trivial():
-    rep = main_lemma_probe(RotationFamily(), Fraction(1, 2), "short", 4, K_est=6.3,
-                           p=CHEAP, tail_window=2)
+def test_main_lemma_rotation_trivial(monkeypatch):
+    monkeypatch.setattr(scan, "TAIL_WINDOW", 2)
+    rep = main_lemma_probe(RotationFamily(), Fraction(1, 2), "short", 4, K_est=6.3, p=CHEAP)
     assert rep["tail_min"] >= 1 - 1e-2
 
 
-def test_main_lemma_quadratic_small_vs_larger_q():
-    rep2 = main_lemma_probe(QuadraticFamily(), Fraction(1, 2), "short", 6,
-                            K_est=6.3, p=MEDIUM, tail_window=3)
-    rep5 = main_lemma_probe(QuadraticFamily(), Fraction(2, 5), "short", 6,
-                            K_est=6.3, p=MEDIUM, tail_window=3)
+def test_main_lemma_quadratic_small_vs_larger_q(monkeypatch):
+    monkeypatch.setattr(scan, "TAIL_WINDOW", 3)
+    rep2 = main_lemma_probe(QuadraticFamily(), Fraction(1, 2), "short", 6, K_est=6.3, p=MEDIUM)
+    rep5 = main_lemma_probe(QuadraticFamily(), Fraction(2, 5), "short", 6, K_est=6.3, p=MEDIUM)
     assert rep2["tail_min"] > 0 and rep5["tail_min"] > 0
     assert rep5["tail_min"] >= rep2["tail_min"] - 0.05
     assert rep2["bound_C"] < rep5["bound_C"]  # exp(-C(K,q)) grows with q
@@ -269,8 +266,7 @@ def test_probes_match_sequential_bisection():
     # each probe bisects its members in one lock-step batch; every value must
     # equal the member's one-at-a-time bracket
     fam = QuadraticFamily()
-    rep = main_lemma_probe(fam, Fraction(2, 5), "short", 4, K_est=6.3, p=CHEAP,
-                           tail_window=2)
+    rep = main_lemma_probe(fam, Fraction(2, 5), "short", 4, K_est=6.3, p=CHEAP)
     cf = cf_of_rational(Fraction(2, 5), "short")
     assert [(v["r_lower"], v["r_upper"]) for v in rep["values"]] == [
         _sequential_bracket(fam, special_sequence_main(cf, n), CHEAP) for n in range(1, 5)]
