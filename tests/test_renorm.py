@@ -86,7 +86,8 @@ def test_h_of_translation_zero():
 
 
 @pytest.mark.parametrize("bad", [
-    {"max_iter": 0}, {"max_iter": -5}, {"max_iter": math.nan}, {"max_iter": math.inf},
+    {"max_iter": math.nan}, {"max_iter": math.inf}, {"max_iter": -math.inf},
+    {"max_iter": -1}, {"max_iter": 0}, {"max_iter": -5},
 ])
 def test_hparams_reject_bad_values(bad):
     with pytest.raises(DomainError):
