@@ -430,7 +430,8 @@ def cmd_probe(args, cfg):
     fam = make_family(args)
     if args.op == "cond-bdd":  # refuse bad input before the Lipschitz estimate
         alpha = _parse(parse_exact, args.alpha)
-        _check_cond_bdd(args.rho_frac, args.qmax)
+        _check_cond_bdd(args.rho_frac, args.qmax,
+                        1.0 if args.K is None else args.K)  # an estimated K is >= 1
     if args.K is None and args.op != "degenerate":  # degenerate_probe takes no K
         args.K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), n_pairs=24,
                                              n_circle=32, seed=args.seed or 0))

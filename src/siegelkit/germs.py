@@ -173,38 +173,48 @@ class FlowFamily(GermFamily):
         self._cache = {}
 
     def _linearizer(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
-        """psi with psi' * chi = 2 pi i psi, psi = z + O(z^2), and its inverse;
-        :class:`OverflowGuard` when either is not finite at this order."""
-        key = order
-        if key not in self._cache:
+        """psi with psi' * chi = 2 pi i psi, psi = z + O(z^2), and its inverse.
+
+        The inverse d = psi^{-1} solves 2 pi i w d'(w) = chi(d(w)), so
+        2 pi i (n-1) d_n = [w^n] sum_{m>=2} c_m d^m: no divisor is small.
+        """
+        if order not in self._cache:
             s = self.restriction_radius
-            c = np.zeros(order + 1, dtype=np.complex128)
+            M = len(self.chi) + 1
+            c = np.zeros(max(M, order) + 1, dtype=np.complex128)
             c[1] = TWO_PI_I
             for j, cj in enumerate(self.chi, start=2):
-                if j <= order:
-                    c[j] = cj * s ** (j - 1)  # conjugated field chi(sz)/s
+                c[j] = cj * s ** (j - 1)  # conjugated field chi(sz)/s
             psi = np.zeros(order + 1, dtype=np.complex128)
             psi[1] = 1.0
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            # pow_tab[m, n] = [w^n] d^m, filled column by column; row 1 is d
+            pow_tab = np.zeros((M + 1, order + 1), dtype=np.complex128)
+            pow_tab[1, 1] = 1.0
+            with np.errstate(over="ignore", invalid="ignore"):  # checked by at()
                 for n in range(2, order + 1):
                     acc = 0j
                     for j in range(2, n + 1):
                         if c[j] != 0:
                             acc += (n + 1 - j) * psi[n + 1 - j] * c[j]
                     psi[n] = -acc / (TWO_PI_I * (n - 1))
-                # the reversion of a non-finite psi would fail inside compose
-                psi_inv = series.reversion(psi, order) if np.isfinite(psi).all() else psi
-            if not np.isfinite(psi_inv).all():
-                raise OverflowGuard(f"flow linearizer is not finite at order {order}")
-            self._cache[key] = (psi, psi_inv)
-        return self._cache[key]
+                    top = min(M, n)
+                    pow_tab[2:top + 1, n] = np.einsum("ij,j->i", pow_tab[1:top, n - 1:0:-1],
+                                                      pow_tab[1, 1:n], optimize=False)
+                    P = np.einsum("i,i->", c[2:M + 1], pow_tab[2:, n], optimize=False)
+                    pow_tab[1, n] = P / (TWO_PI_I * (n - 1))
+            self._cache[order] = (psi, pow_tab[1].copy())
+        return self._cache[order]
 
     def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
+        """psi^{-1}(u psi(z)); :class:`OverflowGuard` when it is not finite."""
         if not order >= 1:
             raise DomainError("germ order >= 1 required")
         psi, psi_inv = self._linearizer(order)
         u = _multiplier_of(alpha)
-        ft = series.compose(psi_inv, u * psi, order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ft = series.compose(psi_inv, u * psi, order)
+        if not np.isfinite(ft).all():
+            raise OverflowGuard(f"flow germ is not finite at order {order}")
         return Germ(alpha, ft[2:])
 
 

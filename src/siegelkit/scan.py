@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .bounds import ConstantConfig, DEFAULT_CONFIG, const_C, const_Cprime, is_bounded_type
+from .bounds import (ConstantConfig, DEFAULT_CONFIG, _check_Kq, const_C, const_Cprime,
+                     is_bounded_type)
 from .cf import (
     LONG_FORM,
     SHORT_FORM,
@@ -199,11 +200,12 @@ def _check_rho_frac(rho_frac: float) -> None:
         raise DomainError("rho_frac in (0, 1) required")
 
 
-def _check_cond_bdd(rho_frac: float, qmax: int) -> None:
+def _check_cond_bdd(rho_frac: float, qmax: int, K_est: float) -> None:
     """The inputs :func:`condition_bdd_search` refuses, checked before any work."""
     if not qmax >= 1:
         raise DomainError("qmax >= 1 required")
     _check_rho_frac(rho_frac)
+    _check_Kq(K_est, qmax)
 
 
 def _target(rho_frac: float, r_est: RadiusEstimate) -> float:
@@ -228,7 +230,7 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
     strongest non-linearizability signal at desk scale); the cut is located
     at grid resolution and every emitted value is exact and bounded type.
     """
-    _check_cond_bdd(rho_frac, qmax)
+    _check_cond_bdd(rho_frac, qmax, K_est)
     b = _nearest_fraction_below(alpha, qmax)
     r_alpha, r_b = estimate_radii(fam, [alpha, b], p)
     rho = _target(rho_frac, r_alpha)
@@ -301,8 +303,9 @@ def main_lemma_probe(fam: GermFamily, pq: Fraction, variant: str, N: int,
     if not N >= 1:
         raise DomainError("need N >= 1 members")
     pq = Fraction(pq)
-    cf = cf_of_rational(pq, variant)
     q = pq.denominator
+    _check_Kq(K_est, q)
+    cf = cf_of_rational(pq, variant)
     members = [special_sequence_main(cf, n) for n in range(1, N + 1)]
     values = [{"n": n, "alpha_float": to_float(a_n), "alpha_text": format_exact(a_n),
                "r_lower": est.lower, "r_upper": est.upper}
@@ -352,25 +355,32 @@ class ConstructionState:
     diagnostics: str = ""
 
 
+def _interval_fault(lo: Fraction, hi: Fraction, theta: ExactReal, stage: int,
+                    parent: Optional[Tuple[Fraction, Fraction]]) -> Optional[str]:
+    """The first condition of the stage's interval certificate (lo, hi) that
+    fails, or None: length <= 2^-stage, theta strictly inside, strictly inside
+    the parent, closure off (1/stage) Z."""
+    if not hi - lo <= Fraction(1, 2 ** stage):
+        return "interval too long"
+    if not (exact_cmp(lo, theta) < 0 and exact_cmp(theta, hi) < 0):
+        return "theta outside interval"
+    if parent is not None and not (lo > parent[0] and hi < parent[1]):
+        return "not nested"
+    m = floor_exact(lo * stage)  # m/stage <= lo, and (m + 1)/stage > hi once m is hi's too
+    if m != floor_exact(hi * stage) or Fraction(m, stage) == lo:
+        return "closure meets (1/n)Z"
+    return None
+
+
 def _interval_around(theta: ExactReal, stage: int,
                      parent: Optional[Tuple[Fraction, Fraction]]) -> Tuple[Fraction, Fraction]:
-    """Open rational interval around theta: length <= 2^-stage, inside the
-    parent, closure off (1/stage) Z; width shrinks until all hold exactly."""
+    """Open rational interval around theta that passes :func:`_interval_fault`;
+    width shrinks until it does."""
     w = Fraction(1, 2 ** (stage + 1))
     for _ in range(200):
-        lo_f, hi_f = (theta - w), (theta + w)
         # rational endpoints bracketing theta strictly
-        lo = _rational_below(lo_f)
-        hi = _rational_above(hi_f)
-        ok = (hi - lo) <= Fraction(1, 2 ** stage)
-        if ok and parent is not None:
-            ok = lo > parent[0] and hi < parent[1]
-        if ok:
-            mlo = floor_exact(lo * stage)
-            mhi = floor_exact(hi * stage)
-            ok = (mlo == mhi) and exact_cmp(Fraction(mlo, stage), lo) < 0 \
-                and exact_cmp(Fraction(mhi + 1, stage), hi) > 0
-        if ok and exact_cmp(lo, theta) < 0 and exact_cmp(theta, hi) < 0:
+        lo, hi = _rational_below(theta - w), _rational_above(theta + w)
+        if _interval_fault(lo, hi, theta, stage, parent) is None:
             return lo, hi
         w /= 2
     raise StageFailed("could not fit an interval certificate")
@@ -488,18 +498,9 @@ def check_construction_invariants(states: Sequence[ConstructionState],
     prev_interval = None
     prev_sched = math.inf
     for st in states:
-        lo, hi = st.interval
-        if not (hi - lo) <= Fraction(1, 2 ** st.stage):
-            raise AssertionError(f"stage {st.stage}: interval too long")
-        if not (exact_cmp(lo, st.theta) < 0 and exact_cmp(st.theta, hi) < 0):
-            raise AssertionError(f"stage {st.stage}: theta outside interval")
-        if prev_interval is not None:
-            if not (lo > prev_interval[0] and hi < prev_interval[1]):
-                raise AssertionError(f"stage {st.stage}: not nested")
-        mlo = floor_exact(lo * st.stage)
-        mhi = floor_exact(hi * st.stage)
-        if mlo != mhi or Fraction(mlo, st.stage) == lo or Fraction(mhi + 1, st.stage) == hi:
-            raise AssertionError(f"stage {st.stage}: closure meets (1/n)Z")
+        fault = _interval_fault(*st.interval, st.theta, st.stage, prev_interval)
+        if fault is not None:
+            raise AssertionError(f"stage {st.stage}: {fault}")
         for j, (g, t) in enumerate(zip(st.deriv_gaps, st.thresholds)):
             if not g <= t:
                 raise AssertionError(f"stage {st.stage}: gap j={j} {g} > {t}")

@@ -14,7 +14,6 @@ __all__ = [
     "trim",
     "mul",
     "compose",
-    "reversion",
     "derivative",
     "integrate",
     "reciprocal",
@@ -49,28 +48,6 @@ def compose(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
         out = mul(out, g, n)
         out[0] += f[k]
     return out
-
-
-def reversion(f: np.ndarray, n: int) -> np.ndarray:
-    """Compositional inverse h with f(h(z)) = z + O(z^{n+1}); f = f1 z + ...
-
-    Newton doubling: h <- h - (f(h) - z)/f'(h), order doubled per step.
-    """
-    f = trim(f, n)
-    if f[0] != 0 or f[1] == 0:
-        raise ValueError("need f(0) = 0, f'(0) != 0")
-    df = derivative(f)
-    h = np.zeros(2, dtype=np.complex128)
-    h[1] = 1.0 / f[1]
-    m = 1
-    while m < n:
-        m = min(2 * m, n)
-        hm = trim(h, m)
-        fh = compose(f, hm, m)
-        fh[1] -= 1.0
-        dfh = compose(trim(df, m), hm, m)
-        h = hm - mul(fh, reciprocal(dfh, m), m)
-    return trim(h, n)
 
 
 def derivative(a: np.ndarray) -> np.ndarray:

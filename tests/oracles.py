@@ -315,3 +315,29 @@ def cdoubleprime_relation_gap(K: float, q: int, cfg: ConstantConfig = DEFAULT_CO
     the lift-vs-germ constant transfer (needs c1 >= log(2 + 1/K) + 2*pi*c3)."""
     _check_Kq(K, q)
     return 2 * math.pi * const_Cdoubleprime(2 * K + 1, q, cfg) - (math.log(K * q) + cfg.c1) / q
+
+
+# -- Moebius flows --------------------------------------------------------------
+# FlowFamily([c], s) integrates chi(z) = 2 pi i z + c' z^2 with c' = c s.  With
+# b = c'/(2 pi i) its linearizer is psi(z) = z/(1 + b z), the inverse is
+# psi^{-1}(w) = w/(1 - b w) and the time-t map is the Moebius map
+# f(z) = u z/(1 + b(1 - u) z), u = e^{2 pi i t}.
+
+
+def mobius_psi_inv(c_prime: float, n: int) -> list:
+    """Coefficients 0..n of psi^{-1}: [w^k] = b^{k-1}."""
+    b = c_prime / (2j * math.pi)
+    return [0j] + [b ** (k - 1) for k in range(1, n + 1)]
+
+
+def mobius_germ(c_prime: float, t: float, n: int) -> list:
+    """Coefficients b_2..b_n of the time-t map: [z^k] f = u (-b(1 - u))^{k-1}."""
+    b = c_prime / (2j * math.pi)
+    u = cmath.exp(2j * math.pi * t)
+    return [u * (-b * (1 - u)) ** (k - 1) for k in range(2, n + 1)]
+
+
+def mobius_radius(c_prime: float) -> float:
+    """r* = 1/(1 + c'/(2 pi)): for c' < pi and irrational t, the conformal radius
+    of the Siegel disk of f as a self-map of the unit disk, whatever t is."""
+    return 1.0 / (1.0 + c_prime / (2 * math.pi))

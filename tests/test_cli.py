@@ -179,6 +179,15 @@ def test_flow_linearizer_overflow_is_a_numeric_error(capsys):
     assert err.startswith("OverflowGuard:")
 
 
+def test_flow_germ_overflow_is_a_numeric_error(capsys):
+    # at order 256 the field 100 gives finite psi and psi^{-1}, and a germ
+    # composed of them that is not finite
+    code, out, err = run_cli(["lin", "coeffs", "--alpha", "[0;(1)]", "--N", "256",
+                              "--family", "flow", "--chi", "100"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("OverflowGuard:")
+
+
 @pytest.mark.parametrize("argv", [
     _ESCAPE + ["--N", "0"],
     ["lin", "coeffs", "--alpha", "1/3", "--N", "0"],
@@ -227,6 +236,10 @@ def _refuse(*args, **kwargs):
     ["construct", "--theta0", "[0;(1)]", "--stages", "1", "--rho-frac", "0"],
     ["probe", "cond-bdd", "--alpha", "[0;(1)]", "--rho-frac", "1"],
     ["probe", "cond-bdd", "--alpha", "[0;(1)]", "--qmax", "0"],
+    ["probe", "cond-bdd", "--alpha", "[0;(1)]", "--K", "0.5"],
+    ["probe", "cond-bdd", "--alpha", "1/3", "--K", "nan"],
+    ["probe", "main-lemma", "--pq", "1/3", "--K", "nan"],
+    ["probe", "main-lemma", "--pq", "1/3", "--K", "0.5"],
 ])
 def test_bad_construct_and_cond_bdd_input_fails_before_any_work(argv, monkeypatch, capsys):
     # neither a linearization nor the Lipschitz estimate runs first

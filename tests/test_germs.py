@@ -20,6 +20,8 @@ from siegelkit.germs import (
 )
 from siegelkit.surd import QuadraticIrrational
 
+from .oracles import mobius_germ
+
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)  # frac of the golden mean
 TWO_PI = 2 * math.pi
 
@@ -93,6 +95,16 @@ def test_flow_closed_form_quadratic_field():
         assert abs(horner(g, z) - closed) < 1e-12
 
 
+@pytest.mark.parametrize("order", [64, 128, 256])
+@pytest.mark.parametrize("c_prime", [0.5, 1.0, 2.0, 3.0])
+def test_flow_germ_matches_mobius_closed_form(c_prime, order):
+    # at c' = 3 the coefficients of psi^{-1} fall to 1e-82 by order 256, and
+    # the composition amplifies an absolute error in them by up to (1+|b|)^order
+    g = FlowFamily([c_prime], 1.0).at(GOLDEN, order)
+    want = np.array(mobius_germ(c_prime, float(GOLDEN), order))
+    assert np.max(np.abs(g.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_flow_group_law():
     chi = [1.0, 0.3j, -0.2]
     f1 = FlowFamily(chi, 1.0).at(0.21, 20)
@@ -160,8 +172,8 @@ def test_flow_rejects_non_finite_field(chi):
 
 @pytest.mark.parametrize("c, order", [(1e300, 8), (100.0, 256)])
 def test_flow_linearizer_overflow_is_tagged(c, order):
-    # psi itself overflows at c = 1e300; at c = 100 psi is finite and its
-    # reversion is not
+    # psi itself overflows at c = 1e300; at c = 100 psi and psi^{-1} are
+    # finite (psi^{-1} reaches 1e230) and the germ composed of them is not
     with pytest.raises(OverflowGuard):
         FlowFamily([c]).at(GOLDEN, order)
 

@@ -43,6 +43,7 @@ from siegelkit.series import circle_sup_norms, polyval_vec
 from siegelkit.surd import QuadraticIrrational
 
 from .oracles import (
+    mobius_psi_inv,
     sequential_escape_bisection,
     sequential_escape_radius,
     sequential_linearization_coeffs,
@@ -439,6 +440,16 @@ def test_escape_nan_is_never_valid(case):
     est = escape_radius(g, phi, EscapeParams(max_iter=50, circle_samples=8))
     assert est.diagnostics == "NoValidRadius: non-linearizable at tolerance"
     assert est.lower == 0.0
+
+
+@pytest.mark.parametrize("order", [64, 128])
+@pytest.mark.parametrize("c_prime", [0.5, 1.0, 2.0])
+def test_flow_series_is_the_inverse_linearizer(c_prime, order):
+    # a flow's linearization is psi^{-1}; at c' = 3 the recursion's own
+    # rounding leaves 1e-7 at order 64 even on the closed-form germ
+    phi = linearization_coeffs(FlowFamily([c_prime], 1.0).at(GOLDEN, order), order)
+    assert phi.order == order
+    assert np.max(np.abs(phi.a - mobius_psi_inv(c_prime, order))) <= 1e-15
 
 
 def test_escape_params_record_the_cap():

@@ -11,6 +11,7 @@ from siegelkit.errors import DomainError, FamilyUnsuitable, StageFailed, TargetA
 from siegelkit.germs import FlowFamily, QuadraticFamily, RotationFamily
 from siegelkit.linearize import EscapeParams, linearization_coeffs
 from siegelkit.scan import (
+    ConstructionState,
     ScanParams,
     check_construction_invariants,
     condition_bdd_search,
@@ -22,10 +23,11 @@ from siegelkit.scan import (
 )
 from siegelkit.surd import QuadraticIrrational, exact_cmp
 
-from .oracles import sequential_escape_radius
+from .oracles import mobius_radius, sequential_escape_radius
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
 S2M1 = QuadraticIrrational(0, 1, 1, 2) - 1
+S3 = QuadraticIrrational(-3, 1, 2, 13)      # [0;(3)]
 BIGQ = QuadraticIrrational(-25, 1, 2, 629)  # [0;(25)], strongly different radius
 
 CHEAP = ScanParams(order=16, lin_order=48, window=24,
@@ -216,8 +218,12 @@ def _no_linearization(*args, **kwargs):
     lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, math.nan, stages=1, p=CHEAP),
     lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0, p=CHEAP),
     lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, qmax=0, p=CHEAP),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, p=CHEAP, K_est=0.5),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, p=CHEAP, K_est=math.nan),
+    lambda: main_lemma_probe(QuadraticFamily(), Fraction(1, 3), "short", 2, 0.5, p=CHEAP),
+    lambda: main_lemma_probe(QuadraticFamily(), Fraction(1, 3), "short", 2, math.inf, p=CHEAP),
 ], ids=["stages-0", "stages-neg", "driver-rho-0", "driver-rho-nan", "search-rho-1",
-        "search-qmax-0"])
+        "search-qmax-0", "search-K-half", "search-K-nan", "probe-K-half", "probe-K-inf"])
 def test_bad_input_is_refused_before_any_linearization(call, monkeypatch):
     monkeypatch.setattr(scan, "linearizations", _no_linearization)
     with pytest.raises(DomainError):
@@ -287,6 +293,23 @@ def test_degenerate_probe_flow_flat():
     rep = degenerate_probe(fam, [GOLDEN, S2M1, QuadraticIrrational(0, 1, 3, 3)], p)
     assert rep["degenerate_flag"]
     assert rep["spread"] < 0.05
+
+
+@pytest.mark.parametrize("c_prime", [0.5, 1.0, 2.0])
+def test_flow_brackets_contain_the_mobius_radius(c_prime):
+    p = ScanParams(escape=EscapeParams(max_iter=1000))
+    ests = estimate_radii(FlowFamily([c_prime], 1.0), [GOLDEN, S2M1, S3], p)
+    r_star = mobius_radius(c_prime)
+    assert all(e.lower <= r_star <= e.upper for e in ests)
+
+
+def test_degenerate_probe_flow_at_order_256():
+    # a flow is degenerate whatever c' is: its disk has radius r* at every t
+    p = ScanParams(order=256, escape=EscapeParams(max_iter=300))
+    rep = degenerate_probe(FlowFamily([3.0], 1.0), [GOLDEN, S2M1, S3], p)
+    assert rep["degenerate_flag"] and rep["spread"] == 0.0
+    r_star = mobius_radius(3.0)
+    assert all(r["r_lower"] <= r_star <= r["r_upper"] for r in rep["rows"])
 
 
 def test_degenerate_probe_rotation_zero_spread():
@@ -359,3 +382,27 @@ def test_invariant_checker_catches_violations():
     bad.deriv_gaps = [math.nan] * len(bad.deriv_gaps)
     with pytest.raises(AssertionError):
         check_construction_invariants([bad], rho)
+
+
+def _certified(stage, interval, rho_sched):
+    """A stage around the golden mean that passes every check at target 0.25."""
+    return ConstructionState(stage=stage, theta=GOLDEN, rho=0.5, rho_sched=rho_sched,
+                             rho_target=0.25, interval=interval,
+                             deriv_gaps=[0.0] * (stage + 1),
+                             thresholds=[2.0 ** -(stage + j) for j in range(stage + 1)],
+                             k_chosen=2)
+
+
+@pytest.mark.parametrize("fault", ["interval too long", "theta outside interval",
+                                   "not nested", "closure meets"])
+def test_invariant_checker_refuses_a_broken_interval(fault):
+    parent = _certified(1, (Fraction(9, 20), Fraction(7, 10)), 0.4)
+    child = _certified(2, (Fraction(3, 5), Fraction(13, 20)), 0.3)
+    check_construction_invariants([parent, child], 0.25)
+    lo, hi = child.interval
+    broken = {"interval too long": replace(child, interval=(lo - Fraction(1, 4), hi)),
+              "theta outside interval": replace(child, theta=hi),
+              "not nested": replace(child, interval=parent.interval),
+              "closure meets": replace(child, interval=(Fraction(1, 2), hi))}[fault]
+    with pytest.raises(AssertionError, match=f"stage 2: {fault}"):
+        check_construction_invariants([parent, broken], 0.25)

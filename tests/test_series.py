@@ -41,20 +41,6 @@ def test_compose_requires_zero_constant():
         series.compose(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 1)
 
 
-def test_reversion_inverts():
-    rng = np.random.default_rng(3)
-    n = 40
-    f = np.zeros(n + 1, dtype=complex)
-    f[1] = 1.3 - 0.2j
-    f[2:] = 0.05 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
-    h = series.reversion(f, n)
-    fh = series.compose(f, h, n)
-    want = np.zeros(n + 1)
-    want[1] = 1.0
-    scale = max(1.0, float(np.max(np.abs(h))))
-    assert np.max(np.abs(fh - want)) < 1e-11 * scale
-
-
 def test_reciprocal_and_log():
     n = 20
     u = np.zeros(n + 1, dtype=complex)
