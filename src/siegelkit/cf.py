@@ -386,6 +386,8 @@ def parse_exact(text: str) -> ExactReal:
 
 def farey_fractions(qmax: int) -> List[Fraction]:
     """All reduced fractions in [0, 1] with denominator <= qmax, ascending."""
+    if not qmax >= 1:
+        raise DomainError("Farey order qmax >= 1 required")
     out = [Fraction(0), Fraction(1)]
     for q in range(2, qmax + 1):
         for p in range(1, q):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from io import StringIO
 from typing import List, Optional
@@ -97,6 +98,16 @@ def _parse(parse, text: Optional[str]):
         return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot read {text!r}: {exc}") from None
+
+
+@contextmanager
+def _user_file(path: str):
+    """File I/O on a path from the command line: an ``OSError`` (a missing
+    file or directory, no permission) is a usage error, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot use {path!r}: {exc.strerror or exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,7 +263,7 @@ def _emit(args, output, cfg: ConstantConfig):
     text = text if text.endswith("\n") else text + "\n"
     outputs = {}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _user_file(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         outputs[args.out] = skio.file_sha256(args.out)
     else:
@@ -261,14 +272,14 @@ def _emit(args, output, cfg: ConstantConfig):
         outputs[path] = skio.file_sha256(path)
     if args.manifest:
         man = skio.RunManifest.build(args.argv, cfg, args.seed or 0, outputs)
-        with open(args.manifest, "w", encoding="utf-8") as fh:
+        with _user_file(args.manifest), open(args.manifest, "w", encoding="utf-8") as fh:
             fh.write(man.to_json() + "\n")
 
 
 def _write_side_file(args, path: str, lines) -> None:
     """Write a file besides --out (a trace, plot data) and list it for the
     manifest."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _user_file(path), open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     args.side_files.append(path)
 
@@ -459,7 +470,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         args.argv = list(argv)  # what digests and manifests name
         args.side_files = []     # paths besides --out, for the manifest
-        cfg = load_config(args.config)
+        with _user_file(args.config):
+            cfg = load_config(args.config)
         _emit(args, _HANDLERS[args.cmd](args, cfg), cfg)
         return 0
     except UsageError as exc:

@@ -3,7 +3,7 @@ inductive smooth-boundary construction driver.
 
 Scan grids hold exact values only (rationals or quadratic irrationals); the
 float column of every row is derived from the exact text.  Rows are pure
-functions of (family, alpha, params), so worker processes can compute them in
+functions of (family, alpha, params), so forked workers can compute them in
 any arrangement and the merged output stays bit-identical.
 
 The construction driver substitutes numerical radius estimates for the exact
@@ -15,6 +15,8 @@ against their 2^-(n+j) ladder) instead of asserting the limit theorem.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -111,7 +113,7 @@ def estimate_radii(fam: GermFamily, alphas: Sequence[ExactReal],
     return escape_radii(germs, _linearize(germs, p), p.escape)
 
 
-def _scan_chunk(args) -> List[ScanRow]:
+def _scan_chunk(fam: GermFamily, alphas: Sequence[ExactReal], p: ScanParams) -> List[ScanRow]:
     """Rows of a chunk of parameters, by input index then estimator.
 
     Every parameter's germ is built first (an error becomes that
@@ -119,7 +121,6 @@ def _scan_chunk(args) -> List[ScanRow]:
     :func:`_linearize` pass and, for the escape estimator, bisected in one
     :func:`escape_radii` call.
     """
-    fam, alphas, p = args
     germs: list = []
     for alpha in alphas:
         try:
@@ -159,24 +160,96 @@ def _scan_chunk(args) -> List[ScanRow]:
     return out
 
 
+def _chunk_in_child(write_fd: int, other_fds: Sequence[int], fam: GermFamily,
+                    alphas: Sequence[ExactReal], p: ScanParams) -> None:
+    """Body of a forked scan child: close the inherited pipe ends
+    ``other_fds``, send the chunk's rows or the exception it raised pickled
+    through ``write_fd``, then exit without running the parent's cleanup.
+    A result that cannot be sent leaves the pipe empty and the exit status 1."""
+    status = 1
+    try:
+        for fd in other_fds:
+            os.close(fd)
+        try:
+            result = _scan_chunk(fam, alphas, p)
+        except BaseException as exc:  # also KeyboardInterrupt: the parent reports it
+            result = exc
+        with open(write_fd, "wb") as fh:
+            fh.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_chunks(fam: GermFamily, chunks: Sequence[Sequence[ExactReal]],
+                   p: ScanParams) -> List[List[ScanRow]]:
+    """``[_scan_chunk(fam, c, p) for c in chunks]``, the first chunk computed
+    in the calling process and each other one in a child made with
+    ``os.fork``.
+
+    A child inherits ``fam``, its chunk and ``p``, so nothing is pickled on
+    the way out; it keeps only its own pipe's write end and sends back its
+    rows.  Errors raise in chunk order, a child that ends without a result
+    raises :class:`RuntimeError` naming its exit status, and on every way
+    out a child still running is killed and every child is reaped.
+    """
+    reads: List[int] = []   # pipe read ends, in chunk order
+    live: List[int] = []    # child pids, in chunk order, not yet reaped
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _chunk_in_child(w, reads, fam, chunk, p)  # never returns
+            finally:
+                os.close(w)
+            live.append(pid)
+        out = [_scan_chunk(fam, chunks[0], p)]
+        for k, (pid, r) in enumerate(zip(list(live), reads), 1):
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            live.remove(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0 or not data:
+                raise RuntimeError(f"scan worker {k} ended with exit status {code} "
+                                   "and sent no rows")
+            rows = pickle.loads(data)
+            if isinstance(rows, BaseException):
+                raise rows
+            out.append(rows)
+        return out
+    finally:
+        if live:  # an error or an interrupt left children running
+            import signal  # about 1.5 ms to import, so only this path pays for it
+            for pid in live:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for r in reads:
+            os.close(r)
+
+
 def scan_r(fam: GermFamily, alphas: Sequence[ExactReal],
            p: ScanParams = DEFAULT_SCAN, workers: int = 1) -> List[ScanRow]:
     """One row per (alpha, estimator), ordered by input index then estimator.
 
-    Row values do not depend on the worker count.  Worker w gets the one
-    chunk ``alphas[w::workers]`` (interleaved, so neighbouring parameters of
-    similar cost spread over the workers); the rows merge back in input order.
+    Chunk w is ``alphas[w::workers]`` (interleaved, so neighbouring
+    parameters of similar cost spread over the workers).  The calling
+    process computes chunk 0 itself; ``workers - 1`` children forked from it
+    compute the others and send back only their rows (:func:`_forked_chunks`),
+    which merge back in input order.  Row values do not depend on the worker
+    count, so where ``os.fork`` does not exist every chunk runs in the
+    calling process, as at one worker.
     """
     if not workers >= 1:
         raise DomainError("workers >= 1 required")
     alphas = list(alphas)
     workers = min(workers, len(alphas))
-    if workers <= 1:
-        return _scan_chunk((fam, alphas, p))
-    from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for it
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_scan_chunk, [(fam, alphas[w::workers], p)
-                                             for w in range(workers)]))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return _scan_chunk(fam, alphas, p)
+    chunks = _forked_chunks(fam, [alphas[w::workers] for w in range(workers)], p)
     m = len(p.estimators)
     out: List[ScanRow] = []
     for i in range(len(alphas)):

@@ -22,7 +22,7 @@ from siegelkit.cf import (
     special_sequence_main,
     theta_sequence,
 )
-from siegelkit.errors import DepthExceeded, RationalInput
+from siegelkit.errors import DepthExceeded, DomainError, RationalInput
 from siegelkit.surd import QuadraticIrrational, exact_cmp, sqrt_exact
 
 S2 = sqrt_exact(2)
@@ -317,3 +317,7 @@ def test_farey_grid():
     assert all(f[i] < f[i + 1] for i in range(len(f) - 1))
     assert len(f) == 1 + sum(1 for q in range(1, 6) for p in range(0, q + 1)
                              if math.gcd(p, q) == 1 and p <= q) - 1
+    assert farey_fractions(1) == [Fraction(0), Fraction(1)]
+    for qmax in (0, -5):
+        with pytest.raises(DomainError):
+            farey_fractions(qmax)

@@ -198,6 +198,8 @@ def test_flow_germ_overflow_is_a_numeric_error(capsys):
     ["scan", "--grid", "1/3", "--window", "0"],
     ["scan", "--grid", "1/3", "--workers", "0"],
     ["scan", "--grid", "1/3", "--workers", "-3"],
+    ["scan", "--grid", "farey:Q=0"],
+    ["scan", "--grid", "farey:Q=-5"],
     ["probe", "main-lemma", "--pq", "2/5", "--N", "0", "--K", "2"],
     ["lin", "pole-probe", "--q", "0", "--n", "2"],
     ["probe", "cond-bdd", "--alpha", "[0;(1)]", "--K", "2", "--qmax", "0"],
@@ -395,6 +397,21 @@ def test_probe_degenerate_needs_no_lipschitz_estimate(capsys, monkeypatch):
                             "--t", "[0;(1)]"], capsys)
     assert code == 0
     assert "degenerate_flag" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["scan", "--grid", "1/3"], "--out"),
+    (["scan", "--grid", "1/3"], "--plot-data"),
+    (["scan", "--grid", "1/3"], "--manifest"),
+    (["scan", "--grid", "1/3"], "--config"),
+    (["renorm", "rotnum", "--alpha", "[0;(1)]", "--returns", "2"], "--trace"),
+])
+def test_missing_file_or_directory_is_a_usage_error(argv, flag, tmp_path, capsys):
+    path = str(tmp_path / "no-such-dir" / "file")
+    code, _, err = run_cli(argv + [flag, path], capsys)
+    assert code == 1
+    assert err.startswith(f"usage error: cannot use {path!r}")
+    assert "Traceback" not in err
 
 
 def test_config_file_flows_through(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -96,6 +98,82 @@ def test_scan_worker_determinism():
     assert len(rows1) == 14
     for workers in (2, 3):
         assert scan_r(QuadraticFamily(), grid, p, workers=workers) == rows1
+        _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_GRID3 = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+
+
+def _in_children_only(monkeypatch, name, act):
+    """Patch ``scan.<name>`` so that a forked child runs ``act()`` first;
+    the calling process keeps the real function."""
+    parent, real = os.getpid(), getattr(scan, name)
+
+    def patched(*args):
+        if os.getpid() != parent:
+            act()
+        return real(*args)
+
+    monkeypatch.setattr(scan, name, patched)
+
+
+def _raise_lookup_error():
+    raise LookupError("raised in a child")
+
+
+def test_child_error_reaches_the_caller_with_its_type(monkeypatch):
+    _in_children_only(monkeypatch, "escape_radii", _raise_lookup_error)
+    with pytest.raises(LookupError, match="raised in a child"):
+        scan_r(RotationFamily(), _GRID3, CHEAP, workers=3)
+    _assert_no_child_left()
+
+
+def test_child_that_ends_without_rows_makes_the_scan_raise(monkeypatch):
+    _in_children_only(monkeypatch, "_scan_chunk", lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exit status 3"):
+        scan_r(RotationFamily(), _GRID3, CHEAP, workers=2)
+    _assert_no_child_left()
+
+
+def test_error_in_the_callers_chunk_kills_the_running_children(monkeypatch):
+    parent, real = os.getpid(), scan._scan_chunk
+
+    def chunk(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise LookupError("raised in the caller")
+
+    monkeypatch.setattr(scan, "_scan_chunk", chunk)
+    start = time.monotonic()
+    with pytest.raises(LookupError, match="raised in the caller"):
+        scan_r(RotationFamily(), _GRID3, CHEAP, workers=3)
+    assert time.monotonic() - start < 30  # the sleeping children were killed
+    _assert_no_child_left()
+
+
+def test_workers_beyond_the_grid_fork_one_child_per_extra_chunk(monkeypatch):
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    rows = scan_r(RotationFamily(), _GRID3, CHEAP, workers=8)
+    assert len(forks) == 2
+    _assert_no_child_left()
+    assert rows == scan_r(RotationFamily(), _GRID3, CHEAP)
+
+
+def test_scan_without_fork_runs_every_chunk_in_the_caller(monkeypatch):
+    rows1 = scan_r(RotationFamily(), _GRID3, CHEAP)
+    monkeypatch.delattr(os, "fork")
+    assert scan_r(RotationFamily(), _GRID3, CHEAP, workers=3) == rows1
 
 
 def test_scan_never_aborts_on_row_failure():

@@ -79,7 +79,8 @@ def test_hidden_square_factors_unify():
 
 
 def test_pickle_round_trip():
-    # scan workers receive their grid pickled
+    # exact values survive pickling (forked scan workers inherit their grid
+    # and send back only rows, but a caller may still ship parameters)
     for x in (S2, -S5 / 7 + Fraction(3, 4), QuadraticIrrational(0, 1, 10007, 2 * 10007 ** 2)):
         y = pickle.loads(pickle.dumps(x))
         assert type(y) is QuadraticIrrational
