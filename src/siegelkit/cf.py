@@ -242,6 +242,8 @@ def cf_of_exact(x: ExactReal, variant: str = SHORT_FORM) -> CFExpansion:
 
 def convergents(cf: CFExpansion, n: int) -> List[Convergent]:
     """Convergents p_0/q_0 .. p_n/q_n; raises DepthExceeded past a finite CF."""
+    if n < 0:
+        raise DomainError("n >= 0 required")
     if cf.is_finite and n > len(cf.partials):
         raise DepthExceeded(f"finite expansion supports n <= {len(cf.partials)}")
     return [cf.convergent(k) for k in range(n + 1)]

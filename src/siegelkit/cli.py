@@ -15,14 +15,15 @@ finished text, and writes side files only through ``_write_side_file``;
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from io import StringIO
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from . import io as skio
 from .bounds import (
@@ -47,42 +48,15 @@ from .cf import (
     special_sequence_main,
     theta_sequence,
 )
-from .errors import SiegelError
-from .germs import (
-    FlowFamily,
-    GermFamily,
-    QuadraticFamily,
-    RotationFamily,
-    lift_of_germ,
-    lipschitz_estimate,
-)
-from .linearize import (
-    EscapeParams,
-    compose_check,
-    escape_radius,
-    hadamard_radius,
-    linearization_coeffs,
-    pole_cancellation_probe,
-)
-from .renorm import (
-    HParams,
-    build_HJ,
-    find_y0,
-    h_of_lift,
-    renormalized_rotation_number,
-    return_map,
-)
-from .scan import (
-    ESTIMATORS,
-    ScanParams,
-    _check_cond_bdd,
-    condition_bdd_search,
-    degenerate_probe,
-    main_lemma_probe,
-    scan_r,
-    smooth_disk_driver,
-)
+from .errors import RationalInput, SiegelError
 from .surd import to_float
+
+if TYPE_CHECKING:
+    from .germs import GermFamily
+
+# numpy and the numeric modules (series, germs, linearize, renorm, scan) are
+# imported by the handlers that run them, so that the exact-arithmetic
+# commands (cf, brjuno, const) and --help start without them.
 
 
 class UsageError(Exception):
@@ -110,12 +84,25 @@ def _user_file(path: str):
         raise UsageError(f"cannot use {path!r}: {exc.strerror or exc}") from None
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse, before any work, an output path that names a directory or
+    whose directory does not exist.  The file itself is written only after
+    the work, so a command that fails leaves an existing file as it was."""
+    with _user_file(path):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage problems, not argparse's 2
         raise UsageError(message)
 
 
 def make_family(args) -> GermFamily:
+    from .germs import FlowFamily, QuadraticFamily, RotationFamily
+
     kind = args.family
     # without --restriction each family keeps its own default radius
     radius = {} if args.restriction is None else {"restriction_radius": args.restriction}
@@ -186,16 +173,16 @@ def build_parser() -> _Parser:
     _add_family(p)
     _add_common(p)
 
-    esc = EscapeParams()
+    # options left at None take the dataclass's own default in the handler
     p = sub.add_parser("radius", help="conformal-radius estimators")
     p.add_argument("op", choices=("hadamard", "escape"))
     p.add_argument("--alpha", required=True)
     p.add_argument("--N", type=int, default=256)
     p.add_argument("--window", type=int, default=128)
-    p.add_argument("--max-iter", type=int, default=esc.max_iter)
-    p.add_argument("--samples", type=int, default=esc.circle_samples)
-    p.add_argument("--bisect-tol", type=float, default=esc.bisect_tol)
-    p.add_argument("--residual-tol", type=float, default=esc.residual_tol)
+    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--bisect-tol", type=float, default=None)
+    p.add_argument("--residual-tol", type=float, default=None)
     _add_family(p)
     _add_common(p)
 
@@ -203,7 +190,7 @@ def build_parser() -> _Parser:
     p.add_argument("op", choices=("h", "build"))
     p.add_argument("--alpha", required=True)
     p.add_argument("--N", type=int, default=128)
-    p.add_argument("--max-iter", type=int, default=HParams().max_iter)
+    p.add_argument("--max-iter", type=int, default=None)
     _add_family(p)
     _add_common(p)
 
@@ -324,6 +311,8 @@ def cmd_cf(args, cfg):
 def cmd_brjuno(args, cfg):
     cf = cf_of_exact(_parse(parse_exact, args.alpha))
     bv = brjuno_sum(cf, args.depth, args.tol)
+    if cf.is_finite and args.depth >= len(cf.partials):  # the sum is +inf
+        raise RationalInput("the Brjuno sum of a rational diverges")
     return {"value": bv.value, "depth_used": bv.depth_used, "converged": bv.converged}
 
 
@@ -337,7 +326,16 @@ def _germ_for(args, order: int):
     return make_family(args).at(_parse(parse_exact, args.alpha), order)
 
 
+def _given(value, default):
+    """An option's value, or the dataclass default it was left at."""
+    return default if value is None else value
+
+
 def cmd_lin(args, cfg):
+    import numpy as np
+
+    from .linearize import compose_check, linearization_coeffs, pole_cancellation_probe
+
     fam = make_family(args)
     if args.op == "pole-probe":
         return pole_cancellation_probe(fam, args.p, args.q, args.n)
@@ -357,30 +355,40 @@ def cmd_lin(args, cfg):
 
 
 def cmd_radius(args, cfg):
+    from .linearize import EscapeParams, escape_radius, hadamard_radius, linearization_coeffs
+
     germ = _germ_for(args, max(64, min(args.N, 256)))
     lin = linearization_coeffs(germ, args.N, allow_rational=True, on_failure="truncate")
     if args.op == "hadamard":
         est = hadamard_radius(lin, args.window)
     else:
         est = escape_radius(germ, lin,
-                            EscapeParams(max_iter=args.max_iter,
-                                         circle_samples=args.samples,
-                                         bisect_tol=args.bisect_tol,
-                                         residual_tol=args.residual_tol))
+                            EscapeParams(
+                                max_iter=_given(args.max_iter, EscapeParams.max_iter),
+                                circle_samples=_given(args.samples, EscapeParams.circle_samples),
+                                bisect_tol=_given(args.bisect_tol, EscapeParams.bisect_tol),
+                                residual_tol=_given(args.residual_tol,
+                                                    EscapeParams.residual_tol)))
     return {"alpha": format_exact(germ.alpha), "alpha_float": to_float(germ.alpha),
             "lower": est.lower, "upper": est.upper, "method": est.method,
             "params": est.params, "diagnostics": est.diagnostics}
 
 
 def cmd_lift(args, cfg):
+    from .germs import lift_of_germ
+    from .renorm import HParams, h_of_lift
+
     L = lift_of_germ(_germ_for(args, args.N), order=args.N)
     if args.op == "build":
         return skio.lift_json(L, cfg)
-    h = h_of_lift(L, HParams(max_iter=args.max_iter))
+    h = h_of_lift(L, HParams(max_iter=_given(args.max_iter, HParams.max_iter)))
     return {"h_estimate": h, "r_floor": math.exp(-2 * math.pi * h)}
 
 
 def cmd_renorm(args, cfg):
+    from .germs import lift_of_germ
+    from .renorm import build_HJ, find_y0, renormalized_rotation_number, return_map
+
     L = lift_of_germ(_germ_for(args, args.N), order=args.N)
     setup = build_HJ(L, args.k)
     y0 = find_y0(setup)
@@ -406,6 +414,9 @@ def cmd_renorm(args, cfg):
 
 
 def cmd_scan(args, cfg):
+    from .linearize import EscapeParams
+    from .scan import ESTIMATORS, ScanParams, scan_r
+
     fam = make_family(args)
     grid = parse_grid(args.grid)
     estimators = tuple(args.estimators.split(","))
@@ -431,6 +442,8 @@ def cmd_scan(args, cfg):
 
 
 def cmd_construct(args, cfg):
+    from .scan import smooth_disk_driver
+
     fam = make_family(args)
     states = smooth_disk_driver(fam, _parse(parse_exact, args.theta0), args.rho_frac,
                                 args.stages)
@@ -438,6 +451,10 @@ def cmd_construct(args, cfg):
 
 
 def cmd_probe(args, cfg):
+    from .germs import lipschitz_estimate
+    from .scan import (_check_cond_bdd, condition_bdd_search, degenerate_probe,
+                       main_lemma_probe)
+
     fam = make_family(args)
     if args.op == "cond-bdd":  # refuse bad input before the Lipschitz estimate
         alpha = _parse(parse_exact, args.alpha)
@@ -472,6 +489,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.side_files = []     # paths besides --out, for the manifest
         with _user_file(args.config):
             cfg = load_config(args.config)
+        for path in (args.out, args.manifest, getattr(args, "plot_data", None),
+                     getattr(args, "trace", None)):
+            if path:
+                _check_output_path(path)
         _emit(args, _HANDLERS[args.cmd](args, cfg), cfg)
         return 0
     except UsageError as exc:

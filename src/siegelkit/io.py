@@ -15,17 +15,20 @@ import hashlib
 import json
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO
 
 from .bounds import ConstantConfig, format_config
 from .cf import format_exact, parse_exact
 from .errors import SchemaMismatch
-from .germs import LiftMap
-from .renorm import RenormReport
-from .scan import ConstructionState, ScanRow
 from .surd import to_float
+
+if TYPE_CHECKING:
+    from .germs import LiftMap
+    from .renorm import RenormReport
+    from .scan import ConstructionState, ScanRow
+
+# The loaders import the numeric modules whose records they build, so that a
+# command that only writes a report does not load numpy.
 
 __all__ = [
     "report_json",
@@ -72,6 +75,8 @@ def emit_scan_csv(rows: Sequence[ScanRow], fh: TextIO,
 
 
 def load_scan_csv(fh: TextIO) -> List[ScanRow]:
+    from .scan import ScanRow
+
     schema_seen = None
     rows: List[ScanRow] = []
     header_seen = False
@@ -117,6 +122,8 @@ def renorm_report_json(rep: RenormReport, cfg: ConstantConfig) -> str:
 
 
 def load_renorm_report(text: str) -> RenormReport:
+    from .renorm import RenormReport
+
     data = json.loads(text)
     if data.pop("schema", None) != RENORM_SCHEMA:
         raise SchemaMismatch("not a renorm report")
@@ -149,6 +156,8 @@ def construction_states_json(states: Sequence[ConstructionState],
 
 
 def load_construction_states(text: str) -> List[ConstructionState]:
+    from .scan import ConstructionState
+
     data = json.loads(text)
     if data.get("schema") != CONSTRUCTION_SCHEMA:
         raise SchemaMismatch("not a construction artifact")
@@ -183,6 +192,10 @@ def lift_json(L: LiftMap, cfg: ConstantConfig) -> str:
 
 
 def load_lift(text: str) -> LiftMap:
+    import numpy as np
+
+    from .germs import LiftMap
+
     data = json.loads(text)
     if data.get("schema") != LIFT_SCHEMA:
         raise SchemaMismatch("not a lift artifact")

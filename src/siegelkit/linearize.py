@@ -84,8 +84,10 @@ def _divisor(phase: float, rho: complex) -> complex:
 
 
 def _abs(z: complex) -> float:
-    """|z| as numpy's complex abs gives it (both take hypot): inf where
-    Python's abs raises OverflowError."""
+    """|z| by Python's abs, inf where that raises OverflowError.  This is not
+    numpy's complex abs: the two differ in the last place on about 35% of
+    10^5 random values (numpy 2.4, x86-64), so a magnitude test here can
+    disagree with an ``np.abs`` one by an ulp."""
     try:
         return abs(z)
     except OverflowError:

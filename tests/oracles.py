@@ -341,3 +341,9 @@ def mobius_radius(c_prime: float) -> float:
     """r* = 1/(1 + c'/(2 pi)): for c' < pi and irrational t, the conformal radius
     of the Siegel disk of f as a self-map of the unit disk, whatever t is."""
     return 1.0 / (1.0 + c_prime / (2 * math.pi))
+
+
+def mobius_height(c_prime: float) -> float:
+    """h* = log(1 + c'/pi)/(2 pi): the admissible height of the lift of f.  At
+    Im Z = h* the circle |z| = e^{-2 pi h*} touches the boundary of the disk."""
+    return math.log(1.0 + c_prime / math.pi) / (2 * math.pi)

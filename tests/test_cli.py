@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import signal
 from collections import Counter
 import subprocess
@@ -8,8 +9,9 @@ import sys
 
 import pytest
 
-from siegelkit import cli, scan
+from siegelkit import cli, germs, linearize, renorm, scan
 from siegelkit.cf import farey_fractions
+from siegelkit.errors import DomainError
 from siegelkit.cli import build_parser, main
 from siegelkit import io as skio
 from siegelkit.bounds import DEFAULT_CONFIG, const_Cprime, format_config
@@ -75,13 +77,23 @@ def test_radius_escape(capsys):
     assert 0.2 < data["lower"] <= data["upper"] < 0.45
 
 
-def test_cli_defaults_are_the_dataclass_defaults():
+def test_cli_defaults_are_the_dataclass_defaults(monkeypatch, capsys):
+    # the parser leaves these options at None; the handler fills in the
+    # dataclass's own defaults
     radius = build_parser().parse_args(["radius", "escape", "--alpha", "1/3"])
-    esc = EscapeParams()
     assert (radius.max_iter, radius.samples, radius.bisect_tol, radius.residual_tol) == \
-        (esc.max_iter, esc.circle_samples, esc.bisect_tol, esc.residual_tol)
-    lift = build_parser().parse_args(["lift", "h", "--alpha", "1/3"])
-    assert lift.max_iter == HParams().max_iter
+        (None, None, None, None)
+    seen = []
+
+    def capture(*args):
+        seen.append(args[-1])
+        raise DomainError("captured")
+
+    monkeypatch.setattr(linearize, "escape_radius", capture)
+    monkeypatch.setattr(renorm, "h_of_lift", capture)
+    run_cli(["radius", "escape", "--family", "rotation", "--alpha", "1/3", "--N", "8"], capsys)
+    run_cli(["lift", "h", "--family", "rotation", "--alpha", "1/3", "--N", "8"], capsys)
+    assert seen == [EscapeParams(), HParams()]
 
 
 def test_usage_error_exit_1(capsys):
@@ -171,6 +183,21 @@ def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch):
     assert err.startswith("DomainError:")
 
 
+@pytest.mark.parametrize("alpha", ["1/2", "3/7", "2"])
+def test_brjuno_of_a_rational_is_a_numeric_error(alpha, capsys):
+    # the sum diverges, and json.dumps would print the non-JSON Infinity
+    code, out, err = run_cli(["brjuno", "--alpha", alpha], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("RationalInput:")
+
+
+def test_brjuno_of_a_rational_cut_off_by_depth_is_a_partial_sum(capsys):
+    # a depth short of the expansion's end treats it as a prefix
+    code, out, _ = run_cli(["brjuno", "--alpha", "355/113", "--depth", "1"], capsys)
+    data = json.loads(out)
+    assert code == 0 and data["value"] == math.log(7) and not data["converged"]
+
+
 def test_flow_linearizer_overflow_is_a_numeric_error(capsys):
     # a finite but huge field overflows the flow's linearizer
     code, out, err = run_cli(["lin", "coeffs", "--alpha", "1/3", "--N", "4",
@@ -208,6 +235,7 @@ def test_flow_germ_overflow_is_a_numeric_error(capsys):
     ["renorm", "setup", "--alpha", "[0;(1)]", "--k", "-1"],
     ["brjuno", "--alpha", "[0;(1)]", "--depth", "-1"],
     ["renorm", "rotnum", "--alpha", "[0;(1)]", "--returns", "0"],
+    ["cf", "convergents", "--cf", "[0;(1)]", "--n", "-1"],
 ])
 def test_size_below_its_least_value_is_a_numeric_error(argv, capsys):
     # an order, window, depth, index, denominator bound or count below its
@@ -246,7 +274,7 @@ def _refuse(*args, **kwargs):
 def test_bad_construct_and_cond_bdd_input_fails_before_any_work(argv, monkeypatch, capsys):
     # neither a linearization nor the Lipschitz estimate runs first
     monkeypatch.setattr(scan, "linearizations", _refuse)
-    monkeypatch.setattr(cli, "lipschitz_estimate", _refuse)
+    monkeypatch.setattr(germs, "lipschitz_estimate", _refuse)
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("DomainError:")
@@ -392,7 +420,7 @@ def test_probe_degenerate_needs_no_lipschitz_estimate(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("probe degenerate must not estimate K")
 
-    monkeypatch.setattr("siegelkit.cli.lipschitz_estimate", refuse)
+    monkeypatch.setattr(germs, "lipschitz_estimate", refuse)
     code, out, _ = run_cli(["probe", "degenerate", "--family", "flow", "--chi", "1",
                             "--t", "[0;(1)]"], capsys)
     assert code == 0
@@ -412,6 +440,33 @@ def test_missing_file_or_directory_is_a_usage_error(argv, flag, tmp_path, capsys
     assert code == 1
     assert err.startswith(f"usage error: cannot use {path!r}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,reason", [("no-such-dir/file", "No such file or directory"),
+                                         (".", "Is a directory")])
+@pytest.mark.parametrize("argv,flag", [
+    (["scan", "--grid", "1/3"], "--out"),
+    (["scan", "--grid", "1/3"], "--plot-data"),
+    (["scan", "--grid", "1/3"], "--manifest"),
+    (["renorm", "rotnum", "--alpha", "[0;(1)]", "--returns", "2"], "--trace"),
+])
+def test_unusable_output_path_fails_before_any_work(argv, flag, name, reason, tmp_path,
+                                                   monkeypatch, capsys):
+    # every numeric step of these handlers starts from make_family
+    monkeypatch.setattr(cli, "make_family", _refuse)
+    path = str(tmp_path / name)
+    code, out, err = run_cli(argv + [flag, path], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: cannot use {path!r}: {reason}\n")
+
+
+def test_failed_command_leaves_an_existing_out_as_it_was(tmp_path, capsys):
+    out_file = tmp_path / "rows.csv"
+    out_file.write_text("earlier rows\n")
+    code, _, err = run_cli(["scan", "--grid", "1/3", "--bisect-tol", "0",
+                            "--out", str(out_file)], capsys)
+    assert code == 2 and err.startswith("DomainError:")
+    assert out_file.read_text() == "earlier rows\n"
 
 
 def test_config_file_flows_through(tmp_path, capsys):
@@ -438,3 +493,36 @@ def test_scan_worker_byte_identity_small(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+_NUMERIC_MODULES = ("numpy", "siegelkit.series", "siegelkit.germs", "siegelkit.linearize",
+                    "siegelkit.renorm", "siegelkit.scan")
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+from siegelkit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["const", "C", "--K", "1", "--q", "1"], _NUMERIC_MODULES),
+    (["cf", "expand", "--alpha", "1/3"], _NUMERIC_MODULES),
+    (["brjuno", "--alpha", "[0;(1)]"], _NUMERIC_MODULES),
+    (["--help"], _NUMERIC_MODULES),
+    (["scan", "--grid", "1/3", "--max-iter", "20"], ("siegelkit.renorm",)),
+])
+def test_commands_load_only_the_modules_they_run(argv, absent):
+    # a fresh interpreter, so that no other test's imports are counted
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert sorted(set(absent) & set(loaded)) == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegelkit import renorm
+from siegelkit.cf import parse_cf
 from siegelkit.errors import (
     BudgetExceeded,
     ConditionsNeverMet,
@@ -34,6 +35,7 @@ from siegelkit.surd import QuadraticIrrational, to_float
 
 from .oracles import (
     in_fundamental_domain_unmemoized,
+    mobius_height,
     sequential_h_bisection,
     sequential_h_of_lift,
     translation_lift,
@@ -219,6 +221,20 @@ def test_h_estimates_shrink_with_budget():
     h_small = h_of_lift(F, HParams(max_iter=300))
     h_big = h_of_lift(F, HParams(max_iter=20_000))
     assert h_small <= h_big + 1e-12
+
+
+_BOUNDED_TYPE = ["[0;(1)]", "[0;(2)]", "[0;(3)]", "[0;5,(1)]", "[0;20,(1)]"]
+
+
+@pytest.mark.parametrize("c_prime", [0.5, 1.0, 2.0])
+def test_h_of_the_mobius_flow_lift_is_pinned(c_prime):
+    # a flow's admissible height is h* at every t; the bisection stops at
+    # most IM_BISECT above it
+    h_star = mobius_height(c_prime)
+    for text in _BOUNDED_TYPE:
+        germ = FlowFamily([c_prime / 0.5], 0.5).at(parse_cf(text).value(), 128)
+        h = h_of_lift(lift_of_germ(germ, order=160), HParams(max_iter=1000))
+        assert h_star <= h <= h_star + renorm.IM_BISECT, text
 
 
 def test_r_h_consistency_single():
