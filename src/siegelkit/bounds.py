@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -112,12 +113,18 @@ def format_config(cfg: ConstantConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+# the largest finite float as an int; a float divided by a larger int may overflow
+_FLOAT_MAX_INT = int(sys.float_info.max)
+
+
 def brjuno_sum(alpha: CFExpansion, depth: int = 60, tol: float = 1e-12) -> BrjunoValue:
     """Partial sum of log(q_{n+1})/q_n with a geometric tail certificate.
 
     Rational input (full finite expansion) diverges by convention and returns
     +inf.  A finite expansion cut off by ``depth`` is treated as a prefix of an
-    unknown number: the partial value is returned unconverged.
+    unknown number: the partial value is returned unconverged.  A term whose
+    q_n is past float range is below 1e-305 and adds 0.0; so does the tail
+    after such a q_depth, which reads converged.
     """
     if not depth >= 0:
         raise DomainError("depth >= 0 required")
@@ -130,7 +137,7 @@ def brjuno_sum(alpha: CFExpansion, depth: int = 60, tol: float = 1e-12) -> Brjun
     while n < depth:
         qn = alpha.convergent(n).q
         qn1 = alpha.convergent(n + 1).q
-        total += math.log(qn1) / qn
+        total += math.log(qn1) / qn if qn <= _FLOAT_MAX_INT else 0.0
         n += 1
     converged = False
     if not alpha.is_finite:
@@ -138,13 +145,13 @@ def brjuno_sum(alpha: CFExpansion, depth: int = 60, tol: float = 1e-12) -> Brjun
         # and q_{n+j} >= q_n * phi^(j-1); both give a closed geometric bound.
         M = max(alpha.period)
         qd = alpha.convergent(depth).q
-        lq = math.log(alpha.convergent(depth).q)
+        lq = math.log(qd)
         phi = (1 + math.sqrt(5)) / 2
         lm = math.log(M + 1)
         # sum_{j>=0} (lq + (j+1) lm) / (qd phi^(j-1))
         s_geo = phi / (phi - 1)
         s_lin = phi / (phi - 1) ** 2 + phi / (phi - 1)
-        tail = (lq * s_geo + lm * s_lin) / qd
+        tail = (lq * s_geo + lm * s_lin) / qd if qd <= _FLOAT_MAX_INT else 0.0
         converged = tail < tol
     return BrjunoValue(total, depth, converged)
 

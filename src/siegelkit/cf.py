@@ -25,6 +25,7 @@ from .surd import (
     QuadraticIrrational,
     exact_cmp,
     bracket,
+    int_text,
 )
 
 __all__ = [
@@ -75,7 +76,8 @@ class CFExpansion:
     a0: int
     partials: Tuple[int, ...] = ()
     period: Tuple[int, ...] = ()
-    _conv: List[Convergent] = field(default_factory=list, repr=False, compare=False)
+    _conv: List[Convergent] = field(default_factory=list, init=False, repr=False,
+                                    compare=False)  # memo of convergent()
 
     def __post_init__(self):
         self.partials = tuple(int(a) for a in self.partials)
@@ -368,7 +370,8 @@ def format_exact(x: ExactReal) -> str:
     if isinstance(x, QuadraticIrrational):
         return str(x)
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+    num = int_text(f.numerator)
+    return f"{num}/{int_text(f.denominator)}" if f.denominator != 1 else num
 
 
 def parse_exact(text: str) -> ExactReal:

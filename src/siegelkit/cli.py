@@ -49,7 +49,7 @@ from .cf import (
     theta_sequence,
 )
 from .errors import RationalInput, SiegelError
-from .surd import to_float
+from .surd import int_text, to_float
 
 if TYPE_CHECKING:
     from .germs import GermFamily
@@ -290,7 +290,7 @@ def cmd_cf(args, cfg):
         return {"cf": format_cf(cf), **_exact_and_float(cf.value())}
     if args.op == "convergents":
         cf = _parse(parse_cf, args.cf if args.cf else args.alpha)
-        return {"convergents": [{"index": c.index, "p": str(c.p), "q": str(c.q)}
+        return {"convergents": [{"index": c.index, "p": int_text(c.p), "q": int_text(c.q)}
                                 for c in convergents(cf, args.n)]}
     if args.op == "special-seq":
         cf = _alpha_cf(args)
@@ -386,6 +386,9 @@ def cmd_lift(args, cfg):
 
 
 def cmd_renorm(args, cfg):
+    if args.op == "setup" and args.trace:
+        raise UsageError("--trace writes the orbit of renorm return or rotnum; "
+                         "setup runs none")
     from .germs import lift_of_germ
     from .renorm import build_HJ, find_y0, renormalized_rotation_number, return_map
 
@@ -461,8 +464,7 @@ def cmd_probe(args, cfg):
         _check_cond_bdd(args.rho_frac, args.qmax,
                         1.0 if args.K is None else args.K)  # an estimated K is >= 1
     if args.K is None and args.op != "degenerate":  # degenerate_probe takes no K
-        args.K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), n_pairs=24,
-                                             n_circle=32, seed=args.seed or 0))
+        args.K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), seed=args.seed or 0))
     if args.op == "main-lemma":
         return main_lemma_probe(fam, _parse(Fraction, args.pq), args.variant, args.N,
                                 args.K, cfg=cfg)

@@ -43,7 +43,9 @@ DEFAULT_ORDER = 256
 TWO_PI_I = 2j * math.pi
 
 _PHASE_BITS = 128  # bracket width of the batched surd phases, in bits
-LIPSCHITZ_ORDER = 64  # germ order lipschitz_estimate compares at
+LIPSCHITZ_ORDER = 64   # germ order lipschitz_estimate compares at
+LIPSCHITZ_PAIRS = 24   # parameter pairs lipschitz_estimate samples
+LIPSCHITZ_CIRCLE = 32  # points of |z| = 0.999 it compares each pair on
 CHECK_HEIGHT = 0.2    # lift_of_germ checks |g - 1| < 1 on |w| = e^{-2 pi CHECK_HEIGHT}
 
 
@@ -164,14 +166,6 @@ class FlowFamily(GermFamily):
         self.restriction_radius = float(restriction_radius)
         self._cache: dict = {}
 
-    def __getstate__(self):
-        return {"chi": self.chi, "restriction_radius": self.restriction_radius}
-
-    def __setstate__(self, state):
-        self.chi = state["chi"]
-        self.restriction_radius = state["restriction_radius"]
-        self._cache = {}
-
     def _linearizer(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
         """psi with psi' * chi = 2 pi i psi, psi = z + O(z^2), and its inverse.
 
@@ -224,23 +218,21 @@ class FlowFamily(GermFamily):
 
 
 def lipschitz_estimate(fam: GermFamily, interval: Tuple[float, float],
-                       n_pairs: int = 64, n_circle: int = 64,
                        seed: int = 0) -> float:
-    """Empirical sup of |f_a(z) - f_a'(z)| / |a - a'| over samples, |z| <= 0.999,
-    between germs of order :data:`LIPSCHITZ_ORDER`.
+    """Empirical sup of |f_a(z) - f_a'(z)| / |a - a'| over :data:`LIPSCHITZ_PAIRS`
+    seeded pairs and :data:`LIPSCHITZ_CIRCLE` points of |z| = 0.999, between
+    germs of order :data:`LIPSCHITZ_ORDER`.
 
     A lower estimate of the true constant; includes near-diagonal pairs so the
     small-gap slope is represented.
     """
-    if n_pairs <= 0 or n_circle <= 0:
-        raise DomainError("positive sampling budgets required")
     if seed < 0:
         raise DomainError("seed >= 0 required")
     rng = np.random.default_rng(seed)
     lo, hi = float(interval[0]), float(interval[1])
-    zs = 0.999 * np.exp(TWO_PI_I * np.arange(n_circle) / n_circle)
+    zs = 0.999 * np.exp(TWO_PI_I * np.arange(LIPSCHITZ_CIRCLE) / LIPSCHITZ_CIRCLE)
     best = 0.0
-    for _ in range(n_pairs):
+    for _ in range(LIPSCHITZ_PAIRS):
         a = rng.uniform(lo, hi)
         mode = rng.integers(0, 2)
         b = rng.uniform(lo, hi) if mode == 0 else a + rng.uniform(1e-7, 1e-5)

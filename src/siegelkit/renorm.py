@@ -46,7 +46,6 @@ __all__ = [
     "build_HJ",
     "find_y0",
     "return_map",
-    "verify_single_pass",
     "renormalized_rotation_number",
 ]
 
@@ -133,8 +132,9 @@ class RenormSetup:
     beta_prime_exact: ExactReal
     beta: float
     beta_prime: float
-    y0: Optional[float] = None
-    y0_analytic: Optional[float] = None
+    # find_y0 fills both heights
+    y0: Optional[float] = field(default=None, init=False)
+    y0_analytic: Optional[float] = field(default=None, init=False)
     # Re H(i y) per height y: the strip's right edge, a pure function of y
     _edge: Dict[float, float] = field(default_factory=dict, init=False,
                                       repr=False, compare=False)
@@ -318,22 +318,18 @@ def return_map(setup: RenormSetup, Z: complex) -> Tuple[ReturnSample, List[compl
     return ReturnSample(Z=Z, hops=m, RZ=W, path_min_im=path_min), trace
 
 
-def _hop_on(setup: RenormSetup, W: complex, trace: List[complex],
-            extra_hops: int) -> List[complex]:
-    """``trace`` extended by up to ``extra_hops`` hops of W, stopping at the
-    first one at or below y0."""
-    for _ in range(extra_hops):
+def _lands_again(setup: RenormSetup, W: complex, hops: int) -> bool:
+    """Whether one of the next ``hops`` hops of the landing point W, up to
+    the first at or below y0, lies in the strip: a second pass through it.
+    :func:`return_map` has already seen every point before the landing lie
+    outside the strip, so this is the whole single-pass check."""
+    for _ in range(hops):
         W = setup.H(W)
         if W.imag <= setup.y0:
-            break
-        trace.append(W)
-    return trace
-
-
-def verify_single_pass(setup: RenormSetup, trace: Sequence[complex]) -> bool:
-    """True iff at most one trace point (past the start) lies in the strip."""
-    hits = sum(1 for W in trace[1:] if setup.in_fundamental_domain(W))
-    return hits <= 1
+            return False
+        if setup.in_fundamental_domain(W):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +406,7 @@ def renormalized_rotation_number(setup: RenormSetup, height: float,
     diag = ""
     for _ in range(n_returns):
         try:
-            sample, trace = return_map(setup, Z)
+            sample, _ = return_map(setup, Z)
         except (UndefinedReturn, BudgetExceeded) as exc:
             if not done:
                 raise
@@ -419,8 +415,7 @@ def renormalized_rotation_number(setup: RenormSetup, height: float,
             diag = f"aborted: {exc}"
             break
         disp_sum += setup.lam(sample.RZ) - setup.lam(Z) - sample.hops
-        if not verify_single_pass(setup, _hop_on(setup, sample.RZ, trace, 3)):
-            violations += 1
+        violations += _lands_again(setup, sample.RZ, 3)
         Z = sample.RZ
         done += 1
     measured = (disp_sum / done).real

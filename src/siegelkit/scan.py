@@ -93,6 +93,12 @@ class ScanParams:
 DEFAULT_SCAN = ScanParams()
 ESTIMATORS = ("escape", "hadamard")
 TAIL_WINDOW = 4   # trailing members whose least radius main_lemma_probe reports
+CUT_GRID_POINTS = 16         # rational grid condition_bdd_search locates its cut on
+SEQ_INDICES = (0, 1, 2, 3)   # special-sequence members condition_bdd_search emits
+# the construction driver's budgets: long series, a finer bisection
+DRIVER_SCAN = ScanParams(order=32, lin_order=256,
+                         escape=EscapeParams(max_iter=10_000, circle_samples=32,
+                                             bisect_tol=5e-4))
 
 
 def _linearize(germs: Sequence[Germ], p: ScanParams) -> List[LinearizationSeries]:
@@ -290,10 +296,7 @@ def _target(rho_frac: float, r_est: RadiusEstimate) -> float:
 
 
 def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
-                         qmax: int = 8, grid_points: int = 16,
-                         seq_indices: Sequence[int] = (0, 1, 2, 3),
-                         p: ScanParams = DEFAULT_SCAN,
-                         K_est: float = 6.3,
+                         qmax: int = 8, K_est: float = 6.3,
                          cfg: ConstantConfig = DEFAULT_CONFIG) -> dict:
     """Left cut point c = grid-inf{x in [b, alpha] : r_est(x) >= rho} and the
     bounded-type sequence it emits, with the quantitative band both ways.
@@ -301,9 +304,12 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
     The target is rho = rho_frac * r_est(alpha).lower (:func:`_target`).
     b is the nearest fraction below alpha with denominator <= qmax (the
     strongest non-linearizability signal at desk scale); the cut is located
-    at grid resolution and every emitted value is exact and bounded type.
+    on a grid of :data:`CUT_GRID_POINTS` points and every emitted value (the
+    members :data:`SEQ_INDICES`) is exact and bounded type.  Radii are
+    estimated at :data:`DEFAULT_SCAN`.
     """
     _check_cond_bdd(rho_frac, qmax, K_est)
+    p = DEFAULT_SCAN
     b = _nearest_fraction_below(alpha, qmax)
     r_alpha, r_b = estimate_radii(fam, [alpha, b], p)
     rho = _target(rho_frac, r_alpha)
@@ -315,7 +321,7 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
     # point rational, so the quantitative band has a denominator to use)
     alpha_lo = bracket(alpha, 96)[0]
     gap = alpha_lo - b
-    grid = [b + gap * Fraction(j, grid_points) for j in range(1, grid_points + 1)]
+    grid = [b + gap * Fraction(j, CUT_GRID_POINTS) for j in range(1, CUT_GRID_POINTS + 1)]
     left_neighbor_r = r_b.lower
     for x in grid:  # one at a time: the loop stops at the first point that passes
         est = estimate_radii(fam, [x], p)[0]
@@ -335,7 +341,7 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
                 cf_c = cf_try
                 break
     idxs = [2 * n if not cf_c.is_finite else n  # even indices approach from below
-            for n in seq_indices]
+            for n in SEQ_INDICES]
     vals = [special_sequence_main(cf_c, idx) for idx in idxs]
     seq = []
     for idx, val, est in zip(idxs, vals, estimate_radii(fam, vals, p)):
@@ -395,13 +401,13 @@ def main_lemma_probe(fam: GermFamily, pq: Fraction, variant: str, N: int,
     }
 
 
-def degenerate_probe(fam: GermFamily, t_samples: Sequence[ExactReal],
-                     p: ScanParams = DEFAULT_SCAN) -> dict:
-    """Relative spread of r_est over irrational parameters; a spread below
-    0.05 flags degenerate-type behaviour (the linearization domain ignores t)."""
+def degenerate_probe(fam: GermFamily, t_samples: Sequence[ExactReal]) -> dict:
+    """Relative spread of r_est (at :data:`DEFAULT_SCAN`) over irrational
+    parameters; a spread below 0.05 flags degenerate-type behaviour (the
+    linearization domain ignores t)."""
     rows = [{"t": format_exact(t), "t_float": to_float(t),
              "r_lower": est.lower, "r_upper": est.upper}
-            for t, est in zip(t_samples, estimate_radii(fam, t_samples, p))]
+            for t, est in zip(t_samples, estimate_radii(fam, t_samples, DEFAULT_SCAN))]
     lows = [r["r_lower"] for r in rows]
     mean = sum(lows) / len(lows)
     spread = (max(lows) - min(lows)) / mean if mean > 0 else math.inf
@@ -473,18 +479,19 @@ def _rational_above(x: ExactReal) -> Fraction:
 
 
 def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
-                       stages: int, p: Optional[ScanParams] = None) -> List[ConstructionState]:
+                       stages: int) -> List[ConstructionState]:
     """Inductive stand-in for the smooth-boundary construction.
 
     The global target is rho = rho_frac * r_est(theta0).lower (:func:`_target`),
-    from the one estimate of theta0 at ``p``.  Stage n schedules a strictly
-    decreasing target rho_n, picks theta_n from the members k = 2..12 of
-    theta_{n-1}'s special sequence subject to the 2^-(n+j) derivative ladder
-    on the closed target disk and to parent-interval membership, then pins
-    theta_n inside an exact interval certificate.  The measured radius of
-    theta_n stands in for rho_n (recorded, tolerance-stamped: the true dips
-    along the special sequences shrink below any fixed estimator resolution,
-    so nearness to the schedule is reported rather than gated).
+    from the one estimate of theta0 at :data:`DRIVER_SCAN`.  Stage n schedules
+    a strictly decreasing target rho_n, picks theta_n from the members
+    k = 2..12 of theta_{n-1}'s special sequence subject to the 2^-(n+j)
+    derivative ladder on the closed target disk and to parent-interval
+    membership, then pins theta_n inside an exact interval certificate.  The
+    measured radius of theta_n stands in for rho_n (recorded,
+    tolerance-stamped: the true dips along the special sequences shrink below
+    any fixed estimator resolution, so nearness to the schedule is reported
+    rather than gated).
 
     Raises :class:`DomainError` for ``stages < 1`` or ``rho_frac`` outside
     (0, 1) before any work, what :func:`_target` raises,
@@ -495,10 +502,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
     if not stages >= 1:
         raise DomainError("stages >= 1 required")
     _check_rho_frac(rho_frac)
-    if p is None:
-        p = ScanParams(order=32, lin_order=256,
-                       escape=EscapeParams(max_iter=10_000, circle_samples=32,
-                                           bisect_tol=5e-4))
+    p = DRIVER_SCAN
     germ0 = fam.at(theta0, p.order)
     phi0, = _linearize([germ0], p)
     est0 = escape_radius(germ0, phi0, p.escape)

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .errors import RefinementCap
+from .errors import DomainError, RefinementCap
 
 __all__ = [
     "QuadraticIrrational",
@@ -28,6 +28,7 @@ __all__ = [
     "frac_exact",
     "bracket",
     "to_float",
+    "int_text",
 ]
 
 
@@ -284,10 +285,20 @@ class QuadraticIrrational:
 
     def __str__(self):
         sign = "+" if self.b >= 0 else "-"
-        return f"({self.a}{sign}{abs(self.b)}*sqrt({self.d}))/{self.c}"
+        a, b, d, c = (int_text(n) for n in (self.a, abs(self.b), self.d, self.c))
+        return f"({a}{sign}{b}*sqrt({d}))/{c}"
 
 
 ExactReal = Union[int, Fraction, QuadraticIrrational]
+
+
+def int_text(n: int) -> str:
+    """Decimal text of an exact integer; :class:`DomainError` where it is
+    longer than Python's int-to-str digit limit allows."""
+    try:
+        return str(n)
+    except ValueError as exc:
+        raise DomainError(f"an exact integer is too long to print: {exc}") from None
 
 
 def sqrt_exact(d: int) -> ExactReal:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from siegelkit import scan
+from siegelkit import germs, scan
 from siegelkit.bounds import (
     DEFAULT_CONFIG,
     const_C,
@@ -363,10 +363,11 @@ def test_criterion_07_renormalization_rotation_number():
 # -- 8: main-lemma trend ------------------------------------------------------------
 
 
-def test_criterion_08_main_lemma_trend():
+def test_criterion_08_main_lemma_trend(monkeypatch):
+    monkeypatch.setattr(germs, "LIPSCHITZ_PAIRS", 32)
     t0 = time.time()
     quad = QuadraticFamily()
-    K = max(1.0, lipschitz_estimate(quad, (0.05, 0.95), n_pairs=32, n_circle=32))
+    K = max(1.0, lipschitz_estimate(quad, (0.05, 0.95)))
     p = ScanParams(order=16, lin_order=96,
                    escape=EscapeParams(max_iter=3000, circle_samples=24,
                                        bisect_tol=2e-3))
@@ -393,11 +394,14 @@ def test_criterion_09_degenerate_sharpness(monkeypatch):
     p = ScanParams(order=96, lin_order=128,
                    escape=EscapeParams(max_iter=2000, circle_samples=16,
                                        bisect_tol=2e-3))
-    rep = degenerate_probe(fam, [GOLDEN_FRAC, S2M1, QuadraticIrrational(0, 1, 3, 3)], p)
+    monkeypatch.setattr(scan, "DEFAULT_SCAN", p)
+    rep = degenerate_probe(fam, [GOLDEN_FRAC, S2M1, QuadraticIrrational(0, 1, 3, 3)])
     spread_ok = rep["spread"] < 0.05
     r_flow = max(r["r_lower"] for r in rep["rows"])
     delta = (1.0 - r_flow) / 2
-    K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), n_pairs=16, n_circle=16))
+    monkeypatch.setattr(germs, "LIPSCHITZ_PAIRS", 16)
+    monkeypatch.setattr(germs, "LIPSCHITZ_CIRCLE", 16)
+    K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95)))
     ml = main_lemma_probe(fam, Fraction(1, 2), "short", 8, K, p=p)
     sharp_ok = ml["tail_min"] <= 1.0 - delta
     dt = time.time() - t0

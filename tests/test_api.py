@@ -3,7 +3,8 @@ export behind; the package root imports nothing; every exported name is
 defined in its module and used by the program or its benchmark, not only by
 its own tests; every imported name, in the package and in its tests, is used
 or re-exported; every setting is set by the program or its benchmark, not
-only by tests; and the number of settable values does not grow unnoticed."""
+only by tests and not to one literal by every call; and the number of
+settable values does not grow unnoticed."""
 
 import ast
 import importlib
@@ -145,11 +146,6 @@ def _settings(tree, module):
 # Settings that no call in the program or its benchmark sets, each with the
 # reason it stays; a key without a parameter covers every field of a class.
 UNSET_SETTINGS = {
-    "scan.condition_bdd_search.p": "cost: tests run the search on small budgets",
-    "scan.condition_bdd_search.grid_points": "cost: tests locate the cut on a coarse grid",
-    "scan.condition_bdd_search.seq_indices": "cost: tests emit fewer members",
-    "scan.degenerate_probe.p": "cost: tests run the probe on small budgets",
-    "scan.smooth_disk_driver.p": "cost: tests run the driver on small budgets",
     "cf.side_and_gap.width": "criteria 2 and 3 pin the width of their brackets",
     "bounds.load_config.env": "tests pass an environment in place of os.environ",
     "cli.main.argv": "tests run the command line in-process",
@@ -158,36 +154,62 @@ UNSET_SETTINGS = {
     "bounds.const_Cdoubleprime.cfg": "cmd_const calls it through its fn dispatch",
     "bounds.ConstantConfig": "config_from_mapping passes the fields as **kwargs",
     "io.RunManifest": "RunManifest.build constructs it through cls",
-    "renorm.RenormSetup.y0": "find_y0 assigns it on the setup",
-    "renorm.RenormSetup.y0_analytic": "find_y0 assigns it on the setup",
-    "cf.CFExpansion._conv": "the memo of convergents, which the expansion fills",
 }
 
 
-def test_every_setting_is_set_outside_tests():
-    # a setting only tests set is one value in use: a module constant, which
-    # a test reaches with monkeypatch
+def _program_calls():
+    """(callee name, positional arguments, keyword arguments by name) for
+    every call in the program and its benchmark; a ``**`` argument is keyed
+    None and a ``*`` argument is left out."""
     src = Path(siegelkit.__path__[0])
     bench = Path(__file__).parent.parent / "perfbench"
-    calls = []  # (callee name, positional count, keywords)
+    calls = []
     for path in [*src.glob("*.py"), *bench.rglob("*.py")]:
         for n in ast.walk(ast.parse(path.read_text())):
             if isinstance(n, ast.Call):
                 name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
-                calls.append((name, sum(not isinstance(x, ast.Starred) for x in n.args),
-                              {k.arg for k in n.keywords}))
-    unset = set()
-    for path in src.glob("*.py"):
+                calls.append((name, [x for x in n.args if not isinstance(x, ast.Starred)],
+                              {k.arg: k.value for k in n.keywords}))
+    return calls
+
+
+def _argument(call, name, pos):
+    """What ``call`` passes for the parameter ``name`` at position ``pos``
+    (None for keyword-only), or None where the call leaves its default."""
+    _, args, keywords = call
+    if name in keywords:
+        return keywords[name]
+    return args[pos] if pos is not None and len(args) > pos else None
+
+
+def _is_literal(node):
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return False
+    return True
+
+
+def test_every_setting_is_set_outside_tests():
+    # a setting only tests set is one value in use: a module constant, which
+    # a test reaches with monkeypatch; so is a setting that every call sets to
+    # one literal and none leaves at its default
+    calls = _program_calls()
+    unset, one_literal = set(), []
+    for path in Path(siegelkit.__path__[0]).glob("*.py"):
         for key, pos in _settings(ast.parse(path.read_text()), path.stem):
             callee, name = key.split(".")[1:]
-            if not any(c == callee and (name in kw or pos is not None and npos > pos)
-                       for c, npos, kw in calls):
+            passed = [_argument(c, name, pos) for c in calls if c[0] == callee]
+            if not any(x is not None for x in passed):
                 unset.add(key)
+            elif all(x is not None and _is_literal(x) for x in passed) and len(
+                    {ast.dump(x) for x in passed}) == 1:
+                one_literal.append(key)
     unexplained = sorted(k for k in unset
                          if k not in UNSET_SETTINGS and k.rsplit(".", 1)[0] not in UNSET_SETTINGS)
     stale = sorted(k for k in UNSET_SETTINGS
                    if not any(u == k or u.startswith(k + ".") for u in unset))
-    assert (unexplained, stale) == ([], [])
+    assert (unexplained, stale, sorted(one_literal)) == ([], [], [])
 
 
 def settable_values():
@@ -214,4 +236,4 @@ def settable_values():
 def test_settable_value_count_is_pinned():
     # a change that adds or removes a setting updates this number (and the
     # count quoted in ROADMAP.md) on purpose
-    assert settable_values() == 201
+    assert settable_values() == 191

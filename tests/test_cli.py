@@ -198,6 +198,30 @@ def test_brjuno_of_a_rational_cut_off_by_depth_is_a_partial_sum(capsys):
     assert code == 0 and data["value"] == math.log(7) and not data["converged"]
 
 
+@pytest.mark.parametrize("alpha,depth,working_depth", [
+    ("[0;(1)]", 1480, 1470), ("[0;(2)]", 900, 800)])
+def test_brjuno_past_float_range_keeps_the_partial_sum(alpha, depth, working_depth, capsys):
+    # once q_n has no float, log(q_{n+1})/q_n is below 1e-305: the terms past
+    # it add 0.0, and the sum keeps the bits of a depth short of it
+    _, out, _ = run_cli(["brjuno", "--alpha", alpha, "--depth", str(working_depth)], capsys)
+    code, deep, err = run_cli(["brjuno", "--alpha", alpha, "--depth", str(depth)], capsys)
+    assert code == 0 and err == ""
+    data = json.loads(deep)
+    assert data["value"] == json.loads(out)["value"] and data["converged"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "convergents", "--cf", "[0;(1)]", "--n", "21000"],
+    ["cf", "special-seq", "--alpha", "[0;(1)]", "--n", "21000"],
+    ["cf", "theta-seq", "--alpha", "[0;(1)]", "--n", "21000"],
+])
+def test_integer_too_long_to_print_is_a_numeric_error(argv, capsys):
+    # past Python's 4300-digit int-to-str limit; --n 9000 still prints
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("DomainError:")
+
+
 def test_flow_linearizer_overflow_is_a_numeric_error(capsys):
     # a finite but huge field overflows the flow's linearizer
     code, out, err = run_cli(["lin", "coeffs", "--alpha", "1/3", "--N", "4",
@@ -367,6 +391,28 @@ def test_renorm_rotnum_cli_with_trace(tmp_path, capsys):
     assert len(lines) > 2
     assert json.loads(man.read_text())["outputs"] == {
         str(trace): skio.file_sha256(str(trace))}
+
+
+def test_renorm_return_cli_with_trace(tmp_path, capsys):
+    trace = tmp_path / "orbit.csv"
+    code, out, _ = run_cli(["renorm", "return", "--family", "rotation", "--alpha", "[0;(1)]",
+                            "--N", "8", "--trace", str(trace)], capsys)
+    assert code == 0
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "step,re,im,in_U"
+    assert len(lines) == json.loads(out)["hops"] + 3  # header, start, jump, hops
+
+
+def test_renorm_setup_refuses_trace_before_any_work(tmp_path, monkeypatch, capsys):
+    # setup runs no orbit, so the trace would be listed nowhere and never written
+    monkeypatch.setattr(germs, "lift_of_germ", _refuse)
+    trace, man = tmp_path / "t.csv", tmp_path / "m.json"
+    code, out, err = run_cli(["renorm", "setup", "--family", "rotation", "--alpha", "[0;(1)]",
+                              "--N", "8", "--trace", str(trace), "--manifest", str(man)],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+    assert not trace.exists() and not man.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -131,13 +131,15 @@ def test_flow_at_symmetric_rational_is_rotation():
 # -- Lipschitz estimates ------------------------------------------------------
 
 
-def test_lipschitz_rotation_two_pi():
-    K = lipschitz_estimate(RotationFamily(), (0.1, 0.9), n_pairs=48, n_circle=32)
+def test_lipschitz_rotation_two_pi(monkeypatch):
+    monkeypatch.setattr(germs, "LIPSCHITZ_PAIRS", 48)
+    K = lipschitz_estimate(RotationFamily(), (0.1, 0.9))
     assert 0.94 * TWO_PI <= K <= TWO_PI + 1e-6
 
 
-def test_lipschitz_quadratic_same_as_rotation():
-    K = lipschitz_estimate(QuadraticFamily(), (0.1, 0.9), n_pairs=48, n_circle=32)
+def test_lipschitz_quadratic_same_as_rotation(monkeypatch):
+    monkeypatch.setattr(germs, "LIPSCHITZ_PAIRS", 48)
+    K = lipschitz_estimate(QuadraticFamily(), (0.1, 0.9))
     assert 0.94 * TWO_PI <= K <= TWO_PI + 1e-6
 
 
@@ -154,7 +156,9 @@ def test_lipschitz_flow_matches_field_sup(monkeypatch):
     # the empirical family constant sits between the field sup and its value
     # on the flow-reachable bulge (orbits wander slightly beyond the disk)
     monkeypatch.setattr(germs, "LIPSCHITZ_ORDER", 96)
-    K = lipschitz_estimate(fam, (0.1, 0.9), n_pairs=64, n_circle=64)
+    monkeypatch.setattr(germs, "LIPSCHITZ_PAIRS", 64)
+    monkeypatch.setattr(germs, "LIPSCHITZ_CIRCLE", 64)
+    K = lipschitz_estimate(fam, (0.1, 0.9))
     assert 0.9 * sup_chi <= K <= 1.35 * sup_chi
 
 
@@ -188,9 +192,7 @@ def test_orders_below_one_are_rejected():
     assert len(lift_of_germ(QuadraticFamily().at(GOLDEN, 8), order=1).h_coeffs) == 1
 
 
-def test_lipschitz_rejects_bad_budget():
-    with pytest.raises(DomainError):
-        lipschitz_estimate(RotationFamily(), (0, 1), n_pairs=0)
+def test_lipschitz_rejects_a_negative_seed():
     with pytest.raises(DomainError):
         lipschitz_estimate(RotationFamily(), (0, 1), seed=-1)
 

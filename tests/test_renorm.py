@@ -21,13 +21,12 @@ from siegelkit.renorm import (
     HParams,
     RenormSetup,
     _heights_admissible,
-    _hop_on,
+    _lands_again,
     build_HJ,
     find_y0,
     h_of_lift,
     renormalized_rotation_number,
     return_map,
-    verify_single_pass,
     y0_analytic_prediction,
 )
 from siegelkit.linearize import _orbits_stay
@@ -49,10 +48,11 @@ def golden_quadratic_lift(order=128):
     return lift_of_germ(QuadraticFamily().at(GOLDEN, 8), order=order)
 
 
-def trace_past_landing(s, Z):
-    """The return trace of Z continued 4 hops past the first landing."""
+def return_and_second_pass(s, Z):
+    """The return trace of Z, and whether one of the 4 hops past its landing
+    lands in the strip again."""
     sample, trace = return_map(s, Z)
-    return _hop_on(s, sample.RZ, trace, 4)
+    return trace, _lands_again(s, sample.RZ, 4)
 
 
 # -- lift orbits / h_of_lift ----------------------------------------------------
@@ -458,8 +458,8 @@ def test_single_pass_translations():
     s = build_HJ(F, 2)
     find_y0(s)
     for j in range(10):
-        trace = trace_past_landing(s, complex(0.0, 1.0 + 0.3 * j))
-        assert verify_single_pass(s, trace)
+        _, again = return_and_second_pass(s, complex(0.0, 1.0 + 0.3 * j))
+        assert not again
 
 
 def test_single_pass_many_quadratic_starts():
@@ -470,22 +470,26 @@ def test_single_pass_many_quadratic_starts():
     for j in range(200):
         Z = complex(0.0, y0 + 2 * abs(s.beta) + 0.013 * j)
         try:
-            trace = trace_past_landing(s, Z)
+            _, again = return_and_second_pass(s, Z)
         except (UndefinedReturn, BudgetExceeded):
             continue
-        if not verify_single_pass(s, trace):
-            violations += 1
+        violations += again
     assert violations == 0
 
 
-def test_single_pass_detects_synthetic_violation():
+def test_single_pass_detects_synthetic_violation(monkeypatch):
     F = translation_lift(GOLDEN)
     s = build_HJ(F, 1)
     find_y0(s)
     inside = complex(0.1 * s.beta, 1.0)
     assert s.in_fundamental_domain(inside)
-    fake_trace = [inside, inside + s.beta_prime, inside, inside]
-    assert not verify_single_pass(s, fake_trace)
+    assert not _lands_again(s, inside, 3)  # a translation's hops leave the strip
+    # a strip test that takes in every point forces a re-entry at the first hop
+    hops = []
+    real_H = s.H
+    monkeypatch.setattr(s, "H", lambda W: hops.append(W) or real_H(W))
+    monkeypatch.setattr(s, "in_fundamental_domain", lambda W: True)
+    assert _lands_again(s, inside, 3) and hops == [inside]
 
 
 def test_cone_property_on_hops():
@@ -622,7 +626,8 @@ def test_strip_edge_memo_matches_unmemoized(monkeypatch, k):
         y0 = find_y0(s)
         height = y0 + 20 * abs(s.beta)
         rep = renormalized_rotation_number(s, height=height, n_returns=200)
-        traces = [trace_past_landing(s, complex(0.0, height + 0.07 * j)) for j in range(8)]
+        traces = [return_and_second_pass(s, complex(0.0, height + 0.07 * j))
+                  for j in range(8)]
         return s, dataclasses.asdict(rep), traces
 
     memo_setup, memo_rep, memo_traces = run()

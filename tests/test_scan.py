@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from siegelkit.cf import cf_of_rational, farey_fractions, format_exact, special_sequence_main
+from siegelkit.cf import (cf_of_rational, farey_fractions, format_exact, parse_cf,
+                          special_sequence_main)
 from siegelkit import linearize, scan
 from siegelkit.errors import DomainError, FamilyUnsuitable, StageFailed, TargetAboveRadius
 from siegelkit.germs import FlowFamily, QuadraticFamily, RotationFamily
@@ -226,14 +227,22 @@ def test_monotone_escape_upper_in_max_iter():
 # -- condition_bdd_search ------------------------------------------------------
 
 
-def test_cond_bdd_rotation_degenerate():
-    rep = condition_bdd_search(RotationFamily(), GOLDEN, rho_frac=0.5, p=CHEAP)
+def test_cond_bdd_rotation_degenerate(monkeypatch):
+    monkeypatch.setattr(scan, "DEFAULT_SCAN", CHEAP)
+    rep = condition_bdd_search(RotationFamily(), GOLDEN, rho_frac=0.5)
     assert rep["verdict"] == "FamilyLooksDegenerate"
 
 
-def test_cond_bdd_quadratic_finds_cut():
-    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5,
-                               qmax=8, grid_points=8, seq_indices=(0, 1), p=MEDIUM)
+def _coarse_cut_search(monkeypatch, p):
+    """condition_bdd_search at budgets ``p`` on an 8-point grid, emitting two members."""
+    monkeypatch.setattr(scan, "DEFAULT_SCAN", p)
+    monkeypatch.setattr(scan, "CUT_GRID_POINTS", 8)
+    monkeypatch.setattr(scan, "SEQ_INDICES", (0, 1))
+
+
+def test_cond_bdd_quadratic_finds_cut(monkeypatch):
+    _coarse_cut_search(monkeypatch, MEDIUM)
+    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=8)
     assert rep["verdict"] == "ok"
     assert rep["rho"] > 0
     assert rep["cut_r_lower"] >= rep["rho"]
@@ -261,10 +270,10 @@ def test_cond_bdd_linearizes_each_parameter_once(monkeypatch):
         return real(germs, *args, **kwargs)
 
     monkeypatch.setattr(scan, "linearizations", counted)
+    _coarse_cut_search(monkeypatch, MEDIUM)
     for fam, cut_at_alpha in ((QuadraticFamily(), False), (_RationalsAtOneHalf(), True)):
         calls.clear()
-        rep = condition_bdd_search(fam, GOLDEN, rho_frac=0.5, qmax=8, grid_points=8,
-                                   seq_indices=(0, 1), p=MEDIUM)
+        rep = condition_bdd_search(fam, GOLDEN, rho_frac=0.5, qmax=8)
         assert (rep["cut"] == format_exact(GOLDEN)) == cut_at_alpha
         # the second family's rationals all linearize at 1/2: count the rest
         counts = Counter(a for a in calls if not (cut_at_alpha and isinstance(a, Fraction)))
@@ -280,8 +289,8 @@ def test_cond_bdd_estimates_alpha_and_b_in_one_call(monkeypatch):
         return real(fam, alphas, p)
 
     monkeypatch.setattr(scan, "estimate_radii", counted)
-    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=8, grid_points=8,
-                               seq_indices=(0, 1), p=CHEAP)
+    _coarse_cut_search(monkeypatch, CHEAP)
+    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=8)
     assert rep["b"] == "3/5" and calls[0] == [GOLDEN, Fraction(3, 5)]
 
 
@@ -290,14 +299,14 @@ def _no_linearization(*args, **kwargs):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=0, p=CHEAP),
+    lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=0),
     lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=-2),
     lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.0, stages=1),
-    lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, math.nan, stages=1, p=CHEAP),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0, p=CHEAP),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, qmax=0, p=CHEAP),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, p=CHEAP, K_est=0.5),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, p=CHEAP, K_est=math.nan),
+    lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, math.nan, stages=1),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, qmax=0),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, K_est=0.5),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, K_est=math.nan),
     lambda: main_lemma_probe(QuadraticFamily(), Fraction(1, 3), "short", 2, 0.5, p=CHEAP),
     lambda: main_lemma_probe(QuadraticFamily(), Fraction(1, 3), "short", 2, math.inf, p=CHEAP),
 ], ids=["stages-0", "stages-neg", "driver-rho-0", "driver-rho-nan", "search-rho-1",
@@ -308,9 +317,10 @@ def test_bad_input_is_refused_before_any_linearization(call, monkeypatch):
         call()
 
 
-def test_cond_bdd_target_above_radius():
+def test_cond_bdd_target_above_radius(monkeypatch):
+    monkeypatch.setattr(scan, "DEFAULT_SCAN", CHEAP)
     with pytest.raises(TargetAboveRadius):
-        condition_bdd_search(QuadraticFamily(), Fraction(1, 2), rho_frac=0.5, p=CHEAP)
+        condition_bdd_search(QuadraticFamily(), Fraction(1, 2), rho_frac=0.5)
 
 
 # -- main lemma probe ------------------------------------------------------------
@@ -346,7 +356,7 @@ def test_main_lemma_probe_linearizes_in_one_pass(monkeypatch):
     assert passes == [4]
 
 
-def test_probes_match_sequential_bisection():
+def test_probes_match_sequential_bisection(monkeypatch):
     # each probe bisects its members in one lock-step batch; every value must
     # equal the member's one-at-a-time bracket
     fam = QuadraticFamily()
@@ -355,7 +365,8 @@ def test_probes_match_sequential_bisection():
     assert [(v["r_lower"], v["r_upper"]) for v in rep["values"]] == [
         _sequential_bracket(fam, special_sequence_main(cf, n), CHEAP) for n in range(1, 5)]
     ts = [GOLDEN, S2M1, BIGQ, GOLDEN]
-    rows = degenerate_probe(fam, ts, CHEAP)["rows"]
+    monkeypatch.setattr(scan, "DEFAULT_SCAN", CHEAP)
+    rows = degenerate_probe(fam, ts)["rows"]
     assert [(r["r_lower"], r["r_upper"]) for r in rows] == [
         _sequential_bracket(fam, t, CHEAP) for t in ts]
 
@@ -363,12 +374,12 @@ def test_probes_match_sequential_bisection():
 # -- degenerate probe -------------------------------------------------------------
 
 
-def test_degenerate_probe_flow_flat():
+def test_degenerate_probe_flow_flat(monkeypatch):
     fam = FlowFamily([1.0], restriction_radius=0.5)
-    p = ScanParams(order=96, lin_order=96,
-                   escape=EscapeParams(max_iter=1500, circle_samples=16,
-                                       bisect_tol=2e-3))
-    rep = degenerate_probe(fam, [GOLDEN, S2M1, QuadraticIrrational(0, 1, 3, 3)], p)
+    monkeypatch.setattr(scan, "DEFAULT_SCAN", ScanParams(
+        order=96, lin_order=96,
+        escape=EscapeParams(max_iter=1500, circle_samples=16, bisect_tol=2e-3)))
+    rep = degenerate_probe(fam, [GOLDEN, S2M1, QuadraticIrrational(0, 1, 3, 3)])
     assert rep["degenerate_flag"]
     assert rep["spread"] < 0.05
 
@@ -376,27 +387,31 @@ def test_degenerate_probe_flow_flat():
 @pytest.mark.parametrize("c_prime", [0.5, 1.0, 2.0])
 def test_flow_brackets_contain_the_mobius_radius(c_prime):
     p = ScanParams(escape=EscapeParams(max_iter=1000))
-    ests = estimate_radii(FlowFamily([c_prime], 1.0), [GOLDEN, S2M1, S3], p)
+    alphas = [GOLDEN, S2M1, S3, parse_cf("[0;5,(1)]").value(), parse_cf("[0;20,(1)]").value()]
+    ests = estimate_radii(FlowFamily([c_prime], 1.0), alphas, p)
     r_star = mobius_radius(c_prime)
     assert all(e.lower <= r_star <= e.upper for e in ests)
 
 
-def test_degenerate_probe_flow_at_order_256():
+def test_degenerate_probe_flow_at_order_256(monkeypatch):
     # a flow is degenerate whatever c' is: its disk has radius r* at every t
-    p = ScanParams(order=256, escape=EscapeParams(max_iter=300))
-    rep = degenerate_probe(FlowFamily([3.0], 1.0), [GOLDEN, S2M1, S3], p)
+    monkeypatch.setattr(scan, "DEFAULT_SCAN",
+                        ScanParams(order=256, escape=EscapeParams(max_iter=300)))
+    rep = degenerate_probe(FlowFamily([3.0], 1.0), [GOLDEN, S2M1, S3])
     assert rep["degenerate_flag"] and rep["spread"] == 0.0
     r_star = mobius_radius(3.0)
     assert all(r["r_lower"] <= r_star <= r["r_upper"] for r in rep["rows"])
 
 
-def test_degenerate_probe_rotation_zero_spread():
-    rep = degenerate_probe(RotationFamily(), [GOLDEN, S2M1], CHEAP)
+def test_degenerate_probe_rotation_zero_spread(monkeypatch):
+    monkeypatch.setattr(scan, "DEFAULT_SCAN", CHEAP)
+    rep = degenerate_probe(RotationFamily(), [GOLDEN, S2M1])
     assert rep["spread"] <= 1e-9
 
 
-def test_degenerate_probe_quadratic_spreads():
-    rep = degenerate_probe(QuadraticFamily(), [GOLDEN, S2M1, BIGQ], MEDIUM)
+def test_degenerate_probe_quadratic_spreads(monkeypatch):
+    monkeypatch.setattr(scan, "DEFAULT_SCAN", MEDIUM)
+    rep = degenerate_probe(QuadraticFamily(), [GOLDEN, S2M1, BIGQ])
     assert not rep["degenerate_flag"]
     assert rep["spread"] > 0.2
 
@@ -404,11 +419,11 @@ def test_degenerate_probe_quadratic_spreads():
 # -- construction driver -----------------------------------------------------------
 
 
-def test_driver_two_stages_with_certificates():
-    p = ScanParams(order=32, lin_order=192,
-                   escape=EscapeParams(max_iter=4000, circle_samples=24,
-                                       bisect_tol=1e-3))
-    states = smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=2, p=p)
+def test_driver_two_stages_with_certificates(monkeypatch):
+    monkeypatch.setattr(scan, "DRIVER_SCAN", ScanParams(
+        order=32, lin_order=192,
+        escape=EscapeParams(max_iter=4000, circle_samples=24, bisect_tol=1e-3)))
+    states = smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=2)
     assert len(states) == 2
     rho = states[0].rho_target
     check_construction_invariants(states, rho)
@@ -421,37 +436,40 @@ def test_driver_two_stages_with_certificates():
     assert s1.rho_sched > s2.rho_sched > rho
 
 
-def test_driver_rotation_unsuitable():
+def test_driver_rotation_unsuitable(monkeypatch):
+    monkeypatch.setattr(scan, "DRIVER_SCAN", CHEAP)
     with pytest.raises(FamilyUnsuitable):
-        smooth_disk_driver(RotationFamily(), GOLDEN, 0.5, stages=1, p=CHEAP)
+        smooth_disk_driver(RotationFamily(), GOLDEN, 0.5, stages=1)
 
 
-def test_driver_target_above_radius():
+def test_driver_target_above_radius(monkeypatch):
     # at 1/2 the quadratic germ has a pole, so no radius is valid and no
     # target lies below the estimate
+    monkeypatch.setattr(scan, "DRIVER_SCAN", CHEAP)
     with pytest.raises(TargetAboveRadius):
-        smooth_disk_driver(QuadraticFamily(), Fraction(1, 2), 0.5, stages=1, p=CHEAP)
+        smooth_disk_driver(QuadraticFamily(), Fraction(1, 2), 0.5, stages=1)
 
 
 @pytest.mark.parametrize("rho_frac", [0.0, -0.5, 1.0, 2.0, math.nan])
 def test_rho_frac_outside_the_unit_interval_is_a_domain_error(rho_frac):
     with pytest.raises(DomainError):
-        smooth_disk_driver(QuadraticFamily(), GOLDEN, rho_frac, stages=1, p=CHEAP)
+        smooth_disk_driver(QuadraticFamily(), GOLDEN, rho_frac, stages=1)
     with pytest.raises(DomainError):
-        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac, p=CHEAP)
+        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac)
 
 
 def test_driver_ladder_rejects_nan_gaps(monkeypatch):
     monkeypatch.setattr(scan, "_deriv_gaps", lambda *args: [math.nan, math.nan])
+    monkeypatch.setattr(scan, "DRIVER_SCAN", CHEAP)
     with pytest.raises(StageFailed, match="ladder failed"):
-        smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.1, stages=1, p=CHEAP)
+        smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.1, stages=1)
 
 
-def test_invariant_checker_catches_violations():
-    p = ScanParams(order=32, lin_order=192,
-                   escape=EscapeParams(max_iter=2000, circle_samples=16,
-                                       bisect_tol=2e-3))
-    states = smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=1, p=p)
+def test_invariant_checker_catches_violations(monkeypatch):
+    monkeypatch.setattr(scan, "DRIVER_SCAN", ScanParams(
+        order=32, lin_order=192,
+        escape=EscapeParams(max_iter=2000, circle_samples=16, bisect_tol=2e-3)))
+    states = smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=1)
     bad = states[0]
     rho = bad.rho_target
     bad.deriv_gaps = [g + 1.0 for g in bad.deriv_gaps]
