@@ -123,8 +123,10 @@ def brjuno_sum(alpha: CFExpansion, depth: int = 60, tol: float = 1e-12) -> Brjun
     Rational input (full finite expansion) diverges by convention and returns
     +inf.  A finite expansion cut off by ``depth`` is treated as a prefix of an
     unknown number: the partial value is returned unconverged.  A term whose
-    q_n is past float range is below 1e-305 and adds 0.0; so does the tail
-    after such a q_depth, which reads converged.
+    q_n is past float range is below 1e-305 and adds 0.0.  The tail bound is
+    divided by q_depth in two steps, by ``q_depth >> k`` and then by ``2**k``
+    with ``math.ldexp``, so past float range it keeps its size: it reads 0.0,
+    and converged, only once it is below the smallest float.
     """
     if not depth >= 0:
         raise DomainError("depth >= 0 required")
@@ -151,7 +153,8 @@ def brjuno_sum(alpha: CFExpansion, depth: int = 60, tol: float = 1e-12) -> Brjun
         # sum_{j>=0} (lq + (j+1) lm) / (qd phi^(j-1))
         s_geo = phi / (phi - 1)
         s_lin = phi / (phi - 1) ** 2 + phi / (phi - 1)
-        tail = (lq * s_geo + lm * s_lin) / qd if qd <= _FLOAT_MAX_INT else 0.0
+        k = max(0, qd.bit_length() - (sys.float_info.max_exp - 1))  # qd >> k has a float
+        tail = math.ldexp((lq * s_geo + lm * s_lin) / (qd >> k), -k)
         converged = tail < tol
     return BrjunoValue(total, depth, converged)
 

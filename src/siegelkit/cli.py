@@ -15,7 +15,9 @@ finished text, and writes side files only through ``_write_side_file``;
 from __future__ import annotations
 
 import argparse
+import atexit
 import errno
+import gc
 import math
 import os
 import stat
@@ -483,7 +485,18 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Reading ``sys.argv`` makes this call the process's command (``python -m
+    siegelkit.cli`` or the ``siegelkit`` script), and ``gc.freeze`` then runs
+    at exit: the interpreter's final collections skip every object left, most
+    of them numpy's.  No object needs those collections to be finalized:
+    files close in ``with`` blocks, and forked scan workers are reaped before
+    ``main`` returns.  A call that passes ``argv`` leaves its host's collector
+    alone."""
+    if argv is None:
+        argv = sys.argv[1:]
+        atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 import time
 from fractions import Fraction
@@ -21,6 +20,14 @@ from .bounds import ConstantConfig, format_config
 from .cf import format_exact, parse_exact
 from .errors import SchemaMismatch
 from .surd import to_float
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL for one digest
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 if TYPE_CHECKING:
     from .germs import LiftMap
@@ -212,7 +219,7 @@ def load_lift(text: str) -> LiftMap:
 
 
 def file_sha256(path: str) -> str:
-    h = hashlib.sha256()
+    h = _sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):
             h.update(block)
@@ -246,7 +253,7 @@ def invocation_digest(cmdline: Sequence[str], cfg: ConstantConfig, seed: int) ->
     payload = json.dumps({"cmdline": _semantic_cmdline(cmdline),
                           "config": format_config(cfg),
                           "seed": seed}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclasses.dataclass

@@ -61,6 +61,16 @@ def test_brjuno_rejects_bad_tolerance(tol):
         brjuno_sum(GOLDEN_CF, depth=10, tol=tol)
 
 
+@pytest.mark.parametrize("depth,tol,converged", [
+    (1480, 1e-320, False),  # q_1480 has no float, but the tail bound is 1.3e-306
+    (1480, 1e-300, True),
+    (5000, 1e-320, True),   # the tail bound is about 1e-1041, below every float
+])
+def test_brjuno_tail_past_float_range_keeps_its_size(depth, tol, converged):
+    bv = brjuno_sum(parse_cf("[0;(1)]"), depth=depth, tol=tol)
+    assert bv.converged is converged
+
+
 def test_brjuno_monotone_in_depth():
     vals = [brjuno_sum(GOLDEN_CF, depth=d).value for d in (5, 10, 20, 40)]
     assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))

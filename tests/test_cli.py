@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -543,6 +544,7 @@ def test_scan_worker_byte_identity_small(tmp_path):
 
 _NUMERIC_MODULES = ("numpy", "siegelkit.series", "siegelkit.germs", "siegelkit.linearize",
                     "siegelkit.renorm", "siegelkit.scan")
+_OPENSSL = ("hashlib", "_hashlib")  # hashlib loads OpenSSL
 _LOADED_MODULES = """
 import contextlib, io, json, sys
 from siegelkit import cli
@@ -555,20 +557,81 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
+def _src_env():
+    """The environment for a child that imports this siegelkit."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+
+def _fresh_interpreter(src, *argv):
+    """The JSON that ``src`` prints, run by a fresh interpreter, so that no
+    other test's imports are counted."""
+    proc = subprocess.run([sys.executable, "-c", src, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _skip_if_a_bare_interpreter_loads_openssl():
+    if "_hashlib" in _fresh_interpreter("import json, sys; print(json.dumps(list(sys.modules)))"):
+        pytest.skip("a site hook of this interpreter loads _hashlib")
+
+
 @pytest.mark.parametrize("argv,absent", [
     (["const", "C", "--K", "1", "--q", "1"], _NUMERIC_MODULES),
     (["cf", "expand", "--alpha", "1/3"], _NUMERIC_MODULES),
     (["brjuno", "--alpha", "[0;(1)]"], _NUMERIC_MODULES),
     (["--help"], _NUMERIC_MODULES),
     (["scan", "--grid", "1/3", "--max-iter", "20"], ("siegelkit.renorm",)),
+    # hashes --out, --plot-data and the invocation
+    (["scan", "--grid", "1/3", "--max-iter", "20", "--format", "csv", "--out", "{tmp}/s.csv",
+      "--plot-data", "{tmp}/p.dat", "--manifest", "{tmp}/m.json"], ("siegelkit.renorm",)),
 ])
-def test_commands_load_only_the_modules_they_run(argv, absent):
-    # a fresh interpreter, so that no other test's imports are counted
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
+def test_commands_load_only_the_modules_they_run(argv, absent, tmp_path):
+    _skip_if_a_bare_interpreter_loads_openssl()
+    code, loaded = _fresh_interpreter(_LOADED_MODULES,
+                                      *(a.format(tmp=tmp_path) for a in argv))
     assert code == 0
-    assert sorted(set(absent) & set(loaded)) == []
+    assert sorted(set(absent + _OPENSSL) & set(loaded)) == []
+
+
+def test_importing_io_leaves_openssl_unloaded():
+    _skip_if_a_bare_interpreter_loads_openssl()
+    loaded = _fresh_interpreter("import json, sys, siegelkit.io; print(json.dumps(list(sys.modules)))")
+    assert "siegelkit.io" in loaded
+    assert sorted(set(_OPENSSL) & set(loaded)) == []
+
+
+def test_in_process_main_leaves_the_collector_alone(monkeypatch, capsys):
+    registered = []
+    monkeypatch.setattr(cli.atexit, "register", registered.append)
+    frozen = gc.get_freeze_count()
+    assert run_cli(["const", "C", "--K", "1", "--q", "1"], capsys)[0] == 0
+    assert registered == [] and gc.get_freeze_count() == frozen
+    # reading sys.argv makes the call the process's command
+    monkeypatch.setattr(sys, "argv", ["siegelkit", "const", "C", "--K", "1", "--q", "1"])
+    assert run_cli(None, capsys)[0] == 0
+    assert registered == [gc.freeze] and gc.get_freeze_count() == frozen
+
+
+# runs the command as ``python -m siegelkit.cli`` does; the handler registered
+# before main runs after main's own, at the very end
+_PROCESS_EXIT = """
+import atexit, gc, sys
+from siegelkit import cli
+atexit.register(lambda: sys.stderr.write(f"frozen at exit: {gc.get_freeze_count() > 0}\\n"))
+sys.exit(cli.main())
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["const", "C", "--K", "1", "--q", "1"], 0),
+    (["const", "C", "--K", "1"], 1),   # --q is missing
+    (["brjuno", "--alpha", "1/2"], 2),  # RationalInput
+])
+def test_process_exit_keeps_code_and_output(argv, code, capsys):
+    expected = run_cli(argv, capsys)
+    proc = subprocess.run([sys.executable, "-c", _PROCESS_EXIT, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, expected[1], expected[2] + "frozen at exit: True\n")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -135,3 +136,21 @@ def test_manifest_build(tmp_path):
     assert data["seed"] == 7
     assert data["digest"] == skio.invocation_digest(["scan"], DEFAULT_CONFIG, 7)
     assert str(out) in data["outputs"]
+
+
+def test_invocation_digest_is_the_sha256_of_its_payload():
+    argv = ["scan", "--grid", "farey:Q=8", "--format", "csv", "--workers", "2", "--out", "x.csv"]
+    payload = json.dumps({"cmdline": ["scan", "--grid", "farey:Q=8", "--format", "csv"],
+                          "config": "c1=1.0 c2=1.0 c3=1.0 C0=1.0 D=2.0 C_sqrt2=1.0 A=2.0 "
+                                    "C1_glue=1.0 B_slope=2.0 seed=0",
+                          "seed": 3}, sort_keys=True)
+    digest = skio.invocation_digest(argv, DEFAULT_CONFIG, 3)
+    assert digest == hashlib.sha256(payload.encode()).hexdigest()[:16] == "fb85b0907058f97a"
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 200_001])  # around the 64 KiB block
+def test_file_sha256_matches_hashlib(size, tmp_path):
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "payload.bin"
+    path.write_bytes(data)
+    assert skio.file_sha256(str(path)) == hashlib.sha256(data).hexdigest()
