@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 from .cf import CFExpansion
@@ -49,28 +49,23 @@ class ConstantConfig:
     """Calibration of the universal constants; defaults are placeholders."""
 
     c1: float = 1.0
-    c2: float = 1.0
     c3: float = 1.0
-    C0: float = 1.0
-    D: float = 2.0
     C_sqrt2: float = 1.0
     A: float = 2.0
     C1_glue: float = 1.0
-    B_slope: float = 2.0  # B(M) = B_slope * (1 + M)
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c3", "C0", "C_sqrt2", "C1_glue", "B_slope"):
+        for name in ("c1", "c3", "C_sqrt2", "C1_glue"):
             x = getattr(self, name)
             if not (math.isfinite(x) and x > 0):
                 raise DomainError(f"{name} must be positive")
-        if not all(math.isfinite(x) and x > 1 for x in (self.D, self.A)):
-            raise DomainError("D and A must exceed 1")
+        if not (math.isfinite(self.A) and self.A > 1):
+            raise DomainError("A must exceed 1")
 
 
 DEFAULT_CONFIG = ConstantConfig()
 
-_CONFIG_KEYS = ("c1", "c2", "c3", "C0", "D", "C_sqrt2", "A", "C1_glue", "B_slope", "seed")
+_CONFIG_KEYS = tuple(f.name for f in fields(ConstantConfig))
 
 
 def config_from_mapping(data: Dict[str, str]) -> ConstantConfig:
@@ -78,7 +73,10 @@ def config_from_mapping(data: Dict[str, str]) -> ConstantConfig:
     for key, raw in data.items():
         if key not in _CONFIG_KEYS:
             raise DomainError(f"unknown config key {key!r}")
-        kwargs[key] = int(raw) if key == "seed" else float(raw)
+        try:
+            kwargs[key] = float(raw)
+        except ValueError:
+            raise DomainError(f"config key {key!r} needs a number, not {raw!r}") from None
     return ConstantConfig(**kwargs)
 
 
@@ -96,11 +94,11 @@ def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None
                 key, val = (t.strip() for t in line.split("=", 1))
                 data[key] = val
     environ = os.environ if env is None else env
-    for key in _CONFIG_KEYS:
-        for candidate in (f"SIEGEL_{key}", f"SIEGEL_{key.upper()}"):
-            if candidate in environ:
-                data[key] = environ[candidate]
-                break
+    by_upper = {key.upper(): key for key in _CONFIG_KEYS}
+    # SIEGEL_<key> or SIEGEL_<KEY>; sorted, the exact spelling comes last and wins
+    for name in sorted(n for n in environ if n.startswith("SIEGEL_")):
+        suffix = name[len("SIEGEL_"):]
+        data[by_upper.get(suffix, suffix)] = environ[name]
     return config_from_mapping(data)
 
 

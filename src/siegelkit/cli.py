@@ -132,13 +132,12 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="key-value constants file")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--manifest", default=None, help="dump a run manifest JSON")
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _add_family(p: argparse.ArgumentParser):
     p.add_argument("--family", default="quadratic")
     p.add_argument("--restriction", type=float, default=None)
-    p.add_argument("--chi", default=None, help="flow field c2,c3,... (complex literals)")
+    p.add_argument("--chi", default=None, help="flow field c_2,c_3,... (complex literals)")
 
 
 def build_parser() -> _Parser:
@@ -260,7 +259,7 @@ def _emit(args, output, cfg: ConstantConfig):
     for path in args.side_files:
         outputs[path] = skio.file_sha256(path)
     if args.manifest:
-        man = skio.RunManifest.build(args.argv, cfg, args.seed or 0, outputs)
+        man = skio.RunManifest.build(args.argv, cfg, outputs)
         with _user_file(args.manifest), open(args.manifest, "w", encoding="utf-8") as fh:
             fh.write(man.to_json() + "\n")
 
@@ -439,7 +438,7 @@ def cmd_scan(args, cfg):
                                                 for r in rows if r.method == "escape"])
     if args.format == "json":
         return skio.scan_rows_json(rows, cfg)
-    digest = skio.invocation_digest(args.argv, cfg, args.seed or 0)
+    digest = skio.invocation_digest(args.argv, cfg)
     buf = StringIO()
     skio.emit_scan_csv(rows, buf, comments={"manifest": digest,
                                             "config": format_config(cfg)})
@@ -456,17 +455,16 @@ def cmd_construct(args, cfg):
 
 
 def cmd_probe(args, cfg):
-    from .germs import lipschitz_estimate
     from .scan import (_check_cond_bdd, condition_bdd_search, degenerate_probe,
                        main_lemma_probe)
 
     fam = make_family(args)
-    if args.op == "cond-bdd":  # refuse bad input before the Lipschitz estimate
+    if args.op == "cond-bdd":  # refuse bad input before the Lipschitz bound
         alpha = _parse(parse_exact, args.alpha)
         _check_cond_bdd(args.rho_frac, args.qmax,
-                        1.0 if args.K is None else args.K)  # an estimated K is >= 1
+                        1.0 if args.K is None else args.K)  # a computed K is >= 1
     if args.K is None and args.op != "degenerate":  # degenerate_probe takes no K
-        args.K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95), seed=args.seed or 0))
+        args.K = max(1.0, fam.lipschitz_bound())
     if args.op == "main-lemma":
         return main_lemma_probe(fam, _parse(Fraction, args.pq), args.variant, args.N,
                                 args.K, cfg=cfg)

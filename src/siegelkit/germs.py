@@ -32,7 +32,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "alpha_frac_float",
     "phase_fracs",
-    "lipschitz_estimate",
     "lift_of_germ",
 ]
 
@@ -43,9 +42,8 @@ DEFAULT_ORDER = 256
 TWO_PI_I = 2j * math.pi
 
 _PHASE_BITS = 128  # bracket width of the batched surd phases, in bits
-LIPSCHITZ_ORDER = 64   # germ order lipschitz_estimate compares at
-LIPSCHITZ_PAIRS = 24   # parameter pairs lipschitz_estimate samples
-LIPSCHITZ_CIRCLE = 32  # points of |z| = 0.999 it compares each pair on
+LIPSCHITZ_ORDER = 64     # germ order lipschitz_bound holds for
+LIPSCHITZ_RADIUS = 0.999  # circle |z| = r lipschitz_bound holds on
 CHECK_HEIGHT = 0.2    # lift_of_germ checks |g - 1| < 1 on |w| = e^{-2 pi CHECK_HEIGHT}
 
 
@@ -125,15 +123,29 @@ class Germ:
 
 
 class GermFamily:
-    """Family alpha -> germ on a working interval; subclasses stay picklable."""
+    """Family alpha -> germ; subclasses stay picklable."""
 
     def at(self, alpha: AlphaHandle, order: int = DEFAULT_ORDER) -> Germ:
+        raise NotImplementedError
+
+    def lipschitz_bound(self) -> float:
+        """sup over every alpha and |z| = :data:`LIPSCHITZ_RADIUS` of
+        |d f_alpha / d alpha|, for the germs of order :data:`LIPSCHITZ_ORDER`.
+
+        By the mean-value inequality (and the maximum principle inside the
+        circle) a Lipschitz constant of alpha -> f_alpha on |z| <= r, uniform
+        in alpha, so it holds on any parameter interval.
+        """
         raise NotImplementedError
 
 
 class RotationFamily(GermFamily):
     def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
         return Germ(alpha, np.zeros(0, dtype=np.complex128))
+
+    def lipschitz_bound(self) -> float:
+        """d f / d alpha = 2 pi i e^{2 pi i alpha} z, so exactly 2 pi r."""
+        return 2 * math.pi * LIPSCHITZ_RADIUS
 
 
 class QuadraticFamily(GermFamily):
@@ -146,6 +158,8 @@ class QuadraticFamily(GermFamily):
 
     def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
         return Germ(alpha, np.array([self.restriction_radius], dtype=np.complex128))
+
+    lipschitz_bound = RotationFamily.lipschitz_bound  # alpha enters only through u
 
 
 class FlowFamily(GermFamily):
@@ -166,6 +180,12 @@ class FlowFamily(GermFamily):
         self.restriction_radius = float(restriction_radius)
         self._cache: dict = {}
 
+    def _field(self) -> np.ndarray:
+        """[0, 2 pi i, c_2 s, c_3 s^2, ...]: the conjugated field chi(sz)/s."""
+        s = self.restriction_radius
+        return np.array([0, TWO_PI_I] + [cj * s ** (j - 1) for j, cj in
+                                         enumerate(self.chi, start=2)], dtype=np.complex128)
+
     def _linearizer(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
         """psi with psi' * chi = 2 pi i psi, psi = z + O(z^2), and its inverse.
 
@@ -173,12 +193,8 @@ class FlowFamily(GermFamily):
         2 pi i (n-1) d_n = [w^n] sum_{m>=2} c_m d^m: no divisor is small.
         """
         if order not in self._cache:
-            s = self.restriction_radius
             M = len(self.chi) + 1
-            c = np.zeros(max(M, order) + 1, dtype=np.complex128)
-            c[1] = TWO_PI_I
-            for j, cj in enumerate(self.chi, start=2):
-                c[j] = cj * s ** (j - 1)  # conjugated field chi(sz)/s
+            c = series.trim(self._field(), max(M, order))
             psi = np.zeros(order + 1, dtype=np.complex128)
             psi[1] = 1.0
             # pow_tab[m, n] = [w^n] d^m, filled column by column; row 1 is d
@@ -211,38 +227,22 @@ class FlowFamily(GermFamily):
             raise OverflowGuard(f"flow germ is not finite at order {order}")
         return Germ(alpha, ft[2:])
 
+    def lipschitz_bound(self) -> float:
+        """d f / d alpha = chi~(f_alpha), chi~ the conjugated field.
 
-# ---------------------------------------------------------------------------
-# Lipschitz constant of a family
-# ---------------------------------------------------------------------------
-
-
-def lipschitz_estimate(fam: GermFamily, interval: Tuple[float, float],
-                       seed: int = 0) -> float:
-    """Empirical sup of |f_a(z) - f_a'(z)| / |a - a'| over :data:`LIPSCHITZ_PAIRS`
-    seeded pairs and :data:`LIPSCHITZ_CIRCLE` points of |z| = 0.999, between
-    germs of order :data:`LIPSCHITZ_ORDER`.
-
-    A lower estimate of the true constant; includes near-diagonal pairs so the
-    small-gap slope is represented.
-    """
-    if seed < 0:
-        raise DomainError("seed >= 0 required")
-    rng = np.random.default_rng(seed)
-    lo, hi = float(interval[0]), float(interval[1])
-    zs = 0.999 * np.exp(TWO_PI_I * np.arange(LIPSCHITZ_CIRCLE) / LIPSCHITZ_CIRCLE)
-    best = 0.0
-    for _ in range(LIPSCHITZ_PAIRS):
-        a = rng.uniform(lo, hi)
-        mode = rng.integers(0, 2)
-        b = rng.uniform(lo, hi) if mode == 0 else a + rng.uniform(1e-7, 1e-5)
-        if b == a:
-            continue
-        fa = fam.at(float(a), LIPSCHITZ_ORDER)
-        fb = fam.at(float(b), LIPSCHITZ_ORDER)
-        gap = np.max(np.abs(fa.eval_vec(zs) - fb.eval_vec(zs)))
-        best = max(best, float(gap) / abs(b - a))
-    return best
+        With f_alpha = psi^{-1}(u psi) and |u| = 1, the series
+        |chi~| o |psi^{-1}| o |psi| of coefficient moduli majorizes that
+        derivative at every alpha; its value at r is the bound.
+        :class:`OverflowGuard` when it is not finite.
+        """
+        psi, psi_inv = self._linearizer(LIPSCHITZ_ORDER)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outer = series.compose(np.abs(self._field()), np.abs(psi_inv), LIPSCHITZ_ORDER)
+            major = series.compose(outer, np.abs(psi), LIPSCHITZ_ORDER).real
+            K = float(np.polyval(major[::-1], LIPSCHITZ_RADIUS))
+        if not math.isfinite(K):
+            raise OverflowGuard(f"flow Lipschitz bound is not finite at order {LIPSCHITZ_ORDER}")
+        return K
 
 
 # ---------------------------------------------------------------------------

@@ -247,12 +247,11 @@ def _semantic_cmdline(cmdline: Sequence[str]) -> List[str]:
     return out
 
 
-def invocation_digest(cmdline: Sequence[str], cfg: ConstantConfig, seed: int) -> str:
+def invocation_digest(cmdline: Sequence[str], cfg: ConstantConfig) -> str:
     """Identity of an invocation; timestamps, worker counts and output hashes
     stay outside so reruns with the same manifest reproduce identical bytes."""
     payload = json.dumps({"cmdline": _semantic_cmdline(cmdline),
-                          "config": format_config(cfg),
-                          "seed": seed}, sort_keys=True)
+                          "config": format_config(cfg)}, sort_keys=True)
     return _sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -260,20 +259,18 @@ def invocation_digest(cmdline: Sequence[str], cfg: ConstantConfig, seed: int) ->
 class RunManifest:
     cmdline: List[str]
     config: Dict[str, float]
-    seed: int
     timestamp: str
     outputs: Dict[str, str]
     digest: str
 
     @classmethod
-    def build(cls, cmdline: Sequence[str], cfg: ConstantConfig, seed: int,
+    def build(cls, cmdline: Sequence[str], cfg: ConstantConfig,
               outputs: Dict[str, str]) -> "RunManifest":
-        cfg_map = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-        return cls(cmdline=list(cmdline), config=cfg_map, seed=seed,
+        return cls(cmdline=list(cmdline), config=dataclasses.asdict(cfg),
                    timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                    outputs=dict(outputs),
-                   digest=invocation_digest(cmdline, cfg, seed))
+                   digest=invocation_digest(cmdline, cfg))
 
     def to_json(self) -> str:
-        return json.dumps({"schema": "manifest/1", **dataclasses.asdict(self)},
+        return json.dumps({"schema": "manifest/2", **dataclasses.asdict(self)},
                           indent=1, sort_keys=True)

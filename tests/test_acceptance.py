@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from siegelkit import germs, scan
+from siegelkit import scan
 from siegelkit.bounds import (
     DEFAULT_CONFIG,
     const_C,
@@ -34,7 +34,6 @@ from siegelkit.germs import (
     QuadraticFamily,
     RotationFamily,
     lift_of_germ,
-    lipschitz_estimate,
 )
 from siegelkit.linearize import (
     EscapeParams,
@@ -363,11 +362,10 @@ def test_criterion_07_renormalization_rotation_number():
 # -- 8: main-lemma trend ------------------------------------------------------------
 
 
-def test_criterion_08_main_lemma_trend(monkeypatch):
-    monkeypatch.setattr(germs, "LIPSCHITZ_PAIRS", 32)
+def test_criterion_08_main_lemma_trend():
     t0 = time.time()
     quad = QuadraticFamily()
-    K = max(1.0, lipschitz_estimate(quad, (0.05, 0.95)))
+    K = max(1.0, quad.lipschitz_bound())
     p = ScanParams(order=16, lin_order=96,
                    escape=EscapeParams(max_iter=3000, circle_samples=24,
                                        bisect_tol=2e-3))
@@ -399,9 +397,7 @@ def test_criterion_09_degenerate_sharpness(monkeypatch):
     spread_ok = rep["spread"] < 0.05
     r_flow = max(r["r_lower"] for r in rep["rows"])
     delta = (1.0 - r_flow) / 2
-    monkeypatch.setattr(germs, "LIPSCHITZ_PAIRS", 16)
-    monkeypatch.setattr(germs, "LIPSCHITZ_CIRCLE", 16)
-    K = max(1.0, lipschitz_estimate(fam, (0.05, 0.95)))
+    K = max(1.0, fam.lipschitz_bound())
     ml = main_lemma_probe(fam, Fraction(1, 2), "short", 8, K, p=p)
     sharp_ok = ml["tail_min"] <= 1.0 - delta
     dt = time.time() - t0

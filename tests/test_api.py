@@ -236,4 +236,4 @@ def settable_values():
 def test_settable_value_count_is_pinned():
     # a change that adds or removes a setting updates this number (and the
     # count quoted in ROADMAP.md) on purpose
-    assert settable_values() == 191
+    assert settable_values() == 183

@@ -123,7 +123,7 @@ def test_cprime_closed_form_vs_golden_section():
 
 def test_cprime_paper_shape_bound():
     # C'(K,q) <= (log K + 4 log q + c2)/q holds for c2 = c1 + log 9 + 3.9
-    # (derived from the closed form; the configured c2 is a free knob)
+    # (derived from the closed form)
     c2_eff = DEFAULT_CONFIG.c1 + math.log(9.0) + 3.9
     for K in (1.0, 5.0, 50.0):
         for q in (1, 2, 3, 8, 64, 1024):
@@ -177,13 +177,13 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         ConstantConfig(c1=-1.0)
     with pytest.raises(DomainError):
-        ConstantConfig(D=1.0)
+        ConstantConfig(A=1.0)
     # NaN and inf fail every comparison-based check; they must still reject
     for bad in (math.nan, math.inf):
         for fn in (const_C, const_Cprime, const_Cdoubleprime):
             with pytest.raises(DomainError):
                 fn(bad, 3)
-        for key in ("c1", "c3", "B_slope", "D", "A"):
+        for key in ("c1", "c3", "C_sqrt2", "A", "C1_glue"):
             with pytest.raises(DomainError):
                 ConstantConfig(**{key: bad})
         with pytest.raises(DomainError):
@@ -197,16 +197,29 @@ def test_config_file_and_env(tmp_path):
     path = tmp_path / "constants.cfg"
     path.write_text("# calibration\nc1 = 2.5\nA = 3.0\n")
     cfg = load_config(str(path), env={})
-    assert cfg.c1 == 2.5 and cfg.A == 3.0 and cfg.c2 == 1.0
-    cfg2 = load_config(str(path), env={"SIEGEL_c2": "7.0"})
-    assert cfg2.c2 == 7.0 and cfg2.c1 == 2.5
+    assert cfg.c1 == 2.5 and cfg.A == 3.0 and cfg.c3 == 1.0
+    cfg2 = load_config(str(path), env={"SIEGEL_c3": "7.0"})
+    assert cfg2.c3 == 7.0 and cfg2.c1 == 2.5
+    # either spelling of a key; the exact one wins over the upper-case one
+    env = {"SIEGEL_C_SQRT2": "3.0", "SIEGEL_c1": "4.0", "SIEGEL_C1": "5.0"}
+    cfg3 = load_config(None, env=env)
+    assert cfg3.C_sqrt2 == 3.0 and cfg3.c1 == 4.0
 
 
-def test_config_rejects_unknown_keys():
+def test_config_rejects_unknown_keys(tmp_path):
+    # the keys that reached no computation are gone, and refused like any other
+    for key in ("nope", "c2", "C0", "D", "B_slope", "seed"):
+        with pytest.raises(DomainError):
+            config_from_mapping({key: "1"})
+    path = tmp_path / "constants.cfg"
+    path.write_text("seed = 0\n")
     with pytest.raises(DomainError):
-        config_from_mapping({"nope": "1"})
+        load_config(str(path), env={})
+    for name in ("SIEGEL_c2", "SIEGEL_B_SLOPE", "SIEGEL_seed"):
+        with pytest.raises(DomainError):
+            load_config(None, env={name: "1"})
 
 
 def test_format_config_echo():
     text = format_config(DEFAULT_CONFIG)
-    assert "c1=1.0" in text and "B_slope=2.0" in text
+    assert text == "c1=1.0 c3=1.0 C_sqrt2=1.0 A=2.0 C1_glue=1.0"

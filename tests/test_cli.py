@@ -155,6 +155,8 @@ def _no_return(signum, frame):
     (["const", "C", "--K", "nan", "--q", "3"], {}),
     (["const", "Cprime", "--K", "inf", "--q", "3"], {}),
     (["const", "C", "--K", "2", "--q", "3"], {"SIEGEL_c1": "nan"}),
+    (["const", "C", "--K", "2", "--q", "3"], {"SIEGEL_c1": "abc"}),
+    (["const", "C", "--K", "2", "--q", "3", "--config", "c1 = abc\n"], {}),
     (_ESCAPE + ["--bisect-tol", "0"], {}),
     (_ESCAPE + ["--bisect-tol", "-1"], {}),
     (_ESCAPE + ["--bisect-tol", "nan"], {}),
@@ -166,13 +168,17 @@ def _no_return(signum, frame):
     (["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "flow", "--chi", "nan"], {}),
     (["brjuno", "--alpha", "[0;(1)]", "--tol", "-1"], {}),
     (["brjuno", "--alpha", "[0;(1)]", "--tol", "nan"], {}),
-    (["probe", "main-lemma", "--pq", "1/2", "--N", "1", "--seed", "-1"], {}),
 ])
-def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch):
+def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch, tmp_path):
     # a NaN must not reach the report: json.dumps would print the non-JSON
-    # NaN; nor a tolerance at or below zero, which no bracket ever gets under
+    # NaN; nor a tolerance at or below zero, which no bracket ever gets under;
+    # nor a config value that is not a number
     for key, val in env.items():
         monkeypatch.setenv(key, val)
+    if "--config" in argv:  # the parameter holds the file's text
+        i = argv.index("--config") + 1
+        (tmp_path / "bad.cfg").write_text(argv[i])
+        argv = argv[:i] + [str(tmp_path / "bad.cfg")] + argv[i + 1:]
     previous = signal.signal(signal.SIGALRM, _no_return)
     signal.alarm(60)
     try:
@@ -285,6 +291,11 @@ def _refuse(*args, **kwargs):
     raise AssertionError("work done before the input check")
 
 
+def _refuse_lipschitz_bound(monkeypatch, refuse):
+    for family in (germs.RotationFamily, germs.QuadraticFamily, germs.FlowFamily):
+        monkeypatch.setattr(family, "lipschitz_bound", refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "--theta0", "[0;(1)]", "--stages", "0"],
     ["construct", "--theta0", "[0;(1)]", "--stages", "-2"],
@@ -297,9 +308,9 @@ def _refuse(*args, **kwargs):
     ["probe", "main-lemma", "--pq", "1/3", "--K", "0.5"],
 ])
 def test_bad_construct_and_cond_bdd_input_fails_before_any_work(argv, monkeypatch, capsys):
-    # neither a linearization nor the Lipschitz estimate runs first
+    # neither a linearization nor the Lipschitz bound runs first
     monkeypatch.setattr(scan, "linearizations", _refuse)
-    monkeypatch.setattr(germs, "lipschitz_estimate", _refuse)
+    _refuse_lipschitz_bound(monkeypatch, _refuse)
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("DomainError:")
@@ -307,11 +318,11 @@ def test_bad_construct_and_cond_bdd_input_fails_before_any_work(argv, monkeypatc
 
 # With c_2 = 3 the flow germs have numerical poles at rationals: 23 of the
 # 47 series of this grid stop before lin_order 48, so the lock-step batches
-# of a scan chunk mix full and truncated series.  The digest is that of the
-# CSV the per-germ recursion wrote.
+# of a scan chunk mix full and truncated series.  The data rows are those the
+# per-germ recursion wrote; the digest also covers the config and manifest lines.
 _FLOW_SCAN = ["scan", "--family", "flow", "--chi", "3", "--grid", "farey:Q=12",
               "--format", "csv"]
-_FLOW_SCAN_SHA256 = "4b0bebb90a62dcae79aa3c252dd4c1d012e47101235a07ba38b3730660d1d487"
+_FLOW_SCAN_SHA256 = "07a7e7b1399fe4f803a29eddb32e63f4d4dfb88748f9d75a0435f33164fe9071"
 
 
 def test_flow_scan_csv_is_worker_independent_and_pinned(capsys):
@@ -372,7 +383,7 @@ def test_scan_digest_names_the_argv_run(tmp_path, capsys):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         digest = json.loads(man.read_text())["digest"]
-        assert digest == skio.invocation_digest(argv, DEFAULT_CONFIG, 0)
+        assert digest == skio.invocation_digest(argv, DEFAULT_CONFIG)
         assert f"# manifest: {digest}\n" in out
         digests.append(digest)
     assert digests[0] != digests[1]
@@ -465,13 +476,23 @@ def test_probe_degenerate_cli(capsys):
 
 def test_probe_degenerate_needs_no_lipschitz_estimate(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("probe degenerate must not estimate K")
+        raise AssertionError("probe degenerate must not compute K")
 
-    monkeypatch.setattr(germs, "lipschitz_estimate", refuse)
+    _refuse_lipschitz_bound(monkeypatch, refuse)
     code, out, _ = run_cli(["probe", "degenerate", "--family", "flow", "--chi", "1",
                             "--t", "[0;(1)]"], capsys)
     assert code == 0
     assert "degenerate_flag" in json.loads(out)
+
+
+def test_flow_lipschitz_overflow_is_a_numeric_error(capsys, monkeypatch):
+    # max(1.0, nan) is 1.0: a bound that is not finite must not become K = 1,
+    # so the probe, whose germs would overflow too, is never reached
+    monkeypatch.setattr(scan, "main_lemma_probe", _refuse)
+    code, out, err = run_cli(["probe", "main-lemma", "--family", "flow", "--chi", "1e300"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("OverflowGuard:")
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -15,12 +15,11 @@ from siegelkit.germs import (
     RotationFamily,
     alpha_frac_float,
     lift_of_germ,
-    lipschitz_estimate,
     phase_fracs,
 )
 from siegelkit.surd import QuadraticIrrational
 
-from .oracles import mobius_germ
+from .oracles import finite_difference_sup, mobius_germ
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)  # frac of the golden mean
 TWO_PI = 2 * math.pi
@@ -128,38 +127,30 @@ def test_flow_at_symmetric_rational_is_rotation():
     assert np.max(np.abs(g.coeffs)) < 1e-12
 
 
-# -- Lipschitz estimates ------------------------------------------------------
+# -- Lipschitz bounds ---------------------------------------------------------
 
 
-def test_lipschitz_rotation_two_pi(monkeypatch):
-    monkeypatch.setattr(germs, "LIPSCHITZ_PAIRS", 48)
-    K = lipschitz_estimate(RotationFamily(), (0.1, 0.9))
-    assert 0.94 * TWO_PI <= K <= TWO_PI + 1e-6
+def test_lipschitz_rotation_two_pi():
+    assert RotationFamily().lipschitz_bound() == TWO_PI * 0.999
 
 
-def test_lipschitz_quadratic_same_as_rotation(monkeypatch):
-    monkeypatch.setattr(germs, "LIPSCHITZ_PAIRS", 48)
-    K = lipschitz_estimate(QuadraticFamily(), (0.1, 0.9))
-    assert 0.94 * TWO_PI <= K <= TWO_PI + 1e-6
+def test_lipschitz_quadratic_same_as_rotation():
+    for radius in (1.0, 0.25):
+        assert QuadraticFamily(radius).lipschitz_bound() == TWO_PI * 0.999
 
 
-def test_lipschitz_flow_matches_field_sup(monkeypatch):
-    fam = FlowFamily([1.0], restriction_radius=0.5)
-    zs = np.exp(2j * np.pi * np.arange(4096) / 4096)
-    sup_chi = float(np.max(np.abs(2j * np.pi * 0.5 * zs + (0.5 * zs) ** 2))) / 0.5
-    # the small-time slope at t = 0 is exactly sup of the conjugated field
-    t = 1e-6
-    g = fam.at(t, 96)
-    ring = 0.999 * zs[::64]
-    slope = float(np.max(np.abs(g.eval_vec(ring) - ring))) / t
-    assert abs(slope - sup_chi) < 0.03 * sup_chi
-    # the empirical family constant sits between the field sup and its value
-    # on the flow-reachable bulge (orbits wander slightly beyond the disk)
-    monkeypatch.setattr(germs, "LIPSCHITZ_ORDER", 96)
-    monkeypatch.setattr(germs, "LIPSCHITZ_PAIRS", 64)
-    monkeypatch.setattr(germs, "LIPSCHITZ_CIRCLE", 64)
-    K = lipschitz_estimate(fam, (0.1, 0.9))
-    assert 0.9 * sup_chi <= K <= 1.35 * sup_chi
+def test_lipschitz_flow_matches_field_sup():
+    # the central difference averages d f / d alpha over [a - h, a + h], so
+    # up to rounding it never exceeds the bound; its h^2 error shrinks fourfold from 2h to h,
+    # so the bound sits above the sup at h by less than the sup moved
+    for chi, radius in (([1.0], 0.5), ([1.0], 1.0), ([3.0], 1.0), ([0.0, 0.0, 1.0], 0.5)):
+        fam = FlowFamily(chi, radius)
+        K = fam.lipschitz_bound()
+        sup_h = finite_difference_sup(fam, 1e-4)
+        sup_2h = finite_difference_sup(fam, 2e-4)
+        assert sup_2h < sup_h <= K * (1 + 1e-12), chi
+        assert K - sup_h < sup_h - sup_2h, chi
+    assert abs(FlowFamily([3.0], 1.0).lipschitz_bound() / 1259.870845 - 1) < 1e-6
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
@@ -174,12 +165,14 @@ def test_flow_rejects_non_finite_field(chi):
         FlowFamily(chi)
 
 
-@pytest.mark.parametrize("c, order", [(1e300, 8), (100.0, 256)])
+@pytest.mark.parametrize("c, order", [(1e300, 8), (100.0, 256), (1e300, None), (1e10, None)])
 def test_flow_linearizer_overflow_is_tagged(c, order):
     # psi itself overflows at c = 1e300; at c = 100 psi and psi^{-1} are
-    # finite (psi^{-1} reaches 1e230) and the germ composed of them is not
+    # finite (psi^{-1} reaches 1e230) and the germ composed of them is not.
+    # Order None is the Lipschitz bound, whose psi overflows at both c.
+    fam = FlowFamily([c])
     with pytest.raises(OverflowGuard):
-        FlowFamily([c]).at(GOLDEN, order)
+        fam.lipschitz_bound() if order is None else fam.at(GOLDEN, order)
 
 
 def test_orders_below_one_are_rejected():
@@ -190,11 +183,6 @@ def test_orders_below_one_are_rejected():
     with pytest.raises(DomainError):
         lift_of_germ(QuadraticFamily().at(GOLDEN, 8), order=0)
     assert len(lift_of_germ(QuadraticFamily().at(GOLDEN, 8), order=1).h_coeffs) == 1
-
-
-def test_lipschitz_rejects_a_negative_seed():
-    with pytest.raises(DomainError):
-        lipschitz_estimate(RotationFamily(), (0, 1), seed=-1)
 
 
 # -- lifts --------------------------------------------------------------------

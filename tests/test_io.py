@@ -119,33 +119,33 @@ def test_lift_roundtrip():
 
 def test_invocation_digest_skips_worker_flag():
     d1 = skio.invocation_digest(["scan", "--grid", "farey:Q=8", "--workers", "1"],
-                                DEFAULT_CONFIG, 0)
+                                DEFAULT_CONFIG)
     d2 = skio.invocation_digest(["scan", "--grid", "farey:Q=8", "--workers", "8"],
-                                DEFAULT_CONFIG, 0)
-    d3 = skio.invocation_digest(["scan", "--grid", "farey:Q=9"], DEFAULT_CONFIG, 0)
+                                DEFAULT_CONFIG)
+    d3 = skio.invocation_digest(["scan", "--grid", "farey:Q=9"], DEFAULT_CONFIG)
     assert d1 == d2 != d3
 
 
 def test_manifest_build(tmp_path):
     out = tmp_path / "x.csv"
     out.write_text("hello\n")
-    man = skio.RunManifest.build(["scan"], DEFAULT_CONFIG, 7,
+    man = skio.RunManifest.build(["scan"], DEFAULT_CONFIG,
                                  {str(out): skio.file_sha256(str(out))})
     data = json.loads(man.to_json())
-    assert data["schema"] == "manifest/1"
-    assert data["seed"] == 7
-    assert data["digest"] == skio.invocation_digest(["scan"], DEFAULT_CONFIG, 7)
+    assert data["schema"] == "manifest/2"
+    assert "seed" not in data
+    assert data["config"] == {"c1": 1.0, "c3": 1.0, "C_sqrt2": 1.0, "A": 2.0, "C1_glue": 1.0}
+    assert data["digest"] == skio.invocation_digest(["scan"], DEFAULT_CONFIG)
     assert str(out) in data["outputs"]
 
 
 def test_invocation_digest_is_the_sha256_of_its_payload():
     argv = ["scan", "--grid", "farey:Q=8", "--format", "csv", "--workers", "2", "--out", "x.csv"]
     payload = json.dumps({"cmdline": ["scan", "--grid", "farey:Q=8", "--format", "csv"],
-                          "config": "c1=1.0 c2=1.0 c3=1.0 C0=1.0 D=2.0 C_sqrt2=1.0 A=2.0 "
-                                    "C1_glue=1.0 B_slope=2.0 seed=0",
-                          "seed": 3}, sort_keys=True)
-    digest = skio.invocation_digest(argv, DEFAULT_CONFIG, 3)
-    assert digest == hashlib.sha256(payload.encode()).hexdigest()[:16] == "fb85b0907058f97a"
+                          "config": "c1=1.0 c3=1.0 C_sqrt2=1.0 A=2.0 C1_glue=1.0"},
+                         sort_keys=True)
+    digest = skio.invocation_digest(argv, DEFAULT_CONFIG)
+    assert digest == hashlib.sha256(payload.encode()).hexdigest()[:16] == "d3d3e1b1c1ddca3b"
 
 
 @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 200_001])  # around the 64 KiB block
