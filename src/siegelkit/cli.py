@@ -105,17 +105,18 @@ class _Parser(argparse.ArgumentParser):
 def make_family(args) -> GermFamily:
     from .germs import FlowFamily, QuadraticFamily, RotationFamily
 
-    kind = args.family
-    # without --restriction each family keeps its own default radius
-    radius = {} if args.restriction is None else {"restriction_radius": args.restriction}
-    if kind == "rotation":
-        return RotationFamily()
-    if kind == "quadratic":
-        return QuadraticFamily(**radius)
-    if kind == "flow":
-        chi = [_parse(complex, t) for t in args.chi.split(",")] if args.chi else [1.0]
-        return FlowFamily(chi, **radius)
-    raise UsageError(f"unknown family {kind!r}; valid: rotation, quadratic, flow")
+    # --family name -> (preset, its --chi default or None where it has no
+    # field, its --restriction default)
+    presets = {"rotation": (RotationFamily, None, 1.0),
+               "quadratic": (QuadraticFamily, None, 1.0),
+               "flow": (FlowFamily, "1", 0.5)}
+    if args.family not in presets:
+        raise UsageError(f"unknown family {args.family!r}; valid: {', '.join(presets)}")
+    preset, chi, radius = presets[args.family]
+    if chi is None and args.chi is not None:
+        raise UsageError(f"--chi sets a flow's field; --family {args.family} has none")
+    field = () if chi is None else ([_parse(complex, t) for t in (args.chi or chi).split(",")],)
+    return preset(*field, _given(args.restriction, radius))
 
 
 def parse_grid(spec: str):

@@ -123,68 +123,35 @@ class Germ:
 
 
 class GermFamily:
-    """Family alpha -> germ; subclasses stay picklable."""
+    """alpha -> psi^{-1}(e^{2 pi i alpha} psi(z)) + sum_{m>=2} b_m z^m, conjugated
+    by z -> z/s onto the unit disk (s the restriction radius).
 
-    def at(self, alpha: AlphaHandle, order: int = DEFAULT_ORDER) -> Germ:
-        raise NotImplementedError
-
-    def lipschitz_bound(self) -> float:
-        """sup over every alpha and |z| = :data:`LIPSCHITZ_RADIUS` of
-        |d f_alpha / d alpha|, for the germs of order :data:`LIPSCHITZ_ORDER`.
-
-        By the mean-value inequality (and the maximum principle inside the
-        circle) a Lipschitz constant of alpha -> f_alpha on |z| <= r, uniform
-        in alpha, so it holds on any parameter interval.
-        """
-        raise NotImplementedError
-
-
-class RotationFamily(GermFamily):
-    def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
-        return Germ(alpha, np.zeros(0, dtype=np.complex128))
-
-    def lipschitz_bound(self) -> float:
-        """d f / d alpha = 2 pi i e^{2 pi i alpha} z, so exactly 2 pi r."""
-        return 2 * math.pi * LIPSCHITZ_RADIUS
-
-
-class QuadraticFamily(GermFamily):
-    """e^{2 pi i alpha} z + z^2 conjugated by z -> z/s onto the unit disk."""
-
-    def __init__(self, restriction_radius: float = 1.0):
-        if not 0 < restriction_radius <= 1:
-            raise DomainError("restriction_radius in (0, 1] required")
-        self.restriction_radius = float(restriction_radius)
-
-    def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
-        return Germ(alpha, np.array([self.restriction_radius], dtype=np.complex128))
-
-    lipschitz_bound = RotationFamily.lipschitz_bound  # alpha enters only through u
-
-
-class FlowFamily(GermFamily):
-    """Time-t maps of dz/dt = chi(z), chi = 2 pi i z + sum c_m z^m.
-
-    ``chi`` lists c_2, c_3, ...; the field is linearized once (no small
-    divisors arise for vector fields) and each germ is one composition.
-    The restriction radius conjugates by z -> z/s so the germ lives on the
-    unit disk even when the flow is incomplete near the boundary.
+    psi linearizes the field chi(z) = 2 pi i z + sum_{m>=2} c_m z^m, ``chi``
+    listing c_2, c_3, ..., so the first term is the field's time-alpha map:
+    the rotation when ``chi`` is empty.  ``b`` lists b_2, b_3, ... and does
+    not depend on alpha.  Conjugating by z -> z/s scales c_m and b_m by
+    s^{m-1}, so a germ lives on the unit disk even where the flow is
+    incomplete near the boundary.  The field is linearized once per order;
+    each germ is one composition.
     """
 
-    def __init__(self, chi: Sequence[complex], restriction_radius: float = 0.5):
+    def __init__(self, chi: Sequence[complex], b: Sequence[complex], restriction_radius: float):
         if not 0 < restriction_radius < math.inf:  # False on NaN
             raise DomainError("restriction_radius must be finite and positive")
         self.chi = tuple(complex(c) for c in chi)
-        if not all(cmath.isfinite(c) for c in self.chi):
-            raise DomainError("chi must be finite")
-        self.restriction_radius = float(restriction_radius)
+        self.b = tuple(complex(c) for c in b)
+        if not all(cmath.isfinite(c) for c in self.chi + self.b):
+            raise DomainError("chi and b must be finite")
+        s = self.restriction_radius = float(restriction_radius)
+        try:  # conjugating by z -> z/s scales the z^m coefficient by s^{m-1}
+            field, self._b = (np.array([c * s ** (m - 1) for m, c in enumerate(x, start=2)],
+                                       dtype=np.complex128) for x in (self.chi, self.b))
+        except OverflowError:  # a power of s left float range
+            field = self._b = np.array([math.inf])
+        if not (np.isfinite(field).all() and np.isfinite(self._b).all()):
+            raise OverflowGuard(f"the family conjugated to radius {s!r} is not finite")
+        self._field = np.concatenate(([0, TWO_PI_I], field))  # chi(sz)/s
         self._cache: dict = {}
-
-    def _field(self) -> np.ndarray:
-        """[0, 2 pi i, c_2 s, c_3 s^2, ...]: the conjugated field chi(sz)/s."""
-        s = self.restriction_radius
-        return np.array([0, TWO_PI_I] + [cj * s ** (j - 1) for j, cj in
-                                         enumerate(self.chi, start=2)], dtype=np.complex128)
 
     def _linearizer(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
         """psi with psi' * chi = 2 pi i psi, psi = z + O(z^2), and its inverse.
@@ -194,7 +161,7 @@ class FlowFamily(GermFamily):
         """
         if order not in self._cache:
             M = len(self.chi) + 1
-            c = series.trim(self._field(), max(M, order))
+            c = series.trim(self._field, max(M, order))
             psi = np.zeros(order + 1, dtype=np.complex128)
             psi[1] = 1.0
             # pow_tab[m, n] = [w^n] d^m, filled column by column; row 1 is d
@@ -215,34 +182,62 @@ class FlowFamily(GermFamily):
             self._cache[order] = (psi, pow_tab[1].copy())
         return self._cache[order]
 
-    def at(self, alpha, order: int = DEFAULT_ORDER) -> Germ:
-        """psi^{-1}(u psi(z)); :class:`OverflowGuard` when it is not finite."""
+    def at(self, alpha: AlphaHandle, order: int) -> Germ:
+        """The germ truncated at ``order``: the time-alpha map composed to that
+        order when there is a field, plus b_m s^{m-1} for m <= order.
+        :class:`OverflowGuard` when it is not finite."""
         if not order >= 1:
             raise DomainError("germ order >= 1 required")
+        b = self._b[:order - 1]
+        if not self.chi:
+            return Germ(alpha, b.copy())
         psi, psi_inv = self._linearizer(order)
         u = _multiplier_of(alpha)
         with np.errstate(over="ignore", invalid="ignore"):
-            ft = series.compose(psi_inv, u * psi, order)
-        if not np.isfinite(ft).all():
+            coeffs = series.compose(psi_inv, u * psi, order)[2:]
+            coeffs[:len(b)] += b
+        if not np.isfinite(coeffs).all():
             raise OverflowGuard(f"flow germ is not finite at order {order}")
-        return Germ(alpha, ft[2:])
+        return Germ(alpha, coeffs)
 
     def lipschitz_bound(self) -> float:
-        """d f / d alpha = chi~(f_alpha), chi~ the conjugated field.
+        """sup over every alpha and |z| = :data:`LIPSCHITZ_RADIUS` of
+        |d f_alpha / d alpha|, for the germs of order :data:`LIPSCHITZ_ORDER`.
 
-        With f_alpha = psi^{-1}(u psi) and |u| = 1, the series
-        |chi~| o |psi^{-1}| o |psi| of coefficient moduli majorizes that
-        derivative at every alpha; its value at r is the bound.
-        :class:`OverflowGuard` when it is not finite.
+        By the mean-value inequality (and the maximum principle inside the
+        circle) a Lipschitz constant of alpha -> f_alpha on |z| <= r, uniform
+        in alpha, so it holds on any parameter interval.  b does not depend
+        on alpha, so d f / d alpha = chi~(psi^{-1}(u psi)), chi~ the conjugated
+        field; with |u| = 1 the series |chi~| o |psi^{-1}| o |psi| of
+        coefficient moduli majorizes it at every alpha, and its value at r is
+        the bound: exactly 2 pi r for an empty field.  :class:`OverflowGuard`
+        when it is not finite.
         """
         psi, psi_inv = self._linearizer(LIPSCHITZ_ORDER)
         with np.errstate(over="ignore", invalid="ignore"):
-            outer = series.compose(np.abs(self._field()), np.abs(psi_inv), LIPSCHITZ_ORDER)
+            outer = series.compose(np.abs(self._field), np.abs(psi_inv), LIPSCHITZ_ORDER)
             major = series.compose(outer, np.abs(psi), LIPSCHITZ_ORDER).real
             K = float(np.polyval(major[::-1], LIPSCHITZ_RADIUS))
         if not math.isfinite(K):
             raise OverflowGuard(f"flow Lipschitz bound is not finite at order {LIPSCHITZ_ORDER}")
         return K
+
+
+def RotationFamily(restriction_radius: float = 1.0) -> GermFamily:
+    """z -> e^{2 pi i alpha} z; the same map at every restriction radius."""
+    return GermFamily((), (), restriction_radius)
+
+
+def QuadraticFamily(restriction_radius: float = 1.0) -> GermFamily:
+    """e^{2 pi i alpha} z + z^2 restricted to |z| < s, s in (0, 1]."""
+    if not 0 < restriction_radius <= 1:
+        raise DomainError("restriction_radius in (0, 1] required")
+    return GermFamily((), (1.0,), restriction_radius)
+
+
+def FlowFamily(chi: Sequence[complex], restriction_radius: float) -> GermFamily:
+    """Time-alpha maps of dz/dt = chi(z), chi = 2 pi i z + sum c_m z^m."""
+    return GermFamily(chi, (), restriction_radius)
 
 
 # ---------------------------------------------------------------------------

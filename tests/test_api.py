@@ -150,7 +150,8 @@ UNSET_SETTINGS = {
     "bounds.load_config.env": "tests pass an environment in place of os.environ",
     "cli.main.argv": "tests run the command line in-process",
     "linearize.EscapeParams.cap": "radius escape echoes it in its params",
-    "germs.QuadraticFamily.restriction_radius": "make_family passes it as **radius",
+    "germs.RotationFamily.restriction_radius": "make_family calls the presets from a table",
+    "germs.QuadraticFamily.restriction_radius": "make_family calls the presets from a table",
     "bounds.const_Cdoubleprime.cfg": "cmd_const calls it through its fn dispatch",
     "bounds.ConstantConfig": "config_from_mapping passes the fields as **kwargs",
     "io.RunManifest": "RunManifest.build constructs it through cls",

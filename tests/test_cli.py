@@ -118,6 +118,10 @@ def test_usage_error_exit_1(capsys):
     ["lin", "coeffs"],
     ["probe", "cond-bdd", "--K", "2"],
     ["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "flow", "--chi", "x"],
+    # only the flow has a field for --chi to set
+    ["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "rotation", "--chi", "1"],
+    ["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "quadratic", "--chi", "1"],
+    ["scan", "--grid", "1/3", "--chi", "1"],
 ])
 def test_malformed_input_is_a_usage_error(argv, capsys):
     code, _, err = run_cli(argv, capsys)
@@ -165,6 +169,10 @@ def _no_return(signum, frame):
     (["scan", "--grid", "1/3,2/5", "--bisect-tol", "0"], {}),
     (_FLOW + ["--restriction", "nan"], {}),
     (_FLOW + ["--restriction", "-1"], {}),
+    (_ESCAPE + ["--family", "rotation", "--restriction", "nan"], {}),
+    (_ESCAPE + ["--family", "rotation", "--restriction", "-1"], {}),
+    (_ESCAPE + ["--family", "quadratic", "--restriction", "2"], {}),
+    (_ESCAPE + ["--family", "quadratic", "--restriction", "nan"], {}),
     (["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "flow", "--chi", "nan"], {}),
     (["brjuno", "--alpha", "[0;(1)]", "--tol", "-1"], {}),
     (["brjuno", "--alpha", "[0;(1)]", "--tol", "nan"], {}),
@@ -292,8 +300,7 @@ def _refuse(*args, **kwargs):
 
 
 def _refuse_lipschitz_bound(monkeypatch, refuse):
-    for family in (germs.RotationFamily, germs.QuadraticFamily, germs.FlowFamily):
-        monkeypatch.setattr(family, "lipschitz_bound", refuse)
+    monkeypatch.setattr(germs.GermFamily, "lipschitz_bound", refuse)
 
 
 @pytest.mark.parametrize("argv", [
@@ -330,9 +337,21 @@ def test_flow_scan_csv_is_worker_independent_and_pinned(capsys):
     assert runs[0] == runs[1] and runs[0][0] == 0
     assert hashlib.sha256(runs[0][1].encode()).hexdigest() == _FLOW_SCAN_SHA256
     grid = farey_fractions(12)
-    phis = linearizations([FlowFamily([3.0]).at(a, 32) for a in grid], 48,
+    phis = linearizations([FlowFamily([3.0], 0.5).at(a, 32) for a in grid], 48,
                           allow_rational=True, on_failure="truncate")
     assert (len(grid), sum(phi.order < 48 for phi in phis)) == (47, 23)
+
+
+# The quadratic family's scan, pinned the same way: a change that moves one
+# quadratic germ changes these bytes at every worker count.
+_QUADRATIC_SCAN = ["scan", "--family", "quadratic", "--grid", "farey:Q=16", "--format", "csv"]
+_QUADRATIC_SCAN_SHA256 = "1e63ac0d2940724ec64117764c86d2a3c403b574a34e2c29978e63b0dc5db434"
+
+
+def test_quadratic_scan_csv_is_worker_independent_and_pinned(capsys):
+    runs = [run_cli(_QUADRATIC_SCAN + ["--workers", w], capsys) for w in ("1", "2")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert hashlib.sha256(runs[0][1].encode()).hexdigest() == _QUADRATIC_SCAN_SHA256
 
 
 def test_construct_linearizes_each_parameter_once(monkeypatch, capsys):

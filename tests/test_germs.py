@@ -11,6 +11,7 @@ from siegelkit.errors import DomainError, FactorizationError, OverflowGuard
 from siegelkit.germs import (
     FlowFamily,
     Germ,
+    GermFamily,
     QuadraticFamily,
     RotationFamily,
     alpha_frac_float,
@@ -31,18 +32,51 @@ def horner(g, z):
 
 
 def test_rotation_family_trivial():
-    g = RotationFamily().at(GOLDEN)
-    assert np.all(g.coeffs == 0)
+    g = RotationFamily().at(GOLDEN, 256)
+    assert len(g.coeffs) == 0
     z = 0.3 + 0.2j
     assert horner(g, z) == g.multiplier() * z
 
 
 def test_quadratic_coefficients():
-    g = QuadraticFamily().at(Fraction(1, 7))
+    g = QuadraticFamily().at(Fraction(1, 7), 256)
     assert list(g.coeffs) == [1.0]
-    assert abs(horner(QuadraticFamily().at(Fraction(0)), 0.5) - 0.75) < 1e-15
-    g2 = QuadraticFamily(restriction_radius=0.25).at(Fraction(1, 7))
+    assert abs(horner(QuadraticFamily().at(Fraction(0), 256), 0.5) - 0.75) < 1e-15
+    g2 = QuadraticFamily(restriction_radius=0.25).at(Fraction(1, 7), 256)
     assert list(g2.coeffs) == [0.25]
+
+
+@pytest.mark.parametrize("radius", [0.25, 1.0])
+@pytest.mark.parametrize("order", [2, 8, 256])
+def test_one_class_with_b_2_is_the_quadratic_germ(radius, order):
+    # bit for bit: the same order-2 germ, whatever the truncation order
+    for alpha in (Fraction(1, 7), GOLDEN, 0.37):
+        g = GermFamily((), (1.0,), radius).at(alpha, order)
+        want = Germ(alpha, [radius])
+        assert g.order == want.order == 2
+        assert g.coeffs.tobytes() == want.coeffs.tobytes()
+        assert g.coeffs.tobytes() == QuadraticFamily(radius).at(alpha, order).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_flow_plus_eps_z2_adds_to_the_flow_germ_alone(eps):
+    fam = GermFamily([1.0], (eps,), 0.5)
+    flow = FlowFamily([1.0], 0.5)
+    for alpha, order in ((GOLDEN, 24), (Fraction(2, 7), 64), (0.37, 1)):
+        g, f = fam.at(alpha, order), flow.at(alpha, order)
+        want = f.coeffs.copy()
+        want[:1] += eps * 0.5
+        assert g.coeffs.tobytes() == want.tobytes()
+    # b does not depend on alpha, so it leaves d f / d alpha alone
+    assert fam.lipschitz_bound() == flow.lipschitz_bound()
+
+
+def test_quadratic_germ_at_order_one_is_the_rotation_germ():
+    # b_2 z^2 lies past order 1, so truncation drops it
+    for radius in (0.25, 1.0):
+        g = QuadraticFamily(radius).at(GOLDEN, 1)
+        assert g.order == 1 and len(g.coeffs) == 0
+        assert g.full_coeffs().tobytes() == RotationFamily().at(GOLDEN, 1).full_coeffs().tobytes()
 
 
 def test_eval_random_polynomial_against_power_sum():
@@ -57,7 +91,7 @@ def test_eval_random_polynomial_against_power_sum():
 
 def test_multiplier_exact_for_exact_handles():
     for alpha in (Fraction(2, 7), GOLDEN, Fraction(-1, 3)):
-        g = QuadraticFamily().at(alpha)
+        g = QuadraticFamily().at(alpha, 256)
         from siegelkit.surd import to_float, floor_exact
         frac = to_float(alpha - floor_exact(alpha))
         assert abs(g.multiplier() - cmath.exp(2j * math.pi * frac)) < 1e-15
@@ -65,7 +99,7 @@ def test_multiplier_exact_for_exact_handles():
 
 def test_family_continuity_in_alpha():
     zs = 0.9 * np.exp(2j * np.pi * np.arange(32) / 32)
-    for fam in (RotationFamily(), QuadraticFamily(), FlowFamily([1.0])):
+    for fam in (RotationFamily(), QuadraticFamily(), FlowFamily([1.0], 0.5)):
         base = fam.at(0.37, 64)
         gaps = []
         for eps in (1e-2, 1e-4, 1e-6):
@@ -78,9 +112,11 @@ def test_family_continuity_in_alpha():
 # -- flow maps ---------------------------------------------------------------
 
 
-def test_flow_linear_field_is_rotation():
-    g = FlowFamily([], 1.0).at(0.77, 12)
-    assert np.max(np.abs(g.coeffs)) == 0.0
+def test_empty_field_germ_is_the_rotation_preset_germ():
+    for radius in (0.5, 1.0):
+        g = FlowFamily([], radius).at(0.77, 12)
+        assert len(g.coeffs) == 0
+        assert g.full_coeffs().tobytes() == RotationFamily().at(0.77, 12).full_coeffs().tobytes()
     assert abs(g.multiplier() - cmath.exp(2j * math.pi * 0.77)) < 1e-15
 
 
@@ -159,10 +195,33 @@ def test_flow_rejects_bad_restriction_radius(radius):
         FlowFamily([1.0], restriction_radius=radius)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_every_family_rejects_bad_restriction_radius(radius):
+    # one check: the rotation, whose map ignores s, refuses it too
+    for make in (RotationFamily, lambda s: GermFamily((), (1.0,), s),
+                 lambda s: GermFamily([1.0], (1e-2,), s)):
+        with pytest.raises(DomainError):
+            make(radius)
+
+
+@pytest.mark.parametrize("chi, b, radius", [([1.0, 1.0], (), 1e300), ((), (1.0, 1.0), 1e300),
+                                            ([1e300], (), 1e10), ((), (1e300,), 1e10)])
+def test_a_conjugated_coefficient_past_float_range_is_a_numeric_error(chi, b, radius):
+    # s^2 overflows (a tagged error, not Python's OverflowError), or c s does
+    with pytest.raises(OverflowGuard):
+        GermFamily(chi, b, radius)
+
+
 @pytest.mark.parametrize("chi", [[math.nan], [1.0, complex(0, math.inf)]])
 def test_flow_rejects_non_finite_field(chi):
     with pytest.raises(DomainError):
-        FlowFamily(chi)
+        FlowFamily(chi, 0.5)
+
+
+@pytest.mark.parametrize("chi, b", [((), [math.nan]), ([1.0], [0.0, complex(0, math.inf)])])
+def test_family_rejects_non_finite_b(chi, b):
+    with pytest.raises(DomainError):
+        GermFamily(chi, b, 0.5)
 
 
 @pytest.mark.parametrize("c, order", [(1e300, 8), (100.0, 256), (1e300, None), (1e10, None)])
@@ -170,16 +229,19 @@ def test_flow_linearizer_overflow_is_tagged(c, order):
     # psi itself overflows at c = 1e300; at c = 100 psi and psi^{-1} are
     # finite (psi^{-1} reaches 1e230) and the germ composed of them is not.
     # Order None is the Lipschitz bound, whose psi overflows at both c.
-    fam = FlowFamily([c])
+    fam = FlowFamily([c], 0.5)
     with pytest.raises(OverflowGuard):
         fam.lipschitz_bound() if order is None else fam.at(GOLDEN, order)
 
 
 def test_orders_below_one_are_rejected():
     # an order-0 lift has an empty h, which h_of_lift would read as an exact
-    # translation ("every height is admissible")
-    with pytest.raises(DomainError):
-        FlowFamily([1.0]).at(GOLDEN, 0)
+    # translation ("every height is admissible"); an order-0 germ is refused
+    # by every family
+    for fam in (RotationFamily(), QuadraticFamily(), FlowFamily([1.0], 0.5),
+                GermFamily([1.0], (1e-2,), 0.5)):
+        with pytest.raises(DomainError):
+            fam.at(GOLDEN, 0)
     with pytest.raises(DomainError):
         lift_of_germ(QuadraticFamily().at(GOLDEN, 8), order=0)
     assert len(lift_of_germ(QuadraticFamily().at(GOLDEN, 8), order=1).h_coeffs) == 1
@@ -189,7 +251,7 @@ def test_orders_below_one_are_rejected():
 
 
 def test_lift_of_rotation_is_translation():
-    L = lift_of_germ(RotationFamily().at(GOLDEN), order=32)
+    L = lift_of_germ(RotationFamily().at(GOLDEN, 32), order=32)
     assert np.max(np.abs(L.h_coeffs)) == 0.0
     Z = 0.3 + 0.7j
     assert abs(L(Z) - (Z + L.alpha)) < 1e-15
@@ -224,7 +286,7 @@ def test_lift_lipschitz_transfer():
     rng = np.random.default_rng(8)
     for eps in (1e-2, 1e-3):
         alpha_n = alpha + eps
-        F = lift_of_germ(RotationFamily().at(alpha_n), order=64)
+        F = lift_of_germ(RotationFamily().at(alpha_n, 64), order=64)
         # compare to the target translation T_alpha
         for _ in range(20):
             Z = complex(rng.uniform(0, 1), rng.uniform(0.05, 2.0))

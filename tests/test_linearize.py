@@ -152,7 +152,7 @@ def test_small_divisor_exact_predicate():
     -0.6180339887498949,
 ], ids=["2/7", "golden", "seq-1/3", "seq-5/8", "seq-7/13", "float"])
 def test_divisor_matches_per_index_reference(alpha):
-    rho = RotationFamily().at(alpha).multiplier()
+    rho = RotationFamily().at(alpha, 8).multiplier()
     phases = phase_fracs(alpha, 300)
     for n in range(2, 301):
         assert _divisor(phases[n - 1], rho) == small_divisor(alpha, n)

@@ -11,7 +11,7 @@ from siegelkit.cf import (cf_of_rational, farey_fractions, format_exact, parse_c
                           special_sequence_main)
 from siegelkit import linearize, scan
 from siegelkit.errors import DomainError, FamilyUnsuitable, StageFailed, TargetAboveRadius
-from siegelkit.germs import FlowFamily, QuadraticFamily, RotationFamily
+from siegelkit.germs import FlowFamily, GermFamily, QuadraticFamily, RotationFamily
 from siegelkit.linearize import EscapeParams, linearization_coeffs
 from siegelkit.scan import (
     ConstructionState,
@@ -178,8 +178,11 @@ def test_scan_without_fork_runs_every_chunk_in_the_caller(monkeypatch):
 
 
 def test_scan_never_aborts_on_row_failure():
-    class ExplodingFamily(RotationFamily):
-        def at(self, alpha, order=64):
+    class ExplodingFamily(GermFamily):
+        def __init__(self):
+            super().__init__((), (), 1.0)  # the rotation
+
+        def at(self, alpha, order):
             if alpha == Fraction(1, 2):
                 raise TargetAboveRadius("boom")
             if alpha == Fraction(3, 4):
@@ -251,11 +254,15 @@ def test_cond_bdd_quadratic_finds_cut(monkeypatch):
     assert rep["band_endpoints"][0] <= rep["band_endpoints"][1]
 
 
-class _RationalsAtOneHalf(QuadraticFamily):
-    """Every rational parameter gets the germ at 1/2 (a pole at n = 3), so no
-    rational grid point reaches rho and the cut search ends at alpha."""
+class _RationalsAtOneHalf(GermFamily):
+    """The quadratic family, but every rational parameter gets the germ at 1/2
+    (a pole at n = 3), so no rational grid point reaches rho and the cut
+    search ends at alpha."""
 
-    def at(self, alpha, order=64):
+    def __init__(self):
+        super().__init__((), (1.0,), 1.0)
+
+    def at(self, alpha, order):
         return super().at(Fraction(1, 2) if isinstance(alpha, Fraction) else alpha, order)
 
 
