@@ -56,17 +56,10 @@ LONG_FORM = "long"
 DEFAULT_TAIL: QuadraticIrrational = QuadraticIrrational(1, 1, 1, 2)
 
 
-
-
 class Convergent(NamedTuple):
     index: int
     p: int
     q: int
-
-    def value(self) -> Fraction:
-        if self.q == 0:
-            raise ZeroDivisionError("index -1 convergent 1/0")
-        return Fraction(self.p, self.q)
 
 
 @dataclass

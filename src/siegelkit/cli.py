@@ -425,8 +425,9 @@ def cmd_scan(args, cfg):
     fam = make_family(args)
     grid = parse_grid(args.grid)
     estimators = tuple(args.estimators.split(","))
-    if not set(estimators) <= set(ESTIMATORS):
-        raise UsageError(f"--estimators takes a comma list of {', '.join(ESTIMATORS)}")
+    if not set(estimators) <= set(ESTIMATORS) or len(set(estimators)) < len(estimators):
+        raise UsageError(f"--estimators takes a comma list of distinct names from "
+                         f"{', '.join(ESTIMATORS)}")
     params = ScanParams(order=args.order, lin_order=args.lin_order,
                         window=args.window,
                         escape=EscapeParams(max_iter=args.max_iter,

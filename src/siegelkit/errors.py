@@ -26,7 +26,7 @@ class OverflowGuard(SiegelError):
 
 
 class FactorizationError(SiegelError):
-    """Germ factor g with |g - 1| reaching 1 on the sample circle."""
+    """Germ factor g whose |g - 1| majorant reaches 1 on the check circle."""
 
 
 class NoAdmissibleHeight(SiegelError):

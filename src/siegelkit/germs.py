@@ -29,7 +29,6 @@ __all__ = [
     "QuadraticFamily",
     "FlowFamily",
     "LiftMap",
-    "DEFAULT_ORDER",
     "alpha_frac_float",
     "phase_fracs",
     "lift_of_germ",
@@ -37,14 +36,12 @@ __all__ = [
 
 AlphaHandle = Union[int, Fraction, QuadraticIrrational, float]
 
-DEFAULT_ORDER = 256
-
 TWO_PI_I = 2j * math.pi
 
 _PHASE_BITS = 128  # bracket width of the batched surd phases, in bits
 LIPSCHITZ_ORDER = 64     # germ order lipschitz_bound holds for
 LIPSCHITZ_RADIUS = 0.999  # circle |z| = r lipschitz_bound holds on
-CHECK_HEIGHT = 0.2    # lift_of_germ checks |g - 1| < 1 on |w| = e^{-2 pi CHECK_HEIGHT}
+CHECK_HEIGHT = 0.2    # lift_of_germ bounds |g - 1| < 1 on |w| <= e^{-2 pi CHECK_HEIGHT}
 
 
 def alpha_frac_float(alpha: AlphaHandle) -> float:
@@ -112,9 +109,6 @@ class Germ:
         out[1] = self.multiplier()
         out[2:] = self.coeffs
         return out
-
-    def eval_vec(self, z: np.ndarray) -> np.ndarray:
-        return series.polyval_vec(self.full_coeffs(), z)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +211,7 @@ class GermFamily:
         with np.errstate(over="ignore", invalid="ignore"):
             outer = series.compose(np.abs(self._field), np.abs(psi_inv), LIPSCHITZ_ORDER)
             major = series.compose(outer, np.abs(psi), LIPSCHITZ_ORDER).real
-            K = float(np.polyval(major[::-1], LIPSCHITZ_RADIUS))
+            K = series.circle_majorants(major, LIPSCHITZ_RADIUS, 0)[0]
         if not math.isfinite(K):
             raise OverflowGuard(f"flow Lipschitz bound is not finite at order {LIPSCHITZ_ORDER}")
         return K
@@ -275,11 +269,12 @@ class LiftMap:
         return Z + self.alpha + series.polyval_vec(self._row, w)
 
 
-def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER) -> LiftMap:
+def lift_of_germ(g: Germ, order: int) -> LiftMap:
     """Lift through E(z) = e^{2 pi i z}, normalizing the log branch by 1/(2 pi i).
 
-    Requires f(z) = e^{2 pi i alpha} z g(z) with |g - 1| < 1 at 128 samples of
-    the circle |w| = e^{-2 pi CHECK_HEIGHT}, so the principal log is defined.
+    Requires f(z) = e^{2 pi i alpha} z g(z) with the majorant sum_m |u_m| r^m
+    of g - 1 below 1 at r = e^{-2 pi CHECK_HEIGHT}, so |g - 1| < 1 on the
+    closed disk |w| <= r and the principal log is defined there.
     """
     if not order >= 1:
         raise DomainError("lift order >= 1 required")
@@ -289,9 +284,9 @@ def lift_of_germ(g: Germ, order: int = DEFAULT_ORDER) -> LiftMap:
     for m in range(2, m_top + 1):
         u[m - 1] = g.coeffs[m - 2] / rho
     r_check = math.exp(-2 * math.pi * CHECK_HEIGHT)
-    gm1 = series.circle_sup_norms(u, r_check, 0, 128)[0]
+    gm1 = series.circle_majorants(u, r_check, 0)[0]
     if not gm1 < 1.0:
-        raise FactorizationError(f"|g - 1| reaches {gm1:.3f} on |w| = {r_check:.3f}")
+        raise FactorizationError(f"|g - 1| has majorant {gm1:.3f} on |w| = {r_check:.3f}")
     h = series.log1p_series(u, order) / TWO_PI_I
     return LiftMap(alpha=to_float(g.alpha), h_coeffs=h[1:],
                    alpha_exact=g.alpha if not isinstance(g.alpha, float) else None)

@@ -8,8 +8,8 @@ any arrangement and the merged output stays bit-identical.
 
 The construction driver substitutes numerical radius estimates for the exact
 conformal radius, so each stage emits machine-checkable certificates (interval
-nesting and lengths in exact rational arithmetic, measured derivative gaps
-against their 2^-(n+j) ladder) instead of asserting the limit theorem.
+nesting and lengths in exact rational arithmetic, majorants of the derivative
+gaps against their 2^-(n+j) ladder) instead of asserting the limit theorem.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .linearize import (
     hadamard_radius,
     linearizations,
 )
-from .series import circle_sup_norms
+from .series import circle_majorants
 from .surd import ExactReal, bracket, exact_cmp, floor_exact, to_float
 
 __all__ = [
@@ -88,6 +88,8 @@ class ScanParams:
     def __post_init__(self):
         if not (self.order >= 1 and self.lin_order >= 1 and self.window >= 16):
             raise DomainError("need order >= 1, lin_order >= 1 and window >= 16")
+        if "hadamard" in self.estimators and self.window > self.lin_order:
+            raise DomainError("the hadamard window needs window <= lin_order")
 
 
 DEFAULT_SCAN = ScanParams()
@@ -404,7 +406,9 @@ def main_lemma_probe(fam: GermFamily, pq: Fraction, variant: str, N: int,
 def degenerate_probe(fam: GermFamily, t_samples: Sequence[ExactReal]) -> dict:
     """Relative spread of r_est (at :data:`DEFAULT_SCAN`) over irrational
     parameters; a spread below 0.05 flags degenerate-type behaviour (the
-    linearization domain ignores t)."""
+    linearization domain ignores t).  At least two distinct t are needed."""
+    if len(set(t_samples)) < 2:
+        raise DomainError("degenerate probe needs at least two distinct t")
     rows = [{"t": format_exact(t), "t_float": to_float(t),
              "r_lower": est.lower, "r_upper": est.upper}
             for t, est in zip(t_samples, estimate_radii(fam, t_samples, DEFAULT_SCAN))]
@@ -428,7 +432,7 @@ class ConstructionState:
     rho_sched: float                 # scheduled target rho_n (strictly decreasing)
     rho_target: float                # the global target rho
     interval: Tuple[Fraction, Fraction]
-    deriv_gaps: List[float]          # sup |phi_n^(j) - phi_{n-1}^(j)| on rho*closed disk
+    deriv_gaps: List[float]          # majorant of |phi_n^(j) - phi_{n-1}^(j)| on |z| <= rho
     thresholds: List[float]
     k_chosen: int
     diagnostics: str = ""
@@ -561,11 +565,11 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
 
 def _deriv_gaps(phi_new: LinearizationSeries, phi_old: LinearizationSeries,
                 rho: float, stage: int) -> List[float]:
-    """sup-norms of the j-th derivative differences on |z| = rho, j = 0..stage,
-    sampled at 128 points of the circle."""
+    """Majorants sum_n |[z^n] (phi_new - phi_old)^(j)| rho^n, j = 0..stage, of
+    the j-th derivative differences of the truncated series on |z| <= rho."""
     n = min(phi_new.order, phi_old.order)
     diff = phi_new.a[: n + 1] - phi_old.a[: n + 1]
-    return circle_sup_norms(diff, rho, stage, 128)
+    return circle_majorants(diff, rho, stage)
 
 
 def check_construction_invariants(states: Sequence[ConstructionState],

@@ -20,7 +20,7 @@ __all__ = [
     "log1p_series",
     "polyval_scalar",
     "polyval_vec",
-    "circle_sup_norms",
+    "circle_majorants",
 ]
 
 
@@ -127,12 +127,12 @@ def polyval_vec(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def circle_sup_norms(coeffs: np.ndarray, rho: float, order: int, samples: int) -> list:
-    """sup_{|z| = rho} |p^{(j)}(z)| for j = 0..order of the polynomial with
-    ``coeffs``, by sampling the circle at ``samples`` points."""
-    ring = rho * np.exp(2j * np.pi * np.arange(samples) / samples)
+def circle_majorants(coeffs: np.ndarray, r: float, order: int) -> list:
+    """sum_n |[z^n] p^{(j)}| r^n for j = 0..order, p the polynomial with
+    ``coeffs``: by the triangle inequality an upper bound of |p^{(j)}| on
+    |z| <= r, reached where every term has the same phase."""
     out = []
     for _ in range(order + 1):
-        out.append(float(np.max(np.abs(polyval_vec(coeffs, ring)))))
+        out.append(float(np.polyval(np.abs(coeffs)[::-1], r)))
         coeffs = derivative(coeffs)
     return out

@@ -448,9 +448,10 @@ def test_criterion_11_construction_driver():
                   for st in states)
     lengths = all((st.interval[1] - st.interval[0]) <= Fraction(1, 2 ** st.stage)
                   for st in states)
+    ks = [st.k_chosen for st in states]
     dt = time.time() - t0
-    verdict(11, len(states) == 3 and ladders and lengths and dt < 900,
-            f"3 stages, k = {[st.k_chosen for st in states]}, ladder and exact "
+    verdict(11, len(states) == 3 and ks == [2, 5, 7] and ladders and lengths and dt < 900,
+            f"3 stages, k = {ks}, ladder and exact "
             f"interval certificates all pass, {dt:.1f}s (< 900s)")
 
 

@@ -122,6 +122,8 @@ def test_usage_error_exit_1(capsys):
     ["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "rotation", "--chi", "1"],
     ["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "quadratic", "--chi", "1"],
     ["scan", "--grid", "1/3", "--chi", "1"],
+    # a repeated estimator would print each of its rows twice
+    ["scan", "--grid", "1/3", "--estimators", "hadamard,hadamard"],
 ])
 def test_malformed_input_is_a_usage_error(argv, capsys):
     code, _, err = run_cli(argv, capsys)
@@ -313,6 +315,12 @@ def _refuse_lipschitz_bound(monkeypatch, refuse):
     ["probe", "cond-bdd", "--alpha", "1/3", "--K", "nan"],
     ["probe", "main-lemma", "--pq", "1/3", "--K", "nan"],
     ["probe", "main-lemma", "--pq", "1/3", "--K", "0.5"],
+    # a window past lin_order (48) would make every hadamard row an error row
+    ["scan", "--grid", "[0;(1)],[0;(2)]", "--estimators", "escape,hadamard",
+     "--window", "64"],
+    # one distinct t has no spread, so any family would read as degenerate
+    ["probe", "degenerate", "--t", "[0;(1)]"],
+    ["probe", "degenerate", "--t", "[0;(1)],[0;(1)]"],
 ])
 def test_bad_construct_and_cond_bdd_input_fails_before_any_work(argv, monkeypatch, capsys):
     # neither a linearization nor the Lipschitz bound runs first
@@ -468,7 +476,7 @@ def test_renorm_setup_refuses_trace_before_any_work(tmp_path, monkeypatch, capsy
     ["scan", "--grid", "1/3", "--max-iter", "20"],
     ["construct", "--theta0", "[0;(1)]", "--stages", "1"],
     ["probe", "main-lemma", "--pq", "1/2", "--N", "2", "--K", "2"],
-    ["probe", "degenerate", "--family", "rotation", "--t", "[0;(1)]"],
+    ["probe", "degenerate", "--family", "rotation", "--t", "[0;(1)],[0;(2)]"],
     ["probe", "cond-bdd", "--family", "rotation", "--alpha", "[0;(1)]", "--K", "2"],
 ])
 def test_every_json_report_echoes_config(argv, capsys):
@@ -499,7 +507,7 @@ def test_probe_degenerate_needs_no_lipschitz_estimate(capsys, monkeypatch):
 
     _refuse_lipschitz_bound(monkeypatch, refuse)
     code, out, _ = run_cli(["probe", "degenerate", "--family", "flow", "--chi", "1",
-                            "--t", "[0;(1)]"], capsys)
+                            "--t", "[0;(1)],[0;(2)]"], capsys)
     assert code == 0
     assert "degenerate_flag" in json.loads(out)
 

@@ -104,7 +104,9 @@ def test_family_continuity_in_alpha():
         gaps = []
         for eps in (1e-2, 1e-4, 1e-6):
             near = fam.at(0.37 + eps, 64)
-            gaps.append(float(np.max(np.abs(base.eval_vec(zs) - near.eval_vec(zs)))))
+            diff = (series.polyval_vec(base.full_coeffs(), zs)
+                    - series.polyval_vec(near.full_coeffs(), zs))
+            gaps.append(float(np.max(np.abs(diff))))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-4
 
@@ -301,6 +303,15 @@ def test_lift_factorization_error(monkeypatch):
     # NaN fails every comparison, so a plain ">= 1" test would let it through
     with pytest.raises(FactorizationError):
         lift_of_germ(Germ(alpha=0.3, coeffs=np.array([math.nan])), order=32)
+
+
+def test_lift_refuses_a_germ_a_sampled_circle_passes():
+    # u = g - 1 = 2.7 (w + w^2 - w^3): on |w| = e^{-0.4 pi} its 128-point sup
+    # is 0.929, but its majorant 2.7 (r + r^2 + r^3) is 1.049
+    rho = Germ(alpha=0.3, coeffs=np.zeros(0)).multiplier()
+    g = Germ(alpha=0.3, coeffs=rho * 2.7 * np.array([1.0, 1.0, -1.0]))
+    with pytest.raises(FactorizationError, match="majorant 1.049"):
+        lift_of_germ(g, order=32)
 
 
 # ---------------------------------------------------------------------------

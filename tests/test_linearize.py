@@ -39,7 +39,7 @@ from siegelkit.linearize import (
     linearizations,
     pole_cancellation_probe,
 )
-from siegelkit.series import circle_sup_norms, polyval_vec
+from siegelkit.series import circle_majorants, polyval_vec
 from siegelkit.surd import QuadraticIrrational
 
 from .oracles import (
@@ -602,22 +602,18 @@ def test_escape_radii_needs_one_chart_per_germ():
 
 def test_boundary_norms_rotation():
     lin = linearization_coeffs(RotationFamily().at(GOLDEN, 8), 64)
-    norms = circle_sup_norms(lin.a, 0.5, 3, 256)
-    assert abs(norms[0] - 0.5) < 1e-12
-    assert abs(norms[1] - 1.0) < 1e-12
-    assert norms[2] == 0.0 and norms[3] == 0.0
+    assert circle_majorants(lin.a, 0.5, 3) == [0.5, 1.0, 0.0, 0.0]
 
 
 def test_boundary_norms_match_dense_sampling():
     g = QUAD.at(GOLDEN, 8)
     lin = linearization_coeffs(g, 256)
     rho = 0.15
-    norms = circle_sup_norms(lin.a, rho, 0, 256)
+    major = circle_majorants(lin.a, rho, 0)[0]
     zs = rho * np.exp(2j * np.pi * np.arange(4096) / 4096)
-    coeffs = lin.a
-    from siegelkit.series import polyval_vec
-    dense = float(np.max(np.abs(polyval_vec(coeffs, zs))))
-    assert abs(norms[0] - dense) / dense < 0.01
+    dense = float(np.max(np.abs(polyval_vec(lin.a, zs))))
+    # a bound, not an estimate, yet tight on this chart
+    assert dense <= major < 1.01 * dense
 
 
 def test_boundary_norms_nearby_alpha_difference_decreases():

@@ -71,6 +71,8 @@ def _sequential_bracket(fam, alpha, p):
     lambda: ScanParams(window=15),
     lambda: scan_r(RotationFamily(), [GOLDEN], CHEAP, workers=0),
     lambda: main_lemma_probe(RotationFamily(), Fraction(1, 2), "short", 0, 6.3, p=CHEAP),
+    lambda: ScanParams(lin_order=48, window=64, estimators=("escape", "hadamard")),
+    lambda: degenerate_probe(RotationFamily(), []),
 ])
 def test_sizes_below_their_least_value_are_rejected(call):
     with pytest.raises(DomainError):

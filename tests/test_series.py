@@ -98,3 +98,11 @@ def test_polyval_vec_row_per_point_matches_each_row_alone(n):
     got = series.polyval_vec(rows, z)
     for i in range(5):
         assert got[i].tobytes() == series.polyval_vec(rows[i, 0], z[i]).tobytes()
+
+
+def test_circle_majorants_bound_what_sampling_misses():
+    # 1 + z - z^2 at r = 1/2: |1| + |1|/2 + |-1|/4 exactly, while the dense
+    # circle sup is only 1.3975 (a sample max is a lower bound)
+    assert series.circle_majorants(np.array([1, 1, -1], dtype=complex), 0.5, 0) == [1.75]
+    zs = 0.5 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    assert abs(np.max(np.abs(series.polyval_vec(np.array([1, 1, -1.0]), zs))) - 1.3975) < 1e-4
