@@ -251,8 +251,6 @@ def eval_cf(cf: CFExpansion, n: int, x: Union[ExactReal, float]) -> Union[ExactR
     """
     pn, qn = cf.convergent(n).p, cf.convergent(n).q
     pn1, qn1 = cf.convergent(n - 1).p, cf.convergent(n - 1).q
-    if isinstance(x, float):
-        return (pn * x + pn1) / (qn * x + qn1)
     num = pn * x + pn1
     den = qn * x + qn1
     if isinstance(num, int):

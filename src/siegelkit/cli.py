@@ -260,9 +260,8 @@ def _emit(args, output, cfg: ConstantConfig):
     for path in args.side_files:
         outputs[path] = skio.file_sha256(path)
     if args.manifest:
-        man = skio.RunManifest.build(args.argv, cfg, outputs)
         with _user_file(args.manifest), open(args.manifest, "w", encoding="utf-8") as fh:
-            fh.write(man.to_json() + "\n")
+            fh.write(skio.manifest_json(args.argv, cfg, outputs) + "\n")
 
 
 def _write_side_file(args, path: str, lines) -> None:
@@ -291,7 +290,7 @@ def cmd_cf(args, cfg):
         cf = _parse(parse_cf, args.cf)
         return {"cf": format_cf(cf), **_exact_and_float(cf.value())}
     if args.op == "convergents":
-        cf = _parse(parse_cf, args.cf if args.cf else args.alpha)
+        cf = _parse(parse_cf, args.cf) if args.cf else _alpha_cf(args)
         return {"convergents": [{"index": c.index, "p": int_text(c.p), "q": int_text(c.q)}
                                 for c in convergents(cf, args.n)]}
     if args.op == "special-seq":

@@ -49,7 +49,7 @@ __all__ = [
     "load_construction_states",
     "lift_json",
     "load_lift",
-    "RunManifest",
+    "manifest_json",
     "invocation_digest",
     "file_sha256",
 ]
@@ -255,22 +255,12 @@ def invocation_digest(cmdline: Sequence[str], cfg: ConstantConfig) -> str:
     return _sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclasses.dataclass
-class RunManifest:
-    cmdline: List[str]
-    config: Dict[str, float]
-    timestamp: str
-    outputs: Dict[str, str]
-    digest: str
-
-    @classmethod
-    def build(cls, cmdline: Sequence[str], cfg: ConstantConfig,
-              outputs: Dict[str, str]) -> "RunManifest":
-        return cls(cmdline=list(cmdline), config=dataclasses.asdict(cfg),
-                   timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                   outputs=dict(outputs),
-                   digest=invocation_digest(cmdline, cfg))
-
-    def to_json(self) -> str:
-        return json.dumps({"schema": "manifest/2", **dataclasses.asdict(self)},
-                          indent=1, sort_keys=True)
+def manifest_json(cmdline: Sequence[str], cfg: ConstantConfig,
+                  outputs: Dict[str, str]) -> str:
+    """The run manifest (``manifest/2``): the command line, the configuration,
+    a UTC timestamp, the SHA-256 of each output file and the invocation digest."""
+    return json.dumps({"schema": "manifest/2", "cmdline": list(cmdline),
+                       "config": dataclasses.asdict(cfg),
+                       "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                       "outputs": dict(outputs), "digest": invocation_digest(cmdline, cfg)},
+                      indent=1, sort_keys=True)

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     SmallDivisorBlowup,
 )
 from .germs import TWO_PI_I, Germ, GermFamily, phase_fracs
-from .surd import ExactReal
 
 __all__ = [
     "LinearizationSeries",
@@ -55,10 +54,10 @@ TABLE_BYTES = 1 << 20     # budget for the power tables of one lock-step block
 class LinearizationSeries:
     """Series array ``a`` = [0, 1, a_2, ..., a_N] plus divisor diagnostics."""
 
-    alpha: Union[ExactReal, float]
     a: np.ndarray
     small_divisor_log: np.ndarray     # log |rho^n - rho| per index (-inf at poles)
     numerators: np.ndarray            # |P_{b,n}| per index, for pole probes
+    stop: Optional[SiegelError]       # what ended a partial series; None when full
 
     @property
     def order(self) -> int:
@@ -107,11 +106,12 @@ def linearizations(germs: Sequence[Germ], N: int, allow_rational: bool = False,
 
     Every germ before the first refused rational runs to its own stop.
     ``on_failure="truncate"`` returns the partial series up to (not including)
-    the first pole or overflow index; the escape estimator feeds on such
-    partial series at non-linearizable parameters, where the conjugacy
-    residual then enforces the order-(q+1) mismatch.  In raise mode the first
-    germ in input order that fails raises, as if the germs ran one after
-    another; a refused rational raises :class:`DomainError` after that.
+    the first pole or overflow index, with that failure as its ``stop``; the
+    escape estimator feeds on such partial series at non-linearizable
+    parameters, where the conjugacy residual then enforces the order-(q+1)
+    mismatch.  In raise mode the first ``stop`` in input order raises, as if
+    the germs ran one after another; a refused rational raises
+    :class:`DomainError` after that.
 
     Germs with the same ``min(order, N)`` run in lock-step, one pass over n
     for all of them (:func:`_recursion`), in blocks whose power tables fit in
@@ -122,32 +122,29 @@ def linearizations(germs: Sequence[Germ], N: int, allow_rational: bool = False,
         raise DomainError("on_failure must be 'raise' or 'truncate'")
     if not N >= 1:
         raise DomainError("linearization order N >= 1 required")
-    stop = next((i for i, g in enumerate(germs)
-                 if isinstance(g.alpha, (int, Fraction)) and not allow_rational), len(germs))
+    refused = next((i for i, g in enumerate(germs)
+                    if isinstance(g.alpha, (int, Fraction)) and not allow_rational), len(germs))
     by_order: Dict[int, List[int]] = {}
-    for i in range(stop):
+    for i in range(refused):
         by_order.setdefault(min(germs[i].order, N), []).append(i)
-    out: List[Optional[LinearizationSeries]] = [None] * stop
-    errors: List[Optional[SiegelError]] = [None] * stop
+    out: List[Optional[LinearizationSeries]] = [None] * refused
     for mm, idx in by_order.items():
         size = max(1, TABLE_BYTES // (16 * (mm + 1) * (N + 1)))  # complex128 tables
         for s in range(0, len(idx), size):
             block = idx[s:s + size]
-            done, failed = _recursion([germs[i] for i in block], N, mm)
-            for i, phi, err in zip(block, done, failed):
-                out[i], errors[i] = phi, err
-    failures = [e for e in errors if e is not None] if on_failure == "raise" else []
-    if stop < len(germs):
+            for i, phi in zip(block, _recursion([germs[i] for i in block], N, mm)):
+                out[i] = phi
+    failures = [phi.stop for phi in out if phi.stop is not None] if on_failure == "raise" else []
+    if refused < len(germs):
         failures.append(DomainError("rational alpha: pass allow_rational=True to accept poles"))
     if failures:
         raise failures[0]
     return out
 
 
-def _recursion(germs: Sequence[Germ], N: int, mm: int
-               ) -> Tuple[List[LinearizationSeries], List[Optional[SiegelError]]]:
+def _recursion(germs: Sequence[Germ], N: int, mm: int) -> List[LinearizationSeries]:
     """The recursion in lock-step over germs with ``min(order, N) == mm``:
-    their series, and each germ's failure or None.
+    their series, each partial one with the failure that stopped it.
 
     The power table is ``(K, mm+1, N+1)`` and each index n costs two einsums
     for the whole batch; every germ keeps its own scalar tail (divisor, exact
@@ -166,14 +163,13 @@ def _recursion(germs: Sequence[Germ], N: int, mm: int
     logs = [[math.nan, math.nan] for _ in germs]    # log |rho^n - rho| by index
     nums = [[0.0, 0.0] for _ in germs]              # |P_n| by index
     out: List[Optional[LinearizationSeries]] = [None] * K
-    errors: List[Optional[SiegelError]] = [None] * K
     live = list(range(K))     # row r of the table belongs to germ live[r]
 
-    def finish(r: int, n: int) -> None:
+    def finish(r: int, n: int, stop: Optional[SiegelError]) -> None:
         k = live[r]
-        out[k] = LinearizationSeries(alpha=germs[k].alpha, a=pow_tab[r, 1, :n].copy(),
+        out[k] = LinearizationSeries(a=pow_tab[r, 1, :n].copy(),
                                      small_divisor_log=np.array(logs[k][:n]),
-                                     numerators=np.array(nums[k][:n]))
+                                     numerators=np.array(nums[k][:n]), stop=stop)
 
     for n in range(2, N + 1):
         if mm >= 2:
@@ -191,31 +187,32 @@ def _recursion(germs: Sequence[Germ], N: int, mm: int
             nums[k].append(abs(Pn))
             phase = phases[k][n - 1]
             div = _divisor(phase, rho[k])
+            stop = None
             # a rational's residue (n-1) p mod q is zero exactly when q | (n-1)
             if (rational[k] and phase == 0.0) or abs(div) < DIVISOR_FLOOR:
                 logs[k].append(-math.inf)
                 col.append(0j)
                 if abs(Pn) > NUMERATOR_FLOOR:
-                    errors[k] = SmallDivisorBlowup(
+                    stop = SmallDivisorBlowup(
                         f"pole at n={n}: divisor 0, |P|={abs(Pn):.3e}")
             else:
                 logs[k].append(math.log(abs(div)))
                 col.append(Pn / div)
                 if _abs(col[-1]) > MAG_CAP:
-                    errors[k] = OverflowGuard(f"|a_{n}| = {_abs(col[-1]):.3e} exceeds cap")
-            if errors[k] is None:
+                    stop = OverflowGuard(f"|a_{n}| = {_abs(col[-1]):.3e} exceeds cap")
+            if stop is None:
                 keep.append(r)
             else:
-                finish(r, n)
+                finish(r, n, stop)
         pow_tab[:, 1, n] = col
         if len(keep) < len(live):
             if not keep:
-                return out, errors
+                return out
             live = [live[r] for r in keep]
             pow_tab, b = pow_tab[keep], b[keep]
     for r in range(len(live)):
-        finish(r, N + 1)
-    return out, errors
+        finish(r, N + 1, None)
+    return out
 
 
 def linearization_coeffs(g: Germ, N: int, **options) -> LinearizationSeries:

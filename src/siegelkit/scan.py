@@ -35,7 +35,6 @@ from .errors import (
     DomainError,
     FamilyUnsuitable,
     SiegelError,
-    SmallDivisorBlowup,
     StageFailed,
     TargetAboveRadius,
 )
@@ -154,8 +153,8 @@ def _scan_chunk(fam: GermFamily, alphas: Sequence[ExactReal], p: ScanParams) -> 
                     iters = p.escape.max_iter
                 elif method == "hadamard":
                     phi = phis[k]
-                    if phi.order != p.lin_order:
-                        raise SmallDivisorBlowup("no full linearization series here")
+                    if phi.stop is not None:
+                        raise phi.stop
                     est = hadamard_radius(phi, p.window)
                     iters = p.lin_order
                 else:
@@ -515,8 +514,8 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
         raise FamilyUnsuitable(
             f"r_est(theta0) = {est0.lower} sits at the domain cap; "
             "radius tracking needs a non-degenerate family")
-    if phi0.order != p.lin_order:
-        raise StageFailed("no full linearization series at theta0")
+    if phi0.stop is not None:
+        raise StageFailed(f"no full linearization series at theta0: {phi0.stop!r}")
     states: List[ConstructionState] = []
     theta_prev, phi_prev = theta0, phi0
     interval_prev: Optional[Tuple[Fraction, Fraction]] = None
@@ -535,8 +534,8 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
                 continue
             germ_c = fam.at(cand, p.order)
             phi_c, = _linearize([germ_c], p)
-            if phi_c.order != p.lin_order:
-                diag_parts.append(f"k={k}: no full series")
+            if phi_c.stop is not None:
+                diag_parts.append(f"k={k}: no full series: {phi_c.stop!r}")
                 continue
             gaps = _deriv_gaps(phi_c, phi_prev, rho_target, stage)
             if not all(g <= t for g, t in zip(gaps, thresholds)):

@@ -21,7 +21,6 @@ from .errors import DomainError, RefinementCap
 __all__ = [
     "QuadraticIrrational",
     "ExactReal",
-    "sqrt_exact",
     "exact_sign",
     "exact_cmp",
     "floor_exact",
@@ -42,7 +41,7 @@ def _squarefree_split(d: int) -> Tuple[int, int]:
     mean factoring; radicands from periodic-tail discriminants can be huge).
     A remaining perfect-square cofactor is still extracted, so values built
     from the same field unify; residual square factors above the bound are
-    tolerated and handled by the pairwise unification in comparisons.
+    tolerated and handled by the pairwise unification in arithmetic.
     """
     if d <= 0:
         raise ValueError("d must be positive")
@@ -165,9 +164,6 @@ class QuadraticIrrational:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadraticIrrational":
-        return QuadraticIrrational._over(self.a, -self.b, self.c, self.d)
-
     def __truediv__(self, other):
         co = self._coerce(other)
         if co is None:
@@ -222,20 +218,17 @@ class QuadraticIrrational:
         return hash((Fraction(self.a, self.c),
                      Fraction(self.b * abs(self.b) * self.d, self.c * self.c)))
 
-    def _cmp(self, other) -> int:
-        return exact_cmp(self, other)
-
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return exact_cmp(self, other) < 0
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return exact_cmp(self, other) <= 0
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return exact_cmp(self, other) > 0
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return exact_cmp(self, other) >= 0
 
     # -- floor / float ------------------------------------------------------
 
@@ -249,9 +242,9 @@ class QuadraticIrrational:
             f = -r if r * r == t else -r - 1
         n = (a + f) // c
         # correct the candidate exactly (off by at most one step each way)
-        while self._cmp(n + 1) >= 0:
+        while exact_cmp(self, n + 1) >= 0:
             n += 1
-        while self._cmp(n) < 0:
+        while exact_cmp(self, n) < 0:
             n -= 1
         return n
 
@@ -301,14 +294,6 @@ def int_text(n: int) -> str:
         raise DomainError(f"an exact integer is too long to print: {exc}") from None
 
 
-def sqrt_exact(d: int) -> ExactReal:
-    """sqrt(d) as an exact value (int when d is a perfect square)."""
-    r = math.isqrt(d)
-    if r * r == d:
-        return r
-    return QuadraticIrrational(0, 1, 1, d)
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -324,31 +309,17 @@ def exact_sign(x: ExactReal) -> int:
     return (v > 0) - (v < 0)
 
 
-def _sub_sign(x: QuadraticIrrational, a: int, b: int, c: int) -> int:
-    """sign of x - (a + b sqrt(x.d))/c."""
-    diff = QuadraticIrrational._over(x.a * c - a * x.c, x.b * c - b * x.c,
-                                     x.c * c, x.d)
-    if isinstance(diff, Fraction):
-        v = diff.numerator
-        return (v > 0) - (v < 0)
-    return diff._sign()
-
-
 def exact_cmp(x: ExactReal, y: ExactReal) -> int:
-    """Exact three-way comparison, including across different fields.
+    """Exact three-way comparison: the sign of the exact difference x - y.
 
-    Radicands of one field (their product a perfect square) are unified
-    first; genuinely distinct fields are compared by interval refinement,
-    which terminates because such values cannot coincide (a safety cap
-    guards the loop and raises :class:`RefinementCap`).
+    Two surds of different fields (the product of their radicands not a
+    perfect square) have no exact difference; they are compared by interval
+    refinement, which terminates because such values cannot coincide (a
+    safety cap guards the loop and raises :class:`RefinementCap`).  A float
+    operand raises ``TypeError``.
     """
-    if _both_rational(x, y):
-        return exact_sign(_as_fraction(x) - _as_fraction(y))
     if isinstance(x, QuadraticIrrational) and isinstance(y, QuadraticIrrational) \
-            and x.d != y.d:
-        co = _unify_radicand(y, x.d)
-        if co is not None:
-            return _sub_sign(x, *co)
+            and _unify_radicand(y, x.d) is None:
         bits = 64
         while bits <= 1 << 20:
             xlo, xhi = x.bracket(bits)
@@ -359,19 +330,7 @@ def exact_cmp(x: ExactReal, y: ExactReal) -> int:
                 return 1
             bits *= 2
         raise RefinementCap(f"cannot separate {x!r} and {y!r} within {bits // 2} bits")
-    if isinstance(x, QuadraticIrrational):
-        co = x._coerce(y)
-    else:
-        co = y._coerce(x)
-        if co is not None:
-            return -_sub_sign(y, *co)
-    if co is None:
-        raise TypeError(f"exact comparison needs exact operands, got {x!r}, {y!r}")
-    return _sub_sign(x, *co)
-
-
-def _both_rational(x, y) -> bool:
-    return not isinstance(x, QuadraticIrrational) and not isinstance(y, QuadraticIrrational)
+    return exact_sign(x - y)
 
 
 def floor_exact(x: ExactReal) -> int:

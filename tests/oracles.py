@@ -228,11 +228,10 @@ def sequential_linearization_coeffs(g, N, allow_rational=False, mag_cap=MAG_CAP,
         if failure is not None:
             if on_failure == "raise":
                 raise failure
-            return LinearizationSeries(alpha=g.alpha, a=a[:n], small_divisor_log=sdlog[:n],
-                                       numerators=numer[:n])
+            return LinearizationSeries(a=a[:n], small_divisor_log=sdlog[:n],
+                                       numerators=numer[:n], stop=failure)
         pow_tab[1, n] = a[n]
-    return LinearizationSeries(alpha=g.alpha, a=a, small_divisor_log=sdlog,
-                               numerators=numer)
+    return LinearizationSeries(a=a, small_divisor_log=sdlog, numerators=numer, stop=None)
 
 
 def sequential_h_of_lift(F, params):

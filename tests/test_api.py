@@ -33,10 +33,10 @@ def test_package_root_has_no_imports():
 
 # Exports the program itself never calls, kept for readers outside it: the
 # artifact loaders and the certificate checker verify a run's files after the
-# fact, and sqrt_exact is the public constructor of an exact square root.
+# fact.
 UNCALLED_EXPORTS = {
     "io.load_scan_csv", "io.load_renorm_report", "io.load_construction_states",
-    "io.load_lift", "scan.check_construction_invariants", "surd.sqrt_exact",
+    "io.load_lift", "scan.check_construction_invariants",
 }
 
 
@@ -154,7 +154,6 @@ UNSET_SETTINGS = {
     "germs.QuadraticFamily.restriction_radius": "make_family calls the presets from a table",
     "bounds.const_Cdoubleprime.cfg": "cmd_const calls it through its fn dispatch",
     "bounds.ConstantConfig": "config_from_mapping passes the fields as **kwargs",
-    "io.RunManifest": "RunManifest.build constructs it through cls",
 }
 
 
@@ -237,4 +236,4 @@ def settable_values():
 def test_settable_value_count_is_pinned():
     # a change that adds or removes a setting updates this number (and the
     # count quoted in ROADMAP.md) on purpose
-    assert settable_values() == 182
+    assert settable_values() == 177

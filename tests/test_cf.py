@@ -23,9 +23,9 @@ from siegelkit.cf import (
     theta_sequence,
 )
 from siegelkit.errors import DepthExceeded, DomainError, RationalInput
-from siegelkit.surd import QuadraticIrrational, exact_cmp, sqrt_exact
+from siegelkit.surd import QuadraticIrrational, exact_cmp
 
-S2 = sqrt_exact(2)
+S2 = QuadraticIrrational(0, 1, 1, 2)
 GOLDEN = QuadraticIrrational(1, 1, 2, 5)          # (1+sqrt5)/2 = [1;(1)]
 GOLDEN_FRAC = GOLDEN - 1                           # [0;(1)]
 

@@ -50,6 +50,11 @@ def test_cf_eval_and_convergents(capsys):
     code, out, _ = run_cli(["cf", "convergents", "--cf", "[1;(1)]", "--n", "4"], capsys)
     rows = json.loads(out)["convergents"]
     assert [r["p"] for r in rows] == ["1", "2", "3", "5", "8"]
+    # --alpha is a value, as for expand: its own expansion
+    code, out, _ = run_cli(["cf", "convergents", "--alpha", "355/113", "--n", "2"], capsys)
+    rows = json.loads(out)["convergents"]
+    assert (code, [(r["p"], r["q"]) for r in rows]) == (0, [("3", "1"), ("22", "7"),
+                                                            ("355", "113")])
 
 
 def test_const_passthrough(capsys):
@@ -348,6 +353,16 @@ def test_flow_scan_csv_is_worker_independent_and_pinned(capsys):
     phis = linearizations([FlowFamily([3.0], 0.5).at(a, 32) for a in grid], 48,
                           allow_rational=True, on_failure="truncate")
     assert (len(grid), sum(phi.order < 48 for phi in phis)) == (47, 23)
+
+
+def test_hadamard_error_row_names_what_stopped_the_series(capsys):
+    # at the golden mean the series overflows (|a_95| = 3.5e250); 1/3 has a pole
+    code, out, _ = run_cli(["scan", "--family", "flow", "--chi", "1000", "--restriction", "1",
+                            "--grid", "[0;(1)],1/3", "--estimators", "escape,hadamard",
+                            "--lin-order", "128", "--window", "64", "--format", "csv"], capsys)
+    methods = [line.split(",")[4] for line in out.splitlines()[4:]]
+    assert (code, methods) == (0, ["escape", "hadamard:error:OverflowGuard",
+                                   "escape", "hadamard:error:SmallDivisorBlowup"])
 
 
 # The quadratic family's scan, pinned the same way: a change that moves one

@@ -129,9 +129,8 @@ def test_invocation_digest_skips_worker_flag():
 def test_manifest_build(tmp_path):
     out = tmp_path / "x.csv"
     out.write_text("hello\n")
-    man = skio.RunManifest.build(["scan"], DEFAULT_CONFIG,
-                                 {str(out): skio.file_sha256(str(out))})
-    data = json.loads(man.to_json())
+    data = json.loads(skio.manifest_json(["scan"], DEFAULT_CONFIG,
+                                         {str(out): skio.file_sha256(str(out))}))
     assert data["schema"] == "manifest/2"
     assert "seed" not in data
     assert data["config"] == {"c1": 1.0, "c3": 1.0, "C_sqrt2": 1.0, "A": 2.0, "C1_glue": 1.0}

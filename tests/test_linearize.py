@@ -230,7 +230,8 @@ _LIN_CAPS = (linearize.MAG_CAP, 1e3)
 
 
 def _same_series(x, y):
-    return (x.alpha == y.alpha and x.order == y.order
+    return (x.order == y.order
+            and (type(x.stop), str(x.stop)) == (type(y.stop), str(y.stop))
             and x.a.tobytes() == y.a.tobytes()
             and x.small_divisor_log.tobytes() == y.small_divisor_log.tobytes()
             and x.numerators.tobytes() == y.numerators.tobytes())
@@ -429,8 +430,8 @@ def _nan_in_chart():
 
 
 def _nan_in_germ():
-    chart = LinearizationSeries(GOLDEN, np.array([0, 1], dtype=complex), np.zeros(2),
-                                np.zeros(2))
+    chart = LinearizationSeries(np.array([0, 1], dtype=complex), np.zeros(2), np.zeros(2),
+                                None)
     return Germ(GOLDEN, np.array([math.nan + 0j])), chart
 
 
@@ -497,8 +498,8 @@ def test_escape_radii_chain_follows_sequential_path(monkeypatch):
     p = EscapeParams(max_iter=1, circle_samples=8, bisect_tol=1e-2)
     alphas = [Fraction(1, k) for k in range(3, 3 + len(_ESCAPE_TABLES))]
     germs = [Germ(a, np.zeros(int(k == 4), dtype=complex)) for k, a in enumerate(alphas)]
-    phis = [LinearizationSeries(a, np.array([0, c], dtype=complex), np.zeros(2), np.zeros(2))
-            for a, (c, _) in zip(alphas, _ESCAPE_TABLES)]
+    phis = [LinearizationSeries(np.array([0, c], dtype=complex), np.zeros(2), np.zeros(2), None)
+            for c, _ in _ESCAPE_TABLES]
     which = {g.multiplier(): k for k, g in enumerate(germs)}
     ring = np.exp(TWO_PI_I * np.arange(p.circle_samples) / p.circle_samples)
     calls = []

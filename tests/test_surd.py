@@ -16,12 +16,11 @@ from siegelkit.surd import (
     exact_sign,
     floor_exact,
     frac_exact,
-    sqrt_exact,
     to_float,
 )
 
-S2 = sqrt_exact(2)
-S5 = sqrt_exact(5)
+S2 = QuadraticIrrational(0, 1, 1, 2)
+S5 = QuadraticIrrational(0, 1, 1, 5)
 
 
 def test_canonical_form():
@@ -61,6 +60,47 @@ def test_cross_field_comparison():
     assert exact_cmp(golden, 1 + S2) < 0
     assert exact_cmp(S2, Fraction(141421356, 100000000)) > 0
     assert exact_cmp(S2, S2) == 0
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), S2])
+def test_exact_cmp_refuses_a_float(x):
+    for args in ((x, 0.5), (0.5, x)):
+        with pytest.raises(TypeError):
+            exact_cmp(*args)
+
+
+_HIDDEN = 2 * 10007 ** 2   # sqrt(2)'s field; the square factor is above the split's bound
+
+
+def _values(d):
+    """Rationals (d None) or surds over the radicand d, small coefficients."""
+    if d is None:
+        return st.fractions(-60, 60, max_denominator=60)
+    return st.builds(QuadraticIrrational, st.integers(-60, 60),
+                     st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 9), st.just(d))
+
+
+def _rewritten(x, j):
+    """x (over 2) and x over the radicand _HIDDEN plus j / 10**30."""
+    return x, QuadraticIrrational(x.a * 10007, x.b, x.c * 10007, _HIDDEN) + Fraction(j, 10 ** 30)
+
+
+# radicands of a pair (None: rational): rational x surd both ways, one
+# radicand, one field under two radicands, two fields
+_KINDS = [(None, None), (None, 2), (2, None), (5, 5), (2, _HIDDEN), (_HIDDEN, 2), (2, 3)]
+_PAIRS = (st.sampled_from(_KINDS).flatmap(lambda ds: st.tuples(_values(ds[0]), _values(ds[1])))
+          | st.builds(_rewritten, _values(2), st.integers(-1, 1)))   # equal or 1e-30 apart
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIRS)
+def test_exact_cmp_is_the_order_of_separated_brackets(pair):
+    # distinct values drawn here lie much further apart than a 256-bit
+    # bracket is wide, so the brackets overlap exactly when the values are equal
+    x, y = pair
+    (xlo, xhi), (ylo, yhi) = bracket(x, 256), bracket(y, 256)
+    expected = -1 if xhi < ylo else 1 if yhi < xlo else 0
+    assert exact_cmp(x, y) == -exact_cmp(y, x) == expected
 
 
 def test_hidden_square_factors_unify():
@@ -160,7 +200,8 @@ def test_stored_radicand_is_split_fixed_point(x, a, b, c, q):
     # arithmetic builds its results over the operand's radicand without
     # splitting it again; that is exact only if the split leaves it as it is
     y = QuadraticIrrational(a, b, c, x.d)
-    results = [x, y, -x, x.conjugate(), x + y, x - y, x * y, x / y, q / x, x + q, x * q]
+    conjugate = QuadraticIrrational(x.a, -x.b, x.c, x.d)
+    results = [x, y, -x, conjugate, x + y, x - y, x * y, x / y, q / x, x + q, x * q]
     for r in results:
         if isinstance(r, QuadraticIrrational):
             assert r.d == x.d
