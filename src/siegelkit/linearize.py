@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -287,6 +288,15 @@ def hadamard_radius(phi: LinearizationSeries, window: int = 128) -> RadiusEstima
                                       "can converge beyond the germ's own disk")
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer of at least ``least``: one that
+    ``operator.index`` takes (numpy integers too) and not a bool."""
+    try:
+        return not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class EscapeParams:
     max_iter: int = 10_000
@@ -299,8 +309,8 @@ class EscapeParams:
         for name in ("bisect_tol", "residual_tol"):
             if not 0.0 < getattr(self, name) < math.inf:  # False on NaN
                 raise DomainError(f"{name} must be finite and positive")
-        if not (self.circle_samples >= 1 and self.max_iter >= 0):
-            raise DomainError("need circle_samples >= 1 and max_iter >= 0")
+        if not (_is_count(self.circle_samples, 1) and _is_count(self.max_iter, 0)):
+            raise DomainError("need integers circle_samples >= 1 and max_iter >= 0")
         if not 0.0 < self.cap < 1.0:
             raise DomainError("cap in (0, 1) required")
 

@@ -17,6 +17,7 @@ estimate only.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,7 +35,7 @@ from .errors import (
     UndefinedReturn,
 )
 from .germs import LiftMap
-from .linearize import _bisect, _orbits_stay
+from .linearize import _bisect, _is_count, _orbits_stay
 from .surd import ExactReal, exact_sign, to_float
 
 __all__ = [
@@ -65,8 +66,8 @@ class HParams:
     max_iter: int = 10_000
 
     def __post_init__(self):
-        if not 0 < self.max_iter < math.inf:  # False on NaN
-            raise DomainError("max_iter must be finite and positive")
+        if not _is_count(self.max_iter, 1):
+            raise DomainError("max_iter must be a positive integer")
 
 
 def _heights_admissible(F: LiftMap, hs: Sequence[float], p: HParams) -> List[bool]:
@@ -138,6 +139,9 @@ class RenormSetup:
     # Re H(i y) per height y: the strip's right edge, a pure function of y
     _edge: Dict[float, float] = field(default_factory=dict, init=False,
                                       repr=False, compare=False)
+    # the hop bound's constants and the y0 they were built at (see hop_bound)
+    _hop: Optional[Tuple[float, ...]] = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     # -- exact facts ---------------------------------------------------------
 
@@ -180,14 +184,78 @@ class RenormSetup:
             W = W.conjugate()
         return W / self.beta
 
+    def _hop_constants(self) -> Tuple[float, ...]:
+        """(y0, floor, a, K, S0, S1) for :meth:`hop_bound`, built from |h_m|
+        once per y0.  With u = 2^-53, M terms and the lift's coefficient
+        majorant A(s) = sum_m |h_m| e^{-2 pi m s} (|h| <= A(s) on Im Z = s):
+
+        - rho = e^{(M+8) 2^-40} bounds the float |h| of one step over A:
+          Horner's 2M roundings, and the rounded 2 pi Im Z in
+          |w| = e^{-2 pi Im Z}, which |w|^m magnifies at most 2 pi m s u-fold
+          while w is normal (s < 112; above, the error is far inside S0);
+        - A decreases, so a step from a height s >= y0 lowers Im by at most
+          a = rho A(y0);
+        - for s >= y0, rho A(s) <= B e^{-2 pi s} with
+          B = rho sum_m |h_m| e^{-2 pi (m-1) y0}, so a hop whose q steps all
+          start at or above s_low moves x by 1 give or take
+          K e^{-2 pi s_low}, K = q B / |beta|;
+        - S0 + S1 |Re W| is at least twice the first-order rounding of the
+          rest, in x units: the hop's 2q+1 additions, each within u of a
+          value below |Re W| + q (|alpha| + a + 1) + |p_k|; alpha and beta
+          as floats; the two divisions by beta.  The spare half covers the
+          bound's own arithmetic and the comparisons made with it.
+
+        A non-finite constant makes the floor +inf, and so every bound.
+        """
+        if self._hop is None or self._hop[0] != self.y0:
+            c = np.abs(self.F.h_coeffs)
+            q, absb = self.q_k, abs(self.beta)
+            rho = math.exp((len(c) + 8) * 2.0 ** -40)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                B = rho * float(np.sum(c * np.exp(-2 * math.pi * self.y0 * np.arange(len(c)))))
+                a = B * float(np.exp(-2 * math.pi * self.y0))
+            S1 = 16 * (q + 2) * 2.0 ** -53 / absb
+            S0 = S1 * (q * (abs(self.F.alpha) + a + 1) + abs(self.p_k) + 2)
+            constants = (a, q * B / absb, S0, S1)
+            floor = self.y0 if all(map(math.isfinite, constants)) else math.inf
+            self._hop = (self.y0, floor, *constants)
+        return self._hop
+
+    def hop_bound(self, y: float, hops: int, re: float) -> float:
+        """A bound d with |x(H(W)) - x(W) - 1| <= d, x = Re/beta, H and x
+        evaluated in floats, for every W with |Re W| <= ``re`` at or above the
+        lowest height ``hops`` hops can reach from height y.
+
+        It comes from the lift's coefficients (see :meth:`_hop_constants`)
+        and samples nothing.  The steps that matter are the hops' q each and
+        the first q - 1 of H itself; each lowers Im by at most a, plus
+        rounding.  The bound is +inf where that chain of heights does not
+        stay above y0.  One ``math.exp``.
+        """
+        _, floor, a, K, S0, S1 = self._hop_constants()
+        n = (hops + 1) * self.q_k - 1
+        low = y - n * a - (n + 1) * 2.0 ** -51 * (abs(y) + n * a)
+        if not low >= floor:  # False on NaN
+            return math.inf
+        return K * math.exp(-2 * math.pi * low) + S0 + S1 * re
+
     def in_fundamental_domain(self, Z: complex) -> bool:
-        """Membership in l u U via the lambda strip; left edge in, right edge out."""
+        """Membership in l u U via the lambda strip; left edge in, right edge out.
+
+        The right edge sits at x = Re H(i Im Z)/beta, within
+        ``hop_bound(Im Z, 0, 0)`` of 1; only a point inside that band pays
+        for the edge, which is kept per height."""
         if self.y0 is None:
             raise DomainError("y0 not set")
-        if Z.imag <= self.y0:
+        if not (cmath.isfinite(Z) and Z.imag > self.y0):
             return False
         x = Z.real / self.beta
         if x < 0.0:
+            return False
+        d = self.hop_bound(Z.imag, 0, 0.0)
+        if x < 1.0 - d:
+            return True
+        if x > 1.0 + d:
             return False
         edge = self._edge.get(Z.imag)
         if edge is None:
@@ -307,7 +375,7 @@ def return_map(setup: RenormSetup, Z: complex) -> Tuple[ReturnSample, List[compl
     path_min = W.imag
     m = 0
     while not setup.in_fundamental_domain(W):
-        if W.imag <= setup.y0:
+        if not W.imag > setup.y0:  # True on NaN
             raise UndefinedReturn(f"orbit dipped to Im = {W.imag:.6f} <= y0")
         if m >= budget:
             raise BudgetExceeded(f"hop budget {budget} exhausted")
@@ -322,8 +390,19 @@ def _lands_again(setup: RenormSetup, W: complex, hops: int) -> bool:
     """Whether one of the next ``hops`` hops of the landing point W, up to
     the first at or below y0, lies in the strip: a second pass through it.
     :func:`return_map` has already seen every point before the landing lie
-    outside the strip, so this is the whole single-pass check."""
-    for _ in range(hops):
+    outside the strip, so this is the whole single-pass check.
+
+    Each hop moves x = Re/beta by at least 1 - d and the strip's right edge
+    is below x = 1 + d, d the hop bound at the lowest height the hops can
+    reach; so hop j can land only if x + j (1 - d) < 1 + d, and once that
+    fails it fails for every later j.  While d < 1 a hop moves Re by less
+    than 2 |beta|, which bounds the real parts d must hold for; a d >= 1
+    never stops the hops."""
+    x = W.real / setup.beta
+    d = setup.hop_bound(W.imag, hops, abs(W.real) + 2 * hops * abs(setup.beta))
+    for j in range(1, hops + 1):
+        if not x + j * (1.0 - d) < 1.0 + d:
+            return False
         W = setup.H(W)
         if W.imag <= setup.y0:
             return False

@@ -268,17 +268,29 @@ def sequential_h_bisection(admissible):
     return hi
 
 
-def in_fundamental_domain_unmemoized(setup, Z):
-    """RenormSetup.in_fundamental_domain with the strip's right edge
-    recomputed by a full hop on every call, as before the edge was kept."""
+def in_fundamental_domain_exact(setup, Z):
+    """RenormSetup.in_fundamental_domain with the strip's right edge computed
+    by a full hop for every point: no hop bound and no kept edges."""
     if setup.y0 is None:
         raise DomainError("y0 not set")
-    if Z.imag <= setup.y0:
+    if not cmath.isfinite(Z) or Z.imag <= setup.y0:
         return False
     x = Z.real / setup.beta
     if x < 0.0:
         return False
     return x < setup.H(1j * Z.imag).real / setup.beta
+
+
+def lands_again_exact(setup, W, hops):
+    """renorm._lands_again by hopping: whether one of the next ``hops`` hops
+    of W, up to the first at or below y0, lies in the strip by the exact edge."""
+    for _ in range(hops):
+        W = setup.H(W)
+        if W.imag <= setup.y0:
+            return False
+        if in_fundamental_domain_exact(setup, W):
+            return True
+    return False
 
 
 def translation_lift(alpha: ExactReal) -> LiftMap:

@@ -586,11 +586,17 @@ def test_escape_upper_monotone_in_budget_pairs(a, b):
     {"bisect_tol": 0.0}, {"bisect_tol": -1.0}, {"bisect_tol": math.nan},
     {"bisect_tol": math.inf}, {"residual_tol": 0.0}, {"residual_tol": math.nan},
     {"circle_samples": 0}, {"max_iter": -1}, {"cap": 0.0}, {"cap": 1.0},
-    {"cap": math.nan},
+    {"cap": math.nan}, {"max_iter": 2.5}, {"max_iter": True}, {"circle_samples": 2.5},
+    {"circle_samples": True}, {"circle_samples": 8.0}, {"max_iter": math.nan},
 ])
 def test_escape_params_reject_bad_values(bad):
     with pytest.raises(DomainError):
         EscapeParams(**bad)
+
+
+def test_escape_params_take_numpy_integers():
+    p = EscapeParams(max_iter=np.int64(0), circle_samples=np.int32(8))
+    assert (p.max_iter, p.circle_samples) == (0, 8)
 
 
 def test_escape_radii_needs_one_chart_per_germ():

@@ -33,7 +33,8 @@ from siegelkit.linearize import _orbits_stay
 from siegelkit.surd import QuadraticIrrational, to_float
 
 from .oracles import (
-    in_fundamental_domain_unmemoized,
+    in_fundamental_domain_exact,
+    lands_again_exact,
     mobius_height,
     sequential_h_bisection,
     sequential_h_of_lift,
@@ -90,10 +91,15 @@ def test_h_of_translation_zero():
 @pytest.mark.parametrize("bad", [
     {"max_iter": math.nan}, {"max_iter": math.inf}, {"max_iter": -math.inf},
     {"max_iter": -1}, {"max_iter": 0}, {"max_iter": -5},
+    {"max_iter": 2.5}, {"max_iter": True}, {"max_iter": 100.0},
 ])
 def test_hparams_reject_bad_values(bad):
     with pytest.raises(DomainError):
         HParams(**bad)
+
+
+def test_hparams_take_numpy_integers():
+    assert HParams(max_iter=np.int64(7)).max_iter == 7
 
 
 def test_h_of_lift_nan_coefficient_has_no_admissible_height():
@@ -484,11 +490,13 @@ def test_single_pass_detects_synthetic_violation(monkeypatch):
     inside = complex(0.1 * s.beta, 1.0)
     assert s.in_fundamental_domain(inside)
     assert not _lands_again(s, inside, 3)  # a translation's hops leave the strip
-    # a strip test that takes in every point forces a re-entry at the first hop
+    # a strip test that takes in every point forces a re-entry at the first
+    # hop; the hop bound, which would rule that re-entry out, is made +inf
     hops = []
     real_H = s.H
     monkeypatch.setattr(s, "H", lambda W: hops.append(W) or real_H(W))
     monkeypatch.setattr(s, "in_fundamental_domain", lambda W: True)
+    monkeypatch.setattr(s, "hop_bound", lambda y, n, re: math.inf)
     assert _lands_again(s, inside, 3) and hops == [inside]
 
 
@@ -619,6 +627,9 @@ def test_rotnum_without_a_completed_return_raises(monkeypatch, error):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_strip_edge_memo_matches_unmemoized(monkeypatch, k):
+    # three runs: as shipped (hop bound, edges kept in the band), with the
+    # bound +inf so that every strip test goes through the kept edges, and
+    # with the exact edge recomputed for every point
     F = golden_quadratic_lift()
 
     def run():
@@ -630,10 +641,114 @@ def test_strip_edge_memo_matches_unmemoized(monkeypatch, k):
                   for j in range(8)]
         return s, dataclasses.asdict(rep), traces
 
+    bound_setup, bound_rep, bound_traces = run()
+    monkeypatch.setattr(RenormSetup, "hop_bound", lambda self, y, n, re: math.inf)
     memo_setup, memo_rep, memo_traces = run()
-    assert memo_setup._edge  # the memo was filled and used
-    monkeypatch.setattr(RenormSetup, "in_fundamental_domain", in_fundamental_domain_unmemoized)
+    assert len(memo_setup._edge) > len(bound_setup._edge)  # the memo was filled and used
+    monkeypatch.setattr(RenormSetup, "in_fundamental_domain", in_fundamental_domain_exact)
     plain_setup, plain_rep, plain_traces = run()
     assert not plain_setup._edge
-    assert memo_rep == plain_rep
-    assert memo_traces == plain_traces
+    assert bound_rep == memo_rep == plain_rep
+    assert bound_traces == memo_traces == plain_traces
+
+
+# -- the hop bound -------------------------------------------------------------------
+
+
+def _bound_pool():
+    """Setups whose strip tests are checked against the exact edge: the golden
+    quadratic, FlowFamily([3.0], 1.0) and translation lifts at k = 0..3 with
+    the y0 find_y0 picks, and a lift whose steps dip far: h(w) = -w/4 i at
+    alpha = 1 - golden, k = 1 (two steps a hop), floor 0.  Just above that
+    floor H's first step lowers Im by about 1/4, and its second moves Re by
+    0.81, more than the 0.5 both steps could at the start height."""
+    pool = []
+    for F in (golden_quadratic_lift(),
+              lift_of_germ(FlowFamily([3.0], 1.0).at(GOLDEN, 24), order=64),
+              translation_lift(GOLDEN)):
+        for k in range(4):
+            s = build_HJ(F, k)
+            find_y0(s)
+            pool.append(s)
+    alpha = QuadraticIrrational(3, -1, 2, 5)
+    dip = build_HJ(LiftMap(alpha=to_float(alpha), h_coeffs=[-0.25j], alpha_exact=alpha), 1)
+    dip.y0 = 0.0
+    return pool + [dip]
+
+
+_BOUND_POOL = _bound_pool()
+
+
+def _exact_x_edge(s, y):
+    return s.H(1j * y).real / s.beta
+
+
+def _strip_tests_agree(s, y, ts):
+    """For each t, the strip test and the single-pass check at height y agree
+    with the exact edge at x = t, at x = 1 + t (edge - 1) (around the edge),
+    at x = 1 + t d (across the bound's band) and, for the single pass, at
+    x = t (edge - 1) and t d (near the left edge, where a hop can land)."""
+    edge = _exact_x_edge(s, y)
+    d = s.hop_bound(y, 0, 0.0)
+    for t in ts:
+        xs = [t, 1 + t * (edge - 1), t * (edge - 1)]
+        if d < math.inf:
+            xs += [1 + t * d, t * d]
+        for x in xs:
+            Z = complex(x * s.beta, y)
+            assert s.in_fundamental_domain(Z) == in_fundamental_domain_exact(s, Z), (x, y)
+            assert _lands_again(s, Z, 3) == lands_again_exact(s, Z, 3), (x, y)
+
+
+def test_bound_pool_reaches_the_bound():
+    # the band sweep below is a real test: near the floor of the dipping lift
+    # the bound is +inf, and above it the edge is off 1 by most of the bound
+    dip = _BOUND_POOL[-1]
+    assert dip.hop_bound(1e-6, 0, 0.0) == math.inf
+    assert any(abs(_exact_x_edge(s, s.y0 + 0.5) - 1) > 0.6 * s.hop_bound(s.y0 + 0.5, 0, 0.0)
+               for s in _BOUND_POOL)
+
+
+@pytest.mark.parametrize("i", range(len(_BOUND_POOL)))
+def test_strip_tests_match_the_exact_edge_across_the_band(i):
+    s = _BOUND_POOL[i]
+    ts = np.linspace(-0.5, 1.5, 41)
+    for offset in (1e-12, 1e-6, 0.01, 0.03, 0.1, 0.3, 1.0):
+        _strip_tests_agree(s, s.y0 + offset, ts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, len(_BOUND_POOL) - 1),
+       st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 3.0)),
+       st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=6))
+def test_strip_tests_match_the_exact_edge(i, offset, ts):
+    s = _BOUND_POOL[i]
+    _strip_tests_agree(s, s.y0 + offset, ts)
+
+
+def test_hop_bound_is_inf_for_a_non_finite_lift():
+    s = build_HJ(LiftMap(alpha=to_float(GOLDEN), h_coeffs=[math.nan], alpha_exact=GOLDEN), 1)
+    s.y0 = 0.5
+    assert s.hop_bound(3.0, 0, 0.0) == math.inf
+
+
+def test_non_finite_points_are_outside_the_strip():
+    s = build_HJ(translation_lift(GOLDEN), 1)
+    find_y0(s)
+    for Z in (complex(math.nan, 1.0), complex(0.0, math.nan), complex(0.0, math.inf),
+              complex(-math.inf, 1.0)):
+        assert not s.in_fundamental_domain(Z)
+    assert not s._edge
+
+
+def test_a_nan_jump_is_an_undefined_return(monkeypatch):
+    # NaN > y0 is False, so the return stops at once instead of hopping a NaN
+    # until the budget runs out
+    s = build_HJ(translation_lift(GOLDEN), 1)
+    find_y0(s)
+    hops = []
+    monkeypatch.setattr(s, "J", lambda Z: complex(math.nan, math.nan))
+    monkeypatch.setattr(s, "H", lambda W: hops.append(W) or W)
+    with pytest.raises(UndefinedReturn):
+        return_map(s, complex(0.0, 1.0))
+    assert hops == [] and not s._edge
