@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 from .cf import CFExpansion
-from .errors import DomainError
+from .errors import DomainError, is_count
 
 __all__ = [
     "BrjunoValue",
@@ -80,7 +80,7 @@ def config_from_mapping(data: Dict[str, str]) -> ConstantConfig:
     return ConstantConfig(**kwargs)
 
 
-def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None) -> ConstantConfig:
+def load_config(path: Optional[str] = None) -> ConstantConfig:
     """Key-value file ("key = value" lines, # comments) plus SIEGEL_* overrides."""
     data: Dict[str, str] = {}
     if path:
@@ -93,12 +93,11 @@ def load_config(path: Optional[str] = None, env: Optional[Dict[str, str]] = None
                     raise DomainError(f"bad config line: {line!r}")
                 key, val = (t.strip() for t in line.split("=", 1))
                 data[key] = val
-    environ = os.environ if env is None else env
     by_upper = {key.upper(): key for key in _CONFIG_KEYS}
     # SIEGEL_<key> or SIEGEL_<KEY>; sorted, the exact spelling comes last and wins
-    for name in sorted(n for n in environ if n.startswith("SIEGEL_")):
+    for name in sorted(n for n in os.environ if n.startswith("SIEGEL_")):
         suffix = name[len("SIEGEL_"):]
-        data[by_upper.get(suffix, suffix)] = environ[name]
+        data[by_upper.get(suffix, suffix)] = os.environ[name]
     return config_from_mapping(data)
 
 
@@ -126,7 +125,7 @@ def brjuno_sum(alpha: CFExpansion, depth: int = 60, tol: float = 1e-12) -> Brjun
     with ``math.ldexp``, so past float range it keeps its size: it reads 0.0,
     and converged, only once it is below the smallest float.
     """
-    if not depth >= 0:
+    if not is_count(depth, 0):
         raise DomainError("depth >= 0 required")
     if not 0.0 < tol < math.inf:  # False on NaN
         raise DomainError("tol must be finite and positive")
@@ -174,7 +173,7 @@ def is_bounded_type(alpha: CFExpansion, bound: int) -> bool:
 def _check_Kq(K: float, q: int) -> None:
     if not (math.isfinite(K) and K >= 1):
         raise DomainError("K >= 1 required")
-    if q < 1:
+    if not is_count(q, 1):
         raise DomainError("q >= 1 required")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple, Union
 
-from .errors import DepthExceeded, DomainError, RationalInput
+from .errors import DepthExceeded, DomainError, RationalInput, is_count
 from .surd import (
     ExactReal,
     QuadraticIrrational,
@@ -122,11 +122,8 @@ class CFExpansion:
         pm, qm = per.convergent(m).p, per.convergent(m).q
         pm1, qm1 = per.convergent(m - 1).p, per.convergent(m - 1).q
         A, B = qm, qm1 - pm
-        disc = B * B + 4 * A * pm1
-        root = QuadraticIrrational(-B, 1, 2 * A, disc)
-        if not isinstance(root, QuadraticIrrational) or exact_cmp(root, 1) <= 0:
-            root = QuadraticIrrational(-B, -1, 2 * A, disc)
-        return root
+        # the roots multiply to -p'/q < 0, so x is the one with +sqrt(disc)
+        return QuadraticIrrational(-B, 1, 2 * A, B * B + 4 * A * pm1)
 
     def value(self) -> ExactReal:
         """Exact value of the whole expansion."""
@@ -201,12 +198,7 @@ def cf_of_quadratic_irrational(x: QuadraticIrrational) -> CFExpansion:
             pre, per = quots[:start], quots[start:]
             break
         seen[key] = len(quots)
-        a = (P + sq) // Q
-        # verify the floor exactly (guards the isqrt truncation direction)
-        while _state_sign(P - (a + 1) * Q, D, Q) >= 0:
-            a += 1
-        while _state_sign(P - a * Q, D, Q) < 0:
-            a -= 1
+        a = _quotient(P, sq, Q)
         quots.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
@@ -215,13 +207,10 @@ def cf_of_quadratic_irrational(x: QuadraticIrrational) -> CFExpansion:
                        tuple(per) if pre else tuple(per[1:]) + (per[0],))
 
 
-def _state_sign(A: int, D: int, Q: int) -> int:
-    """sign of (A + sqrt(D))/Q with D > 0 nonsquare, raw integers."""
-    if A >= 0:
-        s = 1
-    else:
-        s = 1 if A * A < D else -1
-    return s if Q > 0 else -s
+def _quotient(P: int, sq: int, Q: int) -> int:
+    """floor((P + sqrt(D))/Q), sq = isqrt(D), D nonsquare: P + sqrt(D) lies
+    strictly between P + sq and P + sq + 1, the ceiling to divide by Q < 0."""
+    return (P + sq + (Q < 0)) // Q
 
 
 def cf_of_exact(x: ExactReal, variant: str = SHORT_FORM) -> CFExpansion:
@@ -237,7 +226,7 @@ def cf_of_exact(x: ExactReal, variant: str = SHORT_FORM) -> CFExpansion:
 
 def convergents(cf: CFExpansion, n: int) -> List[Convergent]:
     """Convergents p_0/q_0 .. p_n/q_n; raises DepthExceeded past a finite CF."""
-    if n < 0:
+    if not is_count(n, 0):
         raise DomainError("n >= 0 required")
     if cf.is_finite and n > len(cf.partials):
         raise DepthExceeded(f"finite expansion supports n <= {len(cf.partials)}")
@@ -271,7 +260,7 @@ def special_sequence_main(alpha: CFExpansion, n: int,
     rational alpha = [a0; ..., a_k] (caller fixes the expansion variant) gives
     [a0; ..., a_k, n + tail], i.e. n+1+sqrt(2) for the default tail.
     """
-    if n < 0:
+    if not is_count(n, 0):
         raise DomainError("n >= 0 required")
     if alpha.is_finite:
         k = len(alpha.partials)
@@ -382,7 +371,7 @@ def parse_exact(text: str) -> ExactReal:
 
 def farey_fractions(qmax: int) -> List[Fraction]:
     """All reduced fractions in [0, 1] with denominator <= qmax, ascending."""
-    if not qmax >= 1:
+    if not is_count(qmax, 1):
         raise DomainError("Farey order qmax >= 1 required")
     out = [Fraction(0), Fraction(1)]
     for q in range(2, qmax + 1):

@@ -1,4 +1,7 @@
-"""Shared exception types; names double as the CLI's numeric-failure tags."""
+"""Shared exception types (names double as the CLI's numeric-failure tags)
+and the count check every entry point shares."""
+
+import operator
 
 
 class SiegelError(Exception):
@@ -67,3 +70,12 @@ class RefinementCap(SiegelError):
 
 class SchemaMismatch(SiegelError):
     """Serialized artifact has an unexpected header or schema version."""
+
+
+def is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer of at least ``least``: one that
+    ``operator.index`` takes (numpy integers too) and not a bool."""
+    try:
+        return not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        return False

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import series
-from .errors import DomainError, FactorizationError, OverflowGuard
+from .errors import DomainError, FactorizationError, OverflowGuard, is_count
 from .surd import ExactReal, QuadraticIrrational, frac_exact, to_float
 
 __all__ = [
@@ -180,7 +180,7 @@ class GermFamily:
         """The germ truncated at ``order``: the time-alpha map composed to that
         order when there is a field, plus b_m s^{m-1} for m <= order.
         :class:`OverflowGuard` when it is not finite."""
-        if not order >= 1:
+        if not is_count(order, 1):
             raise DomainError("germ order >= 1 required")
         b = self._b[:order - 1]
         if not self.chi:
@@ -276,7 +276,7 @@ def lift_of_germ(g: Germ, order: int) -> LiftMap:
     of g - 1 below 1 at r = e^{-2 pi CHECK_HEIGHT}, so |g - 1| < 1 on the
     closed disk |w| <= r and the principal log is defined there.
     """
-    if not order >= 1:
+    if not is_count(order, 1):
         raise DomainError("lift order >= 1 required")
     rho = g.multiplier()
     u = np.zeros(order + 1, dtype=np.complex128)

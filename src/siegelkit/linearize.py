@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -29,6 +28,7 @@ from .errors import (
     OverflowGuard,
     SiegelError,
     SmallDivisorBlowup,
+    is_count,
 )
 from .germs import TWO_PI_I, Germ, GermFamily, phase_fracs
 
@@ -121,7 +121,7 @@ def linearizations(germs: Sequence[Germ], N: int, allow_rational: bool = False,
     """
     if on_failure not in ("raise", "truncate"):
         raise DomainError("on_failure must be 'raise' or 'truncate'")
-    if not N >= 1:
+    if not is_count(N, 1):
         raise DomainError("linearization order N >= 1 required")
     refused = next((i for i, g in enumerate(germs)
                     if isinstance(g.alpha, (int, Fraction)) and not allow_rational), len(germs))
@@ -153,7 +153,6 @@ def _recursion(germs: Sequence[Germ], N: int, mm: int) -> List[LinearizationSeri
     feeding the table there and gets its partial series; the others run on.
     """
     K = len(germs)
-    rational = [isinstance(g.alpha, (int, Fraction)) for g in germs]
     rho = [g.multiplier() for g in germs]
     phases = [phase_fracs(g.alpha, N) for g in germs]   # frac((n-1) alpha) at n-1
     b = np.array([g.coeffs[:mm - 1] for g in germs], dtype=np.complex128)  # b_2..b_mm
@@ -189,8 +188,8 @@ def _recursion(germs: Sequence[Germ], N: int, mm: int) -> List[LinearizationSeri
             phase = phases[k][n - 1]
             div = _divisor(phase, rho[k])
             stop = None
-            # a rational's residue (n-1) p mod q is zero exactly when q | (n-1)
-            if (rational[k] and phase == 0.0) or abs(div) < DIVISOR_FLOOR:
+            # a zero phase (at p/q, exactly when q | (n-1)) gives a divisor of 0
+            if abs(div) < DIVISOR_FLOOR:
                 logs[k].append(-math.inf)
                 col.append(0j)
                 if abs(Pn) > NUMERATOR_FLOOR:
@@ -267,7 +266,7 @@ def hadamard_radius(phi: LinearizationSeries, window: int = 128) -> RadiusEstima
     (rotation case) reports upper = +inf instead of raising.
     """
     N = phi.order
-    if window < 16 or N < window:
+    if not (is_count(window, 16) and N >= window):
         raise DomainError("need N >= window >= 16")
     idx = np.arange(N - window + 1, N + 1)
     mags = np.abs(phi.a[idx])
@@ -288,15 +287,6 @@ def hadamard_radius(phi: LinearizationSeries, window: int = 128) -> RadiusEstima
                                       "can converge beyond the germ's own disk")
 
 
-def _is_count(value, least: int) -> bool:
-    """Whether ``value`` is an integer of at least ``least``: one that
-    ``operator.index`` takes (numpy integers too) and not a bool."""
-    try:
-        return not isinstance(value, bool) and operator.index(value) >= least
-    except TypeError:
-        return False
-
-
 @dataclass(frozen=True)
 class EscapeParams:
     max_iter: int = 10_000
@@ -309,7 +299,7 @@ class EscapeParams:
         for name in ("bisect_tol", "residual_tol"):
             if not 0.0 < getattr(self, name) < math.inf:  # False on NaN
                 raise DomainError(f"{name} must be finite and positive")
-        if not (_is_count(self.circle_samples, 1) and _is_count(self.max_iter, 0)):
+        if not (is_count(self.circle_samples, 1) and is_count(self.max_iter, 0)):
             raise DomainError("need integers circle_samples >= 1 and max_iter >= 0")
         if not 0.0 < self.cap < 1.0:
             raise DomainError("cap in (0, 1) required")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +33,11 @@ from .errors import (
     InsufficientDepth,
     NoAdmissibleHeight,
     UndefinedReturn,
+    is_count,
 )
 from .germs import LiftMap
-from .linearize import _bisect, _is_count, _orbits_stay
-from .surd import ExactReal, exact_sign, to_float
+from .linearize import _bisect, _orbits_stay
+from .surd import ExactReal, to_float
 
 __all__ = [
     "RenormSetup",
@@ -66,7 +67,7 @@ class HParams:
     max_iter: int = 10_000
 
     def __post_init__(self):
-        if not _is_count(self.max_iter, 1):
+        if not is_count(self.max_iter, 1):
             raise DomainError("max_iter must be a positive integer")
 
 
@@ -136,9 +137,6 @@ class RenormSetup:
     # find_y0 fills both heights
     y0: Optional[float] = field(default=None, init=False)
     y0_analytic: Optional[float] = field(default=None, init=False)
-    # Re H(i y) per height y: the strip's right edge, a pure function of y
-    _edge: Dict[float, float] = field(default_factory=dict, init=False,
-                                      repr=False, compare=False)
     # the hop bound's constants and the y0 they were built at (see hop_bound)
     _hop: Optional[Tuple[float, ...]] = field(default=None, init=False,
                                               repr=False, compare=False)
@@ -244,7 +242,7 @@ class RenormSetup:
 
         The right edge sits at x = Re H(i Im Z)/beta, within
         ``hop_bound(Im Z, 0, 0)`` of 1; only a point inside that band pays
-        for the edge, which is kept per height."""
+        for the edge."""
         if self.y0 is None:
             raise DomainError("y0 not set")
         if not (cmath.isfinite(Z) and Z.imag > self.y0):
@@ -257,10 +255,7 @@ class RenormSetup:
             return True
         if x > 1.0 + d:
             return False
-        edge = self._edge.get(Z.imag)
-        if edge is None:
-            edge = self._edge[Z.imag] = self.H(1j * Z.imag).real
-        return x < edge / self.beta
+        return x < self.H(1j * Z.imag).real / self.beta
 
     def default_budget(self) -> int:
         # twice the asymptotic hop bound 3 (1 + |beta'/beta|)
@@ -268,7 +263,10 @@ class RenormSetup:
 
 
 def build_HJ(F: LiftMap, k: int) -> RenormSetup:
-    """Order k+1 setup from the lift's exact rotation-number handle."""
+    """Order k+1 setup from the lift's exact rotation-number handle; at every k
+    it accepts, the convergent errors beta' and beta are nonzero and alternate."""
+    if not is_count(k, 0):
+        raise DomainError("k >= 0 required")
     if F.alpha_exact is None:
         raise InsufficientDepth("lift carries no exact rotation-number handle")
     alpha = F.alpha_exact
@@ -278,16 +276,11 @@ def build_HJ(F: LiftMap, k: int) -> RenormSetup:
     ck = cf.convergent(k)
     cprev = cf.convergent(k - 1)
     beta_exact = ck.q * alpha - ck.p
-    if exact_sign(beta_exact) == 0:
-        raise InsufficientDepth("alpha equals its k-th convergent; beta = 0")
     beta_prime_exact = cprev.q * alpha - cprev.p
-    setup = RenormSetup(
+    return RenormSetup(
         F=F, k=k, p_prev=cprev.p, q_prev=cprev.q, p_k=ck.p, q_k=ck.q,
         beta_exact=beta_exact, beta_prime_exact=beta_prime_exact,
         beta=to_float(beta_exact), beta_prime=to_float(beta_prime_exact))
-    if k >= 1 and exact_sign(beta_exact) * exact_sign(beta_prime_exact) >= 0:
-        raise InsufficientDepth("beta and beta' must have opposite signs")
-    return setup
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +461,7 @@ def renormalized_rotation_number(setup: RenormSetup, height: float,
     """
     if setup.y0 is None:
         raise DomainError("run find_y0 first")
-    if not n_returns >= 1:
+    if not is_count(n_returns, 1):
         raise DomainError("n_returns >= 1 required")
     absb = abs(setup.beta)
     y1 = setup.y0 + 0.3 * absb + (abs(setup.beta_prime) + 0.1 * absb) * TAN_THETA

@@ -37,6 +37,7 @@ from .errors import (
     SiegelError,
     StageFailed,
     TargetAboveRadius,
+    is_count,
 )
 from .germs import Germ, GermFamily
 from .linearize import (
@@ -76,6 +77,9 @@ class ScanRow:
     max_iter: int                   # orbit budget (escape), lin_order (hadamard), 0 (error)
 
 
+ESTIMATORS = ("escape", "hadamard")
+
+
 @dataclass(frozen=True)
 class ScanParams:
     order: int = 64                 # germ truncation
@@ -85,14 +89,17 @@ class ScanParams:
     estimators: Tuple[str, ...] = ("escape",)
 
     def __post_init__(self):
-        if not (self.order >= 1 and self.lin_order >= 1 and self.window >= 16):
+        if not (is_count(self.order, 1) and is_count(self.lin_order, 1)
+                and is_count(self.window, 16)):
             raise DomainError("need order >= 1, lin_order >= 1 and window >= 16")
+        # an unknown or a repeated name leaves the known set smaller
+        if len(set(self.estimators) & set(ESTIMATORS)) < len(self.estimators):
+            raise DomainError(f"estimators must be distinct names from {', '.join(ESTIMATORS)}")
         if "hadamard" in self.estimators and self.window > self.lin_order:
             raise DomainError("the hadamard window needs window <= lin_order")
 
 
 DEFAULT_SCAN = ScanParams()
-ESTIMATORS = ("escape", "hadamard")
 TAIL_WINDOW = 4   # trailing members whose least radius main_lemma_probe reports
 CUT_GRID_POINTS = 16         # rational grid condition_bdd_search locates its cut on
 SEQ_INDICES = (0, 1, 2, 3)   # special-sequence members condition_bdd_search emits
@@ -151,14 +158,12 @@ def _scan_chunk(fam: GermFamily, alphas: Sequence[ExactReal], p: ScanParams) -> 
                 if method == "escape":
                     est = escape[k]
                     iters = p.escape.max_iter
-                elif method == "hadamard":
+                else:
                     phi = phis[k]
                     if phi.stop is not None:
                         raise phi.stop
                     est = hadamard_radius(phi, p.window)
                     iters = p.lin_order
-                else:
-                    raise ValueError(f"unknown estimator {method!r}")
                 lower, upper, tag = est.lower, est.upper, method
             except SiegelError as exc:
                 lower, upper, tag, iters = 0.0, math.inf, f"{method}:error:{type(exc).__name__}", 0
@@ -250,7 +255,7 @@ def scan_r(fam: GermFamily, alphas: Sequence[ExactReal],
     count, so where ``os.fork`` does not exist every chunk runs in the
     calling process, as at one worker.
     """
-    if not workers >= 1:
+    if not is_count(workers, 1):
         raise DomainError("workers >= 1 required")
     alphas = list(alphas)
     workers = min(workers, len(alphas))
@@ -282,7 +287,7 @@ def _check_rho_frac(rho_frac: float) -> None:
 
 def _check_cond_bdd(rho_frac: float, qmax: int, K_est: float) -> None:
     """The inputs :func:`condition_bdd_search` refuses, checked before any work."""
-    if not qmax >= 1:
+    if not is_count(qmax, 1):
         raise DomainError("qmax >= 1 required")
     _check_rho_frac(rho_frac)
     _check_Kq(K_est, qmax)
@@ -380,7 +385,7 @@ def main_lemma_probe(fam: GermFamily, pq: Fraction, variant: str, N: int,
     exp(-C(K, q)) and exp(-C'(K, q)) for the configured constants; a trend
     report, not a certified bound.
     """
-    if not N >= 1:
+    if not is_count(N, 1):
         raise DomainError("need N >= 1 members")
     pq = Fraction(pq)
     q = pq.denominator
@@ -454,31 +459,21 @@ def _interval_fault(lo: Fraction, hi: Fraction, theta: ExactReal, stage: int,
     return None
 
 
+_ENDPOINT_BITS = 80   # dyadic resolution of interval-certificate endpoints
+
+
 def _interval_around(theta: ExactReal, stage: int,
                      parent: Optional[Tuple[Fraction, Fraction]]) -> Tuple[Fraction, Fraction]:
     """Open rational interval around theta that passes :func:`_interval_fault`;
     width shrinks until it does."""
     w = Fraction(1, 2 ** (stage + 1))
     for _ in range(200):
-        # rational endpoints bracketing theta strictly
-        lo, hi = _rational_below(theta - w), _rational_above(theta + w)
+        # theta is a surd, so theta -+ w are too, and their brackets are strict
+        lo, hi = bracket(theta - w, _ENDPOINT_BITS)[0], bracket(theta + w, _ENDPOINT_BITS)[1]
         if _interval_fault(lo, hi, theta, stage, parent) is None:
             return lo, hi
         w /= 2
     raise StageFailed("could not fit an interval certificate")
-
-
-_ENDPOINT_BITS = 80   # dyadic resolution of interval-certificate endpoints
-
-
-def _rational_below(x: ExactReal) -> Fraction:
-    lo, _ = bracket(x, _ENDPOINT_BITS)
-    return lo if exact_cmp(lo, x) < 0 else lo - Fraction(1, 2 ** _ENDPOINT_BITS)
-
-
-def _rational_above(x: ExactReal) -> Fraction:
-    _, hi = bracket(x, _ENDPOINT_BITS)
-    return hi if exact_cmp(hi, x) > 0 else hi + Fraction(1, 2 ** _ENDPOINT_BITS)
 
 
 def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
@@ -502,7 +497,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
     estimator's domain cap (rho tracking meaningless, the rotation-like
     degenerate case) and :class:`StageFailed` when no candidate passes.
     """
-    if not stages >= 1:
+    if not is_count(stages, 1):
         raise DomainError("stages >= 1 required")
     _check_rho_frac(rho_frac)
     p = DRIVER_SCAN

@@ -196,12 +196,9 @@ class QuadraticIrrational:
             return 1
         if a <= 0 and b < 0:
             return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs, rhs = a * a, b * b * d
-        if lhs == rhs:  # impossible for nonsquare d unless a = b = 0
-            return 0
-        big_a = lhs > rhs
-        return (1 if a > 0 else -1) if big_a else (1 if b > 0 else -1)
+        # opposite signs: the larger of a^2 and b^2 d (never equal) decides
+        big = a if a * a > b * b * d else b
+        return 1 if big > 0 else -1
 
     def __eq__(self, other):
         if isinstance(other, QuadraticIrrational):
@@ -233,20 +230,10 @@ class QuadraticIrrational:
     # -- floor / float ------------------------------------------------------
 
     def __floor__(self) -> int:
-        a, b, c, d = self.a, self.b, self.c, self.d
-        t = b * b * d
-        if b > 0:
-            f = math.isqrt(t)
-        else:
-            r = math.isqrt(t)
-            f = -r if r * r == t else -r - 1
-        n = (a + f) // c
-        # correct the candidate exactly (off by at most one step each way)
-        while exact_cmp(self, n + 1) >= 0:
-            n += 1
-        while exact_cmp(self, n) < 0:
-            n -= 1
-        return n
+        """(a + floor(b sqrt(d))) // c, c > 0; b sqrt(d) is irrational, so its
+        floor is r = isqrt(b^2 d) for b > 0 and -r - 1 for b < 0."""
+        r = math.isqrt(self.b * self.b * self.d)
+        return (self.a + (r if self.b > 0 else -r - 1)) // self.c
 
     def int_bracket(self, bits: int) -> Tuple[int, int, int]:
         """Integers (lo, hi, den) with lo/den < self < hi/den, den = c * 2**bits

@@ -293,6 +293,52 @@ def lands_again_exact(setup, W, hops):
     return False
 
 
+def _sign_of(A: int, B: int, D: int) -> int:
+    """Sign of A + B sqrt(D) for D >= 0, by comparing squares."""
+    if A >= 0 and B >= 0 or A <= 0 and B <= 0:
+        return (A > 0 or B > 0) - (A < 0 or B < 0)
+    lhs, rhs = A * A, B * B * D
+    return 0 if lhs == rhs else (1 if A > 0 else -1) if lhs > rhs else (1 if B > 0 else -1)
+
+
+def exact_sign_by_squares(x) -> int:
+    """Sign of the surd (a + b sqrt(d))/c, c > 0, with the tie a^2 = b^2 d
+    that QuadraticIrrational leaves out."""
+    return _sign_of(x.a, x.b, x.d)
+
+
+def surd_floor_by_correction(x) -> int:
+    """floor of the surd (a + b sqrt(d))/c the way QuadraticIrrational took it
+    before its closed form: a candidate from isqrt, then exact correction
+    steps up and down (c > 0, so x - n has the sign of a - n c + b sqrt(d))."""
+    a, b, c, d = x.a, x.b, x.c, x.d
+    t = b * b * d
+    r = math.isqrt(t)
+    f = r if b > 0 else (-r if r * r == t else -r - 1)
+    n = (a + f) // c
+    while _sign_of(a - (n + 1) * c, b, d) >= 0:
+        n += 1
+    while _sign_of(a - n * c, b, d) < 0:
+        n -= 1
+    return n
+
+
+def cf_quotient_by_correction(P: int, D: int, Q: int) -> int:
+    """floor((P + sqrt(D))/Q) the way cf_of_quadratic_irrational took each
+    partial quotient before its closed form: the candidate (P + isqrt(D)) // Q,
+    then exact correction steps by the sign of (A + sqrt(D))/Q."""
+    def state_sign(A):
+        s = 1 if A >= 0 or A * A < D else -1
+        return s if Q > 0 else -s
+
+    a = (P + math.isqrt(D)) // Q
+    while state_sign(P - (a + 1) * Q) >= 0:
+        a += 1
+    while state_sign(P - a * Q) < 0:
+        a -= 1
+    return a
+
+
 def translation_lift(alpha: ExactReal) -> LiftMap:
     """The exact translation T_alpha as a lift (h = 0)."""
     return LiftMap(alpha=to_float(alpha), h_coeffs=np.zeros(0),

@@ -3,17 +3,31 @@ export behind; the package root imports nothing; every exported name is
 defined in its module and used by the program or its benchmark, not only by
 its own tests; every imported name, in the package and in its tests, is used
 or re-exported; every setting is set by the program or its benchmark, not
-only by tests and not to one literal by every call; and the number of
-settable values does not grow unnoticed."""
+only by tests and not to one literal by every call; the number of
+settable values does not grow unnoticed; and every count an entry point
+takes refuses what is not an integer."""
 
 import ast
 import importlib
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import siegelkit
+from siegelkit.bounds import brjuno_sum, const_C
+from siegelkit.cf import convergents, farey_fractions, parse_cf, special_sequence_main
+from siegelkit.errors import DomainError
+from siegelkit.germs import QuadraticFamily, lift_of_germ
+from siegelkit.linearize import hadamard_radius, linearization_coeffs, linearizations
+from siegelkit.renorm import build_HJ, find_y0, renormalized_rotation_number
+from siegelkit.scan import (ScanParams, condition_bdd_search, main_lemma_probe, scan_r,
+                            smooth_disk_driver)
+from siegelkit.surd import QuadraticIrrational
+
+from .oracles import translation_lift
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(siegelkit.__path__))
 
@@ -147,7 +161,6 @@ def _settings(tree, module):
 # reason it stays; a key without a parameter covers every field of a class.
 UNSET_SETTINGS = {
     "cf.side_and_gap.width": "criteria 2 and 3 pin the width of their brackets",
-    "bounds.load_config.env": "tests pass an environment in place of os.environ",
     "cli.main.argv": "tests run the command line in-process",
     "linearize.EscapeParams.cap": "radius escape echoes it in its params",
     "germs.RotationFamily.restriction_radius": "make_family calls the presets from a table",
@@ -236,4 +249,67 @@ def settable_values():
 def test_settable_value_count_is_pinned():
     # a change that adds or removes a setting updates this number (and the
     # count quoted in ROADMAP.md) on purpose
-    assert settable_values() == 177
+    assert settable_values() == 176
+
+
+GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
+_GERM = QuadraticFamily().at(GOLDEN, 8)
+_SERIES = linearization_coeffs(_GERM, 32)
+
+
+def _measured_setup():
+    s = build_HJ(translation_lift(GOLDEN), 1)
+    find_y0(s)
+    return s
+
+
+# every entry point that takes a count: a call with the count n, and the
+# least count it takes
+COUNTS = {
+    "GermFamily.at": (lambda n: QuadraticFamily().at(GOLDEN, n), 1),
+    "linearizations": (lambda n: linearizations([_GERM], n), 1),
+    "ScanParams.order": (lambda n: ScanParams(order=n), 1),
+    "ScanParams.lin_order": (lambda n: ScanParams(lin_order=n), 1),
+    "ScanParams.window": (lambda n: ScanParams(window=n), 16),
+    "scan_r.workers": (lambda n: scan_r(QuadraticFamily(), [GOLDEN], workers=n), 1),
+    "lift_of_germ": (lambda n: lift_of_germ(_GERM, order=n), 1),
+    "build_HJ": (lambda n: build_HJ(translation_lift(GOLDEN), n), 0),
+    "renormalized_rotation_number": (lambda n: renormalized_rotation_number(
+        _measured_setup(), 1.0, n_returns=n), 1),
+    "main_lemma_probe": (lambda n: main_lemma_probe(
+        QuadraticFamily(), Fraction(1, 2), "short", n, 6.3), 1),
+    "smooth_disk_driver": (lambda n: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, n), 1),
+    "condition_bdd_search": (lambda n: condition_bdd_search(
+        QuadraticFamily(), GOLDEN, 0.5, qmax=n), 1),
+    "brjuno_sum": (lambda n: brjuno_sum(parse_cf("[0;(1)]"), depth=n), 0),
+    "special_sequence_main": (lambda n: special_sequence_main(parse_cf("[0;(1)]"), n), 0),
+    "convergents": (lambda n: convergents(parse_cf("[0;(1)]"), n), 0),
+    "farey_fractions": (lambda n: farey_fractions(n), 1),
+    "hadamard_radius": (lambda n: hadamard_radius(_SERIES, window=n), 16),
+    "const_C": (lambda n: const_C(2.0, n), 1),
+}
+
+
+@pytest.mark.parametrize("bad", [lambda n: n + 0.5, float, np.float64, lambda n: True],
+                         ids=["half", "float", "np.float64", "True"])
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_counts_refuse_what_is_not_an_integer(entry, bad):
+    # a count that operator.index refuses, or a bool, is a DomainError before
+    # any work, not a TypeError deep inside or a silent order-1 run
+    call, least = COUNTS[entry]
+    with pytest.raises(DomainError):
+        call(bad(least + 1))
+
+
+@pytest.mark.parametrize("entry", ["GermFamily.at", "ScanParams.order", "ScanParams.window",
+                                   "lift_of_germ", "build_HJ", "brjuno_sum",
+                                   "special_sequence_main", "convergents",
+                                   "farey_fractions", "hadamard_radius", "const_C"])
+def test_counts_take_numpy_integers(entry):
+    call, least = COUNTS[entry]
+    call(np.int64(least))
+
+
+def test_build_hj_refuses_a_negative_depth():
+    with pytest.raises(DomainError, match="k >= 0"):
+        build_HJ(translation_lift(GOLDEN), -1)

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -193,31 +194,43 @@ def test_domain_errors():
 # -- config I/O ---------------------------------------------------------------
 
 
-def test_config_file_and_env(tmp_path):
+def _siegel_environ(monkeypatch, **values):
+    """The process environment with exactly these SIEGEL_* variables."""
+    for name in [n for n in os.environ if n.startswith("SIEGEL_")]:
+        monkeypatch.delenv(name)
+    for name, value in values.items():
+        monkeypatch.setenv(name, value)
+
+
+def test_config_file_and_env(tmp_path, monkeypatch):
     path = tmp_path / "constants.cfg"
     path.write_text("# calibration\nc1 = 2.5\nA = 3.0\n")
-    cfg = load_config(str(path), env={})
+    _siegel_environ(monkeypatch)
+    cfg = load_config(str(path))
     assert cfg.c1 == 2.5 and cfg.A == 3.0 and cfg.c3 == 1.0
-    cfg2 = load_config(str(path), env={"SIEGEL_c3": "7.0"})
+    _siegel_environ(monkeypatch, SIEGEL_c3="7.0")
+    cfg2 = load_config(str(path))
     assert cfg2.c3 == 7.0 and cfg2.c1 == 2.5
     # either spelling of a key; the exact one wins over the upper-case one
-    env = {"SIEGEL_C_SQRT2": "3.0", "SIEGEL_c1": "4.0", "SIEGEL_C1": "5.0"}
-    cfg3 = load_config(None, env=env)
+    _siegel_environ(monkeypatch, SIEGEL_C_SQRT2="3.0", SIEGEL_c1="4.0", SIEGEL_C1="5.0")
+    cfg3 = load_config(None)
     assert cfg3.C_sqrt2 == 3.0 and cfg3.c1 == 4.0
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, monkeypatch):
     # the keys that reached no computation are gone, and refused like any other
     for key in ("nope", "c2", "C0", "D", "B_slope", "seed"):
         with pytest.raises(DomainError):
             config_from_mapping({key: "1"})
     path = tmp_path / "constants.cfg"
     path.write_text("seed = 0\n")
+    _siegel_environ(monkeypatch)
     with pytest.raises(DomainError):
-        load_config(str(path), env={})
+        load_config(str(path))
     for name in ("SIEGEL_c2", "SIEGEL_B_SLOPE", "SIEGEL_seed"):
+        _siegel_environ(monkeypatch, **{name: "1"})
         with pytest.raises(DomainError):
-            load_config(None, env={name: "1"})
+            load_config(None)
 
 
 def test_format_config_echo():

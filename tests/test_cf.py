@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from siegelkit.cf import (
     CFExpansion,
+    _quotient,
     LONG_FORM,
     SHORT_FORM,
     cf_of_quadratic_irrational,
@@ -24,6 +25,8 @@ from siegelkit.cf import (
 )
 from siegelkit.errors import DepthExceeded, DomainError, RationalInput
 from siegelkit.surd import QuadraticIrrational, exact_cmp
+
+from .oracles import cf_quotient_by_correction
 
 S2 = QuadraticIrrational(0, 1, 1, 2)
 GOLDEN = QuadraticIrrational(1, 1, 2, 5)          # (1+sqrt5)/2 = [1;(1)]
@@ -205,6 +208,25 @@ def test_roundtrip_random_surds():
         assert e.value() == x
         # negative a0 allowed, later quotients >= 1 enforced by construction
         assert all(a >= 1 for a in e.partials) and all(a >= 1 for a in e.period)
+
+
+_BIG = st.integers(-10 ** 30, 10 ** 30) | st.integers(-30, 30)
+_NONSQUARE = (st.integers(2, 10 ** 30) | st.integers(2, 200)).filter(
+    lambda d: math.isqrt(d) ** 2 != d)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BIG, _NONSQUARE, _BIG.filter(bool))
+def test_closed_form_quotient_matches_the_correction_loop(P, D, Q):
+    assert _quotient(P, math.isqrt(D), Q) == cf_quotient_by_correction(P, D, Q)
+
+
+@given(st.lists(st.integers(1, 50), min_size=1, max_size=5))
+def test_tail_value_is_the_purely_periodic_value(period):
+    x = CFExpansion(0, (), tuple(period)).tail_value()
+    assert exact_cmp(x, 1) > 0
+    e = cf_of_quadratic_irrational(x)
+    assert [e.quotient(i) for i in range(12)] == [period[i % len(period)] for i in range(12)]
 
 
 # -- side_and_gap -----------------------------------------------------------

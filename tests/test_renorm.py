@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegelkit import renorm
-from siegelkit.cf import parse_cf
+from siegelkit.cf import cf_of_exact, parse_cf
 from siegelkit.errors import (
     BudgetExceeded,
     ConditionsNeverMet,
@@ -30,7 +30,7 @@ from siegelkit.renorm import (
     y0_analytic_prediction,
 )
 from siegelkit.linearize import _orbits_stay
-from siegelkit.surd import QuadraticIrrational, to_float
+from siegelkit.surd import QuadraticIrrational, exact_sign, to_float
 
 from .oracles import (
     in_fundamental_domain_exact,
@@ -286,8 +286,7 @@ def test_beta_signs_alternate():
 
 def test_beta_bracket_identity():
     # 1/2 <= q_{k+1} |beta| <= 1, checked exactly
-    from siegelkit.cf import cf_of_exact
-    from siegelkit.surd import exact_cmp, exact_sign
+    from siegelkit.surd import exact_cmp
     cf = cf_of_exact(GOLDEN)
     F = translation_lift(GOLDEN)
     for k in (0, 1, 2, 5):
@@ -318,6 +317,29 @@ def test_beta_zero_guard():
         build_HJ(F, 2)
 
 
+# surds with small terms: the period of the expansion grows with sqrt(b^2 d c^2)
+_ALPHAS = st.fractions(max_denominator=10 ** 6) | st.builds(
+    QuadraticIrrational, st.integers(-100, 100), st.integers(1, 5) | st.integers(-5, -1),
+    st.integers(1, 100) | st.integers(-100, -1), st.integers(2, 50))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ALPHAS)
+def test_every_accepted_depth_has_alternating_convergent_errors(alpha):
+    # the fact build_HJ relies on instead of checking: for every k the depth
+    # check accepts, beta != 0 and beta, beta' have opposite signs (at k = 0,
+    # beta' = -1 and beta = frac(alpha) > 0)
+    cf = cf_of_exact(alpha)
+    depth = len(cf.partials) if cf.is_finite else 12
+    F = translation_lift(alpha)
+    for k in range(depth):
+        s = build_HJ(F, k)
+        assert exact_sign(s.beta_exact) * exact_sign(s.beta_prime_exact) < 0
+    if cf.is_finite:
+        with pytest.raises(InsufficientDepth):
+            build_HJ(F, depth)
+
+
 # -- find_y0 --------------------------------------------------------------------
 
 
@@ -325,6 +347,16 @@ def test_find_y0_translation_zero():
     F = translation_lift(GOLDEN)
     s = build_HJ(F, 1)
     assert find_y0(s) == 0.0
+
+
+def test_find_y0_passes_over_heights_where_the_pair_overflows():
+    # at height 0.01 one step of h = 1000 w sends Im to about -900, and the
+    # next step's exponential overflows: those heights fail, higher ones hold
+    s = build_HJ(LiftMap(alpha=to_float(GOLDEN), h_coeffs=[1000.0], alpha_exact=GOLDEN), 2)
+    with pytest.raises(OverflowError):
+        for x in np.arange(8) / 8:
+            s.H_with_deriv(complex(x, 0.01))
+    assert 1.0 < find_y0(s) < renorm.HEIGHT_CEILING
 
 
 def test_find_y0_rejects_nan_lift():
@@ -559,7 +591,6 @@ def test_rotnum_translation_exact():
             assert rep.single_pass_violations == 0
             assert rep.budget_violations == 0
             # expected equals -[a_{k+1}; a_{k+2}, ...] by the tail identity
-            from siegelkit.cf import cf_of_exact
             cf = cf_of_exact(alpha)
             tail = -(cf.convergent(k - 1).q * alpha - cf.convergent(k - 1).p) / \
                 (cf.convergent(k).q * alpha - cf.convergent(k).p)
@@ -594,6 +625,22 @@ def test_rotnum_h0_estimate_small_for_translation():
     assert rep.H0_estimate <= 0.5
 
 
+def test_strip_and_rotnum_need_y0():
+    s = build_HJ(translation_lift(GOLDEN), 1)
+    for call in (lambda: s.lam(1j), lambda: s.in_fundamental_domain(1j),
+                 lambda: renormalized_rotation_number(s, height=1.0, n_returns=5)):
+        with pytest.raises(DomainError, match="y0 not set|run find_y0 first"):
+            call()
+
+
+def test_rotnum_start_must_lie_in_the_strip():
+    s = build_HJ(golden_quadratic_lift(), 1)
+    y0 = find_y0(s)
+    assert y0 > 0
+    with pytest.raises(DomainError, match="measurement height"):
+        renormalized_rotation_number(s, height=y0, n_returns=5)
+
+
 def test_rotnum_needs_one_return():
     s = build_HJ(translation_lift(GOLDEN), 1)
     find_y0(s)
@@ -626,10 +673,10 @@ def test_rotnum_without_a_completed_return_raises(monkeypatch, error):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_strip_edge_memo_matches_unmemoized(monkeypatch, k):
-    # three runs: as shipped (hop bound, edges kept in the band), with the
-    # bound +inf so that every strip test goes through the kept edges, and
-    # with the exact edge recomputed for every point
+def test_strip_tests_with_and_without_the_bound_match_the_exact_edge(monkeypatch, k):
+    # three runs: as shipped (the hop bound decides, the edge is computed only
+    # in its band), with the bound +inf so that every strip test computes the
+    # edge, and with the exact oracle
     F = golden_quadratic_lift()
 
     def run():
@@ -639,17 +686,15 @@ def test_strip_edge_memo_matches_unmemoized(monkeypatch, k):
         rep = renormalized_rotation_number(s, height=height, n_returns=200)
         traces = [return_and_second_pass(s, complex(0.0, height + 0.07 * j))
                   for j in range(8)]
-        return s, dataclasses.asdict(rep), traces
+        return dataclasses.asdict(rep), traces
 
-    bound_setup, bound_rep, bound_traces = run()
+    bound_rep, bound_traces = run()
     monkeypatch.setattr(RenormSetup, "hop_bound", lambda self, y, n, re: math.inf)
-    memo_setup, memo_rep, memo_traces = run()
-    assert len(memo_setup._edge) > len(bound_setup._edge)  # the memo was filled and used
+    edge_rep, edge_traces = run()
     monkeypatch.setattr(RenormSetup, "in_fundamental_domain", in_fundamental_domain_exact)
-    plain_setup, plain_rep, plain_traces = run()
-    assert not plain_setup._edge
-    assert bound_rep == memo_rep == plain_rep
-    assert bound_traces == memo_traces == plain_traces
+    exact_rep, exact_traces = run()
+    assert bound_rep == edge_rep == exact_rep
+    assert bound_traces == edge_traces == exact_traces
 
 
 # -- the hop bound -------------------------------------------------------------------
@@ -732,13 +777,17 @@ def test_hop_bound_is_inf_for_a_non_finite_lift():
     assert s.hop_bound(3.0, 0, 0.0) == math.inf
 
 
-def test_non_finite_points_are_outside_the_strip():
+def test_non_finite_points_are_outside_the_strip(monkeypatch):
+    # refused before the bound: a NaN x falls in no side of the band, so it
+    # would otherwise pay for an edge
     s = build_HJ(translation_lift(GOLDEN), 1)
     find_y0(s)
+    edges = []
+    monkeypatch.setattr(s, "H", lambda W: edges.append(W) or W)
     for Z in (complex(math.nan, 1.0), complex(0.0, math.nan), complex(0.0, math.inf),
               complex(-math.inf, 1.0)):
         assert not s.in_fundamental_domain(Z)
-    assert not s._edge
+    assert edges == []
 
 
 def test_a_nan_jump_is_an_undefined_return(monkeypatch):
@@ -751,4 +800,4 @@ def test_a_nan_jump_is_an_undefined_return(monkeypatch):
     monkeypatch.setattr(s, "H", lambda W: hops.append(W) or W)
     with pytest.raises(UndefinedReturn):
         return_map(s, complex(0.0, 1.0))
-    assert hops == [] and not s._edge
+    assert hops == []

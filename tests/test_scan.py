@@ -24,7 +24,7 @@ from siegelkit.scan import (
     scan_r,
     smooth_disk_driver,
 )
-from siegelkit.surd import QuadraticIrrational, exact_cmp
+from siegelkit.surd import QuadraticIrrational, bracket, exact_cmp
 
 from .oracles import mobius_radius, sequential_escape_radius
 
@@ -72,6 +72,9 @@ def _sequential_bracket(fam, alpha, p):
     lambda: scan_r(RotationFamily(), [GOLDEN], CHEAP, workers=0),
     lambda: main_lemma_probe(RotationFamily(), Fraction(1, 2), "short", 0, 6.3, p=CHEAP),
     lambda: ScanParams(lin_order=48, window=64, estimators=("escape", "hadamard")),
+    lambda: ScanParams(estimators=("foo",)),
+    lambda: ScanParams(estimators=("escape", "escape")),
+    lambda: ScanParams(estimators="escape"),
     lambda: degenerate_probe(RotationFamily(), []),
 ])
 def test_sizes_below_their_least_value_are_rejected(call):
@@ -467,6 +470,52 @@ def test_rho_frac_outside_the_unit_interval_is_a_domain_error(rho_frac):
         condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac)
 
 
+def test_driver_refuses_a_partial_series_at_theta0(monkeypatch):
+    # 13/34 has a pole at n = 35 < lin_order, but a radius below which the
+    # partial series passes the residual test
+    monkeypatch.setattr(scan, "DRIVER_SCAN", CHEAP)
+    with pytest.raises(StageFailed, match="no full linearization series at theta0"):
+        smooth_disk_driver(QuadraticFamily(), Fraction(13, 34), 0.5, stages=1)
+
+
+def _from_second_call(monkeypatch, name, change):
+    """Patch scan.<name> so that each call after the first returns
+    ``change(result)``."""
+    real, calls = getattr(scan, name), []
+
+    def patched(*args):
+        calls.append(args)
+        out = real(*args)
+        return out if len(calls) == 1 else change(out)
+
+    monkeypatch.setattr(scan, name, patched)
+
+
+@pytest.mark.parametrize("name, change, reason", [
+    ("_linearize", lambda phis: [replace(phi, stop=StageFailed("cut")) for phi in phis],
+     "no full series"),
+    ("escape_radius", lambda est: replace(est, lower=0.0), "at or below target"),
+], ids=["partial-series", "radius-below-target"])
+def test_driver_candidates_refused_for_each_reason(monkeypatch, name, change, reason):
+    # theta0's own series and estimate are the first calls and stay as they are
+    monkeypatch.setattr(scan, "DRIVER_SCAN", CHEAP)
+    _from_second_call(monkeypatch, name, change)
+    with pytest.raises(StageFailed, match=f"k=2: [^;]*{reason}") as exc:
+        smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.1, stages=1)
+    assert str(exc.value).count(reason) == 11  # k = 2..12
+
+
+def test_driver_candidates_outside_the_parent_interval_are_refused(monkeypatch):
+    # a stage-1 interval far narrower than any candidate's distance from
+    # theta_1 leaves every stage-2 candidate outside it
+    monkeypatch.setattr(scan, "DRIVER_SCAN", CHEAP)
+    monkeypatch.setattr(scan, "_interval_around",
+                        lambda theta, stage, parent: bracket(theta, 400))
+    with pytest.raises(StageFailed, match="stage 2: k=2: outside parent interval") as exc:
+        smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.1, stages=2)
+    assert str(exc.value).count("outside parent interval") == 11
+
+
 def test_driver_ladder_rejects_nan_gaps(monkeypatch):
     monkeypatch.setattr(scan, "_deriv_gaps", lambda *args: [math.nan, math.nan])
     monkeypatch.setattr(scan, "DRIVER_SCAN", CHEAP)
@@ -496,6 +545,17 @@ def _certified(stage, interval, rho_sched):
                              deriv_gaps=[0.0] * (stage + 1),
                              thresholds=[2.0 ** -(stage + j) for j in range(stage + 1)],
                              k_chosen=2)
+
+
+@pytest.mark.parametrize("fault", ["measured rho at or below target",
+                                   "schedule not strictly decreasing"])
+def test_invariant_checker_refuses_a_broken_radius(fault):
+    parent = _certified(1, (Fraction(9, 20), Fraction(7, 10)), 0.4)
+    child = _certified(2, (Fraction(3, 5), Fraction(13, 20)), 0.3)
+    broken = {"measured rho at or below target": replace(child, rho=0.25),
+              "schedule not strictly decreasing": replace(child, rho_sched=0.4)}[fault]
+    with pytest.raises(AssertionError, match=f"stage 2: {fault}"):
+        check_construction_invariants([parent, broken], 0.25)
 
 
 @pytest.mark.parametrize("fault", ["interval too long", "theta outside interval",

@@ -19,6 +19,8 @@ from siegelkit.surd import (
     to_float,
 )
 
+from .oracles import exact_sign_by_squares, surd_floor_by_correction
+
 S2 = QuadraticIrrational(0, 1, 1, 2)
 S5 = QuadraticIrrational(0, 1, 1, 5)
 
@@ -208,6 +210,21 @@ def test_stored_radicand_is_split_fixed_point(x, a, b, c, q):
             assert _squarefree_split(r.d) == (1, r.d)
             again = QuadraticIrrational(r.a, r.b, r.c, r.d)
             assert (again.a, again.b, again.c, again.d) == (r.a, r.b, r.c, r.d)
+
+
+# both signs and small values, where c | (a + f) and a wrong floor shows
+_BIG = st.integers(-10 ** 30, 10 ** 30) | st.integers(-30, 30)
+_BIG_NONZERO = _BIG.filter(bool)
+_NONSQUARE = (st.integers(2, 10 ** 30) | st.integers(2, 200)).filter(
+    lambda d: math.isqrt(d) ** 2 != d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BIG, _BIG_NONZERO, _BIG_NONZERO, _NONSQUARE)
+def test_closed_form_floor_and_sign_match_the_correction_loop(a, b, c, d):
+    x = QuadraticIrrational(a, b, c, d)
+    assert math.floor(x) == surd_floor_by_correction(x)
+    assert exact_sign(x) == exact_sign_by_squares(x)
 
 
 # each operation is monotone in each argument on a box that keeps the divisor
