@@ -115,7 +115,10 @@ def make_family(args) -> GermFamily:
     preset, chi, radius = presets[args.family]
     if chi is None and args.chi is not None:
         raise UsageError(f"--chi sets a flow's field; --family {args.family} has none")
-    field = () if chi is None else ([_parse(complex, t) for t in (args.chi or chi).split(",")],)
+    if args.chi == "":
+        raise UsageError("--chi is empty; the flow of the empty field is --family rotation")
+    field = () if chi is None else (
+        [_parse(complex, t) for t in _given(args.chi, chi).split(",")],)
     return preset(*field, _given(args.restriction, radius))
 
 
@@ -400,7 +403,7 @@ def cmd_renorm(args, cfg):
         return {"k": setup.k, "p_prev": setup.p_prev, "q_prev": setup.q_prev,
                 "p_k": setup.p_k, "q_k": setup.q_k,
                 "beta": setup.beta, "beta_prime": setup.beta_prime,
-                "y0": y0, "y0_analytic": setup.y0_analytic,
+                "y0": y0,
                 "expected_alpha_prime": setup.expected_alpha_prime()}
     height = y0 + args.height_mult * abs(setup.beta)
     if args.op == "return" or args.trace:

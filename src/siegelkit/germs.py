@@ -252,17 +252,10 @@ class LiftMap:
         self._row = np.zeros(len(self.h_coeffs) + 1, dtype=np.complex128)  # [0, h_1..h_M]
         self._row[1:] = self.h_coeffs
         self._hlist = self._row.tolist()
-        self._dlist = series.derivative(self._row).tolist()
 
     def __call__(self, Z: complex) -> complex:
         w = cmath.exp(TWO_PI_I * Z)
         return Z + self.alpha + series.polyval_scalar(self._hlist, w)
-
-    def with_derivative(self, Z: complex) -> Tuple[complex, complex]:
-        w = cmath.exp(TWO_PI_I * Z)
-        val = Z + self.alpha + series.polyval_scalar(self._hlist, w)
-        der = 1.0 + TWO_PI_I * w * series.polyval_scalar(self._dlist, w)
-        return val, der
 
     def eval_vec(self, Z: np.ndarray) -> np.ndarray:
         w = np.exp(TWO_PI_I * np.asarray(Z, dtype=np.complex128))

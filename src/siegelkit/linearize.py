@@ -236,25 +236,30 @@ def pole_cancellation_probe(fam: GermFamily, p: int, q: int, n: int) -> dict:
 
     A vanishing limit certifies cancellation (the family linearizes at p/q at
     this index, degenerate-type behaviour); a nonzero limit is a pole and the
-    matching a_n blows up like 1/|rho^n - rho|.
+    matching a_n blows up like 1/|rho^n - rho|.  An offset whose series stops
+    below n (its own pole, or an overflow) reports the stop in its row; the
+    verdict reads the offsets that reach n, and raises the first stop when
+    none does.
     """
-    if q < 1 or n < 2 or (n - 1) % q != 0:
-        raise DomainError("need q >= 1 and n >= 2 with q | (n - 1)")
+    if not (is_count(p, -math.inf) and is_count(q, 1) and is_count(n, 2)) or (n - 1) % q:
+        raise DomainError("need integers p, q >= 1 and n >= 2 with q | (n - 1)")
     base = Fraction(p, q)
     epss = [Fraction(1, 10 ** j) for j in range(1, 9)]
     lins = linearizations([fam.at(base + eps, max(n, 8)) for eps in epss], n,
-                          allow_rational=True)
-    rows = [{
-        "eps": float(eps),
-        "alpha": str(base + eps),
-        "P_abs": float(lin.numerators[n]),
-        "a_abs": float(abs(lin.a[n])),
-        "divisor_abs": float(math.exp(lin.small_divisor_log[n]))
-        if math.isfinite(lin.small_divisor_log[n]) else 0.0,
-    } for eps, lin in zip(epss, lins)]
-    first, last = rows[0]["P_abs"], rows[-1]["P_abs"]
-    scale = max(first, 1e-30)
-    verdict = "cancellation" if last < 1e-3 * scale or last < 1e-12 else "pole"
+                          allow_rational=True, on_failure="truncate")
+    rows = [{"eps": float(eps), "alpha": str(base + eps)} for eps in epss]
+    for row, lin in zip(rows, lins):
+        if lin.order < n:
+            row["stop"] = f"{type(lin.stop).__name__}: {lin.stop}"
+            continue
+        log_div = lin.small_divisor_log[n]
+        row.update(P_abs=float(lin.numerators[n]), a_abs=float(abs(lin.a[n])),
+                   divisor_abs=float(math.exp(log_div)) if math.isfinite(log_div) else 0.0)
+    reached = [row["P_abs"] for row in rows if "P_abs" in row]
+    if not reached:
+        raise lins[0].stop
+    scale = max(reached[0], 1e-30)
+    verdict = "cancellation" if reached[-1] < 1e-3 * scale or reached[-1] < 1e-12 else "pole"
     return {"p": p, "q": q, "n": n, "rows": rows, "verdict": verdict}
 
 

@@ -134,9 +134,7 @@ class RenormSetup:
     beta_prime_exact: ExactReal
     beta: float
     beta_prime: float
-    # find_y0 fills both heights
-    y0: Optional[float] = field(default=None, init=False)
-    y0_analytic: Optional[float] = field(default=None, init=False)
+    y0: Optional[float] = field(default=None, init=False)  # set by find_y0
     # the hop bound's constants and the y0 they were built at (see hop_bound)
     _hop: Optional[Tuple[float, ...]] = field(default=None, init=False,
                                               repr=False, compare=False)
@@ -159,19 +157,6 @@ class RenormSetup:
             Z = self.F(Z)
         return Z - self.p_prev
 
-    def _with_deriv(self, Z: complex, q: int, p: int) -> Tuple[complex, complex]:
-        der = 1.0 + 0j
-        for _ in range(q):
-            Z, d = self.F.with_derivative(Z)
-            der *= d
-        return Z - p, der
-
-    def H_with_deriv(self, Z: complex) -> Tuple[complex, complex]:
-        return self._with_deriv(Z, self.q_k, self.p_k)
-
-    def J_with_deriv(self, Z: complex) -> Tuple[complex, complex]:
-        return self._with_deriv(Z, self.q_prev, self.p_prev)
-
     # -- rescaled coordinate --------------------------------------------------
 
     def lam(self, Z: complex) -> complex:
@@ -184,13 +169,10 @@ class RenormSetup:
 
     def _hop_constants(self) -> Tuple[float, ...]:
         """(y0, floor, a, K, S0, S1) for :meth:`hop_bound`, built from |h_m|
-        once per y0.  With u = 2^-53, M terms and the lift's coefficient
-        majorant A(s) = sum_m |h_m| e^{-2 pi m s} (|h| <= A(s) on Im Z = s):
+        once per y0.  With u = 2^-53 and the lift's coefficient majorant A
+        and factor rho of :func:`_majorant` (n = 0):
 
-        - rho = e^{(M+8) 2^-40} bounds the float |h| of one step over A:
-          Horner's 2M roundings, and the rounded 2 pi Im Z in
-          |w| = e^{-2 pi Im Z}, which |w|^m magnifies at most 2 pi m s u-fold
-          while w is normal (s < 112; above, the error is far inside S0);
+        - rho bounds the float |h| of one step over A;
         - A decreases, so a step from a height s >= y0 lowers Im by at most
           a = rho A(y0);
         - for s >= y0, rho A(s) <= B e^{-2 pi s} with
@@ -206,11 +188,10 @@ class RenormSetup:
         A non-finite constant makes the floor +inf, and so every bound.
         """
         if self._hop is None or self._hop[0] != self.y0:
-            c = np.abs(self.F.h_coeffs)
             q, absb = self.q_k, abs(self.beta)
-            rho = math.exp((len(c) + 8) * 2.0 ** -40)
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                B = rho * float(np.sum(c * np.exp(-2 * math.pi * self.y0 * np.arange(len(c)))))
+                rho, t = _majorant(self.F, self.y0, 0)
+                B = rho * float(np.sum(t))
                 a = B * float(np.exp(-2 * math.pi * self.y0))
             S1 = 16 * (q + 2) * 2.0 ** -53 / absb
             S0 = S1 * (q * (abs(self.F.alpha) + a + 1) + abs(self.p_k) + 2)
@@ -288,54 +269,61 @@ def build_HJ(F: LiftMap, k: int) -> RenormSetup:
 # ---------------------------------------------------------------------------
 
 
-def find_y0(setup: RenormSetup) -> float:
-    """Smallest sampled height above which the 1/10-closeness conditions hold.
+def _majorant(F: LiftMap, s, n: int) -> Tuple[float, np.ndarray]:
+    """(rho, t), t[..., m-1] = |h_m| e^{-2 pi (m-1) s} at each height of ``s``:
+    on Im Z = s, |h| <= A(s) = e^{-2 pi s} sum_m t_m and
+    |F' - 1| <= A'(s) = 2 pi e^{-2 pi s} sum_m m t_m.  rho = e^{(M+n+8) 2^-40}
+    lifts a float A or A' above its exact value and above the float |h| of a
+    step, also after n more roundings: Horner's 2M, the M-term sums and the
+    rounded 2 pi s, which |w|^m magnifies 2 pi m |s| 2^-53-fold, stay below
+    (M+n+8) 2^-40 while |s| < 112.  Runs under the caller's np.errstate."""
+    c = np.abs(F.h_coeffs)
+    rho = math.exp((len(c) + n + 8) * 2.0 ** -40)
+    return rho, c * np.exp(np.multiply.outer(-2 * math.pi * s, np.arange(len(c))))
 
-    Grid test of |H - Z - beta| <= |beta|/10, |J - Z - beta'| <= |beta|/10
-    (the hop's beta on the right-hand side in both), and both derivatives
-    within 1/10 of 1, derivatives taken by the chain rule through the lift.
-    The grid is 8 real parts at the heights y + 0.01, 0.05, 0.2 and 1.0, for
-    y = 0 and 48 heights geometric from 0.01 to :data:`HEIGHT_CEILING`.
-    Stores the height on the setup together with the analytic-style
-    prediction max(0, href + log(10 M / |beta|)/(2 pi)) and returns it.
+
+def _orbit_bound(F: LiftMap, ys: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds on |F^q(Z) - Z - q alpha| and |(F^q)'(Z) - 1| over Im Z >= y,
+    alpha exact, for each y in ``ys``: sum_{i<q} A(s_i) and
+    prod_{i<q} (1 + A'(s_i)) - 1, s_0 = y, s_{i+1} = s_i - A(s_i).  As
+    s - A(s) increases with s, the i-th orbit point lies at or above s_i.  A
+    and A' carry rho with n = q (:func:`_majorant`) and each chain step drops
+    2^-51 (|s| + A) more for its own rounding, so the float bounds exceed the
+    exact ones.  A chain that leaves float range gives inf or NaN."""
+    m = np.arange(1, len(F.h_coeffs) + 1)
+    s, disp, der = ys, np.zeros(len(ys)), np.ones(len(ys))
+    with np.errstate(over="ignore", invalid="ignore"):  # read by "not <=" tests
+        for _ in range(q):
+            rho, t = _majorant(F, s, q)
+            w = rho * np.exp(-2 * math.pi * s)
+            A = w * t.sum(axis=-1)
+            disp, der = disp + A, der * (1.0 + 2 * math.pi * w * (t * m).sum(axis=-1))
+            s = s - A - 2.0 ** -51 * (np.abs(s) + A)
+        return disp, der - 1.0
+
+
+def find_y0(setup: RenormSetup) -> float:
+    """The first grid height y0 at which, for every Z with Im Z >= y0,
+
+        |H(Z) - Z - beta| <= |beta|/10,   |H'(Z) - 1| <= 1/10,
+        |J(Z) - Z - beta'| <= |beta|/10,  |J'(Z) - 1| <= 1/10
+
+    (the hop's beta in both; H and J with exact alpha), by
+    :func:`_orbit_bound` over H's q_k steps and J's q_prev steps: nothing is
+    sampled or evaluated.  The grid is 0 and 48 heights geometric from 0.01
+    to :data:`HEIGHT_CEILING`; the bounds fall as y rises.  Stores y0 on the
+    setup and returns it.
     """
     tol = abs(setup.beta) / 10.0
-    res = np.arange(8) / 8
-
-    def conditions_hold(y: float) -> bool:
-        for dy in (0.01, 0.05, 0.2, 1.0):
-            for x in res:
-                Z = complex(x, y + dy)
-                try:
-                    hz, hd = setup.H_with_deriv(Z)
-                    jz, jd = setup.J_with_deriv(Z)
-                except (OverflowError, ValueError):
-                    return False
-                if not (abs(hz - Z - setup.beta) <= tol and abs(hd - 1.0) <= 0.1):
-                    return False
-                if not (abs(jz - Z - setup.beta_prime) <= tol and abs(jd - 1.0) <= 0.1):
-                    return False
-        return True
-
-    for y in [0.0] + list(np.geomspace(0.01, HEIGHT_CEILING, 48)):
-        if conditions_hold(float(y)):
-            setup.y0 = float(y)
-            setup.y0_analytic = y0_analytic_prediction(setup)
-            return setup.y0
-    raise ConditionsNeverMet(f"1/10-conditions fail below height {HEIGHT_CEILING}")
-
-
-def y0_analytic_prediction(setup: RenormSetup) -> float:
-    """Paper-style prediction: measure sup|H - Z - beta| at 8 real parts of
-    the reference height 0.5 and solve for the height where the exponential
-    decay meets |beta|/10."""
-    ref = 0.5
-    m = max(abs(setup.H(complex(x, ref)) - complex(x, ref) - setup.beta)
-            for x in np.arange(8) / 8)
-    if m == 0:
-        return 0.0
-    y = ref + math.log(10.0 * m / abs(setup.beta)) / (2 * math.pi)
-    return max(0.0, y)
+    ys = np.array([0.0, *np.geomspace(0.01, HEIGHT_CEILING, 48)])
+    held = np.ones(len(ys), dtype=bool)
+    for q in (setup.q_k, setup.q_prev):
+        disp, der = _orbit_bound(setup.F, ys, q)
+        held &= (disp <= tol) & (der <= 0.1)  # False on NaN
+    if not held.any():
+        raise ConditionsNeverMet(f"1/10-conditions fail below height {HEIGHT_CEILING}")
+    setup.y0 = float(ys[held.argmax()])
+    return setup.y0
 
 
 # ---------------------------------------------------------------------------

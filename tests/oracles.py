@@ -11,7 +11,10 @@ shared bisection and shared multiplier.
 Three helpers moved here from the library because only tests use them: the
 golden-section cross-check ``const_Cprime_numeric`` of the closed-form C',
 the C''-vs-C relation gap ``cdoubleprime_relation_gap``, and
-``translation_lift``, the pure translation as a lift.
+``translation_lift``, the pure translation as a lift.  The sampled
+1/10-condition check ``find_y0`` made before it certified the conditions
+lives here too, as ``sampled_conditions_hold`` with its own derivative
+evaluators.
 """
 
 import cmath
@@ -291,6 +294,46 @@ def lands_again_exact(setup, W, hops):
         if in_fundamental_domain_exact(setup, W):
             return True
     return False
+
+
+def lift_with_derivative(F, Z):
+    """F(Z) and F'(Z) by plain power sums, for a numpy array of points:
+    F = Z + alpha + sum_m h_m w^m and F' = 1 + 2 pi i sum_m m h_m w^m,
+    w = e^{2 pi i Z}.  A value that leaves float range is inf or NaN."""
+    with np.errstate(all="ignore"):
+        w = np.exp(2j * math.pi * Z)
+        power, h, dh = np.ones_like(w), 0j, 0j
+        for m, c in enumerate(F.h_coeffs.tolist(), 1):
+            power = power * w
+            h, dh = h + c * power, dh + m * c * power
+        return Z + F.alpha + h, 1 + 2j * math.pi * dh
+
+
+def map_with_derivative(setup, Z, jump):
+    """H(Z) and H'(Z), or J(Z) and J'(Z) when ``jump``, by the chain rule
+    through :func:`lift_with_derivative`."""
+    q, p = (setup.q_prev, setup.p_prev) if jump else (setup.q_k, setup.p_k)
+    Z = np.asarray(Z, dtype=np.complex128)
+    der = np.ones_like(Z)
+    for _ in range(q):
+        Z, d = lift_with_derivative(setup.F, Z)
+        der = der * d
+    return Z - p, der
+
+
+def sampled_conditions_hold(setup, y, res=np.arange(8) / 8, dys=(0.01, 0.05, 0.2, 1.0)):
+    """The 1/10-conditions sampled the way find_y0 tested them before it
+    bounded them: |H - Z - beta| and |J - Z - beta'| within |beta|/10, H' and
+    J' within 1/10 of 1, at the real parts ``res`` of the heights y + ``dys``.
+    A non-finite value fails."""
+    Z = np.add.outer(1j * (y + np.asarray(dys)), res)
+    tol = abs(setup.beta) / 10
+    with np.errstate(all="ignore"):
+        for jump, beta in ((False, setup.beta), (True, setup.beta_prime)):
+            W, der = map_with_derivative(setup, Z, jump)
+            if not (np.all(np.abs(W - Z - beta) <= tol) and np.all(np.abs(der - 1) <= 0.1)):
+                return False
+    return True
 
 
 def _sign_of(A: int, B: int, D: int) -> int:

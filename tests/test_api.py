@@ -21,7 +21,8 @@ from siegelkit.bounds import brjuno_sum, const_C
 from siegelkit.cf import convergents, farey_fractions, parse_cf, special_sequence_main
 from siegelkit.errors import DomainError
 from siegelkit.germs import QuadraticFamily, lift_of_germ
-from siegelkit.linearize import hadamard_radius, linearization_coeffs, linearizations
+from siegelkit.linearize import (hadamard_radius, linearization_coeffs, linearizations,
+                                 pole_cancellation_probe)
 from siegelkit.renorm import build_HJ, find_y0, renormalized_rotation_number
 from siegelkit.scan import (ScanParams, condition_bdd_search, main_lemma_probe, scan_r,
                             smooth_disk_driver)
@@ -253,7 +254,8 @@ def test_settable_value_count_is_pinned():
 
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
-_GERM = QuadraticFamily().at(GOLDEN, 8)
+_FAMILY = QuadraticFamily()
+_GERM = _FAMILY.at(GOLDEN, 8)
 _SERIES = linearization_coeffs(_GERM, 32)
 
 
@@ -287,6 +289,10 @@ COUNTS = {
     "farey_fractions": (lambda n: farey_fractions(n), 1),
     "hadamard_radius": (lambda n: hadamard_radius(_SERIES, window=n), 16),
     "const_C": (lambda n: const_C(2.0, n), 1),
+    # p may be any integer; q | (n - 1)
+    "pole_cancellation_probe.p": (lambda n: pole_cancellation_probe(_FAMILY, n, 1, 2), 0),
+    "pole_cancellation_probe.q": (lambda n: pole_cancellation_probe(_FAMILY, 0, n, n + 1), 1),
+    "pole_cancellation_probe.n": (lambda n: pole_cancellation_probe(_FAMILY, 0, 1, n), 2),
 }
 
 
@@ -304,7 +310,8 @@ def test_counts_refuse_what_is_not_an_integer(entry, bad):
 @pytest.mark.parametrize("entry", ["GermFamily.at", "ScanParams.order", "ScanParams.window",
                                    "lift_of_germ", "build_HJ", "brjuno_sum",
                                    "special_sequence_main", "convergents",
-                                   "farey_fractions", "hadamard_radius", "const_C"])
+                                   "farey_fractions", "hadamard_radius", "const_C",
+                                   "pole_cancellation_probe.q", "pole_cancellation_probe.n"])
 def test_counts_take_numpy_integers(entry):
     call, least = COUNTS[entry]
     call(np.int64(least))

@@ -75,6 +75,13 @@ def test_lin_pole_probe(capsys):
     assert json.loads(out)["verdict"] == "pole"
 
 
+def test_lin_pole_probe_reports_an_offset_past_its_own_pole(capsys):
+    # the offset 2/5 + 1/10 = 1/2 has its pole at n = 3
+    code, out, _ = run_cli(["lin", "pole-probe", "--p", "2", "--q", "5", "--n", "6"], capsys)
+    rows = json.loads(out)["rows"]
+    assert code == 0 and rows[0]["stop"].startswith("SmallDivisorBlowup")
+
+
 def test_radius_escape(capsys):
     code, out, _ = run_cli(["radius", "escape", "--family", "quadratic",
                             "--alpha", "[0;(1)]", "--N", "96",
@@ -129,6 +136,8 @@ def test_usage_error_exit_1(capsys):
     ["scan", "--grid", "1/3", "--chi", "1"],
     # a repeated estimator would print each of its rows twice
     ["scan", "--grid", "1/3", "--estimators", "hadamard,hadamard"],
+    # the empty field is --family rotation, not the flow's default field
+    ["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "flow", "--chi", ""],
 ])
 def test_malformed_input_is_a_usage_error(argv, capsys):
     code, _, err = run_cli(argv, capsys)

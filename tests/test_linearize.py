@@ -211,6 +211,25 @@ def test_pole_probe_validates_indices():
         pole_cancellation_probe(QUAD, 1, 3, 5)  # 3 does not divide 4
 
 
+def test_pole_probe_reports_an_offset_that_stops_below_n():
+    # 2/5 + 1/10 = 1/2 has its pole at n = 3; the other offsets reach n = 6
+    # with the values they get alone, and the verdict reads only them
+    rep = pole_cancellation_probe(QUAD, 2, 5, 6)
+    stopped, *rest = rep["rows"]
+    assert stopped["alpha"] == "1/2" and "P_abs" not in stopped
+    assert stopped["stop"].startswith("SmallDivisorBlowup: pole at n=3")
+    for row in rest:
+        alone = linearization_coeffs(QUAD.at(Fraction(row["alpha"]), 8), 6, allow_rational=True)
+        assert (row["P_abs"], row["a_abs"]) == (float(alone.numerators[6]), float(abs(alone.a[6])))
+    assert rep["verdict"] == "pole"
+
+
+def test_pole_probe_with_no_offset_reaching_n_raises_the_first_stop(monkeypatch):
+    monkeypatch.setattr(linearize, "MAG_CAP", 1e-3)
+    with pytest.raises(OverflowGuard, match="a_2"):
+        pole_cancellation_probe(QUAD, 0, 1, 2)
+
+
 # -- lock-step batches ---------------------------------------------------------
 
 # One order N = 40 for the pool: quadratic germs (order 2), flow germs of

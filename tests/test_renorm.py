@@ -27,7 +27,6 @@ from siegelkit.renorm import (
     h_of_lift,
     renormalized_rotation_number,
     return_map,
-    y0_analytic_prediction,
 )
 from siegelkit.linearize import _orbits_stay
 from siegelkit.surd import QuadraticIrrational, exact_sign, to_float
@@ -35,7 +34,9 @@ from siegelkit.surd import QuadraticIrrational, exact_sign, to_float
 from .oracles import (
     in_fundamental_domain_exact,
     lands_again_exact,
+    map_with_derivative,
     mobius_height,
+    sampled_conditions_hold,
     sequential_h_bisection,
     sequential_h_of_lift,
     translation_lift,
@@ -355,7 +356,7 @@ def test_find_y0_passes_over_heights_where_the_pair_overflows():
     s = build_HJ(LiftMap(alpha=to_float(GOLDEN), h_coeffs=[1000.0], alpha_exact=GOLDEN), 2)
     with pytest.raises(OverflowError):
         for x in np.arange(8) / 8:
-            s.H_with_deriv(complex(x, 0.01))
+            s.H(complex(x, 0.01))
     assert 1.0 < find_y0(s) < renorm.HEIGHT_CEILING
 
 
@@ -371,17 +372,9 @@ def test_find_y0_golden_quadratic_and_recheck():
     s = build_HJ(F, 3)
     y0 = find_y0(s)
     assert 0 < y0 < 3
-    # post-hoc re-verification on a finer grid
-    tol = abs(s.beta) / 10
-    for x in np.linspace(0, 1, 16, endpoint=False):
-        for dy in (0.005, 0.11, 0.45):
-            Z = complex(x, y0 + dy)
-            hz, hd = s.H_with_deriv(Z)
-            jz, jd = s.J_with_deriv(Z)
-            assert abs(hz - Z - s.beta) <= tol * 1.05
-            assert abs(hd - 1) <= 0.1 * 1.05
-            assert abs(jz - Z - s.beta_prime) <= tol * 1.05
-            assert abs(jd - 1) <= 0.1 * 1.05
+    # re-verification on a finer grid, from y0 itself
+    assert sampled_conditions_hold(s, y0, res=np.linspace(0, 1, 16, endpoint=False),
+                                   dys=(0.0, 0.005, 0.11, 0.45))
 
 
 def test_jump_condition_uses_hop_beta_on_the_right():
@@ -394,17 +387,50 @@ def test_jump_condition_uses_hop_beta_on_the_right():
     tol_beta_prime = abs(s.beta_prime) / 10
     assert tol_beta < tol_beta_prime
     probe = complex(0.2, y0 + 0.01)
-    jz, _ = s.J_with_deriv(probe)
+    jz, _ = map_with_derivative(s, probe, jump=True)
     assert abs(jz - probe - s.beta_prime) <= tol_beta  # the strict form held
 
 
-def test_y0_analytic_prediction_reported():
-    F = golden_quadratic_lift()
-    s = build_HJ(F, 2)
-    pred = y0_analytic_prediction(s)
-    assert pred >= 0.0 and math.isfinite(pred)
-    find_y0(s)
-    assert s.y0_analytic is not None and s.y0_analytic >= 0.0
+@pytest.mark.parametrize("fam, order, expected", [
+    (QuadraticFamily(), 8, [0.394, 0.394, 0.518, 0.593]),
+    (FlowFamily([1.0], 0.5), 24, [0.088, 0.088, 0.200, 0.262]),
+])
+def test_find_y0_golden_values(fam, order, expected):
+    # lift order 64 at the golden mean, k = 0..3; a sampled search read
+    # 0.394 at every k for the quadratic, below what the bound certifies at k >= 2
+    F = lift_of_germ(fam.at(GOLDEN, order), order=64)
+    assert [round(find_y0(build_HJ(F, k)), 3) for k in range(4)] == expected
+
+
+def test_orbit_bound_holds_where_the_orbit_nearly_attains_it():
+    # h(w) = -i w^13 at alpha = (3 - sqrt 5)/2, where 13 alpha is within
+    # 0.034 of an integer: from Z = i y the first step drops Im by the full
+    # majorant A(y) and the second, at 12 degrees, nearly attains
+    # A(y - A(y)); so at k = 1 (two steps a hop) the chain bound is nearly
+    # attained, and a bound without the chain's descent is not a bound
+    alpha = QuadraticIrrational(3, -1, 2, 5)
+    s = build_HJ(LiftMap(alpha=to_float(alpha), h_coeffs=[0.0] * 12 + [-1j],
+                         alpha_exact=alpha), 1)
+    assert s.q_k == 2
+    ys = np.linspace(0.05, 0.4, 36)
+    disp, der = renorm._orbit_bound(s.F, ys, s.q_k)
+    W, dW = map_with_derivative(s, 1j * ys, jump=False)
+    actual_disp, actual_der = np.abs(W - 1j * ys - s.beta), np.abs(dW - 1)
+    assert np.all(actual_disp <= disp) and np.all(actual_der <= der)
+    assert np.all(actual_disp >= 0.95 * disp) and np.all(actual_der >= 0.95 * der)
+    # the descent counts: low down, the orbit moves more than twice as far as
+    # two steps of A(y) would allow
+    A = np.exp(-2 * math.pi * 13 * ys)
+    assert np.max(actual_disp / (2 * A)) > 2
+
+
+def test_find_y0_bounds_the_jump_on_its_own_steps():
+    # every setup build_HJ makes has q_prev <= q_k, so J's sums are partial
+    # sums of H's; a jump longer than the hop raises y0 by itself
+    s = build_HJ(golden_quadratic_lift(), 2)
+    y0 = find_y0(s)
+    longer = dataclasses.replace(s, q_prev=s.q_k + 4)
+    assert find_y0(longer) > y0
 
 
 def test_conditions_never_met(monkeypatch):
@@ -769,6 +795,17 @@ def test_strip_tests_match_the_exact_edge_across_the_band(i):
 def test_strip_tests_match_the_exact_edge(i, offset, ts):
     s = _BOUND_POOL[i]
     _strip_tests_agree(s, s.y0 + offset, ts)
+
+
+@pytest.mark.parametrize("i", range(len(_BOUND_POOL)))
+def test_certified_y0_passes_the_sampled_check_and_a_dense_sweep(i):
+    # the sampled check find_y0 made before it certified the conditions, and
+    # 256 real parts at 16 heights from y0 to y0 + 3
+    s = build_HJ(_BOUND_POOL[i].F, _BOUND_POOL[i].k)
+    y0 = find_y0(s)
+    assert sampled_conditions_hold(s, y0)
+    assert sampled_conditions_hold(s, y0, res=np.arange(256) / 256,
+                                   dys=np.r_[0.0, np.geomspace(1e-6, 3.0, 15)])
 
 
 def test_hop_bound_is_inf_for_a_non_finite_lift():
