@@ -98,6 +98,9 @@ def _check_output_path(path: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no prefix matching: one spelling per option
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit 1 on usage problems, not argparse's 2
         raise UsageError(message)
 

@@ -2,9 +2,9 @@
 
 Every JSON report goes through :func:`report_json`, which echoes the active
 configuration.  Artifacts carry a schema tag ("name/version"); loaders refuse
-anything else with :class:`SchemaMismatch` rather than guessing a migration.
-Exact values are serialized as text ("p/q", "(a+b*sqrt(d))/c"); floats are
-emitted with ``repr`` so round-trips are bit-exact.
+another tag or a body that does not fit it with :class:`SchemaMismatch` and
+guess no migration.  Exact values are text ("p/q", "(a+b*sqrt(d))/c"); floats
+use ``repr`` (bit-exact round-trips), and JSON writes inf and NaN as text.
 """
 
 from __future__ import annotations
@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import time
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, get_type_hints
 
 from .bounds import ConstantConfig, format_config
 from .cf import format_exact, parse_exact
@@ -54,10 +56,28 @@ __all__ = [
     "file_sha256",
 ]
 
+def _json_safe(x):
+    """``x`` with each non-finite float as its text, which ``float`` reads back."""
+    if isinstance(x, (dict, list, tuple)):
+        return ({k: _json_safe(v) for k, v in x.items()} if isinstance(x, dict)
+                else [_json_safe(v) for v in x])
+    return repr(float(x)) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def report_json(data: dict, cfg: ConstantConfig) -> str:
     """The one JSON report layout: ``data`` plus the active configuration
-    echo under ``config``, keys sorted, one-space indent."""
-    return json.dumps({**data, "config": format_config(cfg)}, indent=1, sort_keys=True)
+    echo under ``config``, keys sorted, one-space indent, strict JSON."""
+    return json.dumps(_json_safe({**data, "config": format_config(cfg)}),
+                      indent=1, sort_keys=True, allow_nan=False)
+
+
+@contextmanager
+def _body(what: str):
+    """Turn a missing key, a wrong type or count, or a bad number into SchemaMismatch."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaMismatch(f"malformed {what}: {exc!r}") from None
 
 
 SCAN_SCHEMA = "scanrow/2"
@@ -104,9 +124,11 @@ def load_scan_csv(fh: TextIO) -> List[ScanRow]:
             continue
         if not cells:
             continue
-        rows.append(ScanRow(alpha_text=cells[0], alpha_float=float(cells[1]),
-                            r_lower=float(cells[2]), r_upper=float(cells[3]),
-                            method=cells[4], max_iter=int(cells[5])))
+        with _body("scan row"):
+            text, alpha, lower, upper, method, max_iter = cells
+            rows.append(ScanRow(alpha_text=text, alpha_float=float(alpha),
+                                r_lower=float(lower), r_upper=float(upper),
+                                method=method, max_iter=int(max_iter)))
     if not header_seen:
         raise SchemaMismatch("missing header")
     return rows
@@ -121,7 +143,7 @@ def scan_rows_json(rows: Sequence[ScanRow], cfg: ConstantConfig) -> str:
 # reports
 # ---------------------------------------------------------------------------
 
-RENORM_SCHEMA = "renorm-report/1"
+RENORM_SCHEMA = "renorm-report/2"
 
 
 def renorm_report_json(rep: RenormReport, cfg: ConstantConfig) -> str:
@@ -131,11 +153,12 @@ def renorm_report_json(rep: RenormReport, cfg: ConstantConfig) -> str:
 def load_renorm_report(text: str) -> RenormReport:
     from .renorm import RenormReport
 
-    data = json.loads(text)
-    if data.pop("schema", None) != RENORM_SCHEMA:
-        raise SchemaMismatch("not a renorm report")
-    fields = {f.name for f in dataclasses.fields(RenormReport)}
-    return RenormReport(**{k: v for k, v in data.items() if k in fields})
+    with _body("renorm report"):
+        data = json.loads(text)
+        if data.get("schema") != RENORM_SCHEMA:
+            raise SchemaMismatch("not a renorm report")
+        return RenormReport(**{name: kind(data[name])
+                               for name, kind in get_type_hints(RenormReport).items()})
 
 
 CONSTRUCTION_SCHEMA = "construction/1"
@@ -143,42 +166,41 @@ CONSTRUCTION_SCHEMA = "construction/1"
 
 def construction_states_json(states: Sequence[ConstructionState],
                              cfg: ConstantConfig) -> str:
-    items = []
-    for st in states:
-        items.append({
-            "stage": st.stage,
-            "theta": format_exact(st.theta),
-            "theta_float": to_float(st.theta),
-            "rho": st.rho,
-            "rho_sched": st.rho_sched,
-            "rho_target": st.rho_target,
-            "interval": [f"{st.interval[0].numerator}/{st.interval[0].denominator}",
-                         f"{st.interval[1].numerator}/{st.interval[1].denominator}"],
-            "deriv_gaps": list(st.deriv_gaps),
-            "thresholds": list(st.thresholds),
-            "k_chosen": st.k_chosen,
-            "diagnostics": st.diagnostics,
-        })
+    items = [{
+        "stage": st.stage,
+        "theta": format_exact(st.theta),
+        "theta_float": to_float(st.theta),
+        "rho": st.rho,
+        "rho_sched": st.rho_sched,
+        "rho_target": st.rho_target,
+        "interval": [f"{st.interval[0].numerator}/{st.interval[0].denominator}",
+                     f"{st.interval[1].numerator}/{st.interval[1].denominator}"],
+        "deriv_gaps": list(st.deriv_gaps),
+        "thresholds": list(st.thresholds),
+        "k_chosen": st.k_chosen,
+        "diagnostics": st.diagnostics,
+    } for st in states]
     return report_json({"schema": CONSTRUCTION_SCHEMA, "states": items}, cfg)
 
 
 def load_construction_states(text: str) -> List[ConstructionState]:
     from .scan import ConstructionState
 
-    data = json.loads(text)
-    if data.get("schema") != CONSTRUCTION_SCHEMA:
-        raise SchemaMismatch("not a construction artifact")
-    out = []
-    for item in data["states"]:
-        lo, hi = item["interval"]
-        out.append(ConstructionState(
-            stage=item["stage"], theta=parse_exact(item["theta"]),
-            rho=item["rho"], rho_sched=item["rho_sched"],
-            rho_target=item["rho_target"],
-            interval=(Fraction(lo), Fraction(hi)),
-            deriv_gaps=list(item["deriv_gaps"]),
-            thresholds=list(item["thresholds"]),
-            k_chosen=item["k_chosen"], diagnostics=item.get("diagnostics", "")))
+    with _body("construction artifact"):
+        data = json.loads(text)
+        if data.get("schema") != CONSTRUCTION_SCHEMA:
+            raise SchemaMismatch("not a construction artifact")
+        out = []
+        for item in data["states"]:
+            lo, hi = item["interval"]
+            out.append(ConstructionState(
+                stage=item["stage"], theta=parse_exact(item["theta"]),
+                rho=float(item["rho"]), rho_sched=float(item["rho_sched"]),
+                rho_target=float(item["rho_target"]),
+                interval=(Fraction(lo), Fraction(hi)),
+                deriv_gaps=[float(g) for g in item["deriv_gaps"]],
+                thresholds=[float(t) for t in item["thresholds"]],
+                k_chosen=item["k_chosen"], diagnostics=item.get("diagnostics", "")))
     return out
 
 
@@ -203,14 +225,15 @@ def load_lift(text: str) -> LiftMap:
 
     from .germs import LiftMap
 
-    data = json.loads(text)
-    if data.get("schema") != LIFT_SCHEMA:
-        raise SchemaMismatch("not a lift artifact")
-    h = np.array([complex(re, im) for re, im in data["h_coeffs"]],
-                 dtype=np.complex128)
-    ae = data.get("alpha_exact")
-    return LiftMap(alpha=float(data["alpha"]), h_coeffs=h,
-                   alpha_exact=None if ae is None else parse_exact(ae))
+    with _body("lift artifact"):
+        data = json.loads(text)
+        if data.get("schema") != LIFT_SCHEMA:
+            raise SchemaMismatch("not a lift artifact")
+        h = np.array([complex(float(re), float(im)) for re, im in data["h_coeffs"]],
+                     dtype=np.complex128)
+        ae = data.get("alpha_exact")
+        return LiftMap(alpha=float(data["alpha"]), h_coeffs=h,
+                       alpha_exact=None if ae is None else parse_exact(ae))
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +254,18 @@ _EXECUTION_FLAGS = ("--workers", "--out", "--manifest", "--trace", "--plot-data"
 
 def _semantic_cmdline(cmdline: Sequence[str]) -> List[str]:
     """Drop execution-only flags (worker count, output paths) so the digest
-    names the work, not the scheduling or where results land."""
+    names the work, not the scheduling or where results land; ``--opt=value``
+    counts as ``--opt value``."""
     out: List[str] = []
     skip = False
     for tok in cmdline:
-        if skip:
-            skip = False
-            continue
-        if tok in _EXECUTION_FLAGS:
-            skip = True
-            continue
-        if any(tok.startswith(f + "=") for f in _EXECUTION_FLAGS):
-            continue
-        out.append(tok)
+        for part in tok.split("=", 1) if tok.startswith("--") else (tok,):
+            if skip:
+                skip = False
+            elif part in _EXECUTION_FLAGS:
+                skip = True
+            else:
+                out.append(part)
     return out
 
 

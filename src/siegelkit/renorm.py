@@ -11,8 +11,8 @@ H-image.  The first-return map J-then-H-hops, read in the rescaled coordinate
 lambda(Z) = (Z - i y0)/beta (conjugated when beta < 0), has rotation number
 beta'/beta.  The conformal straightening is not built numerically: at the
 measurement heights used here the glued surface is translation-like and the
-lambda coordinate stands in for it, with the additive constant reported as an
-estimate only.
+lambda coordinate stands in for it.  Its additive constant is not estimated:
+a report holds what the returns measured and the heights y0, y1, y2.
 """
 
 from __future__ import annotations
@@ -405,36 +405,12 @@ class RenormReport:
     y0: float
     y1: float
     y2: float
-    H0_estimate: float
     single_pass_violations: int
     budget_violations: int = 0
     undefined_returns: int = 0
     n_returns: int = 0
     im_drift: float = 0.0
     diagnostics: str = ""
-
-
-def _estimate_H0(setup: RenormSetup, top_height: float) -> float:
-    """Lowest of 8 sampled heights with the return defined across a Re-grid
-    of 4 points, reported in lambda units above y0 (additive-constant
-    estimate only)."""
-    lowest_ok = top_height
-    for h in np.linspace(top_height, setup.y0 + 0.15 * abs(setup.beta), 8):
-        ok = True
-        for x in np.linspace(0.0, 0.9, 4):
-            Z = complex(x * setup.beta, h)
-            if not setup.in_fundamental_domain(Z):
-                continue
-            try:
-                return_map(setup, Z)
-            except (UndefinedReturn, BudgetExceeded):
-                ok = False
-                break
-        if ok:
-            lowest_ok = h
-        else:
-            break
-    return (lowest_ok - setup.y0) / abs(setup.beta)
 
 
 def renormalized_rotation_number(setup: RenormSetup, height: float,
@@ -480,13 +456,11 @@ def renormalized_rotation_number(setup: RenormSetup, height: float,
         done += 1
     measured = (disp_sum / done).real
     drift = (disp_sum / done).imag
-    h0 = _estimate_H0(setup, height)
     return RenormReport(
         measured_alpha_prime=measured,
         expected_alpha_prime=expected,
         error=abs(measured - expected),
         y0=setup.y0, y1=y1, y2=y2,
-        H0_estimate=h0,
         single_pass_violations=violations,
         budget_violations=budget_viol,
         undefined_returns=undefined,

@@ -28,10 +28,19 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def loads(text):
+    """Parse a JSON output strictly: a bare Infinity or NaN fails."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def test_cf_expand(capsys):
     code, out, _ = run_cli(["cf", "expand", "--alpha", "355/113"], capsys)
     assert code == 0
-    data = json.loads(out)
+    data = loads(out)
     assert data["cf"] == "[3;7,16]"
     assert "config" in data
 
@@ -39,20 +48,20 @@ def test_cf_expand(capsys):
 def test_cf_special_seq_matches_library(capsys):
     code, out, _ = run_cli(["cf", "special-seq", "--alpha", "0/1",
                             "--variant", "short", "--n", "3"], capsys)
-    data = json.loads(out)
+    data = loads(out)
     assert data["exact"] == "(4-1*sqrt(2))/14"   # 1/(4+sqrt2)
     assert abs(data["float"] - (4 - math.sqrt(2)) / 14) < 1e-15
 
 
 def test_cf_eval_and_convergents(capsys):
     code, out, _ = run_cli(["cf", "eval", "--cf", "[0;2,(2)]"], capsys)
-    assert json.loads(out)["exact"] == "(-1+1*sqrt(2))/1"
+    assert loads(out)["exact"] == "(-1+1*sqrt(2))/1"
     code, out, _ = run_cli(["cf", "convergents", "--cf", "[1;(1)]", "--n", "4"], capsys)
-    rows = json.loads(out)["convergents"]
+    rows = loads(out)["convergents"]
     assert [r["p"] for r in rows] == ["1", "2", "3", "5", "8"]
     # --alpha is a value, as for expand: its own expansion
     code, out, _ = run_cli(["cf", "convergents", "--alpha", "355/113", "--n", "2"], capsys)
-    rows = json.loads(out)["convergents"]
+    rows = loads(out)["convergents"]
     assert (code, [(r["p"], r["q"]) for r in rows]) == (0, [("3", "1"), ("22", "7"),
                                                             ("355", "113")])
 
@@ -60,25 +69,25 @@ def test_cf_eval_and_convergents(capsys):
 def test_const_passthrough(capsys):
     code, out, _ = run_cli(["const", "Cprime", "--K", "10", "--q", "5"], capsys)
     assert code == 0
-    assert abs(json.loads(out)["value"] - const_Cprime(10.0, 5)) < 1e-15
+    assert abs(loads(out)["value"] - const_Cprime(10.0, 5)) < 1e-15
 
 
 def test_brjuno(capsys):
     code, out, _ = run_cli(["brjuno", "--alpha", "[1;(1)]", "--depth", "80"], capsys)
-    data = json.loads(out)
+    data = loads(out)
     assert data["converged"] and 3.0 < data["value"] < 3.5
 
 
 def test_lin_pole_probe(capsys):
     code, out, _ = run_cli(["lin", "pole-probe", "--family", "quadratic",
                             "--p", "0", "--q", "1", "--n", "2"], capsys)
-    assert json.loads(out)["verdict"] == "pole"
+    assert loads(out)["verdict"] == "pole"
 
 
 def test_lin_pole_probe_reports_an_offset_past_its_own_pole(capsys):
     # the offset 2/5 + 1/10 = 1/2 has its pole at n = 3
     code, out, _ = run_cli(["lin", "pole-probe", "--p", "2", "--q", "5", "--n", "6"], capsys)
-    rows = json.loads(out)["rows"]
+    rows = loads(out)["rows"]
     assert code == 0 and rows[0]["stop"].startswith("SmallDivisorBlowup")
 
 
@@ -86,7 +95,7 @@ def test_radius_escape(capsys):
     code, out, _ = run_cli(["radius", "escape", "--family", "quadratic",
                             "--alpha", "[0;(1)]", "--N", "96",
                             "--max-iter", "1000", "--bisect-tol", "4e-3"], capsys)
-    data = json.loads(out)
+    data = loads(out)
     assert 0.2 < data["lower"] <= data["upper"] < 0.45
 
 
@@ -138,6 +147,9 @@ def test_usage_error_exit_1(capsys):
     ["scan", "--grid", "1/3", "--estimators", "hadamard,hadamard"],
     # the empty field is --family rotation, not the flow's default field
     ["lin", "coeffs", "--alpha", "1/3", "--N", "4", "--family", "flow", "--chi", ""],
+    # an abbreviated option is refused: each option has one spelling
+    ["scan", "--grid", "1/3,2/5", "--format", "csv", "--work", "2"],
+    ["scan", "--grid", "1/3,2/5", "--format", "csv", "--man", "x"],
 ])
 def test_malformed_input_is_a_usage_error(argv, capsys):
     code, _, err = run_cli(argv, capsys)
@@ -194,8 +206,8 @@ def _no_return(signum, frame):
     (["brjuno", "--alpha", "[0;(1)]", "--tol", "nan"], {}),
 ])
 def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch, tmp_path):
-    # a NaN must not reach the report: json.dumps would print the non-JSON
-    # NaN; nor a tolerance at or below zero, which no bracket ever gets under;
+    # a NaN input must not reach the report, where it would compute a "nan"
+    # value; nor a tolerance at or below zero, which no bracket ever gets under;
     # nor a config value that is not a number
     for key, val in env.items():
         monkeypatch.setenv(key, val)
@@ -216,7 +228,7 @@ def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("alpha", ["1/2", "3/7", "2"])
 def test_brjuno_of_a_rational_is_a_numeric_error(alpha, capsys):
-    # the sum diverges, and json.dumps would print the non-JSON Infinity
+    # the sum diverges: a report of "inf" would claim a sum that does not exist
     code, out, err = run_cli(["brjuno", "--alpha", alpha], capsys)
     assert code == 2 and out == ""
     assert err.startswith("RationalInput:")
@@ -225,7 +237,7 @@ def test_brjuno_of_a_rational_is_a_numeric_error(alpha, capsys):
 def test_brjuno_of_a_rational_cut_off_by_depth_is_a_partial_sum(capsys):
     # a depth short of the expansion's end treats it as a prefix
     code, out, _ = run_cli(["brjuno", "--alpha", "355/113", "--depth", "1"], capsys)
-    data = json.loads(out)
+    data = loads(out)
     assert code == 0 and data["value"] == math.log(7) and not data["converged"]
 
 
@@ -237,8 +249,8 @@ def test_brjuno_past_float_range_keeps_the_partial_sum(alpha, depth, working_dep
     _, out, _ = run_cli(["brjuno", "--alpha", alpha, "--depth", str(working_depth)], capsys)
     code, deep, err = run_cli(["brjuno", "--alpha", alpha, "--depth", str(depth)], capsys)
     assert code == 0 and err == ""
-    data = json.loads(deep)
-    assert data["value"] == json.loads(out)["value"] and data["converged"]
+    data = loads(deep)
+    assert data["value"] == loads(out)["value"] and data["converged"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -418,10 +430,37 @@ def test_scan_csv_golden_path(tmp_path, capsys):
     grid_size = len([1 for line in text.splitlines() if not line.startswith("#")]) - 1
     assert len(rows) == grid_size
     assert all(r.max_iter == 150 for r in rows if r.method == "escape")
-    man = json.loads((tmp_path / "man.json").read_text())
+    man = loads((tmp_path / "man.json").read_text())
     assert man["outputs"] == {str(out_file): skio.file_sha256(str(out_file)),
                               str(plot): skio.file_sha256(str(plot))}
     assert len(plot.read_text().splitlines()) == len(rows)
+
+
+def test_opt_equals_value_prints_the_bytes_of_its_space_form(capsys):
+    base = ["scan", "--grid", "1/3,2/5", "--format", "csv"]
+    runs = [run_cli(argv, capsys) for argv in (
+        base, ["scan", "--grid=1/3,2/5", "--format", "csv"], base + ["--workers=2"])]
+    assert runs[0][0] == 0 and runs[0] == runs[1] == runs[2]
+    assert "# manifest: 76fcb20a76da9f87\n" in runs[0][1]
+
+
+@pytest.mark.parametrize("argv, key, text", [
+    (["lin", "coeffs", "--family", "rotation", "--alpha", "1/3", "--N", "8"],
+     "small_divisor_log", [None] + 2 * [0.5493061443340547, 0.5493061443340548, "-inf"]
+     + [0.5493061443340547]),
+    (["radius", "hadamard", "--family", "rotation", "--alpha", "[0;(1)]"], "upper", "inf"),
+])
+def test_non_finite_values_are_written_as_json_text(argv, key, text, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and loads(out)[key] == text
+
+
+def test_scan_json_row_with_no_upper_bound_is_json(capsys):
+    code, out, _ = run_cli(["scan", "--grid", "1/3", "--estimators", "escape,hadamard",
+                            "--format", "json"], capsys)
+    rows = loads(out)["rows"]
+    assert code == 0 and rows[1]["method"] == "hadamard:error:SmallDivisorBlowup"
+    assert rows[1]["r_upper"] == "inf" and float(rows[1]["r_upper"]) == math.inf
 
 
 def test_scan_digest_names_the_argv_run(tmp_path, capsys):
@@ -433,7 +472,7 @@ def test_scan_digest_names_the_argv_run(tmp_path, capsys):
                 "--max-iter", "50", "--manifest", str(man)]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        digest = json.loads(man.read_text())["digest"]
+        digest = loads(man.read_text())["digest"]
         assert digest == skio.invocation_digest(argv, DEFAULT_CONFIG)
         assert f"# manifest: {digest}\n" in out
         digests.append(digest)
@@ -447,12 +486,12 @@ def test_renorm_rotnum_cli_with_trace(tmp_path, capsys):
                             "--alpha", "[0;(1)]", "--k", "1", "--returns", "50",
                             "--trace", str(trace), "--manifest", str(man)], capsys)
     assert code == 0
-    data = json.loads(out)
+    data = loads(out)
     assert data["error"] < 1e-6
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,re,im,in_U"
     assert len(lines) > 2
-    assert json.loads(man.read_text())["outputs"] == {
+    assert loads(man.read_text())["outputs"] == {
         str(trace): skio.file_sha256(str(trace))}
 
 
@@ -463,7 +502,7 @@ def test_renorm_return_cli_with_trace(tmp_path, capsys):
     assert code == 0
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,re,im,in_U"
-    assert len(lines) == json.loads(out)["hops"] + 3  # header, start, jump, hops
+    assert len(lines) == loads(out)["hops"] + 3  # header, start, jump, hops
 
 
 def test_renorm_setup_refuses_trace_before_any_work(tmp_path, monkeypatch, capsys):
@@ -506,13 +545,13 @@ def test_renorm_setup_refuses_trace_before_any_work(tmp_path, monkeypatch, capsy
 def test_every_json_report_echoes_config(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0, err
-    assert json.loads(out)["config"] == format_config(DEFAULT_CONFIG)
+    assert loads(out)["config"] == format_config(DEFAULT_CONFIG)
 
 
 def test_lift_h_cli(capsys):
     code, out, _ = run_cli(["lift", "h", "--family", "rotation",
                             "--alpha", "[0;(1)]", "--N", "32"], capsys)
-    data = json.loads(out)
+    data = loads(out)
     assert data["h_estimate"] == 0.0
     assert data["r_floor"] == 1.0
 
@@ -520,7 +559,7 @@ def test_lift_h_cli(capsys):
 def test_probe_degenerate_cli(capsys):
     code, out, _ = run_cli(["probe", "degenerate", "--family", "flow", "--chi", "1",
                             "--t", "[0;(1)],[0;(2)]", "--K", "7"], capsys)
-    data = json.loads(out)
+    data = loads(out)
     assert code == 0
     assert data["degenerate_flag"] is True
 
@@ -533,7 +572,7 @@ def test_probe_degenerate_needs_no_lipschitz_estimate(capsys, monkeypatch):
     code, out, _ = run_cli(["probe", "degenerate", "--family", "flow", "--chi", "1",
                             "--t", "[0;(1)],[0;(2)]"], capsys)
     assert code == 0
-    assert "degenerate_flag" in json.loads(out)
+    assert "degenerate_flag" in loads(out)
 
 
 def test_flow_lipschitz_overflow_is_a_numeric_error(capsys, monkeypatch):
@@ -593,7 +632,7 @@ def test_config_file_flows_through(tmp_path, capsys):
     cfgfile.write_text("c1 = 4.0\n")
     code, out, _ = run_cli(["const", "C", "--K", "1", "--q", "1",
                             "--config", str(cfgfile)], capsys)
-    data = json.loads(out)
+    data = loads(out)
     assert data["value"] == 4.0
     assert "c1=4.0" in data["config"]
 
@@ -640,7 +679,7 @@ def _fresh_interpreter(src, *argv):
     proc = subprocess.run([sys.executable, "-c", src, *argv], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return loads(proc.stdout)
 
 
 def _skip_if_a_bare_interpreter_loads_openssl():

@@ -81,25 +81,106 @@ def test_scan_json_shape():
     assert len(data["rows"]) == 5
 
 
+def _report(**changes):
+    fields = dict(measured_alpha_prime=-1.618, expected_alpha_prime=-1.618,
+                  error=1e-13, y0=0.4, y1=0.5, y2=1.2,
+                  single_pass_violations=0, budget_violations=0,
+                  undefined_returns=0, n_returns=1000, im_drift=0.0,
+                  diagnostics="")
+    return RenormReport(**{**fields, **changes})
+
+
 def test_renorm_report_roundtrip():
-    rep = RenormReport(measured_alpha_prime=-1.618, expected_alpha_prime=-1.618,
-                       error=1e-13, y0=0.4, y1=0.5, y2=1.2, H0_estimate=0.15,
-                       single_pass_violations=0, budget_violations=0,
-                       undefined_returns=0, n_returns=1000, im_drift=0.0,
-                       diagnostics="")
+    rep = _report()
     text = skio.renorm_report_json(rep, DEFAULT_CONFIG)
+    assert json.loads(text)["schema"] == "renorm-report/2"
+    assert "H0_estimate" not in text
     assert skio.load_renorm_report(text) == rep
     with pytest.raises(SchemaMismatch):
-        skio.load_renorm_report(text.replace("renorm-report/1", "other/9"))
+        skio.load_renorm_report(text.replace("renorm-report/2", "other/9"))
+    # a /1 report, which carried H0_estimate, is refused rather than read as /2
+    old = json.loads(text)
+    old.update(schema="renorm-report/1", H0_estimate=0.15)
+    with pytest.raises(SchemaMismatch, match="not a renorm report"):
+        skio.load_renorm_report(json.dumps(old))
 
 
-def test_construction_roundtrip():
-    st = ConstructionState(
+def test_report_json_writes_non_finite_floats_as_text():
+    rep = _report(error=math.inf, im_drift=-math.inf, measured_alpha_prime=math.nan)
+    text = skio.renorm_report_json(rep, DEFAULT_CONFIG)
+    data = json.loads(text, parse_constant=_not_json)
+    assert (data["error"], data["im_drift"], data["measured_alpha_prime"]) == ("inf", "-inf", "nan")
+    back = skio.load_renorm_report(text)
+    assert (back.error, back.im_drift) == (math.inf, -math.inf)
+    assert math.isnan(back.measured_alpha_prime)
+    nested = skio.report_json({"a": [np.float64(-np.inf), (1.5, math.nan)], "b": {"c": math.inf}},
+                              DEFAULT_CONFIG)
+    assert json.loads(nested, parse_constant=_not_json)["a"] == ["-inf", [1.5, "nan"]]
+    assert json.loads(nested)["b"] == {"c": "inf"}
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_renorm_report_with_missing_fields_is_a_schema_mismatch():
+    data = json.loads(skio.renorm_report_json(_report(), DEFAULT_CONFIG))
+    del data["y2"]
+    with pytest.raises(SchemaMismatch, match="y2"):
+        skio.load_renorm_report(json.dumps(data))
+    with pytest.raises(SchemaMismatch):
+        skio.load_renorm_report(json.dumps({**data, "y2": 1.0, "y0": "high"}))
+    with pytest.raises(SchemaMismatch):
+        skio.load_renorm_report("[1, 2]")
+
+
+def _scan_csv_with_row(row):
+    buf = io.StringIO()
+    skio.emit_scan_csv(random_rows(2, seed=4), buf)
+    return io.StringIO(buf.getvalue() + row + "\n")
+
+
+@pytest.mark.parametrize("row", [
+    "1/3,0.3333333333333333,0.1,0.2,escape",              # 5 cells
+    "1/3,0.3333333333333333,0.1,0.2,escape,300,extra",    # 7 cells
+    "1/3,0.3333333333333333,x,0.2,escape,300",            # r_lower is no number
+    "1/3,0.3333333333333333,0.1,0.2,escape,3.5",          # max_iter is no integer
+])
+def test_malformed_scan_row_is_a_schema_mismatch(row):
+    with pytest.raises(SchemaMismatch):
+        skio.load_scan_csv(_scan_csv_with_row(row))
+    assert len(skio.load_scan_csv(_scan_csv_with_row(""))) == 2
+
+
+def test_malformed_lift_is_a_schema_mismatch():
+    L = LiftMap(alpha=0.618, h_coeffs=np.array([0.1 + 0.2j, 0.05j]), alpha_exact=None)
+    data = json.loads(skio.lift_json(L, DEFAULT_CONFIG))
+    for h in ([[1]], [[1, 2, 3]], [["x", 0.0]], 5):
+        with pytest.raises(SchemaMismatch):
+            skio.load_lift(json.dumps({**data, "h_coeffs": h}))
+    with pytest.raises(SchemaMismatch):
+        skio.load_lift(json.dumps({**data, "alpha_exact": "1/0"}))
+
+
+def test_construction_state_without_interval_is_a_schema_mismatch():
+    text = skio.construction_states_json([_state()], DEFAULT_CONFIG)
+    data = json.loads(text)
+    del data["states"][0]["interval"]
+    with pytest.raises(SchemaMismatch, match="interval"):
+        skio.load_construction_states(json.dumps(data))
+
+
+def _state():
+    return ConstructionState(
         stage=1, theta=QuadraticIrrational(-1, 1, 2, 5), rho=0.31,
         rho_sched=0.22, rho_target=0.15,
         interval=(Fraction(3, 8), Fraction(7, 8)),
         deriv_gaps=[0.01, 0.002], thresholds=[0.5, 0.25], k_chosen=2,
         diagnostics="k=2")
+
+
+def test_construction_roundtrip():
+    st = _state()
     text = skio.construction_states_json([st], DEFAULT_CONFIG)
     back = skio.load_construction_states(text)[0]
     assert back.theta == st.theta
@@ -124,6 +205,18 @@ def test_invocation_digest_skips_worker_flag():
                                 DEFAULT_CONFIG)
     d3 = skio.invocation_digest(["scan", "--grid", "farey:Q=9"], DEFAULT_CONFIG)
     assert d1 == d2 != d3
+
+
+def test_invocation_digest_reads_opt_equals_value_as_its_space_form():
+    space = skio.invocation_digest(["scan", "--grid", "1/3,2/5", "--format", "csv"],
+                                   DEFAULT_CONFIG)
+    assert space == "76fcb20a76da9f87"
+    for argv in (["scan", "--grid=1/3,2/5", "--format=csv"],
+                 ["scan", "--grid", "1/3,2/5", "--format", "csv", "--workers=2", "--out=x.csv"]):
+        assert skio.invocation_digest(argv, DEFAULT_CONFIG) == space
+    # a value may hold "=": only the first one ends the option's name
+    assert (skio.invocation_digest(["lin", "--chi=a=b"], DEFAULT_CONFIG)
+            == skio.invocation_digest(["lin", "--chi", "a=b"], DEFAULT_CONFIG))
 
 
 def test_manifest_build(tmp_path):

@@ -643,14 +643,6 @@ def test_rotnum_error_improves_with_height():
     assert e2 <= e1 + 1e-9
 
 
-def test_rotnum_h0_estimate_small_for_translation():
-    F = translation_lift(GOLDEN)
-    s = build_HJ(F, 1)
-    find_y0(s)
-    rep = renormalized_rotation_number(s, height=1.0, n_returns=50)
-    assert rep.H0_estimate <= 0.5
-
-
 def test_strip_and_rotnum_need_y0():
     s = build_HJ(translation_lift(GOLDEN), 1)
     for call in (lambda: s.lam(1j), lambda: s.in_fundamental_domain(1j),
