@@ -150,6 +150,7 @@ def _add_family(p: argparse.ArgumentParser):
 def build_parser() -> _Parser:
     top = _Parser(prog="siegelkit", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
+    top.commands = sub.choices  # subcommand name -> its parser
 
     p = sub.add_parser("cf", help="continued-fraction operations")
     p.add_argument("op", choices=("expand", "eval", "convergents", "special-seq", "theta-seq"))
@@ -309,10 +310,8 @@ def cmd_cf(args, cfg):
         else:
             construction = f"[...;1+a_{args.n + 1},1+sqrt(2)]"
         return {"n": args.n, "construction": construction, **_exact_and_float(val)}
-    if args.op == "theta-seq":
-        cf = _alpha_cf(args)
-        return {"n": args.n, **_exact_and_float(theta_sequence(cf, args.n))}
-    raise UsageError(f"unknown cf op {args.op}")
+    cf = _alpha_cf(args)  # theta-seq, the last op argparse admits
+    return {"n": args.n, **_exact_and_float(theta_sequence(cf, args.n))}
 
 
 def cmd_brjuno(args, cfg):
@@ -354,11 +353,9 @@ def cmd_lin(args, cfg):
                 "a": [[c.real, c.imag] for c in lin.a[1:]],
                 "small_divisor_log": [None if math.isnan(v) else v
                                       for v in lin.small_divisor_log[1:]]}
-    if args.op == "compose-check":
-        res = compose_check(germ, lin)
-        scale = max(1.0, float(np.max(np.abs(lin.a))))
-        return {"residual": res, "scale": scale, "passes": bool(res <= 1e-10 * scale)}
-    raise UsageError(f"unknown lin op {args.op}")
+    res = compose_check(germ, lin)  # compose-check, the last op argparse admits
+    scale = max(1.0, float(np.max(np.abs(lin.a))))
+    return {"residual": res, "scale": scale, "passes": bool(res <= 1e-10 * scale)}
 
 
 def cmd_radius(args, cfg):
@@ -517,7 +514,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
-        parser.print_usage(sys.stderr)
+        # the usage of the subcommand argv names, else the top-level one
+        parser.commands.get(argv[0] if argv else None, parser).print_usage(sys.stderr)
         return 1
     except SiegelError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")

@@ -64,10 +64,6 @@ class FamilyUnsuitable(StageFailed):
     """Family shows no radius descent; looks degenerate."""
 
 
-class RefinementCap(SiegelError):
-    """Interval refinement reached its precision cap before separating two values."""
-
-
 class SchemaMismatch(SiegelError):
     """Serialized artifact has an unexpected header or schema version."""
 

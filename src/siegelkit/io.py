@@ -3,25 +3,29 @@
 Every JSON report goes through :func:`report_json`, which echoes the active
 configuration.  Artifacts carry a schema tag ("name/version"); loaders refuse
 another tag or a body that does not fit it with :class:`SchemaMismatch` and
-guess no migration.  Exact values are text ("p/q", "(a+b*sqrt(d))/c"); floats
-use ``repr`` (bit-exact round-trips), and JSON writes inf and NaN as text.
+guess no migration.  The fields of a JSON record are written and read by one
+codec keyed by their annotations: exact values are text ("p/q",
+"(a+b*sqrt(d))/c"), floats use ``repr`` (bit-exact round-trips) with inf and
+NaN as text, and a loader takes no JSON type but the field's own.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, get_type_hints
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple,
+                    get_type_hints)
 
 from .bounds import ConstantConfig, format_config
 from .cf import format_exact, parse_exact
 from .errors import SchemaMismatch
-from .surd import to_float
+from .surd import ExactReal, to_float
 
 try:  # the interpreter's own SHA-256: hashlib would load OpenSSL for one digest
     from _sha2 import sha256 as _sha256  # Python 3.12+
@@ -40,20 +44,11 @@ if TYPE_CHECKING:
 # command that only writes a report does not load numpy.
 
 __all__ = [
-    "report_json",
-    "SCAN_SCHEMA",
-    "emit_scan_csv",
-    "load_scan_csv",
-    "scan_rows_json",
-    "renorm_report_json",
-    "load_renorm_report",
-    "construction_states_json",
-    "load_construction_states",
-    "lift_json",
-    "load_lift",
-    "manifest_json",
-    "invocation_digest",
-    "file_sha256",
+    "report_json", "SCAN_SCHEMA", "emit_scan_csv", "load_scan_csv", "scan_rows_json",
+    "renorm_report_json", "load_renorm_report",
+    "construction_states_json", "load_construction_states",
+    "lift_json", "load_lift",
+    "manifest_json", "invocation_digest", "file_sha256",
 ]
 
 def _json_safe(x):
@@ -135,105 +130,109 @@ def load_scan_csv(fh: TextIO) -> List[ScanRow]:
 
 
 def scan_rows_json(rows: Sequence[ScanRow], cfg: ConstantConfig) -> str:
-    return report_json({"schema": SCAN_SCHEMA,
-                        "rows": [dataclasses.asdict(r) for r in rows]}, cfg)
+    return report_json({"schema": SCAN_SCHEMA, "rows": [_encode(r) for r in rows]}, cfg)
 
 
 # ---------------------------------------------------------------------------
-# reports
+# JSON records: one field codec, chosen by each field's annotation
 # ---------------------------------------------------------------------------
 
 RENORM_SCHEMA = "renorm-report/2"
+CONSTRUCTION_SCHEMA = "construction/1"
+LIFT_SCHEMA = "lift/1"
+
+
+def _want(v, kind):
+    """``v`` if it is a JSON value of ``kind``; a bool is no number."""
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise TypeError(f"{v!r} is not of {kind}")
+    return v
+
+
+def _real(v) -> float:
+    """A float field: a number, or the text ``_json_safe`` writes for a non-finite one."""
+    return float(v if v in ("inf", "-inf", "nan") else _want(v, (int, float)))
+
+
+def _pair(v) -> tuple:
+    lo, hi = _want(v, list)
+    return lo, hi
+
+
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> tuple:
+    """(name, encode, decode) for each field of the record class ``cls``;
+    each decoder refuses every JSON type but its own."""
+    import numpy as np  # loaded already: every record class lives in a numeric module
+
+    same = lambda x: x  # noqa: E731 -- report_json writes these as they are
+    exact = lambda v: parse_exact(_want(v, str))  # noqa: E731
+    kinds = {
+        float: (same, _real),
+        int: (same, lambda v: _want(v, int)),
+        str: (same, lambda v: _want(v, str)),
+        ExactReal: (format_exact, exact),
+        Optional[ExactReal]: (lambda x: None if x is None else format_exact(x),
+                              lambda v: None if v is None else exact(v)),
+        Tuple[Fraction, Fraction]: (
+            lambda iv: [f"{f.numerator}/{f.denominator}" for f in iv],
+            lambda v: tuple(Fraction(_want(t, str)) for t in _pair(v))),
+        List[float]: (list, lambda v: [_real(x) for x in _want(v, list)]),
+        np.ndarray: (lambda a: [[c.real, c.imag] for c in a],  # complex coefficients
+                     lambda v: np.array([complex(*map(_real, _pair(p))) for p in _want(v, list)],
+                                        dtype=np.complex128)),
+    }
+    return tuple((name, *kinds[hint]) for name, hint in get_type_hints(cls).items())
+
+
+def _encode(rec) -> dict:
+    return {name: enc(getattr(rec, name)) for name, enc, _ in _fields(type(rec))}
+
+
+def _decode(cls, item):
+    return cls(**{name: dec(item[name]) for name, _, dec in _fields(cls)})
+
+
+def _load(text: str, schema: str, what: str, decode):
+    """``decode`` of the body of an artifact tagged ``schema``."""
+    with _body(what):
+        data = json.loads(text)
+        if not isinstance(data, dict) or data.get("schema") != schema:
+            raise SchemaMismatch(f"not a {what}")
+        return decode(data)
 
 
 def renorm_report_json(rep: RenormReport, cfg: ConstantConfig) -> str:
-    return report_json({**dataclasses.asdict(rep), "schema": RENORM_SCHEMA}, cfg)
+    return report_json({**_encode(rep), "schema": RENORM_SCHEMA}, cfg)
 
 
 def load_renorm_report(text: str) -> RenormReport:
     from .renorm import RenormReport
 
-    with _body("renorm report"):
-        data = json.loads(text)
-        if data.get("schema") != RENORM_SCHEMA:
-            raise SchemaMismatch("not a renorm report")
-        return RenormReport(**{name: kind(data[name])
-                               for name, kind in get_type_hints(RenormReport).items()})
-
-
-CONSTRUCTION_SCHEMA = "construction/1"
+    return _load(text, RENORM_SCHEMA, "renorm report", lambda d: _decode(RenormReport, d))
 
 
 def construction_states_json(states: Sequence[ConstructionState],
                              cfg: ConstantConfig) -> str:
-    items = [{
-        "stage": st.stage,
-        "theta": format_exact(st.theta),
-        "theta_float": to_float(st.theta),
-        "rho": st.rho,
-        "rho_sched": st.rho_sched,
-        "rho_target": st.rho_target,
-        "interval": [f"{st.interval[0].numerator}/{st.interval[0].denominator}",
-                     f"{st.interval[1].numerator}/{st.interval[1].denominator}"],
-        "deriv_gaps": list(st.deriv_gaps),
-        "thresholds": list(st.thresholds),
-        "k_chosen": st.k_chosen,
-        "diagnostics": st.diagnostics,
-    } for st in states]
+    items = [{**_encode(st), "theta_float": to_float(st.theta)} for st in states]
     return report_json({"schema": CONSTRUCTION_SCHEMA, "states": items}, cfg)
 
 
 def load_construction_states(text: str) -> List[ConstructionState]:
     from .scan import ConstructionState
 
-    with _body("construction artifact"):
-        data = json.loads(text)
-        if data.get("schema") != CONSTRUCTION_SCHEMA:
-            raise SchemaMismatch("not a construction artifact")
-        out = []
-        for item in data["states"]:
-            lo, hi = item["interval"]
-            out.append(ConstructionState(
-                stage=item["stage"], theta=parse_exact(item["theta"]),
-                rho=float(item["rho"]), rho_sched=float(item["rho_sched"]),
-                rho_target=float(item["rho_target"]),
-                interval=(Fraction(lo), Fraction(hi)),
-                deriv_gaps=[float(g) for g in item["deriv_gaps"]],
-                thresholds=[float(t) for t in item["thresholds"]],
-                k_chosen=item["k_chosen"], diagnostics=item.get("diagnostics", "")))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# lifts
-# ---------------------------------------------------------------------------
-
-LIFT_SCHEMA = "lift/1"
+    return _load(text, CONSTRUCTION_SCHEMA, "construction artifact", lambda d: [
+        _decode(ConstructionState, item) for item in _want(d["states"], list)])
 
 
 def lift_json(L: LiftMap, cfg: ConstantConfig) -> str:
-    return report_json({
-        "schema": LIFT_SCHEMA,
-        "alpha": L.alpha,
-        "alpha_exact": None if L.alpha_exact is None else format_exact(L.alpha_exact),
-        "h_coeffs": [[c.real, c.imag] for c in L.h_coeffs],
-    }, cfg)
+    return report_json({**_encode(L), "schema": LIFT_SCHEMA}, cfg)
 
 
 def load_lift(text: str) -> LiftMap:
-    import numpy as np
-
     from .germs import LiftMap
 
-    with _body("lift artifact"):
-        data = json.loads(text)
-        if data.get("schema") != LIFT_SCHEMA:
-            raise SchemaMismatch("not a lift artifact")
-        h = np.array([complex(float(re), float(im)) for re, im in data["h_coeffs"]],
-                     dtype=np.complex128)
-        ae = data.get("alpha_exact")
-        return LiftMap(alpha=float(data["alpha"]), h_coeffs=h,
-                       alpha_exact=None if ae is None else parse_exact(ae))
+    return _load(text, LIFT_SCHEMA, "lift artifact", lambda d: _decode(LiftMap, d))
 
 
 # ---------------------------------------------------------------------------

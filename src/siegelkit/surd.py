@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .errors import DomainError, RefinementCap
+from .errors import DomainError
 
 __all__ = [
     "QuadraticIrrational",
@@ -189,17 +189,6 @@ class QuadraticIrrational:
 
     # -- order and equality -------------------------------------------------
 
-    def _sign(self) -> int:
-        """Exact sign; c > 0 so only a + b*sqrt(d) matters."""
-        a, b, d = self.a, self.b, self.d
-        if a >= 0 and b > 0:
-            return 1
-        if a <= 0 and b < 0:
-            return -1
-        # opposite signs: the larger of a^2 and b^2 d (never equal) decides
-        big = a if a * a > b * b * d else b
-        return 1 if big > 0 else -1
-
     def __eq__(self, other):
         if isinstance(other, QuadraticIrrational):
             if self.d == other.d:
@@ -272,6 +261,17 @@ class QuadraticIrrational:
 ExactReal = Union[int, Fraction, QuadraticIrrational]
 
 
+def _sign_of(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), d nonsquare, a and b not both 0."""
+    if a >= 0 and b > 0:
+        return 1
+    if a <= 0 and b < 0:
+        return -1
+    # opposite signs or b = 0: the larger of a^2 and b^2 d (never equal) decides
+    big = a if a * a > b * b * d else b
+    return 1 if big > 0 else -1
+
+
 def int_text(n: int) -> str:
     """Decimal text of an exact integer; :class:`DomainError` where it is
     longer than Python's int-to-str digit limit allows."""
@@ -291,7 +291,7 @@ def _as_fraction(x) -> Fraction:
 
 def exact_sign(x: ExactReal) -> int:
     if isinstance(x, QuadraticIrrational):
-        return x._sign()
+        return _sign_of(x.a, x.b, x.d)  # c > 0
     v = _as_fraction(x).numerator
     return (v > 0) - (v < 0)
 
@@ -300,23 +300,20 @@ def exact_cmp(x: ExactReal, y: ExactReal) -> int:
     """Exact three-way comparison: the sign of the exact difference x - y.
 
     Two surds of different fields (the product of their radicands not a
-    perfect square) have no exact difference; they are compared by interval
-    refinement, which terminates because such values cannot coincide (a
-    safety cap guards the loop and raises :class:`RefinementCap`).  A float
-    operand raises ``TypeError``.
+    perfect square) have no difference in one field, but x - y is
+    (A + B sqrt(d1) - C sqrt(d2)) / (c1 c2) with c1 c2 > 0.  Where the sign
+    s of A + B sqrt(d1) differs from sign(C), s decides; otherwise both terms
+    have sign s, and x - y has the sign of s times the difference of their
+    squares, (A^2 + B^2 d1 - C^2 d2) + 2AB sqrt(d1), which is never 0 across
+    fields.  A float operand raises ``TypeError``.
     """
     if isinstance(x, QuadraticIrrational) and isinstance(y, QuadraticIrrational) \
             and _unify_radicand(y, x.d) is None:
-        bits = 64
-        while bits <= 1 << 20:
-            xlo, xhi = x.bracket(bits)
-            ylo, yhi = y.bracket(bits)
-            if xhi < ylo:
-                return -1
-            if yhi < xlo:
-                return 1
-            bits *= 2
-        raise RefinementCap(f"cannot separate {x!r} and {y!r} within {bits // 2} bits")
+        A, B, C = x.a * y.c - y.a * x.c, x.b * y.c, y.b * x.c
+        s = _sign_of(A, B, x.d)
+        if s != (1 if C > 0 else -1):
+            return s
+        return s * _sign_of(A * A + B * B * x.d - C * C * y.d, 2 * A * B, x.d)
     return exact_sign(x - y)
 
 

@@ -350,6 +350,21 @@ def exact_sign_by_squares(x) -> int:
     return _sign_of(x.a, x.b, x.d)
 
 
+def exact_cmp_by_refinement(x, y) -> int:
+    """Sign of x - y for surds x, y of two different fields, by refining their
+    rational brackets from 64 bits until they separate (such values never
+    coincide): the rule ``surd.exact_cmp`` followed before its closed form."""
+    bits = 64
+    while bits <= 1 << 20:
+        (xlo, xhi), (ylo, yhi) = x.bracket(bits), y.bracket(bits)
+        if xhi < ylo:
+            return -1
+        if yhi < xlo:
+            return 1
+        bits *= 2
+    raise AssertionError(f"cannot separate {x!r} and {y!r} within {bits // 2} bits")
+
+
 def surd_floor_by_correction(x) -> int:
     """floor of the surd (a + b sqrt(d))/c the way QuadraticIrrational took it
     before its closed form: a candidate from isqrt, then exact correction

@@ -12,7 +12,7 @@ import pytest
 
 from siegelkit import cli, germs, linearize, renorm, scan
 from siegelkit.cf import farey_fractions
-from siegelkit.errors import DomainError
+from siegelkit.errors import DomainError, SchemaMismatch
 from siegelkit.cli import build_parser, main
 from siegelkit import io as skio
 from siegelkit.bounds import DEFAULT_CONFIG, const_Cprime, format_config
@@ -125,6 +125,23 @@ def test_usage_error_exit_1(capsys):
     assert "usage" in err.lower()
     code, _, _ = run_cli(["cf", "nonsense-op"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (["scan", "--grid", "1/3", "--work", "2"], "usage: siegelkit scan "),
+    (["scan", "--grid", "1/3", "--workers", "x"], "usage: siegelkit scan "),
+    (["scan"], "usage: siegelkit scan "),
+    (["renorm", "setup", "--alpha", "[0;(1)]", "--trace", "t.csv"], "usage: siegelkit renorm "),
+    (["nosuch"], "usage: siegelkit [-h]"),
+    ([], "usage: siegelkit [-h]"),
+], ids=["unknown-option", "bad-value", "missing-option", "refused-by-handler",
+        "unknown-subcommand", "no-subcommand"])
+def test_usage_error_prints_its_subcommands_usage(argv, usage, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+    assert err.splitlines()[1].startswith(usage)
 
 
 @pytest.mark.parametrize("argv", [
@@ -515,6 +532,62 @@ def test_renorm_setup_refuses_trace_before_any_work(tmp_path, monkeypatch, capsy
     assert code == 1 and out == ""
     assert err.startswith("usage error:")
     assert not trace.exists() and not man.exists()
+
+
+# each JSON artifact: the command that writes it, its loader and its writer
+_ARTIFACTS = {
+    "construction": (["construct", "--theta0", "[0;(1)]", "--stages", "2"],
+                     skio.load_construction_states, skio.construction_states_json),
+    "lift": (["lift", "build", "--alpha", "[0;(1)]"], skio.load_lift, skio.lift_json),
+    "renorm": (["renorm", "rotnum", "--alpha", "[0;(1)]", "--returns", "20"],
+               skio.load_renorm_report, skio.renorm_report_json),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_artifacts(tmp_path_factory):
+    """Artifact name -> the text the CLI wrote to --out."""
+    tmp = tmp_path_factory.mktemp("artifacts")
+    texts = {}
+    for name, (argv, _, _) in _ARTIFACTS.items():
+        path = tmp / f"{name}.json"
+        assert main(argv + ["--out", str(path)]) == 0
+        texts[name] = path.read_text(encoding="utf-8")
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(_ARTIFACTS))
+def test_cli_artifact_reencodes_to_its_own_bytes(name, cli_artifacts):
+    _, load, write = _ARTIFACTS[name]
+    text = cli_artifacts[name]
+    assert write(load(text), DEFAULT_CONFIG) + "\n" == text
+
+
+_DELETED = object()
+
+
+@pytest.mark.parametrize("name,path,value", [
+    ("construction", ["states", 0, "k_chosen"], "x"),
+    ("construction", ["states", 0, "stage"], [1]),
+    ("construction", ["states", 0, "diagnostics"], 7),
+    ("construction", ["states", 0, "diagnostics"], _DELETED),
+    ("renorm", ["n_returns"], 2.7),
+    ("renorm", ["undefined_returns"], True),
+    ("renorm", ["diagnostics"], [1]),
+    ("lift", ["alpha"], "0.6"),
+])
+def test_cli_artifact_with_a_field_of_another_type_is_refused(name, path, value, cli_artifacts):
+    data = json.loads(cli_artifacts[name])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    assert path[-1] in parent
+    if value is _DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(SchemaMismatch):
+        _ARTIFACTS[name][1](json.dumps(data))
 
 
 @pytest.mark.parametrize("argv", [

@@ -189,6 +189,90 @@ def test_construction_roundtrip():
     assert back.rho_sched == st.rho_sched
 
 
+def _lift(**changes):
+    fields = dict(alpha=0.618, h_coeffs=np.array([0.1 + 0.2j, 0.05j]), alpha_exact=Fraction(2, 5))
+    return LiftMap(**{**fields, **changes})
+
+
+# each loader with a record text it reads back
+_RECORDS = [
+    (skio.load_renorm_report, lambda: skio.renorm_report_json(_report(), DEFAULT_CONFIG), None),
+    (skio.load_construction_states,
+     lambda: skio.construction_states_json([_state()], DEFAULT_CONFIG), "states"),
+    (skio.load_lift, lambda: skio.lift_json(_lift(), DEFAULT_CONFIG), None),
+]
+
+
+def _record(data, key):
+    """The one record of an artifact's body: the body, or its first list item."""
+    return data if key is None else data[key][0]
+
+
+@pytest.mark.parametrize("load,text,key", _RECORDS)
+def test_every_field_is_required(load, text, key):
+    data = json.loads(text())
+    names = set(_record(data, key)) - {"schema", "config", "theta_float"}
+    assert len(names) >= 3
+    for name in names:
+        broken = json.loads(text())
+        del _record(broken, key)[name]
+        with pytest.raises(SchemaMismatch, match=name):
+            load(json.dumps(broken))
+
+
+@pytest.mark.parametrize("load,field,value", [
+    # float: a number or the text of inf, -inf or nan
+    (skio.load_renorm_report, "y0", True),
+    (skio.load_renorm_report, "y0", "0.4"),
+    (skio.load_renorm_report, "y0", "Infinity"),
+    (skio.load_renorm_report, "y0", None),
+    (skio.load_renorm_report, "y0", [0.4]),
+    # int: no bool, no float, no text
+    (skio.load_renorm_report, "n_returns", 1000.0),
+    (skio.load_renorm_report, "n_returns", False),
+    (skio.load_renorm_report, "n_returns", "1000"),
+    # str
+    (skio.load_renorm_report, "diagnostics", None),
+    (skio.load_renorm_report, "diagnostics", 0),
+    # ExactReal and Optional[ExactReal]: text only
+    (skio.load_construction_states, "theta", 0.618),
+    (skio.load_construction_states, "theta", None),
+    (skio.load_lift, "alpha_exact", 0.4),
+    (skio.load_lift, "alpha_exact", ["2/5"]),
+    # the interval: two texts
+    (skio.load_construction_states, "interval", ["3/8"]),
+    (skio.load_construction_states, "interval", ["3/8", "7/8", "1"]),
+    (skio.load_construction_states, "interval", [0.375, "7/8"]),
+    (skio.load_construction_states, "interval", "38"),
+    # List[float]: a list of floats
+    (skio.load_construction_states, "deriv_gaps", 0.01),
+    (skio.load_construction_states, "deriv_gaps", ["0.01"]),
+    (skio.load_construction_states, "deriv_gaps", {"0": 0.01}),
+    # the complex array: a list of [re, im] pairs of floats
+    (skio.load_lift, "h_coeffs", [[0.1, True]]),
+    (skio.load_lift, "h_coeffs", [{"re": 0.1, "im": 0.2}]),
+    (skio.load_lift, "h_coeffs", "[[0.1, 0.2]]"),
+])
+def test_a_field_of_another_json_type_is_refused(load, field, value):
+    (_, text, key), = [r for r in _RECORDS if r[0] is load]
+    data = json.loads(text())
+    assert field in _record(data, key)
+    _record(data, key)[field] = value
+    with pytest.raises(SchemaMismatch):
+        load(json.dumps(data))
+
+
+def test_float_fields_take_integers_and_the_non_finite_texts():
+    data = json.loads(skio.construction_states_json([_state()], DEFAULT_CONFIG))
+    data["states"][0].update(rho=1, rho_sched="inf", deriv_gaps=["-inf", "nan", 0])
+    back = skio.load_construction_states(json.dumps(data))[0]
+    assert (back.rho, back.rho_sched, back.deriv_gaps[0]) == (1.0, math.inf, -math.inf)
+    assert type(back.rho) is float and math.isnan(back.deriv_gaps[1])
+    data = json.loads(skio.lift_json(_lift(alpha_exact=None), DEFAULT_CONFIG))
+    assert data["alpha_exact"] is None
+    assert skio.load_lift(json.dumps(data)).alpha_exact is None
+
+
 def test_lift_roundtrip():
     L = LiftMap(alpha=0.618, h_coeffs=np.array([0.1 + 0.2j, 0.05j]),
                 alpha_exact=Fraction(2, 5))

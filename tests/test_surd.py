@@ -19,7 +19,7 @@ from siegelkit.surd import (
     to_float,
 )
 
-from .oracles import exact_sign_by_squares, surd_floor_by_correction
+from .oracles import exact_cmp_by_refinement, exact_sign_by_squares, surd_floor_by_correction
 
 S2 = QuadraticIrrational(0, 1, 1, 2)
 S5 = QuadraticIrrational(0, 1, 1, 5)
@@ -103,6 +103,38 @@ def test_exact_cmp_is_the_order_of_separated_brackets(pair):
     (xlo, xhi), (ylo, yhi) = bracket(x, 256), bracket(y, 256)
     expected = -1 if xhi < ylo else 1 if yhi < xlo else 0
     assert exact_cmp(x, y) == -exact_cmp(y, x) == expected
+
+
+# radicands of pairwise different fields (_HIDDEN is sqrt(2)'s field, with a
+# square factor above the split's bound; 10**12 + 39 is prime)
+_FIELDS = [_HIDDEN, 3, 5, 6, 7, 11, 13, 10007, 1000003, 10 ** 12 + 39]
+
+
+def _cross_field_pair(rng):
+    """Two surds of different fields: independent, or (half the time) within
+    1e-5 to 1e-40 of each other."""
+    d1, d2 = rng.sample(_FIELDS, 2)
+    nonzero = lambda n: rng.choice([-1, 1]) * rng.randint(1, n)  # noqa: E731
+    x = QuadraticIrrational(rng.randint(-10 ** 6, 10 ** 6), nonzero(999), rng.randint(1, 999), d1)
+    b2 = nonzero(999)
+    if rng.random() < 0.5:
+        return x, QuadraticIrrational(rng.randint(-10 ** 6, 10 ** 6), b2, rng.randint(1, 999), d2)
+    c2 = 10 ** rng.randint(5, 40)
+    # a2/c2 is within 1/c2 of x - b2 sqrt(d2)/c2, so y lies within 1/c2 of x
+    rest = x.bracket(200)[0] - QuadraticIrrational(0, b2, c2, d2).bracket(200)[0]
+    return x, QuadraticIrrational(math.floor(rest * c2), b2, c2, d2)
+
+
+def test_cross_field_comparison_matches_bracket_refinement():
+    rng = random.Random(20)
+    close = 0
+    for _ in range(3000):
+        x, y = _cross_field_pair(rng)
+        expected = exact_cmp_by_refinement(x, y)
+        assert exact_cmp(x, y) == -exact_cmp(y, x) == expected, (x, y)
+        assert (x < y, x > y, x == y) == (expected < 0, expected > 0, False)
+        close += abs(float(x) - float(y)) < 1e-5
+    assert close > 1300
 
 
 def test_hidden_square_factors_unify():
