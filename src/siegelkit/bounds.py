@@ -114,7 +114,7 @@ def format_config(cfg: ConstantConfig) -> str:
 _FLOAT_MAX_INT = int(sys.float_info.max)
 
 
-def brjuno_sum(alpha: CFExpansion, depth: int = 60, tol: float = 1e-12) -> BrjunoValue:
+def brjuno_sum(alpha: CFExpansion, depth: int, tol: float) -> BrjunoValue:
     """Partial sum of log(q_{n+1})/q_n with a geometric tail certificate.
 
     Rational input (full finite expansion) diverges by convention and returns

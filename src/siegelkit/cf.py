@@ -54,6 +54,8 @@ LONG_FORM = "long"
 
 #: default appended tail for the special sequences; 1 + sqrt(2) = [2; 2, 2, ...]
 DEFAULT_TAIL: QuadraticIrrational = QuadraticIrrational(1, 1, 1, 2)
+#: side_and_gap refines its bracket of |beta - alpha| until it is this narrow
+GAP_WIDTH = Fraction(1, 10**50)
 
 
 class Convergent(NamedTuple):
@@ -159,16 +161,9 @@ def cf_of_rational(x: Union[Fraction, int], variant: str = SHORT_FORM) -> CFExpa
         if r == 0:
             break
         num, den = den, r
-    if variant == SHORT_FORM:
-        pass
-    elif variant == LONG_FORM:
-        if len(quots) == 1:
-            quots = [quots[0] - 1, 1]
-        elif quots[-1] >= 2:
-            quots = quots[:-1] + [quots[-1] - 1, 1]
-        else:  # Euclid never ends in 1 except for the length-1 case
-            raise AssertionError("unexpected trailing quotient 1")
-    else:
+    if variant == LONG_FORM:  # Euclid's last quotient past a0 is >= 2; [a0] is [a0-1; 1]
+        quots[-1:] = [quots[-1] - 1, 1]
+    elif variant != SHORT_FORM:
         raise ValueError(f"unknown variant {variant!r}")
     return CFExpansion(quots[0], tuple(quots[1:]))
 
@@ -283,12 +278,11 @@ def theta_sequence(alpha: CFExpansion, n: int) -> ExactReal:
 # ---------------------------------------------------------------------------
 
 
-def side_and_gap(alpha: ExactReal, beta: ExactReal,
-                 width: Fraction = Fraction(1, 10**50)) -> Tuple[int, Tuple[Fraction, Fraction]]:
+def side_and_gap(alpha: ExactReal, beta: ExactReal) -> Tuple[int, Tuple[Fraction, Fraction]]:
     """Exact sign of beta - alpha plus a rational bracket for |beta - alpha|.
 
     The bracket [lo, hi] satisfies lo <= |beta - alpha| <= hi and is refined
-    until hi - lo <= width (both endpoints equal for rational-rational input).
+    until hi - lo <= :data:`GAP_WIDTH` (lo = hi for two rationals).
     Returns sign 0 with a zero bracket for equal values.
     """
     sign = exact_cmp(beta, alpha)
@@ -302,7 +296,7 @@ def side_and_gap(alpha: ExactReal, beta: ExactReal,
         hi = bhi - alo if sign > 0 else ahi - blo
         if lo < 0:
             lo = Fraction(0)
-        if hi - lo <= width:
+        if hi - lo <= GAP_WIDTH:
             return sign, (lo, hi)
         bits *= 2
 

@@ -317,7 +317,7 @@ def cmd_cf(args, cfg):
 def cmd_brjuno(args, cfg):
     cf = cf_of_exact(_parse(parse_exact, args.alpha))
     bv = brjuno_sum(cf, args.depth, args.tol)
-    if cf.is_finite and args.depth >= len(cf.partials):  # the sum is +inf
+    if bv.value == math.inf:
         raise RationalInput("the Brjuno sum of a rational diverges")
     return {"value": bv.value, "depth_used": bv.depth_used, "converged": bv.converged}
 
@@ -459,24 +459,17 @@ def cmd_construct(args, cfg):
 
 
 def cmd_probe(args, cfg):
-    from .scan import (_check_cond_bdd, condition_bdd_search, degenerate_probe,
-                       main_lemma_probe)
+    from .scan import condition_bdd_search, degenerate_probe, main_lemma_probe
 
     fam = make_family(args)
-    if args.op == "cond-bdd":  # refuse bad input before the Lipschitz bound
-        alpha = _parse(parse_exact, args.alpha)
-        _check_cond_bdd(args.rho_frac, args.qmax,
-                        1.0 if args.K is None else args.K)  # a computed K is >= 1
-    if args.K is None and args.op != "degenerate":  # degenerate_probe takes no K
-        args.K = max(1.0, fam.lipschitz_bound())
     if args.op == "main-lemma":
         return main_lemma_probe(fam, _parse(Fraction, args.pq), args.variant, args.N,
                                 args.K, cfg=cfg)
     if args.op == "degenerate":
         ts = [_parse(parse_exact, t) for t in (args.t or "[0;(1)],[0;(2)],[0;(3)]").split(",")]
         return degenerate_probe(fam, ts)
-    return condition_bdd_search(fam, alpha, args.rho_frac, qmax=args.qmax,
-                                K_est=args.K, cfg=cfg)
+    return condition_bdd_search(fam, _parse(parse_exact, args.alpha), args.rho_frac,
+                                args.qmax, args.K, cfg=cfg)
 
 
 _HANDLERS = {
@@ -506,8 +499,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.side_files = []     # paths besides --out, for the manifest
         with _user_file(args.config):
             cfg = load_config(args.config)
-        for path in (args.out, args.manifest, getattr(args, "plot_data", None),
-                     getattr(args, "trace", None)):
+        for flag in skio.OUTPUT_FLAGS:
+            path = getattr(args, flag[2:].replace("-", "_"), None)
             if path:
                 _check_output_path(path)
         _emit(args, _HANDLERS[args.cmd](args, cfg), cfg)

@@ -48,7 +48,7 @@ __all__ = [
     "renorm_report_json", "load_renorm_report",
     "construction_states_json", "load_construction_states",
     "lift_json", "load_lift",
-    "manifest_json", "invocation_digest", "file_sha256",
+    "manifest_json", "invocation_digest", "file_sha256", "OUTPUT_FLAGS",
 ]
 
 def _json_safe(x):
@@ -193,10 +193,15 @@ def _decode(cls, item):
     return cls(**{name: dec(item[name]) for name, _, dec in _fields(cls)})
 
 
+def _refuse_constant(name: str):
+    """Refuse the bare ``NaN``, ``Infinity`` and ``-Infinity`` that strict JSON lacks."""
+    raise ValueError(f"{name} is not JSON; a non-finite float is text")
+
+
 def _load(text: str, schema: str, what: str, decode):
     """``decode`` of the body of an artifact tagged ``schema``."""
     with _body(what):
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_refuse_constant)
         if not isinstance(data, dict) or data.get("schema") != schema:
             raise SchemaMismatch(f"not a {what}")
         return decode(data)
@@ -248,7 +253,9 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-_EXECUTION_FLAGS = ("--workers", "--out", "--manifest", "--trace", "--plot-data")
+# the flags that name an output file, in the order the CLI checks their paths
+OUTPUT_FLAGS = ("--out", "--manifest", "--plot-data", "--trace")
+_EXECUTION_FLAGS = ("--workers", *OUTPUT_FLAGS)
 
 
 def _semantic_cmdline(cmdline: Sequence[str]) -> List[str]:

@@ -49,6 +49,7 @@ DIVISOR_FLOOR = 1e-13     # below this, rho^n - rho is treated as exactly zero
 NUMERATOR_FLOOR = 1e-12   # |P| above this over a zero divisor is a genuine pole
 MAG_CAP = 1e250
 TABLE_BYTES = 1 << 20     # budget for the power tables of one lock-step block
+ESCAPE_CAP = 0.999999     # the largest radius the escape estimator tests
 
 
 @dataclass
@@ -263,7 +264,7 @@ def pole_cancellation_probe(fam: GermFamily, p: int, q: int, n: int) -> dict:
     return {"p": p, "q": q, "n": n, "rows": rows, "verdict": verdict}
 
 
-def hadamard_radius(phi: LinearizationSeries, window: int = 128) -> RadiusEstimate:
+def hadamard_radius(phi: LinearizationSeries, window: int) -> RadiusEstimate:
     """1 / limsup |a_n|^{1/n} by regressing log|a_n| over the trailing window.
 
     Upper-side indicator for the restricted germ's radius; the series may
@@ -298,7 +299,6 @@ class EscapeParams:
     circle_samples: int = 64
     bisect_tol: float = 1e-3
     residual_tol: float = 1e-8
-    cap: float = 0.999999
 
     def __post_init__(self):
         for name in ("bisect_tol", "residual_tol"):
@@ -306,8 +306,6 @@ class EscapeParams:
                 raise DomainError(f"{name} must be finite and positive")
         if not (is_count(self.circle_samples, 1) and is_count(self.max_iter, 0)):
             raise DomainError("need integers circle_samples >= 1 and max_iter >= 0")
-        if not 0.0 < self.cap < 1.0:
-            raise DomainError("cap in (0, 1) required")
 
 
 def _in_unit_disk(w: np.ndarray) -> np.ndarray:
@@ -407,12 +405,12 @@ def escape_radii(germs: Sequence[Germ], phis: Sequence[LinearizationSeries],
                  params: EscapeParams = EscapeParams()) -> List[RadiusEstimate]:
     """:func:`escape_radius` for many parameters, in one chained bisection.
 
-    Every bracket starts as [0, cap] and tests the cap first.  The chart
-    checks run per radius, once, and screen a radius out without an orbit;
-    each round the orbits of all radii on every bracket's likely path (each
-    radius valid) go through one kernel call per germ row length.  Each
-    bracket moves exactly as it would alone, so the estimates do not depend
-    on what else is in the batch.
+    Every bracket starts as [0, :data:`ESCAPE_CAP`] and tests the cap first.
+    The chart checks run per radius, once, and screen a radius out without
+    an orbit; each round the orbits of all radii on every bracket's likely
+    path (each radius valid) go through one kernel call per germ row length.
+    Each bracket moves exactly as it would alone, so the estimates do not
+    depend on what else is in the batch.
     """
     if len(germs) != len(phis):
         raise DomainError("need one chart per germ")
@@ -446,12 +444,12 @@ def escape_radii(germs: Sequence[Germ], phis: Sequence[LinearizationSeries],
         return out
 
     n = len(germs)
-    lo, hi = [0.0] * n, [params.cap] * n
+    lo, hi = [0.0] * n, [ESCAPE_CAP] * n
     _bisect(start, stays, lo, hi, params.bisect_tol, stay_above=False)
     out = []
     for i in range(n):
-        if lo[i] == params.cap:  # valid at the cap: every mid lies below it
-            lower, upper, diag = params.cap, 1.0, "valid up to the cap"
+        if lo[i] == ESCAPE_CAP:  # valid at the cap: every mid lies below it
+            lower, upper, diag = ESCAPE_CAP, 1.0, "valid up to the cap"
         elif lo[i] == 0.0:
             lower, upper, diag = lo[i], hi[i], "NoValidRadius: non-linearizable at tolerance"
         else:

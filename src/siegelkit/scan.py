@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import linearize
 from .bounds import (ConstantConfig, DEFAULT_CONFIG, _check_Kq, const_C, const_Cprime,
                      is_bounded_type)
 from .cf import (
     LONG_FORM,
-    SHORT_FORM,
+    CFExpansion,
     cf_of_exact,
     cf_of_rational,
     format_exact,
@@ -285,12 +286,18 @@ def _check_rho_frac(rho_frac: float) -> None:
         raise DomainError("rho_frac in (0, 1) required")
 
 
-def _check_cond_bdd(rho_frac: float, qmax: int, K_est: float) -> None:
-    """The inputs :func:`condition_bdd_search` refuses, checked before any work."""
-    if not is_count(qmax, 1):
-        raise DomainError("qmax >= 1 required")
-    _check_rho_frac(rho_frac)
-    _check_Kq(K_est, qmax)
+def _lipschitz_K(fam: GermFamily, K_est: Optional[float]) -> float:
+    """``K_est``, or when it is None the family's Lipschitz constant, at least 1;
+    the probes call it after their input checks, before any linearization."""
+    return max(1.0, fam.lipschitz_bound()) if K_est is None else K_est
+
+
+def _expansion_below(c: Fraction) -> CFExpansion:
+    """The expansion of the rational c whose special sequence sits below c:
+    [a0; ..., a_k, x] - [a0; ..., a_k] has the sign (-1)^k for x > 0, so it
+    is the one of the two with an odd number of partial quotients."""
+    cf = cf_of_rational(c)
+    return cf if len(cf.partials) % 2 else cf_of_rational(c, LONG_FORM)
 
 
 def _target(rho_frac: float, r_est: RadiusEstimate) -> float:
@@ -302,7 +309,7 @@ def _target(rho_frac: float, r_est: RadiusEstimate) -> float:
 
 
 def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
-                         qmax: int = 8, K_est: float = 6.3,
+                         qmax: int, K_est: Optional[float],
                          cfg: ConstantConfig = DEFAULT_CONFIG) -> dict:
     """Left cut point c = grid-inf{x in [b, alpha] : r_est(x) >= rho} and the
     bounded-type sequence it emits, with the quantitative band both ways.
@@ -312,9 +319,13 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
     strongest non-linearizability signal at desk scale); the cut is located
     on a grid of :data:`CUT_GRID_POINTS` points and every emitted value (the
     members :data:`SEQ_INDICES`) is exact and bounded type.  Radii are
-    estimated at :data:`DEFAULT_SCAN`.
+    estimated at :data:`DEFAULT_SCAN`; ``K_est=None`` is :func:`_lipschitz_K`.
     """
-    _check_cond_bdd(rho_frac, qmax, K_est)
+    if not is_count(qmax, 1):
+        raise DomainError("qmax >= 1 required")
+    _check_rho_frac(rho_frac)
+    K_est = _lipschitz_K(fam, K_est)
+    _check_Kq(K_est, qmax)
     p = DEFAULT_SCAN
     b = _nearest_fraction_below(alpha, qmax)
     r_alpha, r_b = estimate_radii(fam, [alpha, b], p)
@@ -337,15 +348,8 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
         left_neighbor_r = est.lower
     else:  # no grid point passes; alpha does, since rho < r_alpha.lower
         cut, cut_r = alpha, r_alpha
-    cf_c = cf_of_exact(cut)
     q_c = Fraction(cut).denominator if isinstance(cut, (int, Fraction)) else None
-    if cf_c.is_finite:
-        # choose the expansion variant whose special sequence sits below c
-        for variant in (SHORT_FORM, LONG_FORM):
-            cf_try = cf_of_rational(Fraction(cut), variant)
-            if exact_cmp(special_sequence_main(cf_try, 0), cut) < 0:
-                cf_c = cf_try
-                break
+    cf_c = cf_of_exact(cut) if q_c is None else _expansion_below(cut)
     idxs = [2 * n if not cf_c.is_finite else n  # even indices approach from below
             for n in SEQ_INDICES]
     vals = [special_sequence_main(cf_c, idx) for idx in idxs]
@@ -359,7 +363,8 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
                     "bounded_type": bool(is_bounded_type(e, bt_bound)),
                     "bt_bound": bt_bound})
     cprime = const_Cprime(K_est, q_c, cfg) if q_c else None
-    band = sorted([rho * math.exp(-cprime), rho]) if cprime else None
+    # ascending, since C' > 0 (c1 > 0 and K >= 1)
+    band = [rho * math.exp(-cprime), rho] if cprime else None
     return {
         "verdict": "ok",
         "rho": rho,
@@ -371,24 +376,25 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
         "left_neighbor_r_lower": left_neighbor_r,
         "cut_denominator": q_c,
         "Cprime": cprime,
-        "band_endpoints": band,  # printed both ways; orientation left open
+        "band_endpoints": band,
         "sequence": seq,
     }
 
 
 def main_lemma_probe(fam: GermFamily, pq: Fraction, variant: str, N: int,
-                     K_est: float, p: ScanParams = DEFAULT_SCAN,
+                     K_est: Optional[float], p: ScanParams = DEFAULT_SCAN,
                      cfg: ConstantConfig = DEFAULT_CONFIG) -> dict:
     """Radius estimates along the special sequence at a rational parameter.
 
     Reports the minimum over the last :data:`TAIL_WINDOW` members against
     exp(-C(K, q)) and exp(-C'(K, q)) for the configured constants; a trend
-    report, not a certified bound.
+    report, not a certified bound; ``K_est=None`` is :func:`_lipschitz_K`.
     """
     if not is_count(N, 1):
         raise DomainError("need N >= 1 members")
     pq = Fraction(pq)
     q = pq.denominator
+    K_est = _lipschitz_K(fam, K_est)
     _check_Kq(K_est, q)
     cf = cf_of_rational(pq, variant)
     members = [special_sequence_main(cf, n) for n in range(1, N + 1)]
@@ -505,7 +511,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
     phi0, = _linearize([germ0], p)
     est0 = escape_radius(germ0, phi0, p.escape)
     rho_target = _target(rho_frac, est0)
-    if est0.lower >= p.escape.cap - 1e-3:
+    if est0.lower >= linearize.ESCAPE_CAP - 1e-3:
         raise FamilyUnsuitable(
             f"r_est(theta0) = {est0.lower} sits at the domain cap; "
             "radius tracking needs a non-degenerate family")

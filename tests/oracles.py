@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from siegelkit import renorm
+from siegelkit import linearize, renorm
 from siegelkit.bounds import (
     DEFAULT_CONFIG,
     ConstantConfig,
@@ -32,7 +32,13 @@ from siegelkit.bounds import (
     _cprime_objective,
     const_Cdoubleprime,
 )
-from siegelkit.cf import CFExpansion
+from siegelkit.cf import (
+    LONG_FORM,
+    SHORT_FORM,
+    CFExpansion,
+    cf_of_rational,
+    special_sequence_main,
+)
 from siegelkit.errors import DomainError, NoAdmissibleHeight, OverflowGuard, SmallDivisorBlowup
 from siegelkit.germs import LIPSCHITZ_ORDER, LiftMap, phase_fracs
 from siegelkit.linearize import (
@@ -42,7 +48,7 @@ from siegelkit.linearize import (
     LinearizationSeries,
     _divisor,
 )
-from siegelkit.surd import ExactReal, floor_exact, to_float
+from siegelkit.surd import ExactReal, exact_cmp, floor_exact, to_float
 
 
 def brute_force_linearization(g, N):
@@ -168,7 +174,7 @@ def sequential_escape_radius(g, phi, params):
 def sequential_escape_bisection(valid, params):
     """(lower, upper, diagnostics) of the cap test and bisection of
     escape_radius over the verdicts of ``valid``, one radius at a time."""
-    hi = params.cap
+    hi = linearize.ESCAPE_CAP
     if valid(hi):
         return hi, 1.0, "valid up to the cap"
     lo = 0.0
@@ -395,6 +401,17 @@ def cf_quotient_by_correction(P: int, D: int, Q: int) -> int:
     while state_sign(P - a * Q) < 0:
         a -= 1
     return a
+
+
+def expansion_below_by_comparison(c: Fraction) -> CFExpansion:
+    """The expansion of the rational c whose special sequence sits below c,
+    the way condition_bdd_search chose it before the parity rule: the first
+    of the short and long forms whose member 0 compares below c exactly."""
+    for variant in (SHORT_FORM, LONG_FORM):
+        cf = cf_of_rational(c, variant)
+        if exact_cmp(special_sequence_main(cf, 0), c) < 0:
+            return cf
+    raise AssertionError(f"neither expansion of {c} sits below it")
 
 
 def translation_lift(alpha: ExactReal) -> LiftMap:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from siegelkit import cf as cf_module
 from siegelkit import scan
 from siegelkit.bounds import (
     DEFAULT_CONFIG,
@@ -139,7 +140,9 @@ def test_criterion_01_cf_exactness_suite():
 # -- 2: special-sequence suite --------------------------------------------------
 
 
-def test_criterion_02_special_sequence_suite():
+def test_criterion_02_special_sequence_suite(monkeypatch):
+    # the certificate brackets are refined to 1e-45
+    monkeypatch.setattr(cf_module, "GAP_WIDTH", Fraction(1, 10**45))
     t0 = time.time()
     cf = cf_of_quadratic_irrational(GOLDEN_FRAC)
 
@@ -177,7 +180,7 @@ def test_criterion_02_special_sequence_suite():
             continue
         prefix_ok &= (all(e.quotient(i) == cf.quotient(i) for i in range(n + 1))
                       and e.quotient(n + 1) == 1 + cf.quotient(n + 1))
-        _, (lo, hi) = side_and_gap(GOLDEN_FRAC, a_n, width=Fraction(1, 10**45))
+        _, (lo, hi) = side_and_gap(GOLDEN_FRAC, a_n)
         bracket_ok &= lower(n) < lo and hi < upper(n)
         brackets[n] = (lo, hi)
     lo40, hi40 = brackets[40]
@@ -193,19 +196,20 @@ def test_criterion_02_special_sequence_suite():
             and dt < 10, detail)
 
 
-def test_criterion_02_supplement_convergence_depth():
+def test_criterion_02_supplement_convergence_depth(monkeypatch):
     # not an acceptance criterion: criterion 2 certifies 1e-30 at the first
     # depth with U_n < 1e-30 (72 for the golden mean); this pins the same
     # tolerance at depth 75 and the depth-40 certificate's order of magnitude
     # without going through the convergent bounds
+    monkeypatch.setattr(cf_module, "GAP_WIDTH", Fraction(1, 10**45))
     cf = cf_of_quadratic_irrational(GOLDEN_FRAC)
     a75 = special_sequence_main(cf, 75)
-    _, (lo, hi) = side_and_gap(GOLDEN_FRAC, a75, width=Fraction(1, 10**45))
+    _, (lo, hi) = side_and_gap(GOLDEN_FRAC, a75)
     print(f"\n[criterion 02 supplement] gap(depth 75) = {float(hi):.3e} < 1e-30: "
           f"{hi < Fraction(1, 10**30)}")
     assert hi < Fraction(1, 10**30)
     a40 = special_sequence_main(cf, 40)
-    _, (_, hi40) = side_and_gap(GOLDEN_FRAC, a40, width=Fraction(1, 10**45))
+    _, (_, hi40) = side_and_gap(GOLDEN_FRAC, a40)
     assert hi40 < Fraction(1, 10**17)
 
 
@@ -466,7 +470,7 @@ def test_criterion_12_scan_determinism(tmp_path):
         cmd = [sys.executable, "-m", "siegelkit.cli", "scan",
                "--family", "quadratic", "--grid", "farey:Q=64",
                "--format", "csv", "--workers", str(workers), "--out", str(path)]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=580)
+        proc = subprocess.run(cmd, capture_output=True, encoding="utf-8", timeout=580)
         assert proc.returncode == 0, proc.stderr
         payloads.append(path.read_bytes())
     identical = payloads[0] == payloads[1]

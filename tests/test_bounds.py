@@ -35,22 +35,22 @@ def direct_sum_oracle(cf, depth):
 
 
 def test_brjuno_golden_matches_oracle():
-    bv = brjuno_sum(GOLDEN_CF, depth=80)
+    bv = brjuno_sum(GOLDEN_CF, depth=80, tol=1e-12)
     assert bv.converged  # geometric tail certificate under the tolerance
     assert math.isfinite(bv.value)
     assert abs(bv.value - direct_sum_oracle(GOLDEN_CF, 80)) < 1e-12
 
 
 def test_brjuno_rational_infinite():
-    bv = brjuno_sum(cf_of_rational(Fraction(1, 2)), depth=40)
+    bv = brjuno_sum(cf_of_rational(Fraction(1, 2)), depth=40, tol=1e-12)
     assert bv.value == math.inf and bv.converged
 
 
 def test_brjuno_fast_growth_prefix_no_convergence():
     quots = [2 ** (2 ** n) for n in range(1, 6)]
     cf = CFExpansion(0, tuple(quots))
-    b3 = brjuno_sum(cf, depth=3)
-    b4 = brjuno_sum(cf, depth=4)
+    b3 = brjuno_sum(cf, depth=3, tol=1e-12)
+    b4 = brjuno_sum(cf, depth=4, tol=1e-12)
     assert not b3.converged and not b4.converged
     assert b4.value > b3.value > 0.5  # partial value keeps growing
 
@@ -73,7 +73,7 @@ def test_brjuno_tail_past_float_range_keeps_its_size(depth, tol, converged):
 
 
 def test_brjuno_monotone_in_depth():
-    vals = [brjuno_sum(GOLDEN_CF, depth=d).value for d in (5, 10, 20, 40)]
+    vals = [brjuno_sum(GOLDEN_CF, depth=d, tol=1e-12).value for d in (5, 10, 20, 40)]
     assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
 
@@ -204,7 +204,7 @@ def _siegel_environ(monkeypatch, **values):
 
 def test_config_file_and_env(tmp_path, monkeypatch):
     path = tmp_path / "constants.cfg"
-    path.write_text("# calibration\nc1 = 2.5\nA = 3.0\n")
+    path.write_text("# calibration\nc1 = 2.5\nA = 3.0\n", encoding="utf-8")
     _siegel_environ(monkeypatch)
     cfg = load_config(str(path))
     assert cfg.c1 == 2.5 and cfg.A == 3.0 and cfg.c3 == 1.0
@@ -223,7 +223,7 @@ def test_config_rejects_unknown_keys(tmp_path, monkeypatch):
         with pytest.raises(DomainError):
             config_from_mapping({key: "1"})
     path = tmp_path / "constants.cfg"
-    path.write_text("seed = 0\n")
+    path.write_text("seed = 0\n", encoding="utf-8")
     _siegel_environ(monkeypatch)
     with pytest.raises(DomainError):
         load_config(str(path))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from siegelkit import cf as cf_module
 from siegelkit.cf import (
     CFExpansion,
     _quotient,
@@ -260,10 +261,11 @@ def test_equal_values_sign_zero():
     assert sign == 0 and lo == hi == 0
 
 
-def test_gap_certificate_width():
+def test_gap_certificate_width(monkeypatch):
+    monkeypatch.setattr(cf_module, "GAP_WIDTH", Fraction(1, 10**60))
     cf = cf_of_quadratic_irrational(GOLDEN_FRAC)
     a6 = special_sequence_main(cf, 6)
-    _, (lo, hi) = side_and_gap(GOLDEN_FRAC, a6, width=Fraction(1, 10**60))
+    _, (lo, hi) = side_and_gap(GOLDEN_FRAC, a6)
     assert hi - lo <= Fraction(1, 10**60)
     assert lo > 0
 

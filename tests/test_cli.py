@@ -230,7 +230,7 @@ def test_nan_input_is_a_numeric_error(argv, env, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv(key, val)
     if "--config" in argv:  # the parameter holds the file's text
         i = argv.index("--config") + 1
-        (tmp_path / "bad.cfg").write_text(argv[i])
+        (tmp_path / "bad.cfg").write_text(argv[i], encoding="utf-8")
         argv = argv[:i] + [str(tmp_path / "bad.cfg")] + argv[i + 1:]
     previous = signal.signal(signal.SIGALRM, _no_return)
     signal.alarm(60)
@@ -358,6 +358,7 @@ def _refuse_lipschitz_bound(monkeypatch, refuse):
     ["probe", "cond-bdd", "--alpha", "1/3", "--K", "nan"],
     ["probe", "main-lemma", "--pq", "1/3", "--K", "nan"],
     ["probe", "main-lemma", "--pq", "1/3", "--K", "0.5"],
+    ["probe", "main-lemma", "--pq", "2/5", "--N", "0"],
     # a window past lin_order (48) would make every hadamard row an error row
     ["scan", "--grid", "[0;(1)],[0;(2)]", "--estimators", "escape,hadamard",
      "--window", "64"],
@@ -439,18 +440,18 @@ def test_scan_csv_golden_path(tmp_path, capsys):
                           "--out", str(out_file), "--plot-data", str(plot),
                           "--manifest", str(tmp_path / "man.json")], capsys)
     assert code == 0
-    text = out_file.read_text()
+    text = out_file.read_text(encoding="utf-8")
     assert text.startswith("# schema: scanrow/2\n")
     assert "# manifest: " in text and "# config: c1=1.0" in text
-    with open(out_file) as fh:
+    with open(out_file, encoding="utf-8") as fh:
         rows = skio.load_scan_csv(fh)
     grid_size = len([1 for line in text.splitlines() if not line.startswith("#")]) - 1
     assert len(rows) == grid_size
     assert all(r.max_iter == 150 for r in rows if r.method == "escape")
-    man = loads((tmp_path / "man.json").read_text())
+    man = loads((tmp_path / "man.json").read_text(encoding="utf-8"))
     assert man["outputs"] == {str(out_file): skio.file_sha256(str(out_file)),
                               str(plot): skio.file_sha256(str(plot))}
-    assert len(plot.read_text().splitlines()) == len(rows)
+    assert len(plot.read_text(encoding="utf-8").splitlines()) == len(rows)
 
 
 def test_opt_equals_value_prints_the_bytes_of_its_space_form(capsys):
@@ -489,7 +490,7 @@ def test_scan_digest_names_the_argv_run(tmp_path, capsys):
                 "--max-iter", "50", "--manifest", str(man)]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        digest = loads(man.read_text())["digest"]
+        digest = loads(man.read_text(encoding="utf-8"))["digest"]
         assert digest == skio.invocation_digest(argv, DEFAULT_CONFIG)
         assert f"# manifest: {digest}\n" in out
         digests.append(digest)
@@ -505,10 +506,10 @@ def test_renorm_rotnum_cli_with_trace(tmp_path, capsys):
     assert code == 0
     data = loads(out)
     assert data["error"] < 1e-6
-    lines = trace.read_text().splitlines()
+    lines = trace.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "step,re,im,in_U"
     assert len(lines) > 2
-    assert loads(man.read_text())["outputs"] == {
+    assert loads(man.read_text(encoding="utf-8"))["outputs"] == {
         str(trace): skio.file_sha256(str(trace))}
 
 
@@ -517,7 +518,7 @@ def test_renorm_return_cli_with_trace(tmp_path, capsys):
     code, out, _ = run_cli(["renorm", "return", "--family", "rotation", "--alpha", "[0;(1)]",
                             "--N", "8", "--trace", str(trace)], capsys)
     assert code == 0
-    lines = trace.read_text().splitlines()
+    lines = trace.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "step,re,im,in_U"
     assert len(lines) == loads(out)["hops"] + 3  # header, start, jump, hops
 
@@ -650,8 +651,8 @@ def test_probe_degenerate_needs_no_lipschitz_estimate(capsys, monkeypatch):
 
 def test_flow_lipschitz_overflow_is_a_numeric_error(capsys, monkeypatch):
     # max(1.0, nan) is 1.0: a bound that is not finite must not become K = 1,
-    # so the probe, whose germs would overflow too, is never reached
-    monkeypatch.setattr(scan, "main_lemma_probe", _refuse)
+    # so the probe raises before it linearizes germs that would overflow too
+    monkeypatch.setattr(scan, "linearizations", _refuse)
     code, out, err = run_cli(["probe", "main-lemma", "--family", "flow", "--chi", "1e300"],
                              capsys)
     assert code == 2 and out == ""
@@ -693,16 +694,16 @@ def test_unusable_output_path_fails_before_any_work(argv, flag, name, reason, tm
 
 def test_failed_command_leaves_an_existing_out_as_it_was(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
-    out_file.write_text("earlier rows\n")
+    out_file.write_text("earlier rows\n", encoding="utf-8")
     code, _, err = run_cli(["scan", "--grid", "1/3", "--bisect-tol", "0",
                             "--out", str(out_file)], capsys)
     assert code == 2 and err.startswith("DomainError:")
-    assert out_file.read_text() == "earlier rows\n"
+    assert out_file.read_text(encoding="utf-8") == "earlier rows\n"
 
 
 def test_config_file_flows_through(tmp_path, capsys):
     cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text("c1 = 4.0\n")
+    cfgfile.write_text("c1 = 4.0\n", encoding="utf-8")
     code, out, _ = run_cli(["const", "C", "--K", "1", "--q", "1",
                             "--config", str(cfgfile)], capsys)
     data = loads(out)
@@ -720,7 +721,7 @@ def test_scan_worker_byte_identity_small(tmp_path):
                "--family", "quadratic", "--grid", "farey:Q=5",
                "--format", "csv", "--max-iter", "120",
                "--workers", str(workers), "--out", str(path)]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        proc = subprocess.run(cmd, capture_output=True, encoding="utf-8", timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
@@ -750,7 +751,7 @@ def _fresh_interpreter(src, *argv):
     """The JSON that ``src`` prints, run by a fresh interpreter, so that no
     other test's imports are counted."""
     proc = subprocess.run([sys.executable, "-c", src, *argv], env=_src_env(),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
     return loads(proc.stdout)
 
@@ -815,7 +816,7 @@ sys.exit(cli.main())
 def test_process_exit_keeps_code_and_output(argv, code, capsys):
     expected = run_cli(argv, capsys)
     proc = subprocess.run([sys.executable, "-c", _PROCESS_EXIT, *argv], env=_src_env(),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, encoding="utf-8", timeout=120)
     assert expected[0] == code
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         code, expected[1], expected[2] + "frozen at exit: True\n")

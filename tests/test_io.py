@@ -273,6 +273,26 @@ def test_float_fields_take_integers_and_the_non_finite_texts():
     assert skio.load_lift(json.dumps(data)).alpha_exact is None
 
 
+@pytest.mark.parametrize("name,value", [("NaN", math.nan), ("Infinity", math.inf),
+                                        ("-Infinity", -math.inf)])
+@pytest.mark.parametrize("load,field", [(skio.load_renorm_report, "y0"),
+                                        (skio.load_construction_states, "rho"),
+                                        (skio.load_lift, "alpha")])
+def test_bare_non_finite_constants_are_refused(load, field, name, value):
+    # json.dumps writes a non-finite float as a bare constant, which strict
+    # JSON lacks; the writers' text form of it still loads
+    (_, text, key), = [r for r in _RECORDS if r[0] is load]
+    data = json.loads(text())
+    _record(data, key)[field] = value
+    bare = json.dumps(data)
+    assert f": {name}" in bare
+    with pytest.raises(SchemaMismatch, match=name):
+        load(bare)
+    _record(data, key)[field] = repr(value)
+    back = load(json.dumps(data))
+    assert repr(getattr(back[0] if key else back, field)) == repr(value)
+
+
 def test_lift_roundtrip():
     L = LiftMap(alpha=0.618, h_coeffs=np.array([0.1 + 0.2j, 0.05j]),
                 alpha_exact=Fraction(2, 5))
@@ -305,7 +325,7 @@ def test_invocation_digest_reads_opt_equals_value_as_its_space_form():
 
 def test_manifest_build(tmp_path):
     out = tmp_path / "x.csv"
-    out.write_text("hello\n")
+    out.write_text("hello\n", encoding="utf-8")
     data = json.loads(skio.manifest_json(["scan"], DEFAULT_CONFIG,
                                          {str(out): skio.file_sha256(str(out))}))
     assert data["schema"] == "manifest/2"

@@ -472,13 +472,45 @@ def test_flow_series_is_the_inverse_linearizer(c_prime, order):
     assert np.max(np.abs(phi.a - mobius_psi_inv(c_prime, order))) <= 1e-15
 
 
-def test_escape_params_record_the_cap():
+# -- metamorphic relations: no oracle, bit for bit --------------------------------
+# Restricting a germ to radius s conjugates it by z -> s z, so the series
+# scales as a_n(s) = a_n(1) s^(n-1), and at s a power of two the recursion
+# rounds both alike.  The multiplier reads alpha mod 1, so alpha and alpha + 1
+# give one germ and one series.
+
+
+@pytest.mark.parametrize("fam_1,fam_s,s,order,N", [
+    (QuadraticFamily(1.0), QuadraticFamily(0.5), 0.5, 128, 128),
+    (QuadraticFamily(1.0), QuadraticFamily(0.25), 0.25, 128, 128),
+    (FlowFamily([3.0], 1.0), FlowFamily([3.0], 0.5), 0.5, 32, 64),
+], ids=["quadratic-0.5", "quadratic-0.25", "flow-c3-0.5"])
+def test_restriction_scales_the_series(fam_1, fam_s, s, order, N):
+    a_1 = linearization_coeffs(fam_1.at(GOLDEN, order), N).a
+    a_s = linearization_coeffs(fam_s.at(GOLDEN, order), N).a
+    assert a_s.tobytes() == (a_1 * s ** (np.arange(N + 1) - 1.0)).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [GOLDEN, Fraction(2, 7)], ids=["golden", "2/7"])
+@pytest.mark.parametrize("fam,order,N", [(QuadraticFamily(), 128, 128),
+                                         (FlowFamily([3.0], 1.0), 32, 64)],
+                         ids=["quadratic", "flow-c3"])
+def test_alpha_and_alpha_plus_one_give_one_germ_and_series(fam, order, N, alpha):
+    g, g_1 = fam.at(alpha, order), fam.at(alpha + 1, order)
+    assert g_1.multiplier() == g.multiplier() and g_1.coeffs.tobytes() == g.coeffs.tobytes()
+    phi, phi_1 = (linearization_coeffs(x, N, allow_rational=True, on_failure="truncate")
+                  for x in (g, g_1))
+    assert _same_series(phi_1, phi)
+
+
+def test_escape_params_record_the_cap(monkeypatch):
+    # a radius valid at the cap reads the cap as its lower end
+    monkeypatch.setattr(linearize, "ESCAPE_CAP", 0.9)
     g = RotationFamily().at(GOLDEN, 8)
-    p = EscapeParams(max_iter=20, circle_samples=8, cap=0.9)
+    p = EscapeParams(max_iter=20, circle_samples=8)
     est = escape_radius(g, linearization_coeffs(g, 16), p)
     assert (est.lower, est.upper) == (0.9, 1.0)
     assert est.params == {"max_iter": 20, "circle_samples": 8, "bisect_tol": 1e-3,
-                          "residual_tol": 1e-8, "cap": 0.9}
+                          "residual_tol": 1e-8}
 
 
 def test_escape_radii_match_sequential_bisection():
@@ -604,8 +636,8 @@ def test_escape_upper_monotone_in_budget_pairs(a, b):
 @pytest.mark.parametrize("bad", [
     {"bisect_tol": 0.0}, {"bisect_tol": -1.0}, {"bisect_tol": math.nan},
     {"bisect_tol": math.inf}, {"residual_tol": 0.0}, {"residual_tol": math.nan},
-    {"circle_samples": 0}, {"max_iter": -1}, {"cap": 0.0}, {"cap": 1.0},
-    {"cap": math.nan}, {"max_iter": 2.5}, {"max_iter": True}, {"circle_samples": 2.5},
+    {"circle_samples": 0}, {"max_iter": -1}, {"residual_tol": -1.0}, {"residual_tol": math.inf},
+    {"max_iter": "300"}, {"max_iter": 2.5}, {"max_iter": True}, {"circle_samples": 2.5},
     {"circle_samples": True}, {"circle_samples": 8.0}, {"max_iter": math.nan},
 ])
 def test_escape_params_reject_bad_values(bad):

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import time
 from collections import Counter
 from dataclasses import replace
@@ -26,7 +27,7 @@ from siegelkit.scan import (
 )
 from siegelkit.surd import QuadraticIrrational, bracket, exact_cmp
 
-from .oracles import mobius_radius, sequential_escape_radius
+from .oracles import expansion_below_by_comparison, mobius_radius, sequential_escape_radius
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
 S2M1 = QuadraticIrrational(0, 1, 1, 2) - 1
@@ -237,7 +238,7 @@ def test_monotone_escape_upper_in_max_iter():
 
 def test_cond_bdd_rotation_degenerate(monkeypatch):
     monkeypatch.setattr(scan, "DEFAULT_SCAN", CHEAP)
-    rep = condition_bdd_search(RotationFamily(), GOLDEN, rho_frac=0.5)
+    rep = condition_bdd_search(RotationFamily(), GOLDEN, rho_frac=0.5, qmax=8, K_est=6.3)
     assert rep["verdict"] == "FamilyLooksDegenerate"
 
 
@@ -250,7 +251,7 @@ def _coarse_cut_search(monkeypatch, p):
 
 def test_cond_bdd_quadratic_finds_cut(monkeypatch):
     _coarse_cut_search(monkeypatch, MEDIUM)
-    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=8)
+    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=8, K_est=6.3)
     assert rep["verdict"] == "ok"
     assert rep["rho"] > 0
     assert rep["cut_r_lower"] >= rep["rho"]
@@ -285,7 +286,7 @@ def test_cond_bdd_linearizes_each_parameter_once(monkeypatch):
     _coarse_cut_search(monkeypatch, MEDIUM)
     for fam, cut_at_alpha in ((QuadraticFamily(), False), (_RationalsAtOneHalf(), True)):
         calls.clear()
-        rep = condition_bdd_search(fam, GOLDEN, rho_frac=0.5, qmax=8)
+        rep = condition_bdd_search(fam, GOLDEN, rho_frac=0.5, qmax=8, K_est=6.3)
         assert (rep["cut"] == format_exact(GOLDEN)) == cut_at_alpha
         # the second family's rationals all linearize at 1/2: count the rest
         counts = Counter(a for a in calls if not (cut_at_alpha and isinstance(a, Fraction)))
@@ -302,12 +303,12 @@ def test_cond_bdd_estimates_alpha_and_b_in_one_call(monkeypatch):
 
     monkeypatch.setattr(scan, "estimate_radii", counted)
     _coarse_cut_search(monkeypatch, CHEAP)
-    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=8)
+    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=8, K_est=6.3)
     assert rep["b"] == "3/5" and calls[0] == [GOLDEN, Fraction(3, 5)]
 
 
-def _no_linearization(*args, **kwargs):
-    raise AssertionError("linearized before the input check")
+def _no_work(*args, **kwargs):
+    raise AssertionError("work done before the input check")
 
 
 @pytest.mark.parametrize("call", [
@@ -315,24 +316,63 @@ def _no_linearization(*args, **kwargs):
     lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=-2),
     lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.0, stages=1),
     lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, math.nan, stages=1),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, qmax=0),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, K_est=0.5),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, K_est=math.nan),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0, 8, 6.3),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 0, 6.3),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 8, 0.5),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 8, math.nan),
     lambda: main_lemma_probe(QuadraticFamily(), Fraction(1, 3), "short", 2, 0.5, p=CHEAP),
     lambda: main_lemma_probe(QuadraticFamily(), Fraction(1, 3), "short", 2, math.inf, p=CHEAP),
+    # without a K, before the Lipschitz bound too
+    lambda: main_lemma_probe(QuadraticFamily(), Fraction(2, 5), "short", 0, None),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0, 8, None),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 0, None),
 ], ids=["stages-0", "stages-neg", "driver-rho-0", "driver-rho-nan", "search-rho-1",
-        "search-qmax-0", "search-K-half", "search-K-nan", "probe-K-half", "probe-K-inf"])
+        "search-qmax-0", "search-K-half", "search-K-nan", "probe-K-half", "probe-K-inf",
+        "probe-N-0-no-K", "search-rho-1-no-K", "search-qmax-0-no-K"])
 def test_bad_input_is_refused_before_any_linearization(call, monkeypatch):
-    monkeypatch.setattr(scan, "linearizations", _no_linearization)
+    monkeypatch.setattr(scan, "linearizations", _no_work)
+    monkeypatch.setattr(GermFamily, "lipschitz_bound", _no_work)
     with pytest.raises(DomainError):
         call()
+
+
+def test_probes_without_K_take_the_familys_lipschitz_bound(monkeypatch):
+    # the K that reaches C(K, q) and C'(K, q), read at their shared check
+    seen = []
+
+    def stop(K, q):
+        seen.append(K)
+        raise DomainError("stop")
+
+    monkeypatch.setattr(scan, "_check_Kq", stop)
+    monkeypatch.setattr(scan, "linearizations", _no_work)
+    for fam in (QuadraticFamily(), FlowFamily([1.0], 0.5)):
+        seen.clear()
+        with pytest.raises(DomainError, match="stop"):
+            main_lemma_probe(fam, Fraction(1, 3), "short", 2, None)
+        with pytest.raises(DomainError, match="stop"):
+            condition_bdd_search(fam, GOLDEN, 0.5, 8, None)
+        with pytest.raises(DomainError, match="stop"):
+            condition_bdd_search(fam, GOLDEN, 0.5, 8, 2.5)
+        assert seen == [max(1.0, fam.lipschitz_bound())] * 2 + [2.5]
+
+
+def test_the_expansion_below_a_rational_has_odd_length():
+    # the parity rule against the exact comparison of member 0 with c, on
+    # integers, halves and random rationals of both signs
+    rng = random.Random(34)
+    cases = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2)]
+    cases += [Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6)) for _ in range(2000)]
+    for c in cases:
+        cf = scan._expansion_below(c)
+        assert cf == expansion_below_by_comparison(c) and cf.value() == c
 
 
 def test_cond_bdd_target_above_radius(monkeypatch):
     monkeypatch.setattr(scan, "DEFAULT_SCAN", CHEAP)
     with pytest.raises(TargetAboveRadius):
-        condition_bdd_search(QuadraticFamily(), Fraction(1, 2), rho_frac=0.5)
+        condition_bdd_search(QuadraticFamily(), Fraction(1, 2), rho_frac=0.5, qmax=8,
+                             K_est=6.3)
 
 
 # -- main lemma probe ------------------------------------------------------------
@@ -467,7 +507,7 @@ def test_rho_frac_outside_the_unit_interval_is_a_domain_error(rho_frac):
     with pytest.raises(DomainError):
         smooth_disk_driver(QuadraticFamily(), GOLDEN, rho_frac, stages=1)
     with pytest.raises(DomainError):
-        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac)
+        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac, 8, 6.3)
 
 
 def test_driver_refuses_a_partial_series_at_theta0(monkeypatch):
