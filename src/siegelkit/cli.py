@@ -5,7 +5,7 @@ is printed on stderr).  Every command echoes the active constant configuration
 into its output header (a ``config`` key in every JSON report, a comment line
 in the scan CSV) and prints parameters both as exact text and derived float.
 ``--manifest`` dumps a run manifest that hashes ``--out`` and every side file
-the command wrote (``--trace``, ``--plot-data``).
+the command wrote (``--trace``).
 
 A handler returns a dict (a JSON report, laid out by ``io.report_json``) or
 finished text, and writes side files only through ``_write_side_file``;
@@ -223,7 +223,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--samples", type=int, default=16)
     p.add_argument("--bisect-tol", type=float, default=4e-3)
-    p.add_argument("--plot-data", default=None, help="write (alpha_float, r_lower) pairs")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--workers", type=int, default=1)
     _add_family(p)
@@ -272,8 +271,7 @@ def _emit(args, output, cfg: ConstantConfig):
 
 
 def _write_side_file(args, path: str, lines) -> None:
-    """Write a file besides --out (a trace, plot data) and list it for the
-    manifest."""
+    """Write a file besides --out (a trace) and list it for the manifest."""
     with _user_file(path), open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     args.side_files.append(path)
@@ -437,9 +435,6 @@ def cmd_scan(args, cfg):
                                             bisect_tol=args.bisect_tol),
                         estimators=estimators)
     rows = scan_r(fam, grid, params, workers=args.workers)
-    if args.plot_data:
-        _write_side_file(args, args.plot_data, [f"{r.alpha_float!r} {r.r_lower!r}\n"
-                                                for r in rows if r.method == "escape"])
     if args.format == "json":
         return skio.scan_rows_json(rows, cfg)
     digest = skio.invocation_digest(args.argv, cfg)

@@ -254,7 +254,7 @@ def file_sha256(path: str) -> str:
 
 
 # the flags that name an output file, in the order the CLI checks their paths
-OUTPUT_FLAGS = ("--out", "--manifest", "--plot-data", "--trace")
+OUTPUT_FLAGS = ("--out", "--manifest", "--trace")
 _EXECUTION_FLAGS = ("--workers", *OUTPUT_FLAGS)
 
 

@@ -102,7 +102,6 @@ class ScanParams:
 
 DEFAULT_SCAN = ScanParams()
 TAIL_WINDOW = 4   # trailing members whose least radius main_lemma_probe reports
-CUT_GRID_POINTS = 16         # rational grid condition_bdd_search locates its cut on
 SEQ_INDICES = (0, 1, 2, 3)   # special-sequence members condition_bdd_search emits
 # the construction driver's budgets: long series, a finer bisection
 DRIVER_SCAN = ScanParams(order=32, lin_order=256,
@@ -308,18 +307,31 @@ def _target(rho_frac: float, r_est: RadiusEstimate) -> float:
     return rho_frac * r_est.lower
 
 
+def _cut_grid(b: Fraction, alpha: ExactReal, Q: int) -> List[Fraction]:
+    """Every p/q strictly inside (b, alpha) with q <= Q, ascending (the Farey
+    fractions of order Q there): p runs from floor(q b) + 1 to ceil(q alpha) - 1."""
+    return sorted({Fraction(p, q) for q in range(1, Q + 1)
+                   for p in range(floor_exact(q * b) + 1, -floor_exact(-q * alpha))})
+
+
 def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
                          qmax: int, K_est: Optional[float],
                          cfg: ConstantConfig = DEFAULT_CONFIG) -> dict:
-    """Left cut point c = grid-inf{x in [b, alpha] : r_est(x) >= rho} and the
-    bounded-type sequence it emits, with the quantitative band both ways.
+    """Left cut point c = the least grid point x in (b, alpha) with
+    r_est(x) >= rho, the bounded-type sequence it emits, and the quantitative
+    band at its denominator.
 
     The target is rho = rho_frac * r_est(alpha).lower (:func:`_target`).
     b is the nearest fraction below alpha with denominator <= qmax (the
-    strongest non-linearizability signal at desk scale); the cut is located
-    on a grid of :data:`CUT_GRID_POINTS` points and every emitted value (the
-    members :data:`SEQ_INDICES`) is exact and bounded type.  Radii are
-    estimated at :data:`DEFAULT_SCAN`; ``K_est=None`` is :func:`_lipschitz_K`.
+    strongest non-linearizability signal at desk scale).  The grid is every
+    p/q strictly inside (b, alpha) with q <= Q = 8 qmax (:func:`_cut_grid`),
+    walked in ascending order, one point at a time, up to the first point
+    that reaches rho; when none does, the verdict is ``"NoRationalCut"``.
+    So the cut is a rational of denominator q_c <= Q, and the band
+    [rho e^{-C'(K, q_c)}, rho] is a trend report at that denominator, not a
+    certificate.  The emitted members :data:`SEQ_INDICES` are exact and
+    bounded type.  Radii are estimated at :data:`DEFAULT_SCAN`; ``K_est=None``
+    is :func:`_lipschitz_K`.
     """
     if not is_count(qmax, 1):
         raise DomainError("qmax >= 1 required")
@@ -330,41 +342,29 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
     b = _nearest_fraction_below(alpha, qmax)
     r_alpha, r_b = estimate_radii(fam, [alpha, b], p)
     rho = _target(rho_frac, r_alpha)
+    no_cut = {"b": str(b), "r_b_lower": r_b.lower, "rho": rho,
+              "r_alpha_lower": r_alpha.lower, "cut": None, "sequence": []}
     if r_b.lower >= rho:
-        return {"verdict": "FamilyLooksDegenerate",
-                "b": str(b), "r_b_lower": r_b.lower, "rho": rho,
-                "r_alpha_lower": r_alpha.lower, "cut": None, "sequence": []}
-    # rational grid points (a close rational stand-in for alpha keeps the cut
-    # point rational, so the quantitative band has a denominator to use)
-    alpha_lo = bracket(alpha, 96)[0]
-    gap = alpha_lo - b
-    grid = [b + gap * Fraction(j, CUT_GRID_POINTS) for j in range(1, CUT_GRID_POINTS + 1)]
+        return {"verdict": "FamilyLooksDegenerate", **no_cut}
     left_neighbor_r = r_b.lower
-    for x in grid:  # one at a time: the loop stops at the first point that passes
-        est = estimate_radii(fam, [x], p)[0]
-        if est.lower >= rho:
-            cut, cut_r = x, est
+    for cut in _cut_grid(b, alpha, 8 * qmax):  # stops at the first point that passes
+        cut_r = estimate_radii(fam, [cut], p)[0]
+        if cut_r.lower >= rho:
             break
-        left_neighbor_r = est.lower
-    else:  # no grid point passes; alpha does, since rho < r_alpha.lower
-        cut, cut_r = alpha, r_alpha
-    q_c = Fraction(cut).denominator if isinstance(cut, (int, Fraction)) else None
-    cf_c = cf_of_exact(cut) if q_c is None else _expansion_below(cut)
-    idxs = [2 * n if not cf_c.is_finite else n  # even indices approach from below
-            for n in SEQ_INDICES]
-    vals = [special_sequence_main(cf_c, idx) for idx in idxs]
+        left_neighbor_r = cut_r.lower
+    else:
+        return {"verdict": "NoRationalCut", **no_cut}
+    vals = [special_sequence_main(_expansion_below(cut), n) for n in SEQ_INDICES]
     seq = []
-    for idx, val, est in zip(idxs, vals, estimate_radii(fam, vals, p)):
+    for n, val, est in zip(SEQ_INDICES, vals, estimate_radii(fam, vals, p)):
         e = cf_of_exact(val)
         bt_bound = max(list(e.partials) + list(e.period))
-        seq.append({"n": idx, "alpha_text": format_exact(val),
+        seq.append({"n": n, "alpha_text": format_exact(val),
                     "alpha_float": to_float(val),
                     "r_lower": est.lower, "r_upper": est.upper,
                     "bounded_type": bool(is_bounded_type(e, bt_bound)),
                     "bt_bound": bt_bound})
-    cprime = const_Cprime(K_est, q_c, cfg) if q_c else None
-    # ascending, since C' > 0 (c1 > 0 and K >= 1)
-    band = [rho * math.exp(-cprime), rho] if cprime else None
+    cprime = const_Cprime(K_est, cut.denominator, cfg)
     return {
         "verdict": "ok",
         "rho": rho,
@@ -374,9 +374,10 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
         "cut_float": to_float(cut),
         "cut_r_lower": cut_r.lower,
         "left_neighbor_r_lower": left_neighbor_r,
-        "cut_denominator": q_c,
+        "cut_denominator": cut.denominator,
         "Cprime": cprime,
-        "band_endpoints": band,
+        # ascending, since C' > 0 (c1 > 0 and K >= 1)
+        "band_endpoints": [rho * math.exp(-cprime), rho],
         "sequence": seq,
     }
 

@@ -248,7 +248,7 @@ def settable_values():
 def test_settable_value_count_is_pinned():
     # a change that adds or removes a setting updates this number (and the
     # count quoted in ROADMAP.md) on purpose
-    assert settable_values() == 168
+    assert settable_values() == 167
 
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)

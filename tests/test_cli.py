@@ -434,10 +434,9 @@ def test_construct_linearizes_each_parameter_once(monkeypatch, capsys):
 
 def test_scan_csv_golden_path(tmp_path, capsys):
     out_file = tmp_path / "comb.csv"
-    plot = tmp_path / "plot.dat"
     code, _, _ = run_cli(["scan", "--family", "quadratic", "--grid", "farey:Q=6",
                           "--format", "csv", "--max-iter", "150",
-                          "--out", str(out_file), "--plot-data", str(plot),
+                          "--out", str(out_file),
                           "--manifest", str(tmp_path / "man.json")], capsys)
     assert code == 0
     text = out_file.read_text(encoding="utf-8")
@@ -449,9 +448,7 @@ def test_scan_csv_golden_path(tmp_path, capsys):
     assert len(rows) == grid_size
     assert all(r.max_iter == 150 for r in rows if r.method == "escape")
     man = loads((tmp_path / "man.json").read_text(encoding="utf-8"))
-    assert man["outputs"] == {str(out_file): skio.file_sha256(str(out_file)),
-                              str(plot): skio.file_sha256(str(plot))}
-    assert len(plot.read_text(encoding="utf-8").splitlines()) == len(rows)
+    assert man["outputs"] == {str(out_file): skio.file_sha256(str(out_file))}
 
 
 def test_opt_equals_value_prints_the_bytes_of_its_space_form(capsys):
@@ -661,7 +658,7 @@ def test_flow_lipschitz_overflow_is_a_numeric_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv,flag", [
     (["scan", "--grid", "1/3"], "--out"),
-    (["scan", "--grid", "1/3"], "--plot-data"),
+    (["probe", "cond-bdd", "--alpha", "[0;(1)]"], "--out"),
     (["scan", "--grid", "1/3"], "--manifest"),
     (["scan", "--grid", "1/3"], "--config"),
     (["renorm", "rotnum", "--alpha", "[0;(1)]", "--returns", "2"], "--trace"),
@@ -678,7 +675,7 @@ def test_missing_file_or_directory_is_a_usage_error(argv, flag, tmp_path, capsys
                                          (".", "Is a directory")])
 @pytest.mark.parametrize("argv,flag", [
     (["scan", "--grid", "1/3"], "--out"),
-    (["scan", "--grid", "1/3"], "--plot-data"),
+    (["probe", "cond-bdd", "--alpha", "[0;(1)]"], "--out"),
     (["scan", "--grid", "1/3"], "--manifest"),
     (["renorm", "rotnum", "--alpha", "[0;(1)]", "--returns", "2"], "--trace"),
 ])
@@ -690,6 +687,13 @@ def test_unusable_output_path_fails_before_any_work(argv, flag, name, reason, tm
     code, out, err = run_cli(argv + [flag, path], capsys)
     assert code == 1 and out == ""
     assert err.startswith(f"usage error: cannot use {path!r}: {reason}\n")
+
+
+def test_every_output_flag_is_an_option_of_some_command():
+    # a flag that left the parser would leave a stale path check and digest rule
+    options = {opt for p in build_parser().commands.values()
+               for action in p._actions for opt in action.option_strings}
+    assert sorted(set(skio.OUTPUT_FLAGS) - options) == []
 
 
 def test_failed_command_leaves_an_existing_out_as_it_was(tmp_path, capsys):
@@ -767,9 +771,9 @@ def _skip_if_a_bare_interpreter_loads_openssl():
     (["brjuno", "--alpha", "[0;(1)]"], _NUMERIC_MODULES),
     (["--help"], _NUMERIC_MODULES),
     (["scan", "--grid", "1/3", "--max-iter", "20"], ("siegelkit.renorm",)),
-    # hashes --out, --plot-data and the invocation
+    # hashes --out and the invocation
     (["scan", "--grid", "1/3", "--max-iter", "20", "--format", "csv", "--out", "{tmp}/s.csv",
-      "--plot-data", "{tmp}/p.dat", "--manifest", "{tmp}/m.json"], ("siegelkit.renorm",)),
+      "--manifest", "{tmp}/m.json"], ("siegelkit.renorm",)),
 ])
 def test_commands_load_only_the_modules_they_run(argv, absent, tmp_path):
     _skip_if_a_bare_interpreter_loads_openssl()

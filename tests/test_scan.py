@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegelkit.cf import (cf_of_rational, farey_fractions, format_exact, parse_cf,
+from siegelkit.cf import (cf_of_rational, farey_fractions, parse_cf,
                           special_sequence_main)
 from siegelkit import linearize, scan
 from siegelkit.errors import DomainError, FamilyUnsuitable, StageFailed, TargetAboveRadius
@@ -243,27 +243,95 @@ def test_cond_bdd_rotation_degenerate(monkeypatch):
 
 
 def _coarse_cut_search(monkeypatch, p):
-    """condition_bdd_search at budgets ``p`` on an 8-point grid, emitting two members."""
+    """condition_bdd_search at budgets ``p``, emitting two members; a caller
+    coarsens the grid with a smaller qmax."""
     monkeypatch.setattr(scan, "DEFAULT_SCAN", p)
-    monkeypatch.setattr(scan, "CUT_GRID_POINTS", 8)
     monkeypatch.setattr(scan, "SEQ_INDICES", (0, 1))
 
 
 def test_cond_bdd_quadratic_finds_cut(monkeypatch):
     _coarse_cut_search(monkeypatch, MEDIUM)
-    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=8, K_est=6.3)
+    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=5, K_est=6.3)
     assert rep["verdict"] == "ok"
     assert rep["rho"] > 0
     assert rep["cut_r_lower"] >= rep["rho"]
     assert rep["left_neighbor_r_lower"] < rep["rho"]
     assert all(item["bounded_type"] for item in rep["sequence"])
-    assert rep["band_endpoints"][0] <= rep["band_endpoints"][1]
+    assert rep["cut_denominator"] == Fraction(rep["cut"]).denominator <= 8 * 5
+    assert rep["band_endpoints"][0] < rep["band_endpoints"][1] == rep["rho"]
+
+
+# the four alphas of the cut table (quadratic, qmax 8, rho_frac 0.5, K from the
+# Lipschitz bound, DEFAULT_SCAN): the cut and its band
+CUT_TABLE = [
+    ("[0;(1)]", "38/63", (0.1075, 0.1509)),
+    ("[0;(2)]", "25/62", (0.1070, 0.1509)),
+    ("[0;(3)]", "17/59", (0.1038, 0.1484)),
+    ("[0;1,1,1,7,(1)]", "37/59", (0.0973, 0.1392)),
+]
+
+
+@pytest.mark.parametrize("alpha,cut,band", CUT_TABLE, ids=[a for a, _, _ in CUT_TABLE])
+def test_cond_bdd_cut_has_a_usable_denominator(alpha, cut, band):
+    rep = condition_bdd_search(QuadraticFamily(), parse_cf(alpha).value(), 0.5, 8, None)
+    assert rep["verdict"] == "ok" and rep["cut"] == cut
+    lo, hi = rep["band_endpoints"]
+    assert lo < hi and (lo, hi) == pytest.approx(band, abs=5e-5)
+    assert rep["cut_denominator"] <= 64
+    members = rep["sequence"]
+    assert len({m["alpha_float"] for m in members}) == len(members) == 4
+    # member n is [cut's expansion below it; n + 2, 2, 2, ...]
+    top = max(scan._expansion_below(Fraction(cut)).partials)
+    assert [m["bt_bound"] for m in members] == [max(top, m["n"] + 2) for m in members]
+
+
+@pytest.mark.parametrize("alpha,qmax,rho_frac", [
+    (GOLDEN, 3, 0.7),          # the cut is the seventh grid point
+    (GOLDEN, 8, 0.95),         # the fourth
+    (GOLDEN, 2, 0.7),          # no grid point passes
+    (Fraction(2, 7), 4, 0.5),  # a rational alpha; the first point passes
+], ids=["golden-q3", "golden-q8", "golden-q2-none", "2/7-q4"])
+def test_cut_grid_is_walked_up_to_the_first_pass(alpha, qmax, rho_frac, monkeypatch):
+    # the grid is the Farey fractions of order 8 qmax strictly inside (b, alpha),
+    # ascending; the search estimates them one at a time, in that order, and
+    # every point below the cut misses rho
+    walked = []
+    real = scan.estimate_radii
+
+    def recorded(fam, alphas, p):
+        ests = real(fam, alphas, p)
+        walked.append((alphas, ests))
+        return ests
+
+    monkeypatch.setattr(scan, "estimate_radii", recorded)
+    _coarse_cut_search(monkeypatch, CHEAP)
+    rep = condition_bdd_search(QuadraticFamily(), alpha, rho_frac, qmax, 6.3)
+    b, Q = Fraction(rep["b"]), 8 * qmax
+    grid = scan._cut_grid(b, alpha, Q)
+    assert grid == sorted(set(grid))
+    assert all(b < x and exact_cmp(x, alpha) < 0 and x.denominator <= Q for x in grid)
+    assert grid == [f for f in farey_fractions(Q) if b < f and exact_cmp(f, alpha) < 0]
+    # the first call estimates alpha and b, and the last the members of a cut
+    found = rep["verdict"] == "ok"
+    points = [(x, est.lower) for xs, ests in walked[1:len(walked) - found]
+              for x, est in zip(xs, ests) if len(xs) == 1]
+    assert len(points) == len(walked) - 1 - found
+    assert [x for x, _ in points] == grid[:len(points)]
+    if found:
+        assert points[-1] == (Fraction(rep["cut"]), rep["cut_r_lower"])
+        assert points[-1][1] >= rep["rho"]
+        below = points[:-1]
+    else:
+        assert rep["verdict"] == "NoRationalCut" and rep["cut"] is None
+        assert rep["sequence"] == [] and len(points) == len(grid)
+        below = points
+    assert all(r < rep["rho"] for _, r in below)
 
 
 class _RationalsAtOneHalf(GermFamily):
     """The quadratic family, but every rational parameter gets the germ at 1/2
-    (a pole at n = 3), so no rational grid point reaches rho and the cut
-    search ends at alpha."""
+    (a pole at n = 3), so no rational grid point reaches rho and the search
+    ends without a cut."""
 
     def __init__(self):
         super().__init__((), (1.0,), 1.0)
@@ -273,8 +341,8 @@ class _RationalsAtOneHalf(GermFamily):
 
 
 def test_cond_bdd_linearizes_each_parameter_once(monkeypatch):
-    # in test_cond_bdd_quadratic_finds_cut's setting the cut is a rational
-    # grid point; with every rational at 1/2 the search reaches alpha itself
+    # in test_cond_bdd_quadratic_finds_cut's setting the cut is a grid point;
+    # with every rational at 1/2 no grid point passes
     calls = []
     real = scan.linearizations
 
@@ -284,12 +352,12 @@ def test_cond_bdd_linearizes_each_parameter_once(monkeypatch):
 
     monkeypatch.setattr(scan, "linearizations", counted)
     _coarse_cut_search(monkeypatch, MEDIUM)
-    for fam, cut_at_alpha in ((QuadraticFamily(), False), (_RationalsAtOneHalf(), True)):
+    for fam, verdict in ((QuadraticFamily(), "ok"), (_RationalsAtOneHalf(), "NoRationalCut")):
         calls.clear()
-        rep = condition_bdd_search(fam, GOLDEN, rho_frac=0.5, qmax=8, K_est=6.3)
-        assert (rep["cut"] == format_exact(GOLDEN)) == cut_at_alpha
+        rep = condition_bdd_search(fam, GOLDEN, rho_frac=0.5, qmax=5, K_est=6.3)
+        assert rep["verdict"] == verdict
         # the second family's rationals all linearize at 1/2: count the rest
-        counts = Counter(a for a in calls if not (cut_at_alpha and isinstance(a, Fraction)))
+        counts = Counter(a for a in calls if not (verdict != "ok" and isinstance(a, Fraction)))
         assert GOLDEN in counts and set(counts.values()) == {1}
 
 
@@ -303,7 +371,7 @@ def test_cond_bdd_estimates_alpha_and_b_in_one_call(monkeypatch):
 
     monkeypatch.setattr(scan, "estimate_radii", counted)
     _coarse_cut_search(monkeypatch, CHEAP)
-    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=8, K_est=6.3)
+    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=5, K_est=6.3)
     assert rep["b"] == "3/5" and calls[0] == [GOLDEN, Fraction(3, 5)]
 
 
