@@ -25,7 +25,6 @@ __all__ = [
     "BrjunoValue",
     "ConstantConfig",
     "brjuno_sum",
-    "is_bounded_type",
     "const_C",
     "const_Cprime",
     "const_Cdoubleprime",
@@ -154,15 +153,6 @@ def brjuno_sum(alpha: CFExpansion, depth: int, tol: float) -> BrjunoValue:
         tail = math.ldexp((lq * s_geo + lm * s_lin) / (qd >> k), -k)
         converged = tail < tol
     return BrjunoValue(total, depth, converged)
-
-
-def is_bounded_type(alpha: CFExpansion, bound: int) -> bool:
-    """True iff alpha is irrational with all partial quotients <= bound."""
-    if alpha.is_finite:
-        return False
-    if any(a > bound for a in alpha.partials):
-        return False
-    return all(a <= bound for a in alpha.period)
 
 
 # ---------------------------------------------------------------------------

@@ -358,14 +358,18 @@ def _bisect(start: Callable[[int, float], object],
     bracket is wider than ``tol`` and the midpoint lies strictly inside.
 
     A staying point costs a full ``max_iter`` run; an escaping one usually
-    stops early.  So every round walks each open bracket down the path it
-    takes if every untested point stays, following the verdicts already
-    known (kept for this call, per bracket and point, screen failures
-    included), and sends every untested point on all those paths through one
-    ``stays`` call.  The brackets then advance through the known verdicts up
-    to the first wrong guess.  Each verdict is the one its point gets alone,
-    so the points read, their verdicts and every bracket are those of one
-    point per call; only points past a wrong guess are tested and not read.
+    stops early.  So each open bracket walks the path it takes if every
+    untested point stays, following the verdicts already known (kept for
+    this call, per bracket and point, screen failures included), and tests
+    that path deepest point first: the last point of the walk, nearest the
+    boundary.  One ``stays`` call holds the deepest untested point of every
+    path still undecided.  A staying point vouches for every shallower point
+    of its path, which is recorded as staying and never runs; after an
+    escape the next-deepest point goes into the next call.  A path decided,
+    its bracket advances through the known verdicts and walks again.  Where
+    the verdicts along a path are monotone, every bracket is the one of one
+    point per call; where they are not, the end a bracket reports on the
+    staying side is still a point whose orbits ran and stayed.
     """
     known: Dict[Tuple[int, float], bool] = {}  # (bracket, point) -> orbits stay
     top = [True] * len(lo)
@@ -393,12 +397,21 @@ def _bisect(start: Callable[[int, float], object],
             if not path:
                 lo[i], hi[i], top[i] = l, h, t
 
+    paths: List[list] = [[] for _ in lo]  # each bracket's untested path, deepest last
     while True:
-        batch = [p for i in range(len(lo)) for p in walk(i)]
-        if not batch:
+        for i, path in enumerate(paths):
+            if not path:
+                path.extend(walk(i))
+        live = [path for path in paths if path]
+        if not live:
             return
-        verdicts = stays([(i, w) for i, _, w in batch])
-        known.update(((i, x), bool(ok)) for (i, x, _), ok in zip(batch, verdicts))
+        verdicts = stays([(i, w) for i, _, w in (path[-1] for path in live)])
+        for path, ok in zip(live, verdicts):
+            i, x, _ = path.pop()
+            known[i, x] = bool(ok)
+            if ok:  # a staying point vouches for the shallower points of its path
+                known.update(((i, y), True) for _, y, _ in path)
+                path.clear()
 
 
 def escape_radii(germs: Sequence[Germ], phis: Sequence[LinearizationSeries],
@@ -406,11 +419,13 @@ def escape_radii(germs: Sequence[Germ], phis: Sequence[LinearizationSeries],
     """:func:`escape_radius` for many parameters, in one chained bisection.
 
     Every bracket starts as [0, :data:`ESCAPE_CAP`] and tests the cap first.
-    The chart checks run per radius, once, and screen a radius out without
-    an orbit; each round the orbits of all radii on every bracket's likely
-    path (each radius valid) go through one kernel call per germ row length.
-    Each bracket moves exactly as it would alone, so the estimates do not
-    depend on what else is in the batch.
+    The chart checks screen a radius out without an orbit.  Orbits run only
+    at the deepest screen-passing radius of each bracket's likely path (each
+    radius valid) and, after an escape, at the next-deepest (:func:`_bisect`);
+    a valid radius vouches for the smaller radii of its path.  Each round's
+    radii go through one kernel call per germ row length.  Each bracket
+    moves exactly as it would alone, so the estimates do not depend on what
+    else is in the batch.
     """
     if len(germs) != len(phis):
         raise DomainError("need one chart per germ")
@@ -467,7 +482,11 @@ def escape_radius(g: Germ, phi: LinearizationSeries,
     truncated conjugacy residual on |z| = rho to stay below ``residual_tol``
     and every orbit started from phi(rho * samples) to stay in the unit disk
     for ``max_iter`` steps.  Each test is "finite and inside", so NaN or inf
-    anywhere rejects the radius.
+    anywhere rejects the radius.  The orbits run at the deepest radius of a
+    bisection path first, and a valid one vouches for the smaller radii of
+    its path (:func:`escape_radii`): the lower end reported passed all three
+    tests, and where validity is monotone along the path the bracket is the
+    one-radius-at-a-time bisection's.
     """
     return escape_radii([g], [phi], params)[0]
 

@@ -97,9 +97,11 @@ def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
     chained bisection shared with the escape estimator, on [H/2, H] (on
     [0, H] for the first H): it tests H together with the descent below it,
     and an inadmissible H closes the bracket, which sends the search on to 2H.
-    At a finite budget admissibility need not be monotone in the height, so
-    h need not be the smallest admissible height sampled: an admissible
-    island below an inadmissible mid is never entered.
+    The descent is tested lowest height first, and an admissible height
+    vouches for the higher ones on its path, which run no orbits.  At a
+    finite budget admissibility need not be monotone in the height, so h
+    need not be the smallest admissible height sampled, and a vouched height
+    need not be admissible; h itself was tested and is admissible.
     """
     if len(F.h_coeffs) == 0 or not np.any(F.h_coeffs):
         return 0.0  # exact translation: every height is admissible

@@ -22,8 +22,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linearize
-from .bounds import (ConstantConfig, DEFAULT_CONFIG, _check_Kq, const_C, const_Cprime,
-                     is_bounded_type)
+from .bounds import ConstantConfig, DEFAULT_CONFIG, _check_Kq, const_C, const_Cprime
 from .cf import (
     LONG_FORM,
     CFExpansion,
@@ -361,9 +360,7 @@ def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
         bt_bound = max(list(e.partials) + list(e.period))
         seq.append({"n": n, "alpha_text": format_exact(val),
                     "alpha_float": to_float(val),
-                    "r_lower": est.lower, "r_upper": est.upper,
-                    "bounded_type": bool(is_bounded_type(e, bt_bound)),
-                    "bt_bound": bt_bound})
+                    "r_lower": est.lower, "r_upper": est.upper, "bt_bound": bt_bound})
     cprime = const_Cprime(K_est, cut.denominator, cfg)
     return {
         "verdict": "ok",

@@ -8,10 +8,11 @@ for bit, so they keep the one-row evaluation, the sequential loops and the
 per-index phase reductions the library used before its lock-step kernels,
 shared bisection and shared multiplier.
 
-Three helpers moved here from the library because only tests use them: the
+Four helpers moved here from the library because only tests use them: the
 golden-section cross-check ``const_Cprime_numeric`` of the closed-form C',
-the C''-vs-C relation gap ``cdoubleprime_relation_gap``, and
-``translation_lift``, the pure translation as a lift.  The sampled
+the C''-vs-C relation gap ``cdoubleprime_relation_gap``,
+``translation_lift``, the pure translation as a lift, and the bounded-type
+test ``is_bounded_type``.  The sampled
 1/10-condition check ``find_y0`` made before it certified the conditions
 lives here too, as ``sampled_conditions_hold`` with its own derivative
 evaluators.
@@ -99,6 +100,15 @@ def random_bounded_type_value(rng: random.Random):
     return CFExpansion(0, pre, per).value()
 
 
+def is_bounded_type(alpha: CFExpansion, bound: int) -> bool:
+    """True iff alpha is irrational with all partial quotients <= bound."""
+    if alpha.is_finite:
+        return False
+    if any(a > bound for a in alpha.partials):
+        return False
+    return all(a <= bound for a in alpha.period)
+
+
 def special_sequence_bound(alpha: CFExpansion, tail: CFExpansion) -> int:
     """Uniform partial-quotient bound K of the special sequence of irrational alpha.
 
@@ -184,9 +194,55 @@ def sequential_escape_bisection(valid, params):
             lo = mid
         else:
             hi = mid
+    return _escape_report(lo, hi)
+
+
+def _escape_report(lo, hi):
+    if lo == linearize.ESCAPE_CAP:
+        return lo, 1.0, "valid up to the cap"
     if lo == 0.0:
         return lo, hi, "NoValidRadius: non-linearizable at tolerance"
     return lo, hi, "bracket from bisection"
+
+
+def deepest_first_bisection(screen, stays, lo, hi, tol, stay_above):
+    """(lo, hi) of one bracket under linearize._bisect's rule, one orbit
+    verdict per call.  Test the top, then midpoints.  Walk the path the
+    bracket takes when every untested point stays (a point failing
+    ``screen`` is out without orbits), then test its points deepest first:
+    the first that stays vouches for the shallower rest, and a path with no
+    staying point is spent.  Then walk again."""
+    known = {}
+    while True:
+        l, h, x, path = lo, hi, hi, []
+        while True:
+            if x not in known:
+                if screen(x):
+                    path.append(x)
+                else:
+                    known[x] = False
+            if known.get(x, True) == stay_above:
+                h = x
+            else:
+                l = x
+            x = 0.5 * (l + h)
+            if not (h - l > tol and l < x < h):
+                break
+        if not path:
+            return l, h
+        while path:
+            x = path.pop()
+            known[x] = bool(stays(x))
+            if known[x]:
+                known.update(dict.fromkeys(path, True))
+                break
+
+
+def deepest_first_escape_bisection(screen, stays, params):
+    """:func:`sequential_escape_bisection` under the deepest-first rule, with
+    the chart screens in ``screen`` and the orbit test in ``stays``."""
+    return _escape_report(*deepest_first_bisection(
+        screen, stays, 0.0, linearize.ESCAPE_CAP, params.bisect_tol, stay_above=False))
 
 
 def sequential_linearization_coeffs(g, N, allow_rational=False, mag_cap=MAG_CAP,
@@ -243,9 +299,10 @@ def sequential_linearization_coeffs(g, N, allow_rational=False, mag_cap=MAG_CAP,
     return LinearizationSeries(a=a, small_divisor_log=sdlog, numerators=numer, stop=None)
 
 
-def sequential_h_of_lift(F, params):
+def sequential_h_of_lift(F, params, deepest_first=False):
     """h_of_lift as its own orbit loop per height and its own bisection loop,
-    the way it ran before it shared the escape kernel and bisection."""
+    the way it ran before it shared the escape kernel and bisection; with
+    ``deepest_first``, the bisection is :func:`deepest_first_h_bisection`."""
     def admissible(h):
         Z = np.arange(renorm.RE_SAMPLES) / renorm.RE_SAMPLES + 1j * h
         for _ in range(params.max_iter):
@@ -256,7 +313,7 @@ def sequential_h_of_lift(F, params):
 
     if len(F.h_coeffs) == 0 or not np.any(F.h_coeffs):
         return 0.0
-    return sequential_h_bisection(admissible)
+    return (deepest_first_h_bisection if deepest_first else sequential_h_bisection)(admissible)
 
 
 def sequential_h_bisection(admissible):
@@ -275,6 +332,20 @@ def sequential_h_bisection(admissible):
         else:
             lo = mid
     return hi
+
+
+def deepest_first_h_bisection(admissible):
+    """:func:`sequential_h_bisection` under the deepest-first rule: each
+    doubling step bisects [H/2, H] (or [0, H]) with H tested as its top."""
+    lo, hi = 0.0, max(4 * renorm.IM_BISECT, 0.05)
+    while True:
+        lo, h = deepest_first_bisection(lambda _: True, admissible, lo, hi,
+                                        renorm.IM_BISECT, stay_above=True)
+        if lo < h:
+            return h
+        hi *= 2.0
+        if hi > renorm.HEIGHT_CEILING:
+            raise NoAdmissibleHeight(f"no admissible height below {renorm.HEIGHT_CEILING}")
 
 
 def in_fundamental_domain_exact(setup, Z):

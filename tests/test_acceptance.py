@@ -21,7 +21,6 @@ from siegelkit.bounds import (
     const_C,
     const_Cdoubleprime,
     const_Cprime,
-    is_bounded_type,
 )
 from siegelkit.cf import (
     cf_of_exact,
@@ -63,6 +62,7 @@ from siegelkit.surd import QuadraticIrrational, exact_cmp
 from .oracles import (
     brute_force_linearization,
     const_Cprime_numeric,
+    is_bounded_type,
     random_bounded_type_value,
     special_sequence_bound,
     translation_lift,

@@ -14,14 +14,18 @@ from siegelkit.bounds import (
     const_Cdoubleprime,
     const_Cprime,
     format_config,
-    is_bounded_type,
     load_config,
 )
 from siegelkit.cf import CFExpansion, cf_of_rational, cf_of_quadratic_irrational, parse_cf, special_sequence_main
 from siegelkit.errors import DomainError
 from siegelkit.surd import QuadraticIrrational
 
-from .oracles import cdoubleprime_relation_gap, const_Cprime_numeric, special_sequence_bound
+from .oracles import (
+    cdoubleprime_relation_gap,
+    const_Cprime_numeric,
+    is_bounded_type,
+    special_sequence_bound,
+)
 
 
 GOLDEN_CF = parse_cf("[1;(1)]")

@@ -43,8 +43,12 @@ from siegelkit.series import circle_majorants, polyval_vec
 from siegelkit.surd import QuadraticIrrational
 
 from .oracles import (
+    deepest_first_bisection,
+    deepest_first_escape_bisection,
+    deepest_first_h_bisection,
     mobius_psi_inv,
     sequential_escape_bisection,
+    sequential_h_bisection,
     sequential_escape_radius,
     sequential_linearization_coeffs,
     small_divisor,
@@ -546,6 +550,8 @@ _ESCAPE_TABLES = [
 
 
 def test_escape_radii_chain_follows_sequential_path(monkeypatch):
+    # the chained bisection reaches the brackets of the deepest-first rule
+    # run one radius at a time, with one radius per bracket in a kernel call
     p = EscapeParams(max_iter=1, circle_samples=8, bisect_tol=1e-2)
     alphas = [Fraction(1, k) for k in range(3, 3 + len(_ESCAPE_TABLES))]
     germs = [Germ(a, np.zeros(int(k == 4), dtype=complex)) for k, a in enumerate(alphas)]
@@ -564,22 +570,45 @@ def test_escape_radii_chain_follows_sequential_path(monkeypatch):
         calls.append(tested)
         return np.array([_ESCAPE_TABLES[k][1](r) for k, r in tested], dtype=bool)
 
-    def valid(k, r):
-        c, table = _ESCAPE_TABLES[k]
-        chart_ok = np.all(np.abs(polyval_vec(phis[k].a, r * ring)) < 1)
-        return bool(chart_ok) and table(r)
+    def chart_ok(k, r):
+        return bool(np.all(np.abs(polyval_vec(phis[k].a, r * ring)) < 1))
 
-    asked = []
-    sequential = [sequential_escape_bisection(lambda r: asked.append(r) or valid(k, r), p)
-                  for k in range(len(germs))]
+    oracle = [deepest_first_escape_bisection(lambda r: chart_ok(k, r), _ESCAPE_TABLES[k][1], p)
+              for k in range(len(germs))]
     monkeypatch.setattr(linearize, "_orbits_stay", kernel)
     got = [(e.lower, e.upper, e.diagnostics) for e in escape_radii(germs, phis, p)]
-    assert got == sequential
+    assert got == oracle
     assert {d.split(":")[0] for _, _, d in got} == {
         "NoValidRadius", "bracket from bisection", "valid up to the cap"}
-    assert len(calls) < len(asked)
+    assert all(len({k for k, _ in batch}) == len(batch) for batch in calls)
     tested = [x for batch in calls for x in batch]
     assert len(set(tested)) == len(tested)  # no radius is tested twice
+    for k, (lower, upper, _) in enumerate(got):
+        # the lower end's orbits ran and stayed; the upper end is invalid
+        # or the unit radius, and the bracket is within tolerance
+        if lower > 0.0:
+            assert (k, lower) in tested and _ESCAPE_TABLES[k][1](lower)
+        assert upper == 1.0 or not (chart_ok(k, upper) and _ESCAPE_TABLES[k][1](upper))
+        assert lower == linearize.ESCAPE_CAP or upper - lower <= p.bisect_tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.2), st.sampled_from([1e-3, 1e-2, 0.1]), st.booleans())
+def test_deepest_first_matches_sequential_on_monotone_verdicts(threshold, tol, stay_above):
+    # with one threshold the verdicts are monotone, so testing each path
+    # deepest first reaches the one-point-at-a-time brackets; _bisect
+    # follows the deepest-first oracle
+    stays = (lambda x: x >= threshold) if stay_above else (lambda x: x < threshold)
+    lo, hi = [0.0], [1.0]
+    _bisect(lambda i, x: x, lambda pts: [stays(x) for _, x in pts], lo, hi, tol, stay_above)
+    assert (lo[0], hi[0]) == deepest_first_bisection(lambda x: True, stays, 0.0, 1.0, tol,
+                                                     stay_above)
+    if stay_above:
+        assert deepest_first_h_bisection(stays) == sequential_h_bisection(stays)
+    else:
+        p = EscapeParams(bisect_tol=tol)
+        assert deepest_first_escape_bisection(lambda r: True, stays, p) == \
+            sequential_escape_bisection(stays, p)
 
 
 def test_bisect_closes_at_adjacent_floats():

@@ -36,8 +36,8 @@ from .oracles import (
     lands_again_exact,
     map_with_derivative,
     mobius_height,
+    deepest_first_h_bisection,
     sampled_conditions_hold,
-    sequential_h_bisection,
     sequential_h_of_lift,
     translation_lift,
 )
@@ -126,7 +126,11 @@ def test_h_of_lift_matches_sequential_bisection(make_lift):
     F = make_lift()
     params = HParams(max_iter=200)
     assert _outcome(lambda: h_of_lift(F, params)) == \
-        _outcome(lambda: sequential_h_of_lift(F, params))
+        _outcome(lambda: sequential_h_of_lift(F, params, deepest_first=True))
+    if make_lift is golden_quadratic_lift:
+        # verdicts not monotone in height: one height at a time reads 0.21875
+        assert (h_of_lift(F, params), sequential_h_of_lift(F, params)) == \
+            pytest.approx((0.20625, 0.21875))
 
 
 _KERNEL_PARAMS = HParams(max_iter=200)
@@ -173,14 +177,14 @@ def test_h_monotone_in_budget_pairs(lift, a, b):
         (math.inf if isinstance(h_big, tuple) else h_big)
 
 
-# Verdict tables that are not monotone in height.  Doubling tests 0.05, 0.1,
-# 0.2 (all inadmissible, each with the descent below it) and 0.4; the
-# sequential bisection then asks 0.2 again.
-#  - "island": the descent below 0.3 holds admissible 0.225 and 0.2125 under
-#    the inadmissible 0.25, off the bisection's path, so h = 0.3 is not the
-#    smallest admissible height tested;
+# Verdict tables that are not monotone in height.  Doubling tests 0.05, 0.1
+# and 0.2, each inadmissible, and 0.4; the bisection of [0.2, 0.4] walks
+# 0.4, 0.3, 0.25, 0.225 and 0.2125 and tests them deepest first.
+#  - "island": the admissible 0.2125 vouches for the inadmissible 0.25
+#    above it, so h = 0.2125 where one height at a time gives 0.3;
 #  - "long-chain": 0.3 down to 0.20625 admissible (0.26 to 0.3 is not), so
-#    0.4 and its whole descent share one call.
+#    0.2125 vouches for 0.4 and its whole descent, and both rules give
+#    0.20625.
 _TABLES = {
     "island": lambda h: h >= 0.3 or 0.21 < h < 0.24,
     "long-chain": lambda h: h >= 0.3 or 0.205 < h < 0.26,
@@ -190,8 +194,7 @@ _TABLES = {
 @pytest.mark.parametrize("name", sorted(_TABLES))
 def test_h_of_lift_chain_follows_sequential_path(monkeypatch, name):
     table = _TABLES[name]
-    asked = []
-    sequential = sequential_h_bisection(lambda h: asked.append(h) or table(h))
+    oracle = deepest_first_h_bisection(table)
     calls = []
 
     def kernel(F, hs, p):
@@ -200,18 +203,15 @@ def test_h_of_lift_chain_follows_sequential_path(monkeypatch, name):
 
     monkeypatch.setattr(renorm, "_heights_admissible", kernel)
     h = h_of_lift(golden_quadratic_lift(order=16), HParams())
-    assert h == sequential
-    assert len(calls) < len(asked)
-    if name == "long-chain":
-        # the last call: 0.4 and every later height asked but the known 0.2
-        assert calls[3:] == [[x for x in asked[3:] if x != asked[2]]]
+    assert h == oracle
+    assert all(len(hs) == 1 for hs in calls)  # one bracket, one height a call
     tested = [x for hs in calls for x in hs]
     assert len(set(tested)) == len(tested)  # no height is tested twice
-    # the contract: h is admissible, and a height at most IM_BISECT below it
-    # was found inadmissible, or h <= IM_BISECT
+    # the contract: h was tested and is admissible, and a height at most
+    # IM_BISECT below it was found inadmissible, or h <= IM_BISECT
     tol = renorm.IM_BISECT
-    assert table(h)
-    assert h <= tol or any(not table(x) for x in asked if 0 < h - x <= tol)
+    assert h in tested and table(h)
+    assert h <= tol or any(not table(x) for x in tested if 0 < h - x <= tol)
 
 
 def test_h_golden_quadratic_stable():

@@ -256,7 +256,6 @@ def test_cond_bdd_quadratic_finds_cut(monkeypatch):
     assert rep["rho"] > 0
     assert rep["cut_r_lower"] >= rep["rho"]
     assert rep["left_neighbor_r_lower"] < rep["rho"]
-    assert all(item["bounded_type"] for item in rep["sequence"])
     assert rep["cut_denominator"] == Fraction(rep["cut"]).denominator <= 8 * 5
     assert rep["band_endpoints"][0] < rep["band_endpoints"][1] == rep["rho"]
 
