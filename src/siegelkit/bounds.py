@@ -79,8 +79,9 @@ def config_from_mapping(data: Dict[str, str]) -> ConstantConfig:
     return ConstantConfig(**kwargs)
 
 
-def load_config(path: Optional[str] = None) -> ConstantConfig:
-    """Key-value file ("key = value" lines, # comments) plus SIEGEL_* overrides."""
+def load_config(path: Optional[str]) -> ConstantConfig:
+    """Key-value file ("key = value" lines, # comments; ``path`` None reads
+    none) plus SIEGEL_* overrides."""
     data: Dict[str, str] = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
@@ -167,7 +168,7 @@ def _check_Kq(K: float, q: int) -> None:
         raise DomainError("q >= 1 required")
 
 
-def const_C(K: float, q: int, cfg: ConstantConfig = DEFAULT_CONFIG) -> float:
+def const_C(K: float, q: int, cfg: ConstantConfig) -> float:
     """(log q + log K + c1) / q."""
     _check_Kq(K, q)
     return (math.log(q) + math.log(K) + cfg.c1) / q
@@ -177,7 +178,7 @@ def _cprime_objective(eps: float, K: float, q: int, cfg: ConstantConfig) -> floa
     return -math.log1p(-eps) + const_C(9.0 * K / eps**3, q, cfg)
 
 
-def const_Cprime(K: float, q: int, cfg: ConstantConfig = DEFAULT_CONFIG) -> float:
+def const_Cprime(K: float, q: int, cfg: ConstantConfig) -> float:
     """inf over eps in (0,1) of -log(1-eps) + C(9K/eps^3, q).
 
     The objective is strictly convex with infinite boundary limits and a
@@ -188,7 +189,7 @@ def const_Cprime(K: float, q: int, cfg: ConstantConfig = DEFAULT_CONFIG) -> floa
     return _cprime_objective(eps, K, q, cfg)
 
 
-def const_Cdoubleprime(K: float, q: int, cfg: ConstantConfig = DEFAULT_CONFIG) -> float:
+def const_Cdoubleprime(K: float, q: int, cfg: ConstantConfig) -> float:
     """log(Kq) / (2 pi q) + c3 / q."""
     _check_Kq(K, q)
     return math.log(K * q) / (2 * math.pi * q) + cfg.c3 / q

@@ -23,6 +23,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from fractions import Fraction
 from io import StringIO
 from typing import TYPE_CHECKING, List, Optional
@@ -338,14 +339,14 @@ def _given(value, default):
 def cmd_lin(args, cfg):
     import numpy as np
 
-    from .linearize import compose_check, linearization_coeffs, pole_cancellation_probe
+    from .linearize import compose_check, linearizations, pole_cancellation_probe
 
     fam = make_family(args)
     if args.op == "pole-probe":
         return pole_cancellation_probe(fam, args.p, args.q, args.n)
     alpha = _parse(parse_exact, args.alpha)
     germ = fam.at(alpha, max(args.N, 8))
-    lin = linearization_coeffs(germ, args.N, allow_rational=True, on_failure="truncate")
+    lin, = linearizations([germ], args.N)
     if args.op == "coeffs":
         return {"alpha": format_exact(alpha), "order": lin.order,
                 "a": [[c.real, c.imag] for c in lin.a[1:]],
@@ -357,23 +358,23 @@ def cmd_lin(args, cfg):
 
 
 def cmd_radius(args, cfg):
-    from .linearize import EscapeParams, escape_radius, hadamard_radius, linearization_coeffs
+    from .linearize import EscapeParams, escape_radius, hadamard_radius, linearizations
 
     germ = _germ_for(args, max(64, min(args.N, 256)))
-    lin = linearization_coeffs(germ, args.N, allow_rational=True, on_failure="truncate")
+    lin, = linearizations([germ], args.N)
     if args.op == "hadamard":
+        params = {"window": args.window}
         est = hadamard_radius(lin, args.window)
     else:
-        est = escape_radius(germ, lin,
-                            EscapeParams(
-                                max_iter=_given(args.max_iter, EscapeParams.max_iter),
-                                circle_samples=_given(args.samples, EscapeParams.circle_samples),
-                                bisect_tol=_given(args.bisect_tol, EscapeParams.bisect_tol),
-                                residual_tol=_given(args.residual_tol,
-                                                    EscapeParams.residual_tol)))
+        escape = EscapeParams(max_iter=_given(args.max_iter, EscapeParams.max_iter),
+                              circle_samples=_given(args.samples, EscapeParams.circle_samples),
+                              bisect_tol=_given(args.bisect_tol, EscapeParams.bisect_tol),
+                              residual_tol=_given(args.residual_tol, EscapeParams.residual_tol))
+        params = asdict(escape)
+        est = escape_radius(germ, lin, escape)
     return {"alpha": format_exact(germ.alpha), "alpha_float": to_float(germ.alpha),
-            "lower": est.lower, "upper": est.upper, "method": est.method,
-            "params": est.params, "diagnostics": est.diagnostics}
+            "lower": est.lower, "upper": est.upper, "method": args.op,
+            "params": params, "diagnostics": est.diagnostics}
 
 
 def cmd_lift(args, cfg):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -70,9 +70,7 @@ class LinearizationSeries:
 class RadiusEstimate:
     lower: float
     upper: float
-    method: str
-    params: Dict[str, float] = field(default_factory=dict)
-    diagnostics: str = ""
+    diagnostics: str
 
 
 def _divisor(phase: float, rho: complex) -> complex:
@@ -95,52 +93,37 @@ def _abs(z: complex) -> float:
         return math.inf
 
 
-def linearizations(germs: Sequence[Germ], N: int, allow_rational: bool = False,
-                   on_failure: str = "raise") -> List[LinearizationSeries]:
-    """Solve the linearization recursion up to order N for every germ.
+def linearizations(germs: Sequence[Germ], N: int) -> List[LinearizationSeries]:
+    """Solve the linearization recursion up to order N for every germ, each
+    to its own stop.
 
     For exactly rational alpha = p/q the divisor vanishes exactly at every
     n > 1 with q | (n-1); those indices either cancel (numerator below floor,
     coefficient set to 0, any value solves the equation) or are a pole,
     :class:`SmallDivisorBlowup`; a coefficient above :data:`MAG_CAP` is an
-    :class:`OverflowGuard`.  Rational handles must opt in via
-    ``allow_rational`` since blowup is then expected.
-
-    Every germ before the first refused rational runs to its own stop.
-    ``on_failure="truncate"`` returns the partial series up to (not including)
-    the first pole or overflow index, with that failure as its ``stop``; the
+    :class:`OverflowGuard`.  A germ that hits either gets its partial series
+    up to (not including) that index, with the failure as its ``stop``; the
     escape estimator feeds on such partial series at non-linearizable
     parameters, where the conjugacy residual then enforces the order-(q+1)
-    mismatch.  In raise mode the first ``stop`` in input order raises, as if
-    the germs ran one after another; a refused rational raises
-    :class:`DomainError` after that.
+    mismatch.  Nothing raises for a stop: every germ runs.
 
     Germs with the same ``min(order, N)`` run in lock-step, one pass over n
     for all of them (:func:`_recursion`), in blocks whose power tables fit in
     :data:`TABLE_BYTES`.  Every series is the one its germ gets alone, bit
     for bit.
     """
-    if on_failure not in ("raise", "truncate"):
-        raise DomainError("on_failure must be 'raise' or 'truncate'")
     if not is_count(N, 1):
         raise DomainError("linearization order N >= 1 required")
-    refused = next((i for i, g in enumerate(germs)
-                    if isinstance(g.alpha, (int, Fraction)) and not allow_rational), len(germs))
     by_order: Dict[int, List[int]] = {}
-    for i in range(refused):
-        by_order.setdefault(min(germs[i].order, N), []).append(i)
-    out: List[Optional[LinearizationSeries]] = [None] * refused
+    for i, g in enumerate(germs):
+        by_order.setdefault(min(g.order, N), []).append(i)
+    out: List[Optional[LinearizationSeries]] = [None] * len(germs)
     for mm, idx in by_order.items():
         size = max(1, TABLE_BYTES // (16 * (mm + 1) * (N + 1)))  # complex128 tables
         for s in range(0, len(idx), size):
             block = idx[s:s + size]
             for i, phi in zip(block, _recursion([germs[i] for i in block], N, mm)):
                 out[i] = phi
-    failures = [phi.stop for phi in out if phi.stop is not None] if on_failure == "raise" else []
-    if refused < len(germs):
-        failures.append(DomainError("rational alpha: pass allow_rational=True to accept poles"))
-    if failures:
-        raise failures[0]
     return out
 
 
@@ -173,14 +156,12 @@ def _recursion(germs: Sequence[Germ], N: int, mm: int) -> List[LinearizationSeri
                                      numerators=np.array(nums[k][:n]), stop=stop)
 
     for n in range(2, N + 1):
-        if mm >= 2:
-            top = min(mm, n)
-            # [z^n] phi^m = sum_j a_j [z^{n-j}] phi^{m-1}
-            pow_tab[:, 2:top + 1, n] = np.einsum("kij,kj->ki", pow_tab[:, 1:top, n - 1:0:-1],
-                                                 pow_tab[:, 1, 1:n], optimize=False)
-            Ps = np.einsum("ki,ki->k", b, pow_tab[:, 2:mm + 1, n], optimize=False).tolist()
-        else:
-            Ps = [0j] * len(live)
+        top = min(mm, n)
+        # [z^n] phi^m = sum_j a_j [z^{n-j}] phi^{m-1}; at mm = 1 (a rotation)
+        # both sums are over an empty axis and P_n is exactly 0j
+        pow_tab[:, 2:top + 1, n] = np.einsum("kij,kj->ki", pow_tab[:, 1:top, n - 1:0:-1],
+                                             pow_tab[:, 1, 1:n], optimize=False)
+        Ps = np.einsum("ki,ki->k", b, pow_tab[:, 2:mm + 1, n], optimize=False).tolist()
         col = []                # a_n by row
         keep = []
         for r, k in enumerate(live):
@@ -216,9 +197,23 @@ def _recursion(germs: Sequence[Germ], N: int, mm: int) -> List[LinearizationSeri
     return out
 
 
-def linearization_coeffs(g: Germ, N: int, **options) -> LinearizationSeries:
-    """The series of the one germ ``g``: :func:`linearizations` of ``[g]``."""
-    return linearizations([g], N, **options)[0]
+def linearization_coeffs(g: Germ, N: int, allow_rational: bool = False,
+                         on_failure: str = "raise") -> LinearizationSeries:
+    """The series of the one germ ``g``: :func:`linearizations` of ``[g]``.
+
+    A rational alpha, where poles are expected, is refused with
+    :class:`DomainError` before any work unless ``allow_rational``.  With
+    ``on_failure="raise"`` the germ's own ``stop`` (pole or overflow)
+    raises; ``"truncate"`` returns the partial series with it.
+    """
+    if on_failure not in ("raise", "truncate"):
+        raise DomainError("on_failure must be 'raise' or 'truncate'")
+    if isinstance(g.alpha, (int, Fraction)) and not allow_rational:
+        raise DomainError("rational alpha: pass allow_rational=True to accept poles")
+    phi, = linearizations([g], N)
+    if phi.stop is not None and on_failure == "raise":
+        raise phi.stop
+    return phi
 
 
 def compose_check(g: Germ, phi: LinearizationSeries) -> float:
@@ -246,8 +241,7 @@ def pole_cancellation_probe(fam: GermFamily, p: int, q: int, n: int) -> dict:
         raise DomainError("need integers p, q >= 1 and n >= 2 with q | (n - 1)")
     base = Fraction(p, q)
     epss = [Fraction(1, 10 ** j) for j in range(1, 9)]
-    lins = linearizations([fam.at(base + eps, max(n, 8)) for eps in epss], n,
-                          allow_rational=True, on_failure="truncate")
+    lins = linearizations([fam.at(base + eps, max(n, 8)) for eps in epss], n)
     rows = [{"eps": float(eps), "alpha": str(base + eps)} for eps in epss]
     for row, lin in zip(rows, lins):
         if lin.order < n:
@@ -278,8 +272,7 @@ def hadamard_radius(phi: LinearizationSeries, window: int) -> RadiusEstimate:
     mags = np.abs(phi.a[idx])
     mask = mags > 0
     if int(mask.sum()) < max(8, window // 8):
-        return RadiusEstimate(lower=0.0, upper=math.inf, method="hadamard",
-                              params={"window": window},
+        return RadiusEstimate(lower=0.0, upper=math.inf,
                               diagnostics="degenerate-window: too few nonzero coefficients")
     x = idx[mask].astype(np.float64)
     y = np.log(mags[mask])
@@ -287,8 +280,7 @@ def hadamard_radius(phi: LinearizationSeries, window: int) -> RadiusEstimate:
     xm, ym = x.mean(), y.mean()
     slope = float(((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum())
     radius = math.exp(-slope)
-    return RadiusEstimate(lower=0.0, upper=radius, method="hadamard",
-                          params={"window": window},
+    return RadiusEstimate(lower=0.0, upper=radius,
                           diagnostics="upper-side indicator; the formal series "
                                       "can converge beyond the germ's own disk")
 
@@ -415,7 +407,7 @@ def _bisect(start: Callable[[int, float], object],
 
 
 def escape_radii(germs: Sequence[Germ], phis: Sequence[LinearizationSeries],
-                 params: EscapeParams = EscapeParams()) -> List[RadiusEstimate]:
+                 params: EscapeParams) -> List[RadiusEstimate]:
     """:func:`escape_radius` for many parameters, in one chained bisection.
 
     Every bracket starts as [0, :data:`ESCAPE_CAP`] and tests the cap first.
@@ -469,13 +461,12 @@ def escape_radii(germs: Sequence[Germ], phis: Sequence[LinearizationSeries],
             lower, upper, diag = lo[i], hi[i], "NoValidRadius: non-linearizable at tolerance"
         else:
             lower, upper, diag = lo[i], hi[i], "bracket from bisection"
-        out.append(RadiusEstimate(lower=lower, upper=upper, method="escape",
-                                  params=asdict(params), diagnostics=diag))
+        out.append(RadiusEstimate(lower=lower, upper=upper, diagnostics=diag))
     return out
 
 
 def escape_radius(g: Germ, phi: LinearizationSeries,
-                  params: EscapeParams = EscapeParams()) -> RadiusEstimate:
+                  params: EscapeParams) -> RadiusEstimate:
     """Bisection bracket of the largest radius that looks linearizable.
 
     VALID(rho) requires phi(rho * samples) to lie in the unit disk, the

@@ -84,7 +84,7 @@ def _heights_admissible(F: LiftMap, hs: Sequence[float], p: HParams) -> List[boo
                         p.max_iter, inside=lambda Z: Z.imag > 0.0).tolist()
 
 
-def h_of_lift(F: LiftMap, params: HParams = HParams()) -> float:
+def h_of_lift(F: LiftMap, params: HParams) -> float:
     """An admissible height h with an inadmissible one at most :data:`IM_BISECT`
     below it, or with h <= :data:`IM_BISECT` (an upper-flavored estimate of h(F)).
 

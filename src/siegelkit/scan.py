@@ -39,7 +39,7 @@ from .errors import (
     TargetAboveRadius,
     is_count,
 )
-from .germs import Germ, GermFamily
+from .germs import GermFamily
 from .linearize import (
     EscapeParams,
     LinearizationSeries,
@@ -108,22 +108,17 @@ DRIVER_SCAN = ScanParams(order=32, lin_order=256,
                                              bisect_tol=5e-4))
 
 
-def _linearize(germs: Sequence[Germ], p: ScanParams) -> List[LinearizationSeries]:
-    """Linearization series of the germs in one lock-step pass: the full
-    one, or the partial series up to the first pole/overflow
-    (``phi.order < p.lin_order``; the residual test then rules at that
-    parameter)."""
-    return linearizations(germs, p.lin_order, allow_rational=True, on_failure="truncate")
-
-
 def estimate_radii(fam: GermFamily, alphas: Sequence[ExactReal],
-                   p: ScanParams = DEFAULT_SCAN) -> List[RadiusEstimate]:
-    """Escape estimates through the (possibly partial) linearization charts,
-    one per parameter in input order, bisected in one :func:`escape_radii`
-    call.  Every germ is built before the one :func:`_linearize` pass over
-    them, so the first germ error raises before any linearization."""
+                   p: ScanParams) -> List[RadiusEstimate]:
+    """Escape estimates through the linearization charts, one per parameter
+    in input order, bisected in one :func:`escape_radii` call.  A chart is
+    the full series or the partial one up to the first pole/overflow
+    (``phi.order < p.lin_order``; the residual test then rules at that
+    parameter).  Every germ is built before the one :func:`linearizations`
+    pass over them, so the first germ error raises before any
+    linearization."""
     germs = [fam.at(alpha, p.order) for alpha in alphas]
-    return escape_radii(germs, _linearize(germs, p), p.escape)
+    return escape_radii(germs, linearizations(germs, p.lin_order), p.escape)
 
 
 def _scan_chunk(fam: GermFamily, alphas: Sequence[ExactReal], p: ScanParams) -> List[ScanRow]:
@@ -131,7 +126,7 @@ def _scan_chunk(fam: GermFamily, alphas: Sequence[ExactReal], p: ScanParams) -> 
 
     Every parameter's germ is built first (an error becomes that
     parameter's error rows); the germs are then linearized in one
-    :func:`_linearize` pass and, for the escape estimator, bisected in one
+    :func:`linearizations` pass and, for the escape estimator, bisected in one
     :func:`escape_radii` call.
     """
     germs: list = []
@@ -141,7 +136,7 @@ def _scan_chunk(fam: GermFamily, alphas: Sequence[ExactReal], p: ScanParams) -> 
         except SiegelError as exc:
             germs.append(exc)
     ready = [k for k, g in enumerate(germs) if not isinstance(g, SiegelError)]
-    phis = dict(zip(ready, _linearize([germs[k] for k in ready], p)))
+    phis = dict(zip(ready, linearizations([germs[k] for k in ready], p.lin_order)))
     escape = {}
     if "escape" in p.estimators:
         escape = dict(zip(ready, escape_radii([germs[k] for k in ready],
@@ -243,7 +238,7 @@ def _forked_chunks(fam: GermFamily, chunks: Sequence[Sequence[ExactReal]],
 
 
 def scan_r(fam: GermFamily, alphas: Sequence[ExactReal],
-           p: ScanParams = DEFAULT_SCAN, workers: int = 1) -> List[ScanRow]:
+           p: ScanParams, workers: int) -> List[ScanRow]:
     """One row per (alpha, estimator), ordered by input index then estimator.
 
     Chunk w is ``alphas[w::workers]`` (interleaved, so neighbouring
@@ -314,8 +309,7 @@ def _cut_grid(b: Fraction, alpha: ExactReal, Q: int) -> List[Fraction]:
 
 
 def condition_bdd_search(fam: GermFamily, alpha: ExactReal, rho_frac: float,
-                         qmax: int, K_est: Optional[float],
-                         cfg: ConstantConfig = DEFAULT_CONFIG) -> dict:
+                         qmax: int, K_est: Optional[float], cfg: ConstantConfig) -> dict:
     """Left cut point c = the least grid point x in (b, alpha) with
     r_est(x) >= rho, the bounded-type sequence it emits, and the quantitative
     band at its denominator.
@@ -506,7 +500,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
     _check_rho_frac(rho_frac)
     p = DRIVER_SCAN
     germ0 = fam.at(theta0, p.order)
-    phi0, = _linearize([germ0], p)
+    phi0, = linearizations([germ0], p.lin_order)
     est0 = escape_radius(germ0, phi0, p.escape)
     rho_target = _target(rho_frac, est0)
     if est0.lower >= linearize.ESCAPE_CAP - 1e-3:
@@ -532,7 +526,7 @@ def smooth_disk_driver(fam: GermFamily, theta0: ExactReal, rho_frac: float,
                 diag_parts.append(f"k={k}: outside parent interval")
                 continue
             germ_c = fam.at(cand, p.order)
-            phi_c, = _linearize([germ_c], p)
+            phi_c, = linearizations([germ_c], p.lin_order)
             if phi_c.stop is not None:
                 diag_parts.append(f"k={k}: no full series: {phi_c.stop!r}")
                 continue

@@ -235,7 +235,7 @@ class QuadraticIrrational:
             lo, hi = hi, lo
         return lo, hi, self.c << bits
 
-    def bracket(self, bits: int = 64) -> Tuple[Fraction, Fraction]:
+    def bracket(self, bits: int) -> Tuple[Fraction, Fraction]:
         """Rational lo <= self <= hi with width |b| / (c * 2**bits)."""
         lo, hi, den = self.int_bracket(bits)
         return Fraction(lo, den), Fraction(hi, den)
@@ -328,7 +328,7 @@ def frac_exact(x: ExactReal) -> ExactReal:
     return x - floor_exact(x)
 
 
-def bracket(x: ExactReal, bits: int = 64) -> Tuple[Fraction, Fraction]:
+def bracket(x: ExactReal, bits: int) -> Tuple[Fraction, Fraction]:
     if isinstance(x, QuadraticIrrational):
         return x.bracket(bits)
     f = _as_fraction(x)

@@ -418,7 +418,7 @@ def test_criterion_10_constants():
     agree = True
     for K in (1.0, 3.0, 30.0, 300.0):
         for q in (1, 7, 101):
-            a = const_Cprime(K, q)
+            a = const_Cprime(K, q, DEFAULT_CONFIG)
             b = const_Cprime_numeric(K, q)
             agree &= abs(a - b) < 1e-10
     from siegelkit.bounds import _cprime_objective
@@ -430,7 +430,7 @@ def test_criterion_10_constants():
                       for i in range(1, len(vals) - 1))
     trends = True
     for fn in (const_C, const_Cprime, const_Cdoubleprime):
-        vals = [fn(10.0, 2 ** j) for j in range(1, 14)]
+        vals = [fn(10.0, 2 ** j, DEFAULT_CONFIG) for j in range(1, 14)]
         trends &= vals[-1] < 1e-2 and all(vals[i + 1] < vals[i] + 1e-12
                                           for i in range(len(vals) - 1))
     dt = time.time() - t0

@@ -3,7 +3,8 @@ export behind; the package root imports nothing; every exported name is
 defined in its module and used by the program or its benchmark, not only by
 its own tests; every imported name, in the package and in its tests, is used
 or re-exported; every setting is set by the program or its benchmark, not
-only by tests and not to one literal by every call; the number of
+only by tests and not to one literal by every call, and every parameter
+default is one some call of theirs leaves in place; the number of
 settable values does not grow unnoticed; and every count an entry point
 takes refuses what is not an integer."""
 
@@ -17,15 +18,15 @@ import numpy as np
 import pytest
 
 import siegelkit
-from siegelkit.bounds import brjuno_sum, const_C
+from siegelkit.bounds import DEFAULT_CONFIG, brjuno_sum, const_C
 from siegelkit.cf import convergents, farey_fractions, parse_cf, special_sequence_main
 from siegelkit.errors import DomainError
 from siegelkit.germs import QuadraticFamily, lift_of_germ
 from siegelkit.linearize import (hadamard_radius, linearization_coeffs, linearizations,
                                  pole_cancellation_probe)
 from siegelkit.renorm import build_HJ, find_y0, renormalized_rotation_number
-from siegelkit.scan import (ScanParams, condition_bdd_search, main_lemma_probe, scan_r,
-                            smooth_disk_driver)
+from siegelkit.scan import (DEFAULT_SCAN, ScanParams, condition_bdd_search, main_lemma_probe,
+                            scan_r, smooth_disk_driver)
 from siegelkit.surd import QuadraticIrrational
 
 from .oracles import translation_lift
@@ -132,16 +133,17 @@ def _init_false(field):
 
 
 def _settings(tree, module):
-    """``("module.callee.name", position)`` for every parameter with a default
-    and every dataclass field a caller can set.  The callee is the class for
-    its fields and its ``__init__``; position is the index of the positional
-    argument that sets the value at a call, None for keyword-only."""
+    """``("module.callee.name", position, is_default)`` for every parameter
+    with a default (``is_default`` True) and every dataclass field a caller
+    can set (False).  The callee is the class for its fields and its
+    ``__init__``; position is the index of the positional argument that sets
+    the value at a call, None for keyword-only."""
     out = []
     for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
         if _is_dataclass(cls):
             fields = [s.target.id for s in cls.body
                       if isinstance(s, ast.AnnAssign) and not _init_false(s)]
-            out += [(f"{module}.{cls.name}.{f}", i) for i, f in enumerate(fields)]
+            out += [(f"{module}.{cls.name}.{f}", i, False) for i, f in enumerate(fields)]
         for fn in cls.body:
             fn.owner = cls.name  # a method's self or cls is no call argument
     for fn in ast.walk(tree):
@@ -151,20 +153,21 @@ def _settings(tree, module):
             owner = getattr(fn, "owner", None)
             callee = owner if fn.name == "__init__" else fn.name
             shift = 0 if owner is None else 1
-            out += [(f"{module}.{callee}.{x.arg}", i - shift) for i, x in enumerate(positional)
+            out += [(f"{module}.{callee}.{x.arg}", i - shift, True)
+                    for i, x in enumerate(positional)
                     if i >= len(positional) - len(a.defaults)]
-            out += [(f"{module}.{callee}.{x.arg}", None)
+            out += [(f"{module}.{callee}.{x.arg}", None, True)
                     for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
     return out
 
 
-# Settings that no call in the program or its benchmark sets, each with the
-# reason it stays; a key without a parameter covers every field of a class.
+# Settings that no call in the program or its benchmark sets, and defaults
+# that no such call leaves in place, each with the reason it stays; a key
+# without a parameter covers every field of a class.
 UNSET_SETTINGS = {
     "cli.main.argv": "tests run the command line in-process",
     "germs.RotationFamily.restriction_radius": "make_family calls the presets from a table",
     "germs.QuadraticFamily.restriction_radius": "make_family calls the presets from a table",
-    "bounds.const_Cdoubleprime.cfg": "cmd_const calls it through its fn dispatch",
     "bounds.ConstantConfig": "config_from_mapping passes the fields as **kwargs",
 }
 
@@ -205,11 +208,13 @@ def _is_literal(node):
 def test_every_setting_is_set_outside_tests():
     # a setting only tests set is one value in use: a module constant, which
     # a test reaches with monkeypatch; so is a setting that every call sets to
-    # one literal and none leaves at its default
+    # one literal and none leaves at its default; and a parameter default
+    # that every call overrides is a value only tests reach
     calls = _program_calls()
-    unset, one_literal = set(), []
+    unset, one_literal, unreached = set(), [], set()
     for path in Path(siegelkit.__path__[0]).glob("*.py"):
-        for key, pos in _settings(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+        for key, pos, is_default in _settings(ast.parse(path.read_text(encoding="utf-8")),
+                                              path.stem):
             callee, name = key.split(".")[1:]
             passed = [_argument(c, name, pos) for c in calls if c[0] == callee]
             if not any(x is not None for x in passed):
@@ -217,10 +222,12 @@ def test_every_setting_is_set_outside_tests():
             elif all(x is not None and _is_literal(x) for x in passed) and len(
                     {ast.dump(x) for x in passed}) == 1:
                 one_literal.append(key)
-    unexplained = sorted(k for k in unset
+            elif is_default and all(x is not None for x in passed):
+                unreached.add(key)
+    unexplained = sorted(k for k in unset | unreached
                          if k not in UNSET_SETTINGS and k.rsplit(".", 1)[0] not in UNSET_SETTINGS)
     stale = sorted(k for k in UNSET_SETTINGS
-                   if not any(u == k or u.startswith(k + ".") for u in unset))
+                   if not any(u == k or u.startswith(k + ".") for u in unset | unreached))
     assert (unexplained, stale, sorted(one_literal)) == ([], [], [])
 
 
@@ -248,7 +255,7 @@ def settable_values():
 def test_settable_value_count_is_pinned():
     # a change that adds or removes a setting updates this number (and the
     # count quoted in ROADMAP.md) on purpose
-    assert settable_values() == 167
+    assert settable_values() == 153
 
 
 GOLDEN = QuadraticIrrational(-1, 1, 2, 5)
@@ -271,7 +278,7 @@ COUNTS = {
     "ScanParams.order": (lambda n: ScanParams(order=n), 1),
     "ScanParams.lin_order": (lambda n: ScanParams(lin_order=n), 1),
     "ScanParams.window": (lambda n: ScanParams(window=n), 16),
-    "scan_r.workers": (lambda n: scan_r(QuadraticFamily(), [GOLDEN], workers=n), 1),
+    "scan_r.workers": (lambda n: scan_r(QuadraticFamily(), [GOLDEN], DEFAULT_SCAN, workers=n), 1),
     "lift_of_germ": (lambda n: lift_of_germ(_GERM, order=n), 1),
     "build_HJ": (lambda n: build_HJ(translation_lift(GOLDEN), n), 0),
     "renormalized_rotation_number": (lambda n: renormalized_rotation_number(
@@ -280,13 +287,13 @@ COUNTS = {
         QuadraticFamily(), Fraction(1, 2), "short", n, 6.3), 1),
     "smooth_disk_driver": (lambda n: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, n), 1),
     "condition_bdd_search": (lambda n: condition_bdd_search(
-        QuadraticFamily(), GOLDEN, 0.5, qmax=n, K_est=6.3), 1),
+        QuadraticFamily(), GOLDEN, 0.5, qmax=n, K_est=6.3, cfg=DEFAULT_CONFIG), 1),
     "brjuno_sum": (lambda n: brjuno_sum(parse_cf("[0;(1)]"), depth=n, tol=1e-12), 0),
     "special_sequence_main": (lambda n: special_sequence_main(parse_cf("[0;(1)]"), n), 0),
     "convergents": (lambda n: convergents(parse_cf("[0;(1)]"), n), 0),
     "farey_fractions": (lambda n: farey_fractions(n), 1),
     "hadamard_radius": (lambda n: hadamard_radius(_SERIES, window=n), 16),
-    "const_C": (lambda n: const_C(2.0, n), 1),
+    "const_C": (lambda n: const_C(2.0, n, DEFAULT_CONFIG), 1),
     # p may be any integer; q | (n - 1)
     "pole_cancellation_probe.p": (lambda n: pole_cancellation_probe(_FAMILY, n, 1, 2), 0),
     "pole_cancellation_probe.q": (lambda n: pole_cancellation_probe(_FAMILY, 0, n, n + 1), 1),

@@ -104,24 +104,24 @@ def test_special_sequence_outputs_bounded_type():
 
 
 def test_const_C_trivial():
-    assert const_C(1.0, 1) == DEFAULT_CONFIG.c1
+    assert const_C(1.0, 1, DEFAULT_CONFIG) == DEFAULT_CONFIG.c1
 
 
 def test_const_C_large_q_bound():
     K = 7.0
-    val = const_C(K, 10**6)
+    val = const_C(K, 10**6, DEFAULT_CONFIG)
     assert val < 1e-4 * (math.log(K) + DEFAULT_CONFIG.c1 + 14)
 
 
 def test_const_C_direct_eval():
     K, q = math.e, 3
-    assert abs(const_C(K, q) - (math.log(q) + 1.0 + DEFAULT_CONFIG.c1) / q) < 1e-15
+    assert abs(const_C(K, q, DEFAULT_CONFIG) - (math.log(q) + 1.0 + DEFAULT_CONFIG.c1) / q) < 1e-15
 
 
 def test_cprime_closed_form_vs_golden_section():
     for K in (1.0, 10.0, 100.0):
         for q in (1, 2, 10, 100):
-            a = const_Cprime(K, q)
+            a = const_Cprime(K, q, DEFAULT_CONFIG)
             b = const_Cprime_numeric(K, q)
             assert abs(a - b) < 1e-10, (K, q, a, b)
 
@@ -132,12 +132,13 @@ def test_cprime_paper_shape_bound():
     c2_eff = DEFAULT_CONFIG.c1 + math.log(9.0) + 3.9
     for K in (1.0, 5.0, 50.0):
         for q in (1, 2, 3, 8, 64, 1024):
-            assert const_Cprime(K, q) <= (math.log(K) + 4 * math.log(q) + c2_eff) / q
+            assert (const_Cprime(K, q, DEFAULT_CONFIG)
+                    <= (math.log(K) + 4 * math.log(q) + c2_eff) / q)
 
 
 def test_cprime_monotone_in_K():
     for q in (1, 4, 9):
-        vals = [const_Cprime(K, q) for K in [1 + 0.25 * j for j in range(40)]]
+        vals = [const_Cprime(K, q, DEFAULT_CONFIG) for K in [1 + 0.25 * j for j in range(40)]]
         assert all(vals[i] <= vals[i + 1] + 1e-14 for i in range(len(vals) - 1))
 
 
@@ -151,8 +152,8 @@ def test_objective_strictly_convex():
 
 
 def test_cdoubleprime_trivial_and_limit():
-    assert const_Cdoubleprime(1.0, 1) == DEFAULT_CONFIG.c3
-    vals = [const_Cdoubleprime(5.0, 2 ** j) for j in range(1, 16)]
+    assert const_Cdoubleprime(1.0, 1, DEFAULT_CONFIG) == DEFAULT_CONFIG.c3
+    vals = [const_Cdoubleprime(5.0, 2 ** j, DEFAULT_CONFIG) for j in range(1, 16)]
     assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
     assert vals[-1] < 1e-3
 
@@ -169,16 +170,16 @@ def test_cdoubleprime_relation_with_compatible_config():
 
 def test_trends_to_zero_along_dyadic_q():
     for fn in (const_C, const_Cprime, const_Cdoubleprime):
-        vals = [fn(10.0, 2 ** j) for j in range(1, 14)]
+        vals = [fn(10.0, 2 ** j, DEFAULT_CONFIG) for j in range(1, 14)]
         assert vals[-1] < 1e-2
         assert all(vals[i + 1] < vals[i] + 1e-12 for i in range(len(vals) - 1))
 
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        const_C(0.5, 1)
+        const_C(0.5, 1, DEFAULT_CONFIG)
     with pytest.raises(DomainError):
-        const_Cprime(1.0, 0)
+        const_Cprime(1.0, 0, DEFAULT_CONFIG)
     with pytest.raises(DomainError):
         ConstantConfig(c1=-1.0)
     with pytest.raises(DomainError):
@@ -187,7 +188,7 @@ def test_domain_errors():
     for bad in (math.nan, math.inf):
         for fn in (const_C, const_Cprime, const_Cdoubleprime):
             with pytest.raises(DomainError):
-                fn(bad, 3)
+                fn(bad, 3, DEFAULT_CONFIG)
         for key in ("c1", "c3", "C_sqrt2", "A", "C1_glue"):
             with pytest.raises(DomainError):
                 ConstantConfig(**{key: bad})

@@ -69,7 +69,7 @@ def test_cf_eval_and_convergents(capsys):
 def test_const_passthrough(capsys):
     code, out, _ = run_cli(["const", "Cprime", "--K", "10", "--q", "5"], capsys)
     assert code == 0
-    assert abs(loads(out)["value"] - const_Cprime(10.0, 5)) < 1e-15
+    assert abs(loads(out)["value"] - const_Cprime(10.0, 5, DEFAULT_CONFIG)) < 1e-15
 
 
 def test_brjuno(capsys):
@@ -97,6 +97,23 @@ def test_radius_escape(capsys):
                             "--max-iter", "1000", "--bisect-tol", "4e-3"], capsys)
     data = loads(out)
     assert 0.2 < data["lower"] <= data["upper"] < 0.45
+
+
+@pytest.mark.parametrize("argv,params", [
+    (["escape", "--max-iter", "20", "--samples", "8"],
+     {"max_iter": 20, "circle_samples": 8, "bisect_tol": 1e-3, "residual_tol": 1e-8}),
+    (["hadamard", "--N", "64", "--window", "32"], {"window": 32}),
+], ids=["escape", "hadamard"])
+def test_radius_reports_the_estimator_and_its_params(argv, params, monkeypatch, capsys):
+    # the command writes the op it ran and the parameters it built; a radius
+    # valid at the cap reads the cap as its lower end
+    monkeypatch.setattr(linearize, "ESCAPE_CAP", 0.9)
+    code, out, _ = run_cli(["radius"] + argv + ["--family", "rotation", "--alpha", "[0;(1)]"],
+                           capsys)
+    data = loads(out)
+    assert code == 0 and (data["method"], data["params"]) == (argv[0], params)
+    assert (data["lower"], data["upper"]) == ((0.9, 1.0) if argv[0] == "escape"
+                                              else (0.0, "inf"))  # strict JSON
 
 
 def test_cli_defaults_are_the_dataclass_defaults(monkeypatch, capsys):
@@ -389,8 +406,7 @@ def test_flow_scan_csv_is_worker_independent_and_pinned(capsys):
     assert runs[0] == runs[1] and runs[0][0] == 0
     assert hashlib.sha256(runs[0][1].encode()).hexdigest() == _FLOW_SCAN_SHA256
     grid = farey_fractions(12)
-    phis = linearizations([FlowFamily([3.0], 0.5).at(a, 32) for a in grid], 48,
-                          allow_rational=True, on_failure="truncate")
+    phis = linearizations([FlowFamily([3.0], 0.5).at(a, 32) for a in grid], 48)
     assert (len(grid), sum(phi.order < 48 for phi in phis)) == (47, 23)
 
 

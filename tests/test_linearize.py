@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from siegelkit import linearize
 from siegelkit.cf import (
@@ -237,10 +237,12 @@ def test_pole_probe_with_no_offset_reaching_n_raises_the_first_stop(monkeypatch)
 # -- lock-step batches ---------------------------------------------------------
 
 # One order N = 40 for the pool: quadratic germs (order 2), flow germs of
-# order 24 (c_2 = 3 gives numerical poles at rationals), a rotation (order 1,
-# no power table) and a cubic with a float alpha whose phase (n-1) alpha
-# rounds to 0 at n = 11.  Rationals, surds and floats; at the default cap a
-# pole ends 8 of the 16 series, at cap 1e3 five overflow (5/13 before its pole).
+# order 24 (c_2 = 3 gives numerical poles at rationals), a cubic with a float
+# alpha whose phase (n-1) alpha rounds to 0 at n = 11, and two rotations
+# (order 1: the power table has no row past the series, and P_n is 0j), at
+# the golden mean and at 2/5, where every zero divisor cancels.  Rationals,
+# surds and floats; at the default cap a pole ends 8 of the 17 series, at cap
+# 1e3 five overflow (5/13 before its pole).
 _LIN_N = 40
 _LIN_POOL = (
     [QUAD.at(a, 8) for a in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
@@ -248,7 +250,8 @@ _LIN_POOL = (
                              0.3183098861837907, 0.25 + 1e-9, Fraction(5, 13))]
     + [FlowFamily([1.0], 0.5).at(a, 24) for a in (GOLDEN, Fraction(1, 3))]
     + [FlowFamily([3.0], 0.5).at(a, 24) for a in (Fraction(2, 7), Fraction(1, 3), GOLDEN)]
-    + [RotationFamily().at(GOLDEN, 8), Germ(0.1, np.array([0.3 - 0.2j, 0.5j]))])
+    + [RotationFamily().at(GOLDEN, 8), Germ(0.1, np.array([0.3 - 0.2j, 0.5j])),
+       RotationFamily().at(Fraction(2, 5), 8)])
 _LIN_CAPS = (linearize.MAG_CAP, 1e3)
 
 
@@ -294,8 +297,7 @@ def test_linearizations_match_sequential_oracle(picks, cap, per_block):
         mp.setattr(linearize, "MAG_CAP", cap)
         if per_block is not None:
             mp.setattr(linearize, "TABLE_BYTES", _table_bytes(per_block))
-        got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N, allow_rational=True,
-                             on_failure="truncate")
+        got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N)
     for i, phi in zip(picks, got):
         assert _same_series(phi, _oracle(i, allow_rational=True, mag_cap=cap,
                                          on_failure="truncate")), i
@@ -305,41 +307,42 @@ def test_linearizations_match_sequential_oracle(picks, cap, per_block):
 @given(_picks)
 def test_linearizations_batch_independent(picks):
     # random subsets, orders and duplicates: each series is the germ's own
-    got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N, allow_rational=True,
-                         on_failure="truncate")
+    got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N)
     for i, phi in zip(picks, got):
         alone = linearization_coeffs(_LIN_POOL[i], _LIN_N, allow_rational=True,
                                      on_failure="truncate")
         assert _same_series(phi, alone)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_picks, st.sampled_from(_LIN_CAPS), st.booleans(), st.sampled_from([None, 1, 2]))
-@example([0, 2], _LIN_CAPS[0], True, None)    # the earlier germ fails first
-@example([2, 0], _LIN_CAPS[0], True, None)    # the later germ fails first
-@example([4, 8], _LIN_CAPS[1], True, None)    # both overflow at n = 12
-@example([7, 1], _LIN_CAPS[1], False, None)   # overflow before a refused rational
-@example([1, 7], _LIN_CAPS[1], False, None)
-def test_linearizations_raise_like_the_sequential_loop(picks, cap, allow_rational,
-                                                       per_block):
-    # the first germ in input order that fails raises its own error, whatever
-    # later germs do and at whatever index; without allow_rational a
-    # rational fails before its recursion starts
-    expected = [_oracle(i, allow_rational=allow_rational, mag_cap=cap) for i in picks]
-    failures = [e for e in expected if isinstance(e, tuple)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linearize, "MAG_CAP", cap)
-        if per_block is not None:
-            mp.setattr(linearize, "TABLE_BYTES", _table_bytes(per_block))
-        if failures:
-            with pytest.raises(failures[0][0]) as info:
-                linearizations([_LIN_POOL[i] for i in picks], _LIN_N,
-                               allow_rational=allow_rational)
-            assert str(info.value) == failures[0][1]
+@pytest.mark.parametrize("cap", _LIN_CAPS, ids=["cap", "cap-1e3"])
+@pytest.mark.parametrize("allow_rational", [True, False], ids=["rational", "no-rational"])
+def test_linearization_coeffs_raises_like_the_sequential_loop(cap, allow_rational,
+                                                              monkeypatch):
+    # each pool germ alone, in raise mode: its own pole or overflow raises
+    # with the sequential loop's message, and without allow_rational a
+    # rational is refused before its recursion starts
+    monkeypatch.setattr(linearize, "MAG_CAP", cap)
+    run, real = [], linearize._recursion
+    monkeypatch.setattr(linearize, "_recursion",
+                        lambda germs, *args: run.append(germs) or real(germs, *args))
+    for i, g in enumerate(_LIN_POOL):
+        expected = _oracle(i, allow_rational=allow_rational, mag_cap=cap)
+        run.clear()
+        if isinstance(expected, tuple):
+            with pytest.raises(expected[0]) as info:
+                linearization_coeffs(g, _LIN_N, allow_rational=allow_rational)
+            assert str(info.value) == expected[1], i
+            refused = isinstance(g.alpha, Fraction) and not allow_rational
+            assert run == ([] if refused else [[g]]), i
         else:
-            got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N,
-                                 allow_rational=allow_rational)
-            assert all(_same_series(x, y) for x, y in zip(got, expected))
+            assert _same_series(linearization_coeffs(g, _LIN_N,
+                                                     allow_rational=allow_rational),
+                                expected), i
+
+
+def test_linearization_coeffs_refuses_an_unknown_failure_mode():
+    with pytest.raises(DomainError, match="on_failure"):
+        linearization_coeffs(QUAD.at(GOLDEN, 8), 8, on_failure="ignore")
 
 
 def test_linearizations_split_into_blocks(monkeypatch):
@@ -355,8 +358,7 @@ def test_linearizations_split_into_blocks(monkeypatch):
     monkeypatch.setattr(linearize, "_recursion", counted)
     monkeypatch.setattr(linearize, "TABLE_BYTES", _table_bytes(2))
     picks = [4, 9, 5, 0, 10, 6, 1, 14]
-    got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N, allow_rational=True,
-                         on_failure="truncate")
+    got = linearizations([_LIN_POOL[i] for i in picks], _LIN_N)
     assert sorted(map(len, calls)) == [1, 1, 1, 1, 2, 2]
     for i, phi in zip(picks, got):
         assert _same_series(phi, _oracle(i, allow_rational=True, on_failure="truncate"))
@@ -506,6 +508,43 @@ def test_alpha_and_alpha_plus_one_give_one_germ_and_series(fam, order, N, alpha)
     assert _same_series(phi_1, phi)
 
 
+# -- metamorphic relations within a stated bound ---------------------------------
+# The quadratic germ has a real z^2 coefficient, so alpha -> 1 - alpha
+# conjugates its multiplier, the germ and its series: a_n(1 - alpha) =
+# conj a_n(alpha) in exact arithmetic.  The two recursions round apart, by
+# about 2 n eps |a_n| at the surds below (6.2e-14 relative at n = 128 on the
+# golden mean), and a rational's pole falls at one index in both.
+
+
+@pytest.mark.parametrize("alpha", [GOLDEN, QuadraticIrrational(0, 1, 1, 2) - 1,
+                                   Fraction(2, 7), Fraction(2, 5)],
+                         ids=["golden", "sqrt2-1", "2/7", "2/5"])
+def test_one_minus_alpha_conjugates_the_quadratic_series(alpha):
+    N = 128
+    phi, phi_c = (linearization_coeffs(QUAD.at(x, N), N, allow_rational=True,
+                                       on_failure="truncate") for x in (alpha, 1 - alpha))
+    assert phi_c.order == phi.order and type(phi_c.stop) is type(phi.stop)
+    n = np.arange(phi.order + 1)
+    gap = np.abs(phi_c.a - np.conj(phi.a))
+    assert np.all(gap <= 4 * n * np.finfo(float).eps * np.abs(phi.a))
+
+
+def test_escape_bracket_scales_with_the_restriction():
+    # restricting to radius s scales the chart's radius by 1/s; the chart
+    # screens (the unit disk, an absolute residual_tol) do not scale, so the
+    # brackets agree within bisect_tol, not bit for bit: at s = 0.5 the
+    # bracket times s is [0.31299, 0.31348] and at s = 1 [0.31348, 0.31445]
+    p = EscapeParams(max_iter=2000)
+    brackets = []
+    for s in (1.0, 0.5):
+        g = QuadraticFamily(s).at(GOLDEN, 8)
+        est = escape_radius(g, linearization_coeffs(g, 256), p)
+        assert est.diagnostics == "bracket from bisection"
+        brackets.append((est.lower * s, est.upper * s))
+    (lo_1, hi_1), (lo_s, hi_s) = brackets
+    assert max(lo_1, lo_s) - min(hi_1, hi_s) <= p.bisect_tol
+
+
 def test_escape_params_record_the_cap(monkeypatch):
     # a radius valid at the cap reads the cap as its lower end
     monkeypatch.setattr(linearize, "ESCAPE_CAP", 0.9)
@@ -513,8 +552,6 @@ def test_escape_params_record_the_cap(monkeypatch):
     p = EscapeParams(max_iter=20, circle_samples=8)
     est = escape_radius(g, linearization_coeffs(g, 16), p)
     assert (est.lower, est.upper) == (0.9, 1.0)
-    assert est.params == {"max_iter": 20, "circle_samples": 8, "bisect_tol": 1e-3,
-                          "residual_tol": 1e-8}
 
 
 def test_escape_radii_match_sequential_bisection():

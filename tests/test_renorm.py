@@ -86,7 +86,7 @@ def test_parabolic_lift_escapes_low(monkeypatch):
 
 
 def test_h_of_translation_zero():
-    assert h_of_lift(translation_lift(GOLDEN)) == 0.0
+    assert h_of_lift(translation_lift(GOLDEN), HParams()) == 0.0
 
 
 @pytest.mark.parametrize("bad", [

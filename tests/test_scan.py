@@ -11,6 +11,7 @@ import pytest
 from siegelkit.cf import (cf_of_rational, farey_fractions, parse_cf,
                           special_sequence_main)
 from siegelkit import linearize, scan
+from siegelkit.bounds import DEFAULT_CONFIG
 from siegelkit.errors import DomainError, FamilyUnsuitable, StageFailed, TargetAboveRadius
 from siegelkit.germs import FlowFamily, GermFamily, QuadraticFamily, RotationFamily
 from siegelkit.linearize import EscapeParams, linearization_coeffs
@@ -43,7 +44,7 @@ MEDIUM = ScanParams(order=32, lin_order=96,
 
 
 def test_scan_rotation_all_near_one():
-    rows = scan_r(RotationFamily(), farey_fractions(5), CHEAP)
+    rows = scan_r(RotationFamily(), farey_fractions(5), CHEAP, workers=1)
     assert all(r.r_lower >= 1 - 1e-2 for r in rows)
     assert all(r.method == "escape" for r in rows)
 
@@ -51,7 +52,7 @@ def test_scan_rotation_all_near_one():
 def test_scan_row_ordering_and_methods():
     p = ScanParams(order=16, lin_order=48, window=24, estimators=("escape", "hadamard"),
                    escape=EscapeParams(max_iter=200, circle_samples=8, bisect_tol=1e-2))
-    rows = scan_r(QuadraticFamily(), [GOLDEN, Fraction(1, 2)], p)
+    rows = scan_r(QuadraticFamily(), [GOLDEN, Fraction(1, 2)], p, workers=1)
     assert [r.method for r in rows][:2] == ["escape", "hadamard"]
     assert rows[2].method == "escape"
     assert rows[3].method.startswith("hadamard:error:")  # no full series at 1/2
@@ -88,7 +89,7 @@ def test_scan_rows_match_sequential_bisection():
     # one-at-a-time bracket (rationals with partial charts, surds with full ones)
     grid = farey_fractions(7) + [GOLDEN, S2M1]
     fam = QuadraticFamily()
-    rows = scan_r(fam, grid, CHEAP)
+    rows = scan_r(fam, grid, CHEAP, workers=1)
     assert [r.alpha_float for r in rows] == [float(a) for a in grid]
     for alpha, row in zip(grid, rows):
         assert (row.r_lower, row.r_upper, row.method) == (
@@ -174,11 +175,11 @@ def test_workers_beyond_the_grid_fork_one_child_per_extra_chunk(monkeypatch):
     rows = scan_r(RotationFamily(), _GRID3, CHEAP, workers=8)
     assert len(forks) == 2
     _assert_no_child_left()
-    assert rows == scan_r(RotationFamily(), _GRID3, CHEAP)
+    assert rows == scan_r(RotationFamily(), _GRID3, CHEAP, workers=1)
 
 
 def test_scan_without_fork_runs_every_chunk_in_the_caller(monkeypatch):
-    rows1 = scan_r(RotationFamily(), _GRID3, CHEAP)
+    rows1 = scan_r(RotationFamily(), _GRID3, CHEAP, workers=1)
     monkeypatch.delattr(os, "fork")
     assert scan_r(RotationFamily(), _GRID3, CHEAP, workers=3) == rows1
 
@@ -195,7 +196,8 @@ def test_scan_never_aborts_on_row_failure():
                 raise FamilyUnsuitable("later boom")
             return super().at(alpha, order)
 
-    rows = scan_r(ExplodingFamily(), [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)], CHEAP)
+    rows = scan_r(ExplodingFamily(), [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)], CHEAP,
+                  workers=1)
     assert len(rows) == 3
     assert rows[1].method == "escape:error:TargetAboveRadius"
     assert rows[0].r_lower > 0.9 and rows[2].r_lower > 0.9
@@ -218,7 +220,7 @@ def test_comb_interleaving_windows():
                                        bisect_tol=2e-3))
     eps, delta = 0.12, 0.2
     for grid in windows:
-        rows = scan_r(QuadraticFamily(), grid, p)
+        rows = scan_r(QuadraticFamily(), grid, p, workers=1)
         assert any(r.r_upper < eps for r in rows)
         assert any(r.r_lower > delta for r in rows)
 
@@ -229,7 +231,7 @@ def test_monotone_escape_upper_in_max_iter():
         p = ScanParams(order=16, lin_order=48,
                        escape=EscapeParams(max_iter=it, circle_samples=16,
                                            bisect_tol=2e-3))
-        uppers.append(scan_r(QuadraticFamily(), [Fraction(1, 3)], p)[0].r_upper)
+        uppers.append(scan_r(QuadraticFamily(), [Fraction(1, 3)], p, workers=1)[0].r_upper)
     assert uppers[0] >= uppers[1] >= uppers[2] - 1e-12
 
 
@@ -238,7 +240,8 @@ def test_monotone_escape_upper_in_max_iter():
 
 def test_cond_bdd_rotation_degenerate(monkeypatch):
     monkeypatch.setattr(scan, "DEFAULT_SCAN", CHEAP)
-    rep = condition_bdd_search(RotationFamily(), GOLDEN, rho_frac=0.5, qmax=8, K_est=6.3)
+    rep = condition_bdd_search(RotationFamily(), GOLDEN, rho_frac=0.5, qmax=8, K_est=6.3,
+                               cfg=DEFAULT_CONFIG)
     assert rep["verdict"] == "FamilyLooksDegenerate"
 
 
@@ -251,7 +254,8 @@ def _coarse_cut_search(monkeypatch, p):
 
 def test_cond_bdd_quadratic_finds_cut(monkeypatch):
     _coarse_cut_search(monkeypatch, MEDIUM)
-    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=5, K_est=6.3)
+    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=5, K_est=6.3,
+                               cfg=DEFAULT_CONFIG)
     assert rep["verdict"] == "ok"
     assert rep["rho"] > 0
     assert rep["cut_r_lower"] >= rep["rho"]
@@ -272,7 +276,8 @@ CUT_TABLE = [
 
 @pytest.mark.parametrize("alpha,cut,band", CUT_TABLE, ids=[a for a, _, _ in CUT_TABLE])
 def test_cond_bdd_cut_has_a_usable_denominator(alpha, cut, band):
-    rep = condition_bdd_search(QuadraticFamily(), parse_cf(alpha).value(), 0.5, 8, None)
+    rep = condition_bdd_search(QuadraticFamily(), parse_cf(alpha).value(), 0.5, 8, None,
+                               DEFAULT_CONFIG)
     assert rep["verdict"] == "ok" and rep["cut"] == cut
     lo, hi = rep["band_endpoints"]
     assert lo < hi and (lo, hi) == pytest.approx(band, abs=5e-5)
@@ -282,6 +287,19 @@ def test_cond_bdd_cut_has_a_usable_denominator(alpha, cut, band):
     # member n is [cut's expansion below it; n + 2, 2, 2, ...]
     top = max(scan._expansion_below(Fraction(cut)).partials)
     assert [m["bt_bound"] for m in members] == [max(top, m["n"] + 2) for m in members]
+
+
+@pytest.mark.parametrize("alpha", [a for a, _, _ in CUT_TABLE], ids=[a for a, _, _ in CUT_TABLE])
+def test_cond_bdd_cut_is_the_grid_neighbour_of_b_at_the_defaults(alpha):
+    # at the default rho_frac and qmax the walk stops at its first point: the
+    # radius jumps from r_b to past rho at b's right neighbour in the Farey
+    # grid of order 64, so the cut is that neighbour and not a resolved
+    # crossing of rho; a finer walk changes this on purpose
+    rep = condition_bdd_search(QuadraticFamily(), parse_cf(alpha).value(), 0.5, 8, None,
+                               DEFAULT_CONFIG)
+    b = Fraction(rep["b"])
+    assert Fraction(rep["cut"]) == min(f for f in farey_fractions(64) if f > b)
+    assert rep["left_neighbor_r_lower"] == rep["r_b_lower"] < rep["rho"] <= rep["cut_r_lower"]
 
 
 @pytest.mark.parametrize("alpha,qmax,rho_frac", [
@@ -304,7 +322,7 @@ def test_cut_grid_is_walked_up_to_the_first_pass(alpha, qmax, rho_frac, monkeypa
 
     monkeypatch.setattr(scan, "estimate_radii", recorded)
     _coarse_cut_search(monkeypatch, CHEAP)
-    rep = condition_bdd_search(QuadraticFamily(), alpha, rho_frac, qmax, 6.3)
+    rep = condition_bdd_search(QuadraticFamily(), alpha, rho_frac, qmax, 6.3, DEFAULT_CONFIG)
     b, Q = Fraction(rep["b"]), 8 * qmax
     grid = scan._cut_grid(b, alpha, Q)
     assert grid == sorted(set(grid))
@@ -353,7 +371,8 @@ def test_cond_bdd_linearizes_each_parameter_once(monkeypatch):
     _coarse_cut_search(monkeypatch, MEDIUM)
     for fam, verdict in ((QuadraticFamily(), "ok"), (_RationalsAtOneHalf(), "NoRationalCut")):
         calls.clear()
-        rep = condition_bdd_search(fam, GOLDEN, rho_frac=0.5, qmax=5, K_est=6.3)
+        rep = condition_bdd_search(fam, GOLDEN, rho_frac=0.5, qmax=5, K_est=6.3,
+                                   cfg=DEFAULT_CONFIG)
         assert rep["verdict"] == verdict
         # the second family's rationals all linearize at 1/2: count the rest
         counts = Counter(a for a in calls if not (verdict != "ok" and isinstance(a, Fraction)))
@@ -370,7 +389,8 @@ def test_cond_bdd_estimates_alpha_and_b_in_one_call(monkeypatch):
 
     monkeypatch.setattr(scan, "estimate_radii", counted)
     _coarse_cut_search(monkeypatch, CHEAP)
-    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=5, K_est=6.3)
+    rep = condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac=0.5, qmax=5, K_est=6.3,
+                               cfg=DEFAULT_CONFIG)
     assert rep["b"] == "3/5" and calls[0] == [GOLDEN, Fraction(3, 5)]
 
 
@@ -383,16 +403,16 @@ def _no_work(*args, **kwargs):
     lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.5, stages=-2),
     lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, 0.0, stages=1),
     lambda: smooth_disk_driver(QuadraticFamily(), GOLDEN, math.nan, stages=1),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0, 8, 6.3),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 0, 6.3),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 8, 0.5),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 8, math.nan),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0, 8, 6.3, DEFAULT_CONFIG),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 0, 6.3, DEFAULT_CONFIG),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 8, 0.5, DEFAULT_CONFIG),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 8, math.nan, DEFAULT_CONFIG),
     lambda: main_lemma_probe(QuadraticFamily(), Fraction(1, 3), "short", 2, 0.5, p=CHEAP),
     lambda: main_lemma_probe(QuadraticFamily(), Fraction(1, 3), "short", 2, math.inf, p=CHEAP),
     # without a K, before the Lipschitz bound too
     lambda: main_lemma_probe(QuadraticFamily(), Fraction(2, 5), "short", 0, None),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0, 8, None),
-    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 0, None),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 1.0, 8, None, DEFAULT_CONFIG),
+    lambda: condition_bdd_search(QuadraticFamily(), GOLDEN, 0.5, 0, None, DEFAULT_CONFIG),
 ], ids=["stages-0", "stages-neg", "driver-rho-0", "driver-rho-nan", "search-rho-1",
         "search-qmax-0", "search-K-half", "search-K-nan", "probe-K-half", "probe-K-inf",
         "probe-N-0-no-K", "search-rho-1-no-K", "search-qmax-0-no-K"])
@@ -418,9 +438,9 @@ def test_probes_without_K_take_the_familys_lipschitz_bound(monkeypatch):
         with pytest.raises(DomainError, match="stop"):
             main_lemma_probe(fam, Fraction(1, 3), "short", 2, None)
         with pytest.raises(DomainError, match="stop"):
-            condition_bdd_search(fam, GOLDEN, 0.5, 8, None)
+            condition_bdd_search(fam, GOLDEN, 0.5, 8, None, DEFAULT_CONFIG)
         with pytest.raises(DomainError, match="stop"):
-            condition_bdd_search(fam, GOLDEN, 0.5, 8, 2.5)
+            condition_bdd_search(fam, GOLDEN, 0.5, 8, 2.5, DEFAULT_CONFIG)
         assert seen == [max(1.0, fam.lipschitz_bound())] * 2 + [2.5]
 
 
@@ -439,7 +459,7 @@ def test_cond_bdd_target_above_radius(monkeypatch):
     monkeypatch.setattr(scan, "DEFAULT_SCAN", CHEAP)
     with pytest.raises(TargetAboveRadius):
         condition_bdd_search(QuadraticFamily(), Fraction(1, 2), rho_frac=0.5, qmax=8,
-                             K_est=6.3)
+                             K_est=6.3, cfg=DEFAULT_CONFIG)
 
 
 # -- main lemma probe ------------------------------------------------------------
@@ -574,7 +594,7 @@ def test_rho_frac_outside_the_unit_interval_is_a_domain_error(rho_frac):
     with pytest.raises(DomainError):
         smooth_disk_driver(QuadraticFamily(), GOLDEN, rho_frac, stages=1)
     with pytest.raises(DomainError):
-        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac, 8, 6.3)
+        condition_bdd_search(QuadraticFamily(), GOLDEN, rho_frac, 8, 6.3, DEFAULT_CONFIG)
 
 
 def test_driver_refuses_a_partial_series_at_theta0(monkeypatch):
@@ -599,7 +619,7 @@ def _from_second_call(monkeypatch, name, change):
 
 
 @pytest.mark.parametrize("name, change, reason", [
-    ("_linearize", lambda phis: [replace(phi, stop=StageFailed("cut")) for phi in phis],
+    ("linearizations", lambda phis: [replace(phi, stop=StageFailed("cut")) for phi in phis],
      "no full series"),
     ("escape_radius", lambda est: replace(est, lower=0.0), "at or below target"),
 ], ids=["partial-series", "radius-below-target"])
